@@ -9,21 +9,18 @@ matrix scan, exact by construction.
 
 from __future__ import annotations
 
-import json
 import logging
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .assembly import all_chain_representations
+from .assembly import all_chain_representations, chain_prefix_representation
 from .corpus import Sample
-from .embedding import EmbeddingTable, FormatError, pack_ids, sha256_file, unpack_ids
+from .embedding import EmbeddingTable, FormatError
 from .text import TextProvider
 
 logger = logging.getLogger(__name__)
-
-IDX_MAGIC = b"UENIDX1"
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,11 @@ class SimIndex:
     def dim(self) -> int:
         return int(self.vectors.shape[1])
 
+    @cached_property
+    def vectors64(self) -> np.ndarray:
+        """`vectors` as float64, the precision queries are scored in; made once."""
+        return self.vectors.astype(np.float64)
+
 
 def build_index(entries) -> SimIndex:
     """entries: iterable of (key, vector, owner). Rows are normalized here."""
@@ -68,6 +70,8 @@ def build_index(entries) -> SimIndex:
             raise FormatError(
                 f"index entry {key!r}: dimension {vec.shape[0]} != {dim}"
             )
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(f"index entry {key!r}: non-finite vector")
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec = vec / norm
@@ -78,22 +82,45 @@ def build_index(entries) -> SimIndex:
     return SimIndex(keys=tuple(keys), vectors=matrix, owners=tuple(owners))
 
 
-def topk(index: SimIndex, query: np.ndarray, k: int) -> list[tuple[str, str, float]]:
-    """Exact cosine top-k, descending score, ties broken by key ascending."""
-    if len(index) == 0:
-        raise FormatError("topk on an empty index")
+def _unit_query(query, dim: int) -> np.ndarray:
     query = np.asarray(query, dtype=np.float64)
-    if query.shape[0] != index.dim:
-        raise FormatError(f"query dim {query.shape[0]} != index dim {index.dim}")
+    if query.shape[0] != dim:
+        raise FormatError(f"query dim {query.shape[0]} != index dim {dim}")
+    if not np.all(np.isfinite(query)):
+        raise FormatError("query has non-finite entries")
     qnorm = np.linalg.norm(query)
-    if qnorm > 0:
-        query = query / qnorm
-    scores = index.vectors.astype(np.float64) @ query
-    order = sorted(range(len(index)), key=lambda i: (-scores[i], index.keys[i]))
-    return [
-        (index.keys[i], index.owners[i], float(scores[i]))
-        for i in order[: min(k, len(index))]
-    ]
+    return query / qnorm if qnorm > 0 else query
+
+
+def topk(index: SimIndex, query: np.ndarray, k: int) -> list[tuple[str, str, float]]:
+    """Exact cosine top-k, descending score, ties broken by key ascending.
+
+    A partition finds the k-th best score; every row that ties it stays a
+    candidate, so ordering the candidates alone gives what a full sort would.
+    """
+    n = len(index)
+    if n == 0:
+        raise FormatError("topk on an empty index")
+    scores = index.vectors64 @ _unit_query(query, index.dim)
+    if k <= 0:
+        return []
+    if k < n:
+        kth = np.partition(scores, n - k)[n - k]
+        rows = np.flatnonzero(scores >= kth).tolist()
+    else:
+        rows = range(n)
+    rows = sorted(rows, key=lambda i: (-scores[i], index.keys[i]))[:k]
+    return [(index.keys[i], index.owners[i], float(scores[i])) for i in rows]
+
+
+def _mean_user(users: EmbeddingTable, owners) -> np.ndarray:
+    rows = np.stack([users.vector(owner) for owner in owners]).astype(np.float64)
+    return rows.mean(axis=0)
+
+
+def _global_mean(users: EmbeddingTable, why: str) -> np.ndarray:
+    logger.warning("%s; falling back to global mean user vector", why)
+    return users.mean_vector().astype(np.float64)
 
 
 def map_cold_author(
@@ -101,20 +128,39 @@ def map_cold_author(
 ) -> np.ndarray:
     """Mean user vector of the k1 most text-similar training posts' authors."""
     if len(post_index) == 0:
-        logger.warning("empty post index; falling back to global mean user vector")
-        return users.mean_vector().astype(np.float64)
-    hits = topk(post_index, post_vec, k1)
-    rows = np.stack([users.vector(owner) for _, owner, _ in hits]).astype(np.float64)
-    return rows.mean(axis=0)
+        return _global_mean(users, "empty post index")
+    return _mean_user(users, [owner for _, owner, _ in topk(post_index, post_vec, k1)])
+
+
+def _concat(blocks) -> SimIndex:
+    """Stack non-empty indices into one, rows in block order."""
+    blocks = [b for b in blocks if len(b)]
+    if not blocks:
+        return SimIndex(keys=(), vectors=np.zeros((0, 0), dtype=np.float32), owners=())
+    return SimIndex(
+        keys=tuple(k for b in blocks for k in b.keys),
+        vectors=np.concatenate([b.vectors for b in blocks]),
+        owners=tuple(o for b in blocks for o in b.owners),
+    )
 
 
 @dataclass
 class TrainSideData:
-    """Precomputed training-side retrieval structures for the mapper."""
+    """Precomputed training-side retrieval structures for the mapper.
+
+    Each training comment's representation is normalized once, into the
+    index of its post. The posts keep separate small matrices: one large
+    matrix needs a fresh block of memory, where these fit in space freed by
+    earlier stages, and peak memory rose when it did.
+    """
 
     post_index: SimIndex
-    comments_by_post: dict  # post_id -> list of (comment_key, rep_vector, author)
-    all_comments: list = field(default_factory=list)  # pooled, for H1-less mode
+    comments_by_post: dict  # post_id -> SimIndex of that post's comments
+
+    @cached_property
+    def all_comments(self) -> SimIndex:
+        """Every training comment in one index: the H2 pool with H1 off."""
+        return _concat(self.comments_by_post.values())
 
 
 def build_train_side(
@@ -123,31 +169,77 @@ def build_train_side(
     common_author: str | None = None,
     use_chains: bool = True,
 ) -> TrainSideData:
-    """Index train posts by text and precompute per-post comment representations.
+    """Index train posts by text and each post's comments by their representation.
 
     use_chains=False (H3 off) represents comments by raw text vectors.
     """
-    post_entries = []
-    comments_by_post: dict[str, list] = {}
-    pooled: list = []
+    comments_by_post: dict[str, SimIndex] = {}
     for s in train:
-        post_entries.append(
-            (s.post_id, np.asarray(texts(s.text_key), dtype=np.float64),
-             s.resolved_author(common_author))
-        )
         reps = (
             all_chain_representations(s, texts)
             if use_chains
-            else {c.id: np.asarray(texts(c.text_key), dtype=np.float64) for c in s.comments}
+            else {c.id: texts(c.text_key) for c in s.comments}
         )
-        entries = [(c.id, reps[c.id], c.author) for c in s.comments]
-        comments_by_post[s.post_id] = entries
-        pooled.extend(entries)
-    return TrainSideData(
-        post_index=build_index(post_entries),
-        comments_by_post=comments_by_post,
-        all_comments=pooled,
+        comments_by_post[s.post_id] = build_index(
+            (c.id, reps[c.id], c.author) for c in s.comments)
+    post_index = build_index(
+        (s.post_id, texts(s.text_key), s.resolved_author(common_author)) for s in train
     )
+    return TrainSideData(post_index=post_index, comments_by_post=comments_by_post)
+
+
+class _ColdSample:
+    """Retrieval state shared by every cold occurrence of one sample.
+
+    H1 hits, the author vector they give and the H2 candidate pool are
+    computed on first use and reused by the sample's other occurrences.
+    """
+
+    def __init__(self, sample, train_side, texts, users, cfg):
+        self.sample, self.side, self.texts, self.users, self.cfg = (
+            sample, train_side, texts, users, cfg)
+
+    @cached_property
+    def post_hits(self) -> list[tuple[str, str, float]]:
+        """H1: the k1 training posts nearest this sample's post text."""
+        post_vec = np.asarray(self.texts(self.sample.text_key), dtype=np.float64)
+        return topk(self.side.post_index, post_vec, self.cfg.k1)
+
+    @cached_property
+    def author_vector(self) -> np.ndarray:
+        """H1 author mapping; read-only, since every caller gets this one array."""
+        if len(self.side.post_index) == 0:
+            vec = _global_mean(self.users, "empty post index")
+        else:
+            vec = _mean_user(self.users, [owner for _, owner, _ in self.post_hits])
+        vec.setflags(write=False)
+        return vec
+
+    @cached_property
+    def pool(self) -> SimIndex:
+        """H2 candidates: the comments under the H1 posts in hit order, or
+        every training comment with H1 off."""
+        if "h1" in self.cfg.heuristics:
+            by_post = self.side.comments_by_post
+            return _concat(by_post[key] for key, _, _ in self.post_hits)
+        return self.side.all_comments
+
+    def commenter_vector(self, comment_id: str) -> np.ndarray:
+        """H2 (with H3 chain sums if enabled): mean author of the k2 nearest pool rows."""
+        h1 = "h1" in self.cfg.heuristics
+        if h1 and len(self.side.post_index) == 0:
+            return _global_mean(self.users, "empty post index")
+        if len(self.pool) == 0:
+            if h1:
+                return self.author_vector
+            return _global_mean(self.users, "no training comments to match")
+        if "h3" in self.cfg.heuristics:
+            rep = chain_prefix_representation(self.sample, comment_id, self.texts)
+        else:
+            comment = next(c for c in self.sample.comments if c.id == comment_id)
+            rep = self.texts(comment.text_key)
+        hits = topk(self.pool, rep, self.cfg.k2)
+        return _mean_user(self.users, [owner for _, owner, _ in hits])
 
 
 def map_cold_commenter(
@@ -160,37 +252,7 @@ def map_cold_commenter(
 ) -> np.ndarray:
     """H1 narrows to similar posts, H3 transforms comments to chain sums,
     H2 retrieves the k2 nearest comments and averages their authors."""
-    post_vec = np.asarray(texts(sample.text_key), dtype=np.float64)
-    if "h1" in cfg.heuristics:
-        if len(train_side.post_index) == 0:
-            logger.warning("empty post index; falling back to global mean user vector")
-            return users.mean_vector().astype(np.float64)
-        hits = topk(train_side.post_index, post_vec, cfg.k1)
-        collected = []
-        for key, _, _ in hits:
-            collected.extend(train_side.comments_by_post[key])
-    else:
-        collected = train_side.all_comments
-    if not collected:
-        if "h1" in cfg.heuristics:
-            return map_cold_author(post_vec, train_side.post_index, users, cfg.k1)
-        logger.warning("no training comments to match; using global mean user vector")
-        return users.mean_vector().astype(np.float64)
-    if "h3" in cfg.heuristics:
-        cold_rep = sum_chain(sample, comment_id, texts)
-    else:
-        comment = next(c for c in sample.comments if c.id == comment_id)
-        cold_rep = np.asarray(texts(comment.text_key), dtype=np.float64)
-    pool = build_index(collected)
-    hits = topk(pool, cold_rep, cfg.k2)
-    rows = np.stack([users.vector(owner) for _, owner, _ in hits]).astype(np.float64)
-    return rows.mean(axis=0)
-
-
-def sum_chain(sample: Sample, comment_id: str, texts: TextProvider) -> np.ndarray:
-    from .assembly import chain_prefix_representation
-
-    return chain_prefix_representation(sample, comment_id, texts)
+    return _ColdSample(sample, train_side, texts, users, cfg).commenter_vector(comment_id)
 
 
 def make_resolver(
@@ -203,7 +265,9 @@ def make_resolver(
     """Resolver factory for modes train-lookup, mean-fallback, cold-mapper.
 
     Known users always resolve by direct lookup; the mode only decides what
-    happens for users outside the table.
+    happens for users outside the table. The cold-mapper resolver keeps the
+    retrieval state of the last sample it saw, so the cold occurrences of
+    one sample share their H1 hits and H2 pool.
     """
     if mode == "train-lookup":
 
@@ -223,61 +287,24 @@ def make_resolver(
     if mode == "cold-mapper":
         if train_side is None or texts is None or cfg is None:
             raise ValueError("cold-mapper mode needs train_side, texts, and cfg")
-        use_h2 = "h2" in cfg.heuristics
+        h1 = "h1" in cfg.heuristics
+        h2 = "h2" in cfg.heuristics
+        current: _ColdSample | None = None
+
+        def cold(sample) -> _ColdSample:
+            nonlocal current
+            if current is None or current.sample is not sample:
+                current = _ColdSample(sample, train_side, texts, users, cfg)
+            return current
 
         def resolver(user_id, context):
             if user_id in users:
                 return users.vector(user_id).astype(np.float64)
-            if context[0] == "post":
-                sample = context[1]
-                post_vec = np.asarray(texts(sample.text_key), dtype=np.float64)
-                if "h1" in cfg.heuristics:
-                    return map_cold_author(
-                        post_vec, train_side.post_index, users, cfg.k1
-                    )
-                return users.mean_vector().astype(np.float64)
-            sample, comment_id = context[1], context[2]
-            if use_h2:
-                return map_cold_commenter(
-                    sample, comment_id, train_side, texts, users, cfg
-                )
-            if "h1" in cfg.heuristics:
-                post_vec = np.asarray(texts(sample.text_key), dtype=np.float64)
-                return map_cold_author(post_vec, train_side.post_index, users, cfg.k1)
+            if context[0] == "comment" and h2:
+                return cold(context[1]).commenter_vector(context[2])
+            if h1:
+                return cold(context[1]).author_vector
             return users.mean_vector().astype(np.float64)
 
         return resolver
     raise ValueError(f"unknown resolver mode {mode!r}")
-
-
-def save_index(index: SimIndex, path) -> None:
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(IDX_MAGIC)
-        fh.write(struct.pack("<II", len(index), index.dim))
-        fh.write(pack_ids(index.keys))
-        fh.write(pack_ids(index.owners))
-        fh.write(index.vectors.astype("<f4").tobytes())
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"rows": len(index), "dim": index.dim, "sha256": sha256_file(path)}, fh)
-
-
-def load_index(path) -> SimIndex:
-    path = str(path)
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[: len(IDX_MAGIC)] != IDX_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a similarity index")
-    try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            if json.load(fh).get("sha256") != sha256_file(path):
-                raise FormatError(f"{path}: checksum mismatch against sidecar")
-    except FileNotFoundError:
-        pass
-    rows, dim = struct.unpack_from("<II", buf, len(IDX_MAGIC))
-    keys, offset = unpack_ids(buf, rows, len(IDX_MAGIC) + 8)
-    owners, offset = unpack_ids(buf, rows, offset)
-    vectors = np.frombuffer(buf, dtype="<f4", count=rows * dim, offset=offset)
-    return SimIndex(
-        keys=tuple(keys), vectors=vectors.reshape(rows, dim).copy(), owners=tuple(owners)
-    )

@@ -140,6 +140,11 @@ def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
     Pass a dict as `cache` to capture intermediates for the backward pass.
     """
     h = np.asarray(g.features, dtype=np.float64)
+    if h.shape[0] < 2:
+        raise FormatError(
+            f"sample {g.sample_id}: no comment nodes, so the readout's comment "
+            "mean is undefined"
+        )
     if h.shape[1] != params.in_dim:
         raise FormatError(
             f"sample {g.sample_id}: feature dim {h.shape[1]} != model dim {params.in_dim}"
@@ -409,21 +414,30 @@ def load_model(path) -> ModelParams:
                 raise FormatError(f"{path}: checksum mismatch against sidecar")
     except FileNotFoundError:
         pass
-    (hlen,) = struct.unpack_from("<I", buf, len(MODEL_MAGIC))
     offset = len(MODEL_MAGIC) + 4
-    header = json.loads(buf[offset : offset + hlen].decode("utf-8"))
+    if len(buf) < offset:
+        raise FormatError(f"{path}: truncated header")
+    (hlen,) = struct.unpack_from("<I", buf, len(MODEL_MAGIC))
+    if len(buf) < offset + hlen:
+        raise FormatError(f"{path}: truncated header")
+    try:
+        header = json.loads(buf[offset : offset + hlen].decode("utf-8"))
+        shapes = [(str(name), tuple(int(d) for d in shape))
+                  for name, shape in header["tensors"]]
+        fields = [header[k] for k in ("arch", "lambda", "in_dim", "hidden", "layers")]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: corrupt header ({exc})") from exc
+    if any(d < 0 for _, shape in shapes for d in shape):
+        raise FormatError(f"{path}: negative tensor dimension in header")
     offset += hlen
+    need = 4 * sum(int(np.prod(shape)) for _, shape in shapes)
+    if len(buf) - offset != need:
+        raise FormatError(
+            f"{path}: payload is {len(buf) - offset} bytes, header needs {need}")
     tensors = {}
-    for name, shape in header["tensors"]:
+    for name, shape in shapes:
         count = int(np.prod(shape))
         arr = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
         tensors[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 4
-    return ModelParams(
-        header["arch"],
-        header["lambda"],
-        header["in_dim"],
-        header["hidden"],
-        header["layers"],
-        tensors,
-    )
+    return ModelParams(*fields, tensors)

@@ -131,6 +131,19 @@ def test_missing_input_is_structured_error(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+def test_eval_truncated_model_is_structured_error(pipeline, tmp_path, capsys):
+    model = tmp_path / "model.mdl"
+    # cut inside the header-length field, with no sidecar to catch it first
+    model.write_bytes((pipeline / "model" / "model.mdl").read_bytes()[:9])
+    rc = main(["eval", "--model", str(model), "--splits", str(pipeline / "splits"),
+               "--users", str(pipeline / "users" / "users.emb"),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FormatError"
+
+
 def test_unknown_flag_exits(capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--out", "x", "--bogus"])

@@ -2,19 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uen.assembly import chain_prefix_representation
+from uen.assembly import all_chain_representations, chain_prefix_representation
 from uen.coldmap import (
     ColdMapConfig,
     SimIndex,
     TrainSideData,
     build_index,
     build_train_side,
-    load_index,
     map_cold_author,
     map_cold_commenter,
     make_resolver,
-    save_index,
     topk,
 )
 from uen.embedding import FormatError
@@ -67,6 +67,7 @@ def test_topk_self_similarity():
 def test_topk_truncates_to_index_size():
     idx = build_index([("a", np.ones(4), "u"), ("b", -np.ones(4), "v")])
     assert len(topk(idx, np.ones(4), 10)) == 2
+    assert topk(idx, np.ones(4), 0) == []
 
 
 def test_topk_tie_break_by_key_ascending():
@@ -94,6 +95,37 @@ def test_topk_errors():
         topk(empty, np.ones(4), 1)
     with pytest.raises(FormatError, match="dim"):
         topk(idx, np.ones(5), 1)
+    with pytest.raises(FormatError, match="non-finite"):
+        topk(idx, np.array([np.inf, 0.0, 0.0, 0.0]), 1)
+    with pytest.raises(FormatError, match="non-finite"):
+        build_index([("a", np.array([np.nan, 1.0]), "u")])
+
+
+@st.composite
+def index_and_query(draw):
+    """Rows and a query over {-1, 0, 1}: duplicate rows, zero rows and tied
+    scores are common, so ties straddle the k-th place often."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    cells = st.lists(st.integers(-1, 1), min_size=d, max_size=d)
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    keys = draw(st.permutations([f"k{i:02d}" for i in range(n)]))
+    query = draw(cells)
+    k = draw(st.integers(1, n + 3))
+    idx = build_index(zip(keys, np.array(rows, dtype=float), keys))
+    return idx, np.array(query, dtype=float), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_and_query())
+def test_topk_equals_full_sort_property(case):
+    idx, query, k = case
+    # the same scores ranked by a full (-score, key) sort of every row
+    norm = np.linalg.norm(query)
+    scores = idx.vectors.astype(np.float64) @ (query / norm if norm > 0 else query)
+    order = sorted(range(len(idx)), key=lambda i: (-scores[i], idx.keys[i]))
+    want = [(idx.keys[i], idx.owners[i], float(scores[i])) for i in order[:k]]
+    assert topk(idx, query, k) == want
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +282,8 @@ def test_map_cold_commenter_empty_pool_falls_back_to_author(texts):
     users = all_users()
     train = train_samples_fixture()
     side = build_train_side(train, texts)
-    side = TrainSideData(post_index=side.post_index,
-                         comments_by_post={k: [] for k in side.comments_by_post},
-                         all_comments=[])
+    empty = {k: build_index([]) for k in side.comments_by_post}
+    side = TrainSideData(post_index=side.post_index, comments_by_post=empty)
     cold = make_sample("q", author="x", text_key="shared topic words", comments=[
         make_comment("qc0", "y", "q", text_key="alpha beta")])
     out = map_cold_commenter(cold, "qc0", side, texts, users,
@@ -370,17 +401,80 @@ def test_coldmap_config_validation():
     ColdMapConfig(k2=0, heuristics=frozenset({"h1"}))  # fine with h2 off
 
 
-def test_index_save_load_round_trip(tmp_path):
-    rng = np.random.Generator(np.random.PCG64(12))
-    idx = build_index([(f"k{i}", rng.normal(size=8), f"u{i}") for i in range(5)])
-    path = tmp_path / "posts.idx"
-    save_index(idx, path)
-    loaded = load_index(path)
-    assert loaded.keys == idx.keys
-    assert loaded.owners == idx.owners
-    assert np.array_equal(loaded.vectors, idx.vectors)
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="checksum"):
-        load_index(path)
+
+# ---------------------------------------------------------------------------
+# the resolver against a per-occurrence reference
+
+
+def _ref_top(entries, query, k):
+    """(key, owner) of the k best entries: a fresh index, every row scored
+    and fully sorted by (-score, key)."""
+    index = build_index(entries)
+    q = np.asarray(query, dtype=np.float64)
+    norm = np.linalg.norm(q)
+    scores = index.vectors.astype(np.float64) @ (q / norm if norm > 0 else q)
+    order = sorted(range(len(index)), key=lambda i: (-scores[i], index.keys[i]))
+    return [(index.keys[i], index.owners[i]) for i in order[:k]]
+
+
+def _ref_mean(users, hits):
+    rows = np.stack([users.vector(owner) for _, owner in hits]).astype(np.float64)
+    return rows.mean(axis=0)
+
+
+def reference_resolve(user_id, context, train, texts, users, cfg):
+    """One cold occurrence resolved on its own, sharing nothing with others."""
+    if user_id in users:
+        return users.vector(user_id).astype(np.float64)
+    sample = context[1]
+    h1, h2, h3 = (h in cfg.heuristics for h in ("h1", "h2", "h3"))
+    global_mean = users.mean_vector().astype(np.float64)
+    post_hits = _ref_top([(s.post_id, texts(s.text_key), s.author) for s in train],
+                         texts(sample.text_key), cfg.k1)
+    if context[0] == "post" or not h2:
+        return _ref_mean(users, post_hits) if h1 else global_mean
+    by_post = {s.post_id: s for s in train}
+    posts = [by_post[key] for key, _ in post_hits] if h1 else train
+    pool = []
+    for s in posts:
+        reps = all_chain_representations(s, texts)
+        pool += [(c.id, reps[c.id] if h3 else texts(c.text_key), c.author)
+                 for c in s.comments]
+    if not pool:
+        return _ref_mean(users, post_hits) if h1 else global_mean
+    comment_id = context[2]
+    if h3:
+        rep = chain_prefix_representation(sample, comment_id, texts)
+    else:
+        rep = texts(next(c.text_key for c in sample.comments if c.id == comment_id))
+    return _ref_mean(users, _ref_top(pool, rep, cfg.k2))
+
+
+@pytest.mark.parametrize("heuristics", [{"h1", "h2", "h3"}, {"h2", "h3"}, {"h1", "h2"}],
+                         ids=["default", "h1-off", "h3-off"])
+def test_resolver_equals_per_occurrence_reference(texts, heuristics):
+    from uen.corpus import temporal_split
+    from uen.synth import SynthConfig, generate
+
+    corpus = generate(SynthConfig(n_samples=60, n_users=20, seed=5,
+                                  cold_user_rate_test=0.5))
+    split = temporal_split(corpus)
+    train = list(split.train)
+    users = random_user_table(sorted({u for s in train for u in s.users()}), d1=8)
+    cfg = ColdMapConfig(k1=3, k2=4, heuristics=frozenset(heuristics))
+    side = build_train_side(train, texts, use_chains="h3" in heuristics)
+    resolver = make_resolver("cold-mapper", users, train_side=side, texts=texts, cfg=cfg)
+    per_sample = [
+        [(s.author, ("post", s))] + [(c.author, ("comment", s, c.id)) for c in s.comments]
+        for s in split.val + split.test
+    ]
+    in_order = [o for occ in per_sample for o in occ]
+    # round-robin over samples, so consecutive occurrences switch samples
+    interleaved = [occ[i] for i in range(max(map(len, per_sample)))
+                   for occ in per_sample if i < len(occ)]
+    cold = [(u, ctx) for u, ctx in in_order + interleaved if u not in users]
+    assert len(cold) >= 40
+    for user_id, context in cold:
+        got = resolver(user_id, context)
+        want = reference_resolve(user_id, context, train, texts, users, cfg)
+        assert np.array_equal(got, want), (user_id, context[0], context[1].post_id)

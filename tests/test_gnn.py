@@ -314,6 +314,37 @@ def test_model_load_rejects_corruption(tmp_path):
         load_model(path)
 
 
+def test_model_load_rejects_truncation_and_padding(tmp_path):
+    from uen.embedding import FormatError
+
+    path = tmp_path / "model.mdl"
+    save_model(make_params("gcn"), path)
+    (tmp_path / "model.mdl.json").unlink()  # no sidecar: the loader's own checks
+    raw = path.read_bytes()
+    header_end = 11 + int.from_bytes(raw[7:11], "little")
+    for cut in range(header_end + 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError):
+            load_model(path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(FormatError, match="payload"):
+        load_model(path)
+    path.write_bytes(raw)
+    assert load_model(path).names() == make_params("gcn").names()
+
+
+def test_zero_comment_sample_rejected(texts):
+    from uen.assembly import assemble
+    from uen.embedding import FormatError
+
+    from conftest import make_sample
+
+    g = assemble(make_sample("lonely"), texts, None)
+    params = make_params("gcn", in_dim=g.features.shape[1])
+    with pytest.raises(FormatError, match="lonely"):
+        predict(params, g)
+
+
 def test_history_csv(tmp_path):
     history = [{"epoch": 0, "train_loss": 0.5, "val_loss": 0.6, "val_acc": 0.7}]
     path = tmp_path / "history.csv"
