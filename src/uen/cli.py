@@ -14,34 +14,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .assembly import assemble
-from .coldmap import ColdMapConfig, build_train_side, make_resolver
-from .corpus import (
-    Corpus,
-    CorpusError,
-    corpus_users,
-    load_corpus,
-    overlap_ratio,
-    save_corpus,
-    temporal_split,
-)
+from . import __version__, experiment
+from .coldmap import ColdMapConfig
+from .corpus import Corpus, CorpusError, load_corpus, save_corpus, temporal_split
 from .embedding import EmbeddingTable, FormatError, sha256_file
-from .evaluation import SearchSpace, bucketed_report, save_trials, tune
-from .gnn import (
-    GnnConfig,
-    load_model,
-    predict,
-    save_history,
-    save_model,
-    train,
-)
+from .evaluation import SearchSpace, save_trials, tune
+from .gnn import GnnConfig, load_model, save_history, save_model, train
 from .graph import build_interaction_graph, export_edge_list, graph_stats
 from .node2vec import Node2VecConfig, learn_user_embeddings
 from .synth import SynthConfig, describe, generate
 from .text import TextEmbedConfig, build_text_table, make_hash_provider, table_provider
 
-VARIANT_CHOICES = ("uen", "no-mapper", "no-user")
+# CLI variant name -> experiment.VARIANTS; reports keep the CLI name.
+VARIANTS = {"uen": "full", "no-mapper": "no-mapper", "no-user": "no-user"}
 
 
 def _write_provenance(out_dir: Path, args: argparse.Namespace, inputs: list) -> None:
@@ -59,12 +44,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_split_dir(path: Path, mode: str):
-    parts = {}
-    for name in ("train", "val", "test"):
-        corpus, _ = load_corpus(path / f"{name}.jsonl", mode)
-        parts[name] = corpus
-    return parts
+def _load_split_dir(args, *names) -> list[Corpus]:
+    return [load_corpus(Path(args.splits) / f"{name}.jsonl", args.mode)[0] for name in names]
 
 
 def _text_provider(args):
@@ -74,8 +55,14 @@ def _text_provider(args):
     return make_hash_provider(TextEmbedConfig(d2=args.d2, hash_seed=args.hash_seed))
 
 
-def _heuristics(arg: str) -> frozenset:
-    return frozenset(h.strip().lower() for h in arg.split(",") if h.strip())
+def _coldmap(args) -> ColdMapConfig:
+    heuristics = frozenset(h.strip().lower() for h in args.heuristics.split(",") if h.strip())
+    return ColdMapConfig(k1=args.k1, k2=args.k2, heuristics=heuristics)
+
+
+def _gnn_config(args, lam: float) -> GnnConfig:
+    return GnnConfig(arch=args.arch, lam=lam, lr=args.lr, epochs=args.epochs,
+                     batch_size=args.batch_size, hidden=args.hidden, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -168,71 +155,57 @@ def cmd_embed_text(args):
     print(json.dumps({"rows": len(table), "dim": table.dim}))
 
 
-def _resolver_for(variant, users, split_train, texts, args, common):
-    if variant == "no-user":
-        return None
-    if variant == "no-mapper" or args.cold_mode == "mean":
-        return make_resolver("mean-fallback", users)
-    cfg = ColdMapConfig(k1=args.k1, k2=args.k2, heuristics=_heuristics(args.heuristics))
-    side = build_train_side(list(split_train), texts, common,
-                            use_chains="h3" in cfg.heuristics)
-    return make_resolver("cold-mapper", users, train_side=side, texts=texts, cfg=cfg)
+def _train_val_graphs(args):
+    """The train and val graphs and their feature width.
+
+    Only the graphs leave this scope, so the parsed splits, the text
+    provider, the resolver and its train-side index are freed before
+    training starts.
+    """
+    train_corpus, val_corpus = _load_split_dir(args, "train", "val")
+    common = train_corpus.common_author
+    texts = _text_provider(args)
+    users = None if args.variant == "no-user" else EmbeddingTable.load(args.users)
+    resolver = experiment.variant_resolver(VARIANTS[args.variant], users,
+                                           train_corpus.samples, texts, common, _coldmap(args))
+    graphs = experiment.assemble_splits(texts, resolver, common, train_corpus.samples,
+                                        val_corpus.samples)
+    return graphs, args.d2 + (0 if users is None else users.dim)
 
 
 def cmd_train(args):
     _check_variant_conflicts(args)
     out = _out_dir(args)
-    parts = _load_split_dir(Path(args.splits), args.mode)
-    texts = _text_provider(args)
-    common = parts["train"].common_author
-    if args.variant == "no-user":
-        users = None
-        resolver = None
-        in_dim = args.d2
-    else:
-        if not args.users:
-            raise FormatError("--users is required unless --variant no-user")
-        users = EmbeddingTable.load(args.users)
-        resolver = make_resolver("train-lookup", users)
-        in_dim = args.d2 + users.dim
-    train_graphs = [assemble(s, texts, resolver, common) for s in parts["train"].samples]
-    # validation may contain users outside the training graph
-    if args.variant != "no-user":
-        resolver = make_resolver("mean-fallback", users)
-    val_graphs = [assemble(s, texts, resolver, common) for s in parts["val"].samples]
-    cfg = GnnConfig(arch=args.arch, lam=args.lam, lr=args.lr, epochs=args.epochs,
-                    batch_size=args.batch_size, hidden=args.hidden, seed=args.seed)
-    model, history = train(train_graphs, val_graphs, cfg, in_dim)
+    (train_graphs, val_graphs), in_dim = _train_val_graphs(args)
+    model, history = train(train_graphs, val_graphs, _gnn_config(args, args.lam), in_dim)
     save_model(model, out / "model.mdl")
     save_history(history, out / "history.csv")
     _write_provenance(out, args, [Path(args.splits) / "train.jsonl",
                                   Path(args.splits) / "val.jsonl"]
-                      + ([args.users] if args.variant != "no-user" else []))
+                      + ([args.users] if args.users else []))
     print(json.dumps({"best_val_loss": min(h["val_loss"] for h in history),
                       "epochs": len(history)}))
 
 
 def cmd_tune(args):
     out = _out_dir(args)
-    parts = _load_split_dir(Path(args.splits), args.mode)
+    train_corpus, val_corpus = _load_split_dir(args, "train", "val")
+    train_samples, val_samples = train_corpus.samples, val_corpus.samples
+    common = train_corpus.common_author
     texts = _text_provider(args)
-    common = parts["train"].common_author
     users = EmbeddingTable.load(args.users)
-    resolver = make_resolver("train-lookup", users)
-    in_dim = args.d2 + users.dim
-    train_graphs = [assemble(s, texts, resolver, common) for s in parts["train"].samples]
-    val_resolver = make_resolver("mean-fallback", users)
-    val_graphs = [assemble(s, texts, val_resolver, common) for s in parts["val"].samples]
+    side = experiment.cold_train_side(train_samples, texts, common, ColdMapConfig())
 
     def objective(params):
-        cfg = GnnConfig(arch=args.arch, lam=params["lam"], lr=args.lr,
-                        epochs=args.epochs, batch_size=args.batch_size,
-                        hidden=args.hidden, seed=args.seed)
-        _, history = train(train_graphs, val_graphs, cfg, in_dim)
+        coldmap = ColdMapConfig(k1=params["k1"], k2=params["k2"])
+        resolver = experiment.variant_resolver("full", users, train_samples, texts, common,
+                                               coldmap, train_side=side)
+        graphs = experiment.assemble_splits(texts, resolver, common, train_samples, val_samples)
+        _, history = train(*graphs, _gnn_config(args, params["lam"]), args.d2 + users.dim)
         return min(h["val_loss"] for h in history)
 
-    space = SearchSpace(k1=(1, max(2, len(parts["train"].samples))),
-                        k2=(1, max(2, 2 * len(parts["train"].samples))))
+    space = SearchSpace(k1=(1, max(2, len(train_samples))),
+                        k2=(1, max(2, 2 * len(train_samples))))
     best, trials = tune(objective, space, budget=args.budget, seed=args.seed)
     save_trials(trials, out / "trials.csv")
     with open(out / "best.json", "w", encoding="utf-8") as fh:
@@ -247,11 +220,8 @@ def cmd_map_cold(args):
     test_corpus, _ = load_corpus(args.test, args.mode)
     texts = _text_provider(args)
     users = EmbeddingTable.load(args.users)
-    cfg = ColdMapConfig(k1=args.k1, k2=args.k2, heuristics=_heuristics(args.heuristics))
-    side = build_train_side(list(train_corpus.samples), texts,
-                            train_corpus.common_author,
-                            use_chains="h3" in cfg.heuristics)
-    resolver = make_resolver("cold-mapper", users, train_side=side, texts=texts, cfg=cfg)
+    resolver = experiment.variant_resolver("full", users, train_corpus.samples, texts,
+                                           train_corpus.common_author, _coldmap(args))
     ids, rows = [], []
     for s in test_corpus.samples:
         author = s.resolved_author(test_corpus.common_author)
@@ -274,41 +244,26 @@ def cmd_map_cold(args):
 def cmd_eval(args):
     _check_variant_conflicts(args)
     out = _out_dir(args)
-    parts = _load_split_dir(Path(args.splits), args.mode)
+    train_corpus, test_corpus = _load_split_dir(args, "train", "test")
+    common = train_corpus.common_author
     texts = _text_provider(args)
-    common = parts["train"].common_author
     model = load_model(args.model)
-    if args.variant == "no-user":
-        if args.users:
-            raise FormatError("--variant no-user conflicts with --users")
-        users = None
-        resolver = None
-        if model.in_dim != args.d2:
-            raise FormatError(
-                f"model input dim {model.in_dim} incompatible with no-user d2={args.d2}"
-            )
-    else:
-        if not args.users:
-            raise FormatError("--users is required unless --variant no-user")
-        users = EmbeddingTable.load(args.users)
-        resolver = _resolver_for(args.variant, users, parts["train"].samples,
-                                 texts, args, common)
-    known = corpus_users(parts["train"].samples, common)
-    preds, labels, ratios = [], [], []
-    for s in parts["test"].samples:
-        g = assemble(s, texts, resolver, common)
-        label, _ = predict(model, g)
-        preds.append(label)
-        labels.append(s.label)
-        ratios.append(overlap_ratio(s, known, common))
+    users = None if args.variant == "no-user" else EmbeddingTable.load(args.users)
+    if users is None and model.in_dim != args.d2:
+        raise FormatError(
+            f"model input dim {model.in_dim} incompatible with no-user d2={args.d2}"
+        )
+    resolver = experiment.variant_resolver(VARIANTS[args.variant], users,
+                                           train_corpus.samples, texts, common, _coldmap(args))
     metadata = {
         "arch": model.arch,
         "variant": args.variant,
         "feature_dim": model.in_dim,
-        "user_features": args.variant != "no-user",
-        "user_feature_width": 0 if args.variant == "no-user" else users.dim,
+        "user_features": users is not None,
+        "user_feature_width": 0 if users is None else users.dim,
     }
-    report = bucketed_report(preds, labels, ratios, metadata=metadata)
+    report, *_ = experiment.evaluate(model, train_corpus.samples, test_corpus.samples,
+                                     texts, resolver, common, metadata)
     report.save_json(out / "report.json")
     report.save_csv(out / "report.csv")
     _write_provenance(out, args, [args.model])
@@ -346,10 +301,16 @@ def cmd_report(args):
 
 
 def _check_variant_conflicts(args):
-    if args.variant == "no-user":
-        for flag in ("k1", "k2"):
-            if getattr(args, f"_{flag}_set", False):
-                raise FormatError(f"--variant no-user conflicts with --{flag}")
+    """Flag checks shared by train and eval: the user table goes with the variant."""
+    if args.variant != "no-user":
+        if not args.users:
+            raise FormatError("--users is required unless --variant no-user")
+        return
+    if args.users:
+        raise FormatError("--variant no-user conflicts with --users")
+    for flag in ("k1", "k2"):
+        if getattr(args, f"_{flag}_set", False):
+            raise FormatError(f"--variant no-user conflicts with --{flag}")
 
 
 class _TrackK(argparse.Action):
@@ -377,7 +338,6 @@ def _add_cold_flags(p):
     p.add_argument("--k1", type=int, default=19, action=_TrackK)
     p.add_argument("--k2", type=int, default=72, action=_TrackK)
     p.add_argument("--heuristics", default="h1,h2,h3")
-    p.add_argument("--cold-mode", choices=("mapper", "mean"), default="mapper")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", choices=VARIANT_CHOICES, default="uen")
+    p.add_argument("--variant", choices=tuple(VARIANTS), default="uen")
     _add_common_text_flags(p)
     _add_cold_flags(p)
     _add_mode(p)
@@ -494,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", required=True)
     p.add_argument("--users", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=VARIANT_CHOICES, default="uen")
+    p.add_argument("--variant", choices=tuple(VARIANTS), default="uen")
     _add_common_text_flags(p)
     _add_cold_flags(p)
     _add_mode(p)

@@ -262,19 +262,13 @@ def make_resolver(
     texts: TextProvider | None = None,
     cfg: ColdMapConfig | None = None,
 ):
-    """Resolver factory for modes train-lookup, mean-fallback, cold-mapper.
+    """Resolver factory for modes mean-fallback and cold-mapper.
 
     Known users always resolve by direct lookup; the mode only decides what
     happens for users outside the table. The cold-mapper resolver keeps the
     retrieval state of the last sample it saw, so the cold occurrences of
     one sample share their H1 hits and H2 pool.
     """
-    if mode == "train-lookup":
-
-        def resolver(user_id, context):
-            return users.vector(user_id).astype(np.float64)
-
-        return resolver
     if mode == "mean-fallback":
         mean = users.mean_vector().astype(np.float64)
 

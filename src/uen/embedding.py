@@ -40,10 +40,15 @@ def pack_ids(ids) -> bytes:
 
 
 def unpack_ids(buf: bytes, count: int, offset: int = 0) -> tuple[list[str], int]:
+    """Inverse of pack_ids; FormatError if `buf` ends inside the id table."""
     ids = []
     for _ in range(count):
+        if offset + 4 > len(buf):
+            raise FormatError("truncated id table")
         (n,) = struct.unpack_from("<I", buf, offset)
         offset += 4
+        if offset + n > len(buf):
+            raise FormatError("truncated id table")
         ids.append(buf[offset : offset + n].decode("utf-8"))
         offset += n
     return ids, offset
@@ -111,6 +116,9 @@ class EmbeddingTable:
             buf = fh.read()
         if buf[: len(EMB_MAGIC)] != EMB_MAGIC:
             raise FormatError(f"{path}: bad magic, not an embedding table")
+        header = len(EMB_MAGIC) + 8
+        if len(buf) < header:
+            raise FormatError(f"{path}: truncated header")
         rows, dim = struct.unpack_from("<II", buf, len(EMB_MAGIC))
         try:
             with open(path + ".json", "r", encoding="utf-8") as fh:
@@ -121,10 +129,15 @@ class EmbeddingTable:
             raise FormatError(f"{path}: checksum mismatch against sidecar")
         if expect_dim is not None and dim != expect_dim:
             raise FormatError(f"{path}: dimension {dim}, expected {expect_dim}")
-        ids, offset = unpack_ids(buf, rows, len(EMB_MAGIC) + 8)
-        need = rows * dim * 4
-        if len(buf) - offset != need:
+        try:
+            ids, offset = unpack_ids(buf, rows, header)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        extra = len(buf) - offset - rows * dim * 4
+        if extra < 0:
             raise FormatError(f"{path}: truncated payload")
+        if extra > 0:
+            raise FormatError(f"{path}: {extra} bytes past the end of the payload")
         matrix = np.frombuffer(buf, dtype="<f4", count=rows * dim, offset=offset)
         matrix = matrix.reshape(rows, dim).copy()
         return cls.from_rows(ids, matrix)

@@ -1,7 +1,9 @@
 """End-to-end variant runs: split, embed, train, resolve cold users, report.
 
-One place wires the whole pipeline so the CLI, the demos, and the ablation
-harness all exercise identical code. Variants:
+This module is the only place the pipeline is wired: `run_variant` (which
+the demos and the ablation harness call) and the CLI's train, tune,
+map-cold and eval commands compose the same stages. One resolver per
+variant maps the users of the train, val and test graphs alike. Variants:
   full      - cold users resolved by the mapper heuristics
   no-mapper - cold users get the global mean user vector
   no-user   - nodes carry text features only (narrower input layer)
@@ -12,15 +14,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .assembly import assemble
-from .coldmap import ColdMapConfig, build_train_side, make_resolver
+from .assembly import SampleGraph, UserResolver, assemble
+from .coldmap import ColdMapConfig, TrainSideData, build_train_side, make_resolver
 from .corpus import Corpus, Split, corpus_users, overlap_ratio, temporal_split
 from .embedding import EmbeddingTable
 from .evaluation import EvalReport, bucketed_report
 from .gnn import GnnConfig, ModelParams, predict, train
 from .graph import build_interaction_graph
 from .node2vec import Node2VecConfig, learn_user_embeddings
-from .text import TextEmbedConfig, make_hash_provider
+from .text import TextEmbedConfig, TextProvider, make_hash_provider
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +58,54 @@ def prepare_user_embeddings(split: Split, cfg: PipelineConfig, common_author=Non
     return learn_user_embeddings(graph, cfg.node2vec)
 
 
+def cold_train_side(train_samples, texts: TextProvider, common_author,
+                    coldmap: ColdMapConfig) -> TrainSideData:
+    """The cold mapper's retrieval index over the training samples."""
+    return build_train_side(list(train_samples), texts, common_author,
+                            use_chains="h3" in coldmap.heuristics)
+
+
+def variant_resolver(variant: str, users: EmbeddingTable | None, train_samples,
+                     texts: TextProvider, common_author, coldmap: ColdMapConfig,
+                     train_side: TrainSideData | None = None) -> UserResolver | None:
+    """The one user resolver of a variant: None for no-user, the table mean
+    for cold users under no-mapper, the cold mapper over `train_samples`
+    under full (reusing `train_side` when given)."""
+    if variant == "no-user":
+        return None
+    if variant == "no-mapper":
+        return make_resolver("mean-fallback", users)
+    if train_side is None:
+        train_side = cold_train_side(train_samples, texts, common_author, coldmap)
+    return make_resolver("cold-mapper", users, train_side=train_side, texts=texts,
+                         cfg=coldmap)
+
+
+def assemble_splits(texts: TextProvider, resolver: UserResolver | None, common_author,
+                    *parts) -> tuple[list[SampleGraph], ...]:
+    """The graphs of each list of samples, every user mapped by `resolver`."""
+    return tuple([assemble(s, texts, resolver, common_author) for s in samples]
+                 for samples in parts)
+
+
+def evaluate(model: ModelParams, train_samples, test_samples, texts: TextProvider,
+             resolver: UserResolver | None, common_author,
+             metadata: dict) -> tuple[EvalReport, list, list, list]:
+    """Classify each test sample and bucket the results by train-user overlap.
+
+    Returns the report and the per-sample predictions, labels and ratios.
+    """
+    known = corpus_users(train_samples, common_author)
+    preds, labels, ratios = [], [], []
+    for s in test_samples:
+        label, _ = predict(model, assemble(s, texts, resolver, common_author))
+        preds.append(label)
+        labels.append(s.label)
+        ratios.append(overlap_ratio(s, known, common_author))
+    report = bucketed_report(preds, labels, ratios, metadata=metadata)
+    return report, preds, labels, ratios
+
+
 def run_variant(
     corpus: Corpus,
     cfg: PipelineConfig,
@@ -71,38 +121,14 @@ def run_variant(
     if split is None:
         split = temporal_split(corpus)
     texts = make_hash_provider(cfg.text)
-
-    if cfg.variant == "no-user":
-        resolver = None
-        in_dim = cfg.text.d2
-    else:
+    in_dim = cfg.text.d2
+    if cfg.variant != "no-user":
         if users is None:
             users = prepare_user_embeddings(split, cfg, common)
-        in_dim = cfg.text.d2 + cfg.node2vec.d1
-        if cfg.variant == "no-mapper":
-            resolver = make_resolver("mean-fallback", users)
-        else:
-            train_side = build_train_side(
-                list(split.train), texts, common,
-                use_chains="h3" in cfg.coldmap.heuristics,
-            )
-            resolver = make_resolver(
-                "cold-mapper", users, train_side=train_side, texts=texts,
-                cfg=cfg.coldmap,
-            )
-
-    train_graphs = [assemble(s, texts, resolver, common) for s in split.train]
-    val_graphs = [assemble(s, texts, resolver, common) for s in split.val]
+        in_dim += cfg.node2vec.d1
+    resolver = variant_resolver(cfg.variant, users, split.train, texts, common, cfg.coldmap)
+    train_graphs, val_graphs = assemble_splits(texts, resolver, common, split.train, split.val)
     model, history = train(train_graphs, val_graphs, cfg.gnn, in_dim)
-
-    known = corpus_users(split.train, common)
-    preds, labels, ratios = [], [], []
-    for s in split.test:
-        g = assemble(s, texts, resolver, common)
-        label, _ = predict(model, g)
-        preds.append(label)
-        labels.append(s.label)
-        ratios.append(overlap_ratio(s, known, common))
     metadata = {
         "arch": cfg.gnn.arch,
         "variant": cfg.variant,
@@ -110,7 +136,8 @@ def run_variant(
         "feature_dim": in_dim,
         "user_features": cfg.variant != "no-user",
     }
-    report = bucketed_report(preds, labels, ratios, metadata=metadata)
+    report, preds, labels, ratios = evaluate(model, split.train, split.test, texts,
+                                             resolver, common, metadata)
     return RunResult(
         report=report, model=model, history=history, users=users,
         preds=preds, labels=labels, ratios=ratios,

@@ -16,7 +16,7 @@ from conftest import chain_sample, make_comment, make_sample, random_user_table,
 def test_smallest_sample_shapes(texts):
     s = star_sample("p1", author="u1", commenters=("u2",))
     users = random_user_table(["u1", "u2"], d1=128)
-    g = assemble(s, texts, make_resolver("train-lookup", users))
+    g = assemble(s, texts, make_resolver("mean-fallback", users))
     assert g.features.shape == (2, 384)
     assert g.edges == ((0, 1),)
     assert g.node_order == ("p1", "p1c0")
@@ -27,7 +27,7 @@ def test_smallest_sample_shapes(texts):
 def test_known_author_suffix_is_direct_lookup(texts):
     s = star_sample("p1", author="u1", commenters=("u2",))
     users = random_user_table(["u1", "u2"], d1=8)
-    g = assemble(s, texts, make_resolver("train-lookup", users))
+    g = assemble(s, texts, make_resolver("mean-fallback", users))
     assert np.allclose(g.features[0, 256:], users.vector("u1"))
     assert np.allclose(g.features[1, 256:], users.vector("u2"))
 
@@ -157,7 +157,7 @@ def test_chain_missing_comment_raises(texts):
 def test_assemble_deterministic(texts):
     s = star_sample("p1", author="u1", commenters=("u2", "u3"))
     users = random_user_table(["u1", "u2", "u3"], d1=8)
-    resolver = make_resolver("train-lookup", users)
+    resolver = make_resolver("mean-fallback", users)
     g1 = assemble(s, texts, resolver)
     g2 = assemble(s, texts, resolver)
     assert np.array_equal(g1.features, g2.features)

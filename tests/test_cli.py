@@ -1,10 +1,17 @@
 """End-to-end runs of the pipeline command line."""
 
 import json
+import shutil
 
 import pytest
 
+from uen import cli, experiment
 from uen.cli import main
+from uen.coldmap import ColdMapConfig
+from uen.corpus import load_corpus
+from uen.embedding import EmbeddingTable
+from uen.gnn import GnnConfig, save_history, save_model, train
+from uen.text import make_hash_provider
 
 
 def run_ok(argv):
@@ -34,6 +41,17 @@ def pipeline(tmp_path_factory):
             "--splits", str(root / "splits"),
             "--users", str(root / "users" / "users.emb"),
             "--out", str(root / "eval"), "--k1", "3", "--k2", "5"])
+    return root
+
+
+@pytest.fixture(scope="module")
+def cold_val(pipeline):
+    """The pipeline's split with its test part as val as well, so val has cold users."""
+    root = pipeline / "cold_val"
+    root.mkdir()
+    shutil.copy(pipeline / "splits" / "train.jsonl", root / "train.jsonl")
+    for name in ("val", "test"):
+        shutil.copy(pipeline / "splits" / "test.jsonl", root / f"{name}.jsonl")
     return root
 
 
@@ -184,3 +202,77 @@ def test_reruns_are_byte_identical(pipeline, tmp_path):
         tmp_path / "b" / "users.emb").read_bytes()
     assert (tmp_path / "a" / "model" / "model.mdl").read_bytes() == (
         tmp_path / "b" / "model" / "model.mdl").read_bytes()
+
+
+def test_train_no_user_rejects_users(pipeline, tmp_path, capsys):
+    rc = main(["train", "--splits", str(pipeline / "splits"),
+               "--users", str(pipeline / "users" / "users.emb"),
+               "--out", str(tmp_path / "model"), "--variant", "no-user", "--epochs", "1"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "FormatError"
+    assert "--users" in err["message"]
+
+
+def test_eval_truncated_users_is_structured_error(pipeline, tmp_path, capsys):
+    users = tmp_path / "users.emb"
+    # cut inside the id table, with no sidecar to catch it first
+    users.write_bytes((pipeline / "users" / "users.emb").read_bytes()[:17])
+    rc = main(["eval", "--model", str(pipeline / "model" / "model.mdl"),
+               "--splits", str(pipeline / "splits"), "--users", str(users),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FormatError"
+
+
+def test_train_equals_experiment_stages(pipeline, cold_val, tmp_path):
+    users_path = pipeline / "users" / "users.emb"
+    run_ok(["train", "--splits", str(cold_val), "--users", str(users_path),
+            "--out", str(tmp_path / "cli"), "--epochs", "3", "--hidden", "8",
+            "--seed", "0", "--k1", "3", "--k2", "5"])
+    train_corpus, _ = load_corpus(cold_val / "train.jsonl")
+    val_corpus, _ = load_corpus(cold_val / "val.jsonl")
+    users = EmbeddingTable.load(users_path)
+    texts = make_hash_provider()
+    common = train_corpus.common_author
+    resolver = experiment.variant_resolver("full", users, train_corpus.samples, texts,
+                                           common, ColdMapConfig(k1=3, k2=5))
+    graphs = experiment.assemble_splits(texts, resolver, common, train_corpus.samples,
+                                        val_corpus.samples)
+    cfg = GnnConfig(arch="gcn", lam=0.5, lr=0.01, epochs=3, batch_size=32, hidden=8, seed=0)
+    model, history = train(*graphs, cfg, 256 + users.dim)
+    save_model(model, tmp_path / "stages.mdl")
+    save_history(history, tmp_path / "stages.csv")
+    assert (tmp_path / "cli" / "model.mdl").read_bytes() == (
+        tmp_path / "stages.mdl").read_bytes()
+    assert (tmp_path / "cli" / "history.csv").read_bytes() == (
+        tmp_path / "stages.csv").read_bytes()
+
+
+def test_train_k1_shapes_cold_val(pipeline, cold_val, tmp_path):
+    val_losses = {}
+    for k1 in ("1", "3"):
+        run_ok(["train", "--splits", str(cold_val),
+                "--users", str(pipeline / "users" / "users.emb"),
+                "--out", str(tmp_path / k1), "--epochs", "2", "--hidden", "8",
+                "--seed", "0", "--k1", k1, "--k2", "5"])
+        rows = (tmp_path / k1 / "history.csv").read_text().splitlines()
+        val_losses[k1] = [row.split(",")[2] for row in rows[1:]]
+    assert val_losses["1"] != val_losses["3"]
+
+
+def test_tune_objective_uses_k1(pipeline, cold_val, tmp_path, monkeypatch):
+    losses = {}
+
+    def two_trials(objective, space, budget, seed):
+        for k1 in (1, 3):
+            losses[k1] = objective({"lam": 0.5, "k1": k1, "k2": 5})
+        return {"lam": 0.5, "k1": 1, "k2": 5}, []
+
+    monkeypatch.setattr(cli, "tune", two_trials)
+    run_ok(["tune", "--splits", str(cold_val),
+            "--users", str(pipeline / "users" / "users.emb"),
+            "--out", str(tmp_path / "tune"), "--epochs", "1", "--hidden", "8"])
+    assert losses[1] != losses[3]

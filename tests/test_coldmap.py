@@ -342,7 +342,6 @@ def test_known_user_always_direct_lookup(texts):
     cfg = ColdMapConfig(k1=1, k2=1)
     sample = train[0]
     for resolver in (
-        make_resolver("train-lookup", users),
         make_resolver("mean-fallback", users),
         make_resolver("cold-mapper", users, train_side=side, texts=texts, cfg=cfg),
     ):

@@ -120,6 +120,29 @@ def test_load_rejects_bad_magic(tmp_path):
         EmbeddingTable.load(path)
 
 
+def _table_without_sidecar(tmp_path):
+    table = build_text_table({"k1": "a", "k2": "b"}, TextEmbedConfig(d2=4))
+    path = tmp_path / "texts.emb"
+    table.save(path)
+    (tmp_path / "texts.emb.json").unlink()
+    return path, path.read_bytes()
+
+
+def test_load_rejects_every_truncation_without_sidecar(tmp_path):
+    path, raw = _table_without_sidecar(tmp_path)
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match=str(path)):
+            EmbeddingTable.load(path)
+
+
+def test_load_rejects_padding_without_sidecar(tmp_path):
+    path, raw = _table_without_sidecar(tmp_path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError, match="1 bytes past the end"):
+        EmbeddingTable.load(path)
+
+
 def test_sidecar_reports_shape(tmp_path):
     table = build_text_table({"k1": "a", "k2": "b", "k3": "c"}, TextEmbedConfig())
     path = tmp_path / "texts.emb"
