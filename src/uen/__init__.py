@@ -19,7 +19,7 @@ from .corpus import (  # noqa: F401
 from .embedding import EmbeddingTable, FormatError  # noqa: F401
 from .graph import InteractionGraph, build_interaction_graph, graph_stats  # noqa: F401
 from .node2vec import Node2VecConfig, learn_user_embeddings  # noqa: F401
-from .text import TextEmbedConfig, hash_embed, load_text_embeddings  # noqa: F401
+from .text import TextEmbedConfig, hash_embed  # noqa: F401
 from .gnn import GnnConfig, forward, loss_and_grads, predict, train  # noqa: F401
 from .coldmap import (  # noqa: F401
     ColdMapConfig,

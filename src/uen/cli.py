@@ -326,7 +326,7 @@ class _TrackK(argparse.Action):
 def _add_common_text_flags(p):
     p.add_argument("--d2", type=int, default=256)
     p.add_argument("--hash-seed", type=int, default=0)
-    p.add_argument("--texts", default=None, help="precomputed text table (UENEMB1)")
+    p.add_argument("--texts", default=None, help="precomputed text table (UENEMB2)")
 
 
 def _add_mode(p):

@@ -1,21 +1,24 @@
-"""Dense embedding tables and the shared binary table format.
+"""Dense embedding tables and the one binary container for artifacts.
 
-Layout (little-endian): magic b"UENEMB1", u32 row count, u32 dim, an id
-table of length-prefixed UTF-8 strings, then rows*dim float32. A JSON
-sidecar (<path>.json) mirrors {rows, dim, sha256} where sha256 covers the
-full file; loads verify it when present.
+Every artifact (embedding tables, UENEMB2; model checkpoints, UENMDL1)
+has one layout, little-endian throughout: the format's magic, a u32
+header length, a UTF-8 JSON header (sorted keys) holding the format's
+fields plus "tensors": [[name, shape], ...] in sorted name order, then
+each tensor as float32 in that order. A JSON sidecar (<path>.json) holds
+{"sha256": ...} of the whole file; reads verify it when present.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-EMB_MAGIC = b"UENEMB1"
+EMB_MAGIC = b"UENEMB2"
 
 
 class FormatError(ValueError):
@@ -30,28 +33,80 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def pack_ids(ids) -> bytes:
-    parts = []
-    for s in ids:
-        raw = s.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+def write_artifact(path, magic: bytes, fields: dict, tensors: dict) -> None:
+    """Write `fields` and float32 `tensors` under `magic`, plus the sidecar."""
+    path = str(path)
+    names = sorted(tensors)
+    header = dict(fields, tensors=[[k, list(tensors[k].shape)] for k in names])
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    parts = [magic, struct.pack("<I", len(raw)), raw]
+    parts += [tensors[k].astype("<f4").tobytes() for k in names]
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
+            digest.update(part)
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump({"sha256": digest.hexdigest()}, fh)
 
 
-def unpack_ids(buf: bytes, count: int, offset: int = 0) -> tuple[list[str], int]:
-    """Inverse of pack_ids; FormatError if `buf` ends inside the id table."""
-    ids = []
-    for _ in range(count):
-        if offset + 4 > len(buf):
-            raise FormatError("truncated id table")
-        (n,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if offset + n > len(buf):
-            raise FormatError("truncated id table")
-        ids.append(buf[offset : offset + n].decode("utf-8"))
-        offset += n
-    return ids, offset
+def read_artifact(path, magic: bytes) -> tuple[dict, dict]:
+    """Inverse of write_artifact: (fields, name -> float32 array).
+
+    Every defect is a FormatError naming `path`: wrong magic, a sidecar
+    that does not match, a cut or undecodable header, a payload of any
+    other length than the header gives, or a non-finite value.
+    """
+    path = str(path)
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if buf[: len(magic)] != magic:
+        raise FormatError(f"{path}: bad magic, expected {magic.decode()}")
+    try:
+        with open(path + ".json", "rb") as fh:
+            sidecar = json.load(fh)
+    except FileNotFoundError:
+        sidecar = None
+    except ValueError as exc:
+        raise FormatError(f"{path}: corrupt sidecar ({exc})") from None
+    if sidecar is not None and (
+        not isinstance(sidecar, dict)
+        or sidecar.get("sha256") != hashlib.sha256(buf).hexdigest()
+    ):
+        raise FormatError(f"{path}: checksum mismatch against sidecar")
+    offset = len(magic) + 4
+    if len(buf) < offset:
+        raise FormatError(f"{path}: truncated header")
+    (hlen,) = struct.unpack_from("<I", buf, len(magic))
+    if len(buf) < offset + hlen:
+        raise FormatError(f"{path}: truncated header")
+    try:
+        fields = json.loads(buf[offset : offset + hlen].decode("utf-8"))
+        shapes = {}
+        for name, shape in fields.pop("tensors"):
+            if not (isinstance(name, str) and isinstance(shape, list)
+                    and all(type(d) is int and d >= 0 for d in shape)):
+                raise ValueError(f"bad tensor entry {[name, shape]!r}")
+            if name in shapes:
+                raise ValueError(f"tensor {name!r} listed twice")
+            shapes[name] = tuple(shape)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: corrupt header ({exc!r})") from None
+    offset += hlen
+    have, need = len(buf) - offset, 4 * sum(map(math.prod, shapes.values()))
+    if have > need:
+        raise FormatError(f"{path}: {have - need} bytes past the end of the payload")
+    if have < need:
+        raise FormatError(f"{path}: truncated payload ({have} bytes, header needs {need})")
+    tensors = {}
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        arr = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: non-finite values in tensor {name!r}")
+        tensors[name] = arr.reshape(shape).astype(np.float32)
+        offset += 4 * count
+    return fields, tensors
 
 
 @dataclass
@@ -95,49 +150,19 @@ class EmbeddingTable:
         return self.matrix.mean(axis=0, dtype=np.float64).astype(np.float32)
 
     def save(self, path) -> None:
-        path = str(path)
-        with open(path, "wb") as fh:
-            fh.write(EMB_MAGIC)
-            fh.write(struct.pack("<II", len(self.ids), self.dim))
-            fh.write(pack_ids(self.ids))
-            fh.write(self.matrix.astype("<f4").tobytes())
-        sidecar = {
-            "rows": len(self.ids),
-            "dim": self.dim,
-            "sha256": sha256_file(path),
-        }
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh)
+        write_artifact(path, EMB_MAGIC, {"ids": self.ids}, {"matrix": self.matrix})
 
     @classmethod
     def load(cls, path, expect_dim: int | None = None) -> "EmbeddingTable":
-        path = str(path)
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        if buf[: len(EMB_MAGIC)] != EMB_MAGIC:
-            raise FormatError(f"{path}: bad magic, not an embedding table")
-        header = len(EMB_MAGIC) + 8
-        if len(buf) < header:
-            raise FormatError(f"{path}: truncated header")
-        rows, dim = struct.unpack_from("<II", buf, len(EMB_MAGIC))
+        fields, tensors = read_artifact(path, EMB_MAGIC)
+        ids = fields.get("ids")
+        if (set(fields) != {"ids"} or set(tensors) != {"matrix"}
+                or not isinstance(ids, list) or not all(isinstance(s, str) for s in ids)):
+            raise FormatError(f"{path}: not an embedding table")
         try:
-            with open(path + ".json", "r", encoding="utf-8") as fh:
-                sidecar = json.load(fh)
-        except FileNotFoundError:
-            sidecar = None
-        if sidecar is not None and sidecar.get("sha256") != sha256_file(path):
-            raise FormatError(f"{path}: checksum mismatch against sidecar")
-        if expect_dim is not None and dim != expect_dim:
-            raise FormatError(f"{path}: dimension {dim}, expected {expect_dim}")
-        try:
-            ids, offset = unpack_ids(buf, rows, header)
+            table = cls.from_rows(ids, tensors["matrix"])
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from None
-        extra = len(buf) - offset - rows * dim * 4
-        if extra < 0:
-            raise FormatError(f"{path}: truncated payload")
-        if extra > 0:
-            raise FormatError(f"{path}: {extra} bytes past the end of the payload")
-        matrix = np.frombuffer(buf, dtype="<f4", count=rows * dim, offset=offset)
-        matrix = matrix.reshape(rows, dim).copy()
-        return cls.from_rows(ids, matrix)
+        if expect_dim is not None and table.dim != expect_dim:
+            raise FormatError(f"{path}: dimension {table.dim}, expected {expect_dim}")
+        return table

@@ -9,14 +9,12 @@ with min-validation-loss model selection.
 from __future__ import annotations
 
 import csv
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import SampleGraph
-from .embedding import FormatError, sha256_file
+from .embedding import FormatError, read_artifact, write_artifact
 
 MODEL_MAGIC = b"UENMDL1"
 
@@ -70,28 +68,39 @@ class ModelParams:
         return sorted(self.tensors)
 
 
+def param_shapes(cfg: GnnConfig, in_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every model tensor, in the order init_params draws them."""
+    dims = [in_dim] + [cfg.hidden] * cfg.layers
+    weights = ("W_self", "W_neigh") if cfg.arch == "sage" else ("W",)
+    shapes = {}
+    for l in range(cfg.layers):
+        for w in weights:
+            shapes[f"layer{l}.{w}"] = (dims[l], dims[l + 1])
+        if cfg.arch == "gat":
+            shapes[f"layer{l}.a_src"] = (dims[l + 1],)
+            shapes[f"layer{l}.a_dst"] = (dims[l + 1],)
+    shapes["cls.W"] = (2, cfg.hidden)
+    shapes["cls.b"] = (2,)
+    return shapes
+
+
 def init_params(cfg: GnnConfig, in_dim: int, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights; zero biases and attention vectors start small."""
-    dims = [in_dim] + [cfg.hidden] * cfg.layers
-    tensors: dict[str, np.ndarray] = {}
 
     def glorot(fan_in, fan_out):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
-    for l in range(cfg.layers):
-        d_in, d_out = dims[l], dims[l + 1]
-        if cfg.arch == "gcn":
-            tensors[f"layer{l}.W"] = glorot(d_in, d_out)
-        elif cfg.arch == "sage":
-            tensors[f"layer{l}.W_self"] = glorot(d_in, d_out)
-            tensors[f"layer{l}.W_neigh"] = glorot(d_in, d_out)
-        else:  # gat
-            tensors[f"layer{l}.W"] = glorot(d_in, d_out)
-            tensors[f"layer{l}.a_src"] = rng.uniform(-0.1, 0.1, size=d_out)
-            tensors[f"layer{l}.a_dst"] = rng.uniform(-0.1, 0.1, size=d_out)
-    tensors["cls.W"] = np.ascontiguousarray(glorot(cfg.hidden, 2).T)  # (2, hidden)
-    tensors["cls.b"] = np.zeros(2)
+    def draw(name, shape):
+        if name == "cls.W":  # drawn as (hidden, 2), stored transposed
+            return np.ascontiguousarray(glorot(shape[1], shape[0]).T)
+        if name == "cls.b":
+            return np.zeros(shape)
+        if len(shape) == 1:  # GAT attention vectors
+            return rng.uniform(-0.1, 0.1, size=shape)
+        return glorot(*shape)
+
+    tensors = {name: draw(name, shape) for name, shape in param_shapes(cfg, in_dim).items()}
     return ModelParams(cfg.arch, cfg.lam, in_dim, cfg.hidden, cfg.layers, tensors)
 
 
@@ -381,63 +390,32 @@ def save_history(history: list[dict], path) -> None:
 
 
 def save_model(params: ModelParams, path) -> None:
-    path = str(path)
-    names = params.names()
-    header = {
+    fields = {
         "arch": params.arch,
         "lambda": params.lam,
         "in_dim": params.in_dim,
         "hidden": params.hidden,
         "layers": params.layers,
-        "tensors": [[k, list(params.tensors[k].shape)] for k in names],
     }
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        for k in names:
-            fh.write(params.tensors[k].astype("<f4").tobytes())
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"sha256": sha256_file(path)}, fh)
+    write_artifact(path, MODEL_MAGIC, fields, params.tensors)
 
 
 def load_model(path) -> ModelParams:
-    path = str(path)
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a model checkpoint")
+    """A checkpoint whose header forms a valid GnnConfig and whose tensors
+    have exactly the names and shapes init_params gives that config."""
+    fields, tensors = read_artifact(path, MODEL_MAGIC)
     try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            if json.load(fh).get("sha256") != sha256_file(path):
-                raise FormatError(f"{path}: checksum mismatch against sidecar")
-    except FileNotFoundError:
-        pass
-    offset = len(MODEL_MAGIC) + 4
-    if len(buf) < offset:
-        raise FormatError(f"{path}: truncated header")
-    (hlen,) = struct.unpack_from("<I", buf, len(MODEL_MAGIC))
-    if len(buf) < offset + hlen:
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(buf[offset : offset + hlen].decode("utf-8"))
-        shapes = [(str(name), tuple(int(d) for d in shape))
-                  for name, shape in header["tensors"]]
-        fields = [header[k] for k in ("arch", "lambda", "in_dim", "hidden", "layers")]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: corrupt header ({exc})") from exc
-    if any(d < 0 for _, shape in shapes for d in shape):
-        raise FormatError(f"{path}: negative tensor dimension in header")
-    offset += hlen
-    need = 4 * sum(int(np.prod(shape)) for _, shape in shapes)
-    if len(buf) - offset != need:
+        arch, lam, in_dim, hidden, layers = (
+            fields[k] for k in ("arch", "lambda", "in_dim", "hidden", "layers"))
+        if type(lam) not in (int, float) or not all(
+                type(v) is int and v > 0 for v in (in_dim, hidden, layers)):
+            raise ValueError("mistyped or non-positive field")
+        cfg = GnnConfig(arch=arch, layers=layers, hidden=hidden, lam=lam)
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: bad model header ({exc})") from None
+    if {k: v.shape for k, v in tensors.items()} != param_shapes(cfg, in_dim):
         raise FormatError(
-            f"{path}: payload is {len(buf) - offset} bytes, header needs {need}")
-    tensors = {}
-    for name, shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 4
-    return ModelParams(*fields, tensors)
+            f"{path}: tensors do not match a {layers}-layer {arch} model "
+            f"with in_dim {in_dim} and hidden {hidden}")
+    tensors = {k: v.astype(np.float64) for k, v in tensors.items()}
+    return ModelParams(arch, lam, in_dim, hidden, layers, tensors)

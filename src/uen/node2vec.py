@@ -110,26 +110,6 @@ def _sigmoid(x: np.ndarray | float):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def sgns_loss_and_grads(
-    vc: np.ndarray, ctx_matrix: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative-sampling logistic loss for one center vs a stack of targets.
-
-    Returns (loss, grad wrt center, grad wrt each context row). Duplicated
-    target rows each contribute their own gradient term.
-    """
-    scores = ctx_matrix @ vc
-    probs = _sigmoid(scores)
-    eps = 1e-12
-    loss = -float(
-        np.sum(labels * np.log(probs + eps) + (1 - labels) * np.log(1 - probs + eps))
-    )
-    g = probs - labels  # (k+1,)
-    grad_c = g @ ctx_matrix
-    grad_ctx = g[:, None] * vc[None, :]
-    return loss, grad_c, grad_ctx
-
-
 def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTable:
     """SGNS over (center, context) pairs within the window.
 
@@ -186,7 +166,7 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
             labels[0] = 1.0
             vc = center[c]
             mat = context[targets]  # (k+1, d1)
-            g = (_sigmoid(mat @ vc) - labels) * lr  # same gradient as sgns_loss_and_grads
+            g = (_sigmoid(mat @ vc) - labels) * lr  # SGNS loss gradient per score, times lr
             np.subtract.at(context, targets, g[:, None] * vc[None, :])
             center[c] -= g @ mat
     return EmbeddingTable.from_rows(vocab, center.astype(np.float32))

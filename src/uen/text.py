@@ -2,8 +2,9 @@
 
 The hashing embedder is the fully offline default provider: tokenize on
 word boundaries, hash unigrams and bigrams into d2 signed buckets,
-L2-normalize. External encoder outputs can be substituted through
-load_text_embeddings without touching the rest of the pipeline.
+L2-normalize. External encoder outputs can be substituted as an
+EmbeddingTable (EmbeddingTable.load) without touching the rest of the
+pipeline.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ def build_text_table(
         (0, cfg.d2), dtype=np.float32
     )
     return EmbeddingTable.from_rows(keys, matrix)
-
-
-def load_text_embeddings(path, d2: int = 256) -> EmbeddingTable:
-    """Load an externally produced table; dimension must equal d2."""
-    return EmbeddingTable.load(path, expect_dim=d2)
 
 
 def table_provider(table: EmbeddingTable) -> TextProvider:

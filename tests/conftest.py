@@ -74,3 +74,23 @@ def random_user_table(users, d1=8, seed=0):
     return EmbeddingTable.from_rows(
         list(users), rng.normal(size=(len(users), d1)).astype(np.float32)
     )
+
+
+def nan_weight(params):
+    params.tensors["layer1.W"][0, 0] = np.nan
+
+
+def renamed_tensor(params):
+    params.tensors["layer0.V"] = params.tensors.pop("layer0.W")
+
+
+def unknown_arch(params):
+    params.arch = "gcm"
+
+
+def layers_below_tensors(params):
+    params.layers = 2
+
+
+# In-place edits that leave a 3-layer gcn/gat ModelParams inconsistent.
+MODEL_DEFECTS = [nan_weight, renamed_tensor, unknown_arch, layers_below_tensors]

@@ -10,8 +10,10 @@ from uen.cli import main
 from uen.coldmap import ColdMapConfig
 from uen.corpus import load_corpus
 from uen.embedding import EmbeddingTable
-from uen.gnn import GnnConfig, save_history, save_model, train
+from uen.gnn import GnnConfig, load_model, save_history, save_model, train
 from uen.text import make_hash_provider
+
+from conftest import MODEL_DEFECTS
 
 
 def run_ok(argv):
@@ -160,6 +162,30 @@ def test_eval_truncated_model_is_structured_error(pipeline, tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("corrupt", [*MODEL_DEFECTS, pytest.param(None, id="bad_utf8_id")])
+def test_eval_bad_artifact_is_structured_error(pipeline, tmp_path, capsys, corrupt):
+    """A model that does not hold together, or (None) a user table with an
+    invalid UTF-8 byte inside an id and no sidecar: one JSON line naming it."""
+    model, users = tmp_path / "model.mdl", tmp_path / "users.emb"
+    params = load_model(pipeline / "model" / "model.mdl")
+    raw = (pipeline / "users" / "users.emb").read_bytes()
+    if corrupt is None:
+        at = raw.index(b'"ids": ["') + len(b'"ids": ["')
+        raw = raw[:at] + b"\xff" + raw[at + 1:]
+    else:
+        corrupt(params)
+    save_model(params, model)
+    users.write_bytes(raw)
+    rc = main(["eval", "--model", str(model), "--splits", str(pipeline / "splits"),
+               "--users", str(users), "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "FormatError"
+    assert str(users if corrupt is None else model) in err["message"]
 
 
 def test_unknown_flag_exits(capsys):

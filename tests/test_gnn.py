@@ -22,6 +22,8 @@ from uen.gnn import (
     train,
 )
 
+from conftest import MODEL_DEFECTS
+
 
 def make_graph(features, edges, label=0, sample_id="s"):
     return SampleGraph(
@@ -331,6 +333,43 @@ def test_model_load_rejects_truncation_and_padding(tmp_path):
         load_model(path)
     path.write_bytes(raw)
     assert load_model(path).names() == make_params("gcn").names()
+
+
+# sha256 of model.mdl for make_params(arch) with arange-filled tensors, as
+# written before the artifact codec existed: existing checkpoints stay valid.
+PINNED_MODEL_SHA256 = {
+    "gcn": "1ef07cdca5d0396600d666083b33a951b6270f99061e0f65a968b9903da73490",
+    "sage": "737961ebd9f067ceabd6dc8951712648016c05134a2b25b25d558048097ac1dc",
+    "gat": "2521ecc758b9ecc44f89262aef53338281b16649ba788f65cda678b98c714320",
+}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_model_file_bytes_are_pinned(arch, tmp_path):
+    import hashlib
+    import json
+
+    params = make_params(arch)
+    for t in params.tensors.values():
+        t[...] = np.arange(t.size).reshape(t.shape) / 8 - 1
+    path = tmp_path / "model.mdl"
+    save_model(params, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_MODEL_SHA256[arch]
+    assert json.loads((tmp_path / "model.mdl.json").read_text()) == {"sha256": digest}
+
+
+@pytest.mark.parametrize("corrupt", MODEL_DEFECTS)
+def test_model_load_rejects_bad_layout(corrupt, tmp_path):
+    """Checkpoints with a matching sidecar whose model does not hold together."""
+    from uen.embedding import FormatError
+
+    params = make_params("gcn", layers=3)
+    corrupt(params)
+    path = tmp_path / "model.mdl"
+    save_model(params, path)
+    with pytest.raises(FormatError, match=str(path)):
+        load_model(path)
 
 
 def test_zero_comment_sample_rejected(texts):

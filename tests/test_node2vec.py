@@ -9,7 +9,6 @@ from uen.node2vec import (
     learn_user_embeddings,
     next_step_distribution,
     sample_walks,
-    sgns_loss_and_grads,
     train_skipgram,
 )
 
@@ -96,6 +95,20 @@ def test_uniform_transition_chi_square():
     observed = np.bincount(draws, minlength=3)
     _, pval = scipy_stats.chisquare(observed)
     assert pval > 0.01
+
+
+def sgns_loss_and_grads(vc, ctx_matrix, labels):
+    """Reference negative-sampling logistic loss for one center vs a stack of
+    targets: (loss, grad wrt center, grad wrt each context row). Duplicated
+    target rows each contribute their own gradient term. train_skipgram's
+    update applies these gradients, scaled by its learning rate."""
+    probs = 1.0 / (1.0 + np.exp(-(ctx_matrix @ vc)))
+    eps = 1e-12
+    loss = -float(
+        np.sum(labels * np.log(probs + eps) + (1 - labels) * np.log(1 - probs + eps))
+    )
+    g = probs - labels  # (k+1,)
+    return loss, g @ ctx_matrix, g[:, None] * vc[None, :]
 
 
 def test_sgns_gradients_match_finite_differences():

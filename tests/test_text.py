@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from uen.embedding import EmbeddingTable, FormatError
+from uen.embedding import EmbeddingTable, FormatError, sha256_file
 from uen.text import (
     TextEmbedConfig,
     build_text_table,
     hash_embed,
-    load_text_embeddings,
     make_hash_provider,
     table_provider,
 )
@@ -85,11 +84,11 @@ def test_pairwise_collision_rate_is_small():
     assert colliding_pairs / total_pairs < 0.05
 
 
-def test_load_text_embeddings_round_trip(tmp_path):
+def test_table_save_load_round_trip(tmp_path):
     table = build_text_table({"k1": "breaking news", "k2": "weather"}, TextEmbedConfig())
     path = tmp_path / "texts.emb"
     table.save(path)
-    loaded = load_text_embeddings(path)
+    loaded = EmbeddingTable.load(path, expect_dim=256)
     assert len(loaded) == 2
     assert np.array_equal(loaded.vector("k1"), table.vector("k1"))
 
@@ -99,7 +98,7 @@ def test_load_rejects_dimension_mismatch(tmp_path):
     path = tmp_path / "texts.emb"
     table.save(path)
     with pytest.raises(FormatError, match="dimension"):
-        load_text_embeddings(path, d2=256)
+        EmbeddingTable.load(path, expect_dim=256)
 
 
 def test_load_rejects_corrupted_payload(tmp_path):
@@ -110,7 +109,7 @@ def test_load_rejects_corrupted_payload(tmp_path):
     raw[-1] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=str(path)):
-        load_text_embeddings(path)
+        EmbeddingTable.load(path, expect_dim=256)
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -144,12 +143,14 @@ def test_load_rejects_padding_without_sidecar(tmp_path):
 
 
 def test_sidecar_reports_shape(tmp_path):
+    """The shape lives in the header; the sidecar holds the file's sha256."""
     table = build_text_table({"k1": "a", "k2": "b", "k3": "c"}, TextEmbedConfig())
     path = tmp_path / "texts.emb"
     table.save(path)
+    loaded = EmbeddingTable.load(path)
+    assert (len(loaded), loaded.dim) == (3, 256)
     sidecar = json.loads((tmp_path / "texts.emb.json").read_text())
-    assert sidecar["rows"] == 3
-    assert sidecar["dim"] == 256
+    assert sidecar == {"sha256": sha256_file(path)}
 
 
 def test_table_provider_missing_key():
