@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -114,7 +115,11 @@ def topk(index: SimIndex, query: np.ndarray, k: int) -> list[tuple[str, str, flo
 
 
 def _mean_user(users: EmbeddingTable, owners) -> np.ndarray:
-    rows = np.stack([users.vector(owner) for owner in owners]).astype(np.float64)
+    try:
+        rows = np.stack([users.vector(owner) for owner in owners]).astype(np.float64)
+    except KeyError as exc:
+        raise FormatError(f"training user {exc} has no row in the user table; embed "
+                          "the users of this training split") from None
     return rows.mean(axis=0)
 
 
@@ -258,7 +263,7 @@ def map_cold_commenter(
 def make_resolver(
     mode: str,
     users: EmbeddingTable,
-    train_side: TrainSideData | None = None,
+    train_side: TrainSideData | Callable[[], TrainSideData] | None = None,
     texts: TextProvider | None = None,
     cfg: ColdMapConfig | None = None,
 ):
@@ -267,7 +272,9 @@ def make_resolver(
     Known users always resolve by direct lookup; the mode only decides what
     happens for users outside the table. The cold-mapper resolver keeps the
     retrieval state of the last sample it saw, so the cold occurrences of
-    one sample share their H1 hits and H2 pool.
+    one sample share their H1 hits and H2 pool. Its `train_side` may be a
+    function that builds it: it is then called on the first cold occurrence
+    that needs retrieval, and never if none does.
     """
     if mode == "mean-fallback":
         mean = users.mean_vector().astype(np.float64)
@@ -286,7 +293,9 @@ def make_resolver(
         current: _ColdSample | None = None
 
         def cold(sample) -> _ColdSample:
-            nonlocal current
+            nonlocal current, train_side
+            if callable(train_side):
+                train_side = train_side()
             if current is None or current.sample is not sample:
                 current = _ColdSample(sample, train_side, texts, users, cfg)
             return current

@@ -108,6 +108,8 @@ def validate_sample(sample: Sample) -> None:
         sample.author is None or bool(sample.author),
         f"sample {sample.post_id!r}: empty author string",
     )
+    _require(sample.label in (None, 0, 1),
+             f"sample {sample.post_id!r}: label {sample.label} is neither 0 nor 1")
     seen: set[str] = {sample.post_id}
     for c in sample.comments:
         _require(bool(c.id), f"sample {sample.post_id!r}: comment with empty id")
@@ -132,6 +134,8 @@ def validate_sample(sample: Sample) -> None:
 
 
 def sample_from_record(rec: dict) -> Sample:
+    if not isinstance(rec, dict):
+        raise CorpusError(f"record is a JSON {type(rec).__name__}, not an object")
     try:
         comments = tuple(
             Comment(
@@ -152,7 +156,7 @@ def sample_from_record(rec: dict) -> Sample:
             comments=comments,
             label=None if rec.get("label") is None else int(rec["label"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"malformed record: {exc}") from exc
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 from .assembly import SampleGraph, UserResolver, assemble
 from .coldmap import ColdMapConfig, TrainSideData, build_train_side, make_resolver
@@ -70,13 +71,14 @@ def variant_resolver(variant: str, users: EmbeddingTable | None, train_samples,
                      train_side: TrainSideData | None = None) -> UserResolver | None:
     """The one user resolver of a variant: None for no-user, the table mean
     for cold users under no-mapper, the cold mapper over `train_samples`
-    under full (reusing `train_side` when given)."""
+    under full (reusing `train_side` when given, else building it on the
+    first cold occurrence)."""
     if variant == "no-user":
         return None
     if variant == "no-mapper":
         return make_resolver("mean-fallback", users)
     if train_side is None:
-        train_side = cold_train_side(train_samples, texts, common_author, coldmap)
+        train_side = partial(cold_train_side, train_samples, texts, common_author, coldmap)
     return make_resolver("cold-mapper", users, train_side=train_side, texts=texts,
                          cfg=coldmap)
 
@@ -127,8 +129,9 @@ def run_variant(
             users = prepare_user_embeddings(split, cfg, common)
         in_dim += cfg.node2vec.d1
     resolver = variant_resolver(cfg.variant, users, split.train, texts, common, cfg.coldmap)
-    train_graphs, val_graphs = assemble_splits(texts, resolver, common, split.train, split.val)
-    model, history = train(train_graphs, val_graphs, cfg.gnn, in_dim)
+    # the graphs die with the call, so evaluation reuses their memory
+    model, history = train(*assemble_splits(texts, resolver, common, split.train, split.val),
+                           cfg.gnn, in_dim)
     metadata = {
         "arch": cfg.gnn.arch,
         "variant": cfg.variant,

@@ -1,15 +1,18 @@
 """Three-layer GCN / GraphSAGE / GAT with hand-written backward passes.
 
-Per-sample graphs are tiny trees, so every layer works on dense matrices.
-Readout blends the post node with the comment mean through lambda, then a
-dense head produces two logits. Training is Adam on mean cross-entropy
-with min-validation-loss model selection.
+Per-sample graphs are tiny trees. A batch of them is padded into dense
+(B, n_max, ·) arrays: each layer is a weight product over the batch's
+nodes and one batched matmul for propagation or attention, and a single
+graph is a batch of one. Readout blends the post node with the comment
+mean through lambda, then a dense head produces two logits. Training is
+Adam on mean cross-entropy with min-validation-loss model selection.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -55,14 +58,7 @@ class ModelParams:
     tensors: dict = field(default_factory=dict)  # name -> float64 ndarray
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            self.arch,
-            self.lam,
-            self.in_dim,
-            self.hidden,
-            self.layers,
-            {k: np.zeros_like(v) for k, v in self.tensors.items()},
-        )
+        return replace(self, tensors={k: np.zeros_like(v) for k, v in self.tensors.items()})
 
     def names(self) -> list[str]:
         return sorted(self.tensors)
@@ -105,107 +101,185 @@ def init_params(cfg: GnnConfig, in_dim: int, rng: np.random.Generator) -> ModelP
 
 
 # ---------------------------------------------------------------------------
-# per-sample dense operators
+# padded batches
 
 
-def _adjacency_matrix(g: SampleGraph) -> np.ndarray:
+def _operator(arch: str, g: SampleGraph) -> np.ndarray:
+    """The graph's (n, n) propagation operator: GCN's normalized Â, SAGE's
+    neighbour mean (an isolated node aggregates itself) or GAT's mask of
+    neighbours plus self."""
     n = len(g.node_order)
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
     a = np.zeros((n, n))
-    for i, j in g.edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    return a
+    a[ends[0::2], ends[1::2]] = a[ends[1::2], ends[0::2]] = 1.0
+    if arch == "gcn":
+        a.flat[:: n + 1] += 1.0  # Â = A + I
+        d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    deg = a.sum(axis=1)[:, None]
+    if arch == "sage":
+        return np.where(deg > 0, a / np.maximum(deg, 1.0), np.eye(n))
+    return (a > 0) | np.eye(n, dtype=bool)
 
 
-def _gcn_propagation(g: SampleGraph) -> np.ndarray:
-    a_hat = _adjacency_matrix(g) + np.eye(len(g.node_order))
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-
-
-def _sage_mean_matrix(g: SampleGraph) -> np.ndarray:
-    a = _adjacency_matrix(g)
-    deg = a.sum(axis=1)
-    m = np.zeros_like(a)
-    for i in range(len(deg)):
-        if deg[i] > 0:
-            m[i] = a[i] / deg[i]
-        else:
-            m[i, i] = 1.0  # isolated node aggregates itself
-    return m
-
-
-def _leaky(x):
-    return np.where(x > 0, x, 0.2 * x)
-
-
-def _leaky_grad(x):
-    return np.where(x > 0, 1.0, 0.2)
-
-
-def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
-    """Run the stack; returns (node_embeddings, logits).
-
-    Pass a dict as `cache` to capture intermediates for the backward pass.
-    """
-    h = np.asarray(g.features, dtype=np.float64)
-    if h.shape[0] < 2:
-        raise FormatError(
-            f"sample {g.sample_id}: no comment nodes, so the readout's comment "
-            "mean is undefined"
-        )
-    if h.shape[1] != params.in_dim:
-        raise FormatError(
-            f"sample {g.sample_id}: feature dim {h.shape[1]} != model dim {params.in_dim}"
-        )
-    n = h.shape[0]
-    store = cache if cache is not None else {}
-    store["h0"] = h
-    if params.arch == "gcn":
-        store["prop"] = _gcn_propagation(g)
-    elif params.arch == "sage":
-        store["mean"] = _sage_mean_matrix(g)
+def _pack(params: ModelParams, graphs, ops) -> tuple[np.ndarray, dict]:
+    """A batch as its real node rows (R, in_dim), in graph order, and a cache
+    holding its padded (B, n_max) layout: the mask of real slots, operators
+    (B, n_max, n_max) and readout weights (lambda on the post, the rest
+    spread over the real comments). A pad slot is an isolated zero-feature
+    node: its self-only operator row gives it exactly zero output and
+    gradient in every arch, and its readout weight is zero."""
+    for g in graphs:
+        if g.features.shape[0] < 2:
+            raise FormatError(f"sample {g.sample_id}: no comment nodes, so the readout's "
+                              "comment mean is undefined")
+        if g.features.shape[1] != params.in_dim:
+            raise FormatError(f"sample {g.sample_id}: feature dim "
+                              f"{g.features.shape[1]} != model dim {params.in_dim}")
+    if len(graphs) == 1:  # no pad slots: use the graph's own arrays
+        x = np.asarray(graphs[0].features, dtype=np.float64)
+        real, op = np.ones((1, len(x)), dtype=bool), ops[0][None]
+        readout = np.full(real.shape, (1.0 - params.lam) / (len(x) - 1))
     else:
-        mask = _adjacency_matrix(g).astype(bool) | np.eye(n, dtype=bool)
-        store["mask"] = mask
+        counts = np.array([g.features.shape[0] for g in graphs])
+        real = np.arange(counts.max()) < counts[:, None]
+        readout = real * ((1.0 - params.lam) / (counts[:, None] - 1))
+        op = np.zeros(real.shape + real.shape[1:], dtype=ops[0].dtype)
+        for b, o in enumerate(ops):
+            op[b, : counts[b], : counts[b]] = o
+        pad_b, pad_i = np.nonzero(~real)
+        op[pad_b, pad_i, pad_i] = 1
+        x = np.concatenate([g.features for g in graphs], dtype=np.float64)
+    readout[:, 0] = params.lam
+    return x, {"real": real, "op": op, "readout": readout}
+
+
+def _forward(params: ModelParams, x, cache: dict):
+    """Final node embeddings (B, n_max, hidden) and logits (B, 2) of the rows
+    and cache of a packed batch; the cache also keeps what backward needs."""
+    t = params.tensors
+    real, op = cache["real"], cache["op"]
+    h = None
+
+    def product(w):  # h @ w; layer 0 multiplies only the real rows, its input is the widest
+        if h is not None:
+            return h @ w
+        if len(x) == real.size:
+            return (x @ w).reshape(real.shape + w.shape[1:])
+        out = np.zeros(real.shape + w.shape[1:])
+        out[real] = x @ w
+        return out
 
     for l in range(params.layers):
         if params.arch == "gcn":
-            ah = store["prop"] @ h
-            z = ah @ params.tensors[f"layer{l}.W"]
-            store[f"ah{l}"] = ah
+            p = product(t[f"layer{l}.W"])
+            z = op @ p
         elif params.arch == "sage":
-            mh = store["mean"] @ h
-            z = h @ params.tensors[f"layer{l}.W_self"] + mh @ params.tensors[
-                f"layer{l}.W_neigh"
-            ]
-            store[f"mh{l}"] = mh
+            p = product(t[f"layer{l}.W_neigh"])
+            z = product(t[f"layer{l}.W_self"]) + op @ p
         else:
-            w = params.tensors[f"layer{l}.W"]
-            p = h @ w
-            s = p @ params.tensors[f"layer{l}.a_src"]
-            t = p @ params.tensors[f"layer{l}.a_dst"]
-            pre = s[:, None] + t[None, :]
-            e = np.where(store["mask"], _leaky(pre), -np.inf)
-            e_max = e.max(axis=1, keepdims=True)
-            ex = np.exp(e - e_max)
-            ex[~store["mask"]] = 0.0
-            alpha = ex / ex.sum(axis=1, keepdims=True)
+            p = product(t[f"layer{l}.W"])
+            pre = (p @ t[f"layer{l}.a_src"])[:, :, None] + (p @ t[f"layer{l}.a_dst"])[:, None, :]
+            e = np.where(op, np.where(pre > 0, pre, 0.2 * pre), -np.inf)  # leaky ReLU
+            ex = np.exp(e - e.max(axis=2, keepdims=True))
+            alpha = ex / ex.sum(axis=2, keepdims=True)
             z = alpha @ p
-            store[f"p{l}"] = p
-            store[f"pre{l}"] = pre
-            store[f"alpha{l}"] = alpha
-        if not np.all(np.isfinite(z)):
+            cache[f"p{l}"], cache[f"pre{l}"], cache[f"alpha{l}"] = p, pre, alpha
+        if not np.isfinite(z).all():
             raise DivergenceError(f"NaN in forward at layer {l}", None)
-        store[f"z{l}"] = z
-        h = np.maximum(z, 0.0)
-        store[f"h{l + 1}"] = h
+        h = cache[f"h{l + 1}"] = np.maximum(z, 0.0)
+    pooled = cache["pooled"] = (cache["readout"][:, None, :] @ h)[:, 0]
+    return h, pooled @ t["cls.W"].T + t["cls.b"]
 
-    lam = params.lam
-    pooled = lam * h[0] + (1.0 - lam) * h[1:].mean(axis=0)
-    logits = params.tensors["cls.W"] @ pooled + params.tensors["cls.b"]
-    store["pooled"] = pooled
-    return h, logits
+
+def _backward(params: ModelParams, x, cache: dict, dlogits: np.ndarray) -> dict:
+    """Gradient of sum(dlogits * logits) for every tensor, given the packed
+    rows `x` and the cache of their forward pass; layer 0 computes no input
+    gradient."""
+    t = params.tensors
+    real = cache["real"]
+    op_t = cache["op"].transpose(0, 2, 1)
+    grads = {"cls.W": dlogits.T @ cache["pooled"], "cls.b": dlogits.sum(axis=0)}
+    dh = cache["readout"][:, :, None] * (dlogits @ t["cls.W"])[:, None, :]
+
+    def w_grad(l, d):  # (layer l's input)ᵀ @ d; pad rows of the input are zero
+        if l == 0:
+            return x.T @ d[real]
+        h_in = cache[f"h{l}"]
+        return h_in.reshape(-1, h_in.shape[2]).T @ d.reshape(-1, d.shape[2])
+
+    for l in reversed(range(params.layers)):
+        dz = dh * (cache[f"h{l + 1}"] > 0)  # ReLU: h > 0 exactly where z > 0
+        if params.arch != "gat":
+            dp = op_t @ dz
+        else:
+            p, alpha = cache[f"p{l}"], cache[f"alpha{l}"]
+            d_alpha = dz @ p.transpose(0, 2, 1)
+            de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=2, keepdims=True))
+            dpre = de * np.where(cache[f"pre{l}"] > 0, 1.0, 0.2)
+            ds, dt = dpre.sum(axis=2), dpre.sum(axis=1)
+            grads[f"layer{l}.a_src"] = np.tensordot(ds, p, 2)
+            grads[f"layer{l}.a_dst"] = np.tensordot(dt, p, 2)
+            dp = (alpha.transpose(0, 2, 1) @ dz + ds[..., None] * t[f"layer{l}.a_src"]
+                  + dt[..., None] * t[f"layer{l}.a_dst"])
+        if params.arch == "sage":  # dp is the gradient of the neighbour product
+            grads[f"layer{l}.W_self"] = w_grad(l, dz)
+            grads[f"layer{l}.W_neigh"] = w_grad(l, dp)
+            dh = dz @ t[f"layer{l}.W_self"].T + dp @ t[f"layer{l}.W_neigh"].T if l else None
+        else:
+            grads[f"layer{l}.W"] = w_grad(l, dp)
+            dh = dp @ t[f"layer{l}.W"].T if l else None
+    return grads
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _nll(logits: np.ndarray, graphs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample cross-entropy and its gradient with respect to the logits."""
+    rows = np.arange(len(graphs))
+    labels = np.array([g.label for g in graphs])
+    probs = _softmax(logits)
+    dlogits = probs.copy()
+    dlogits[rows, labels] -= 1.0
+    return -np.log(probs[rows, labels] + 1e-300), dlogits
+
+
+def _loss_and_grads(params: ModelParams, graphs, ops):
+    for g in graphs:
+        if g.label is None:
+            raise ValueError(f"sample {g.sample_id} is unlabeled")
+    x, cache = _pack(params, graphs, ops)
+    _, logits = _forward(params, x, cache)
+    losses, dlogits = _nll(logits, graphs)
+    grads = _backward(params, x, cache, dlogits * (1.0 / len(graphs)))
+    return float(losses.mean()), replace(params, tensors={k: grads[k] for k in params.tensors})
+
+
+def _evaluate(params: ModelParams, graphs, ops, batch_size: int) -> tuple[float, float]:
+    if not graphs:
+        raise ValueError("no samples to evaluate")
+    losses, correct = [], 0
+    for start in range(0, len(graphs), batch_size):
+        batch = graphs[start : start + batch_size]
+        _, logits = _forward(params, *_pack(params, batch, ops[start : start + batch_size]))
+        losses.append(_nll(logits, batch)[0])
+        correct += int(np.sum((logits[:, 1] >= logits[:, 0]) == [g.label for g in batch]))
+    return float(np.mean(np.concatenate(losses))), correct / len(graphs)
+
+
+def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
+    """Run the stack on one graph; returns (node_embeddings, logits).
+
+    Pass a dict as `cache` to capture the intermediates, batch axis dropped.
+    """
+    x, store = _pack(params, [g], [_operator(params.arch, g)])
+    h, logits = _forward(params, x, store)
+    if cache is not None:
+        cache.update({k: v[0] for k, v in store.items()})
+    return h[0], logits[0]
 
 
 def attention_weights(params: ModelParams, g: SampleGraph, layer: int) -> np.ndarray:
@@ -216,82 +290,16 @@ def attention_weights(params: ModelParams, g: SampleGraph, layer: int) -> np.nda
     return cache[f"alpha{layer}"]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
-
-
 def sample_loss_and_grads(params: ModelParams, g: SampleGraph):
     """Cross-entropy loss of one labeled sample plus analytic gradients."""
-    if g.label is None:
-        raise ValueError(f"sample {g.sample_id} is unlabeled")
-    cache: dict = {}
-    h, logits = forward(params, g, cache)
-    probs = _softmax(logits)
-    loss = -float(np.log(probs[g.label] + 1e-300))
-
-    grads = params.zeros_like()
-    dlogits = probs.copy()
-    dlogits[g.label] -= 1.0
-    grads.tensors["cls.W"] = np.outer(dlogits, cache["pooled"])
-    grads.tensors["cls.b"] = dlogits
-    d_pooled = params.tensors["cls.W"].T @ dlogits
-
-    n = h.shape[0]
-    dh = np.zeros_like(h)
-    dh[0] = params.lam * d_pooled
-    dh[1:] += (1.0 - params.lam) / (n - 1) * d_pooled
-
-    for l in reversed(range(params.layers)):
-        dz = dh * (cache[f"z{l}"] > 0)
-        h_in = cache[f"h{l}"] if l > 0 else cache["h0"]
-        if params.arch == "gcn":
-            grads.tensors[f"layer{l}.W"] = cache[f"ah{l}"].T @ dz
-            dh = cache["prop"].T @ (dz @ params.tensors[f"layer{l}.W"].T)
-        elif params.arch == "sage":
-            grads.tensors[f"layer{l}.W_self"] = h_in.T @ dz
-            grads.tensors[f"layer{l}.W_neigh"] = cache[f"mh{l}"].T @ dz
-            dh = dz @ params.tensors[f"layer{l}.W_self"].T + cache["mean"].T @ (
-                dz @ params.tensors[f"layer{l}.W_neigh"].T
-            )
-        else:
-            w = params.tensors[f"layer{l}.W"]
-            a_src = params.tensors[f"layer{l}.a_src"]
-            a_dst = params.tensors[f"layer{l}.a_dst"]
-            p = cache[f"p{l}"]
-            alpha = cache[f"alpha{l}"]
-            mask = cache["mask"]
-            d_alpha = dz @ p.T
-            de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
-            dpre = de * _leaky_grad(cache[f"pre{l}"])
-            dpre[~mask] = 0.0
-            ds = dpre.sum(axis=1)
-            dt = dpre.sum(axis=0)
-            dp = alpha.T @ dz
-            dp += ds[:, None] * a_src[None, :]
-            dp += dt[:, None] * a_dst[None, :]
-            grads.tensors[f"layer{l}.a_src"] = p.T @ ds
-            grads.tensors[f"layer{l}.a_dst"] = p.T @ dt
-            grads.tensors[f"layer{l}.W"] = h_in.T @ dp
-            dh = dp @ w.T
-    return loss, grads
+    return loss_and_grads(params, [g])
 
 
 def loss_and_grads(params: ModelParams, batch: list[SampleGraph]):
-    """Mean cross-entropy over a batch with summed-then-scaled gradients."""
+    """Mean cross-entropy over a batch and its gradients, from one padded pass."""
     if not batch:
         raise ValueError("empty batch")
-    total = params.zeros_like()
-    loss_sum = 0.0
-    for g in batch:
-        loss, grads = sample_loss_and_grads(params, g)
-        loss_sum += loss
-        for k in total.tensors:
-            total.tensors[k] += grads.tensors[k]
-    scale = 1.0 / len(batch)
-    for k in total.tensors:
-        total.tensors[k] *= scale
-    return loss_sum * scale, total
+    return _loss_and_grads(params, batch, [_operator(params.arch, g) for g in batch])
 
 
 def predict(params: ModelParams, g: SampleGraph) -> tuple[int, float]:
@@ -304,15 +312,8 @@ def predict(params: ModelParams, g: SampleGraph) -> tuple[int, float]:
 
 def evaluate_loss(params: ModelParams, samples: list[SampleGraph]) -> tuple[float, float]:
     """(mean loss, accuracy) over labeled samples."""
-    losses = []
-    correct = 0
-    for g in samples:
-        _, logits = forward(params, g)
-        probs = _softmax(logits)
-        losses.append(-float(np.log(probs[g.label] + 1e-300)))
-        pred = 1 if logits[1] >= logits[0] else 0
-        correct += int(pred == g.label)
-    return float(np.mean(losses)), correct / len(samples)
+    return _evaluate(params, samples, [_operator(params.arch, g) for g in samples],
+                     GnnConfig.batch_size)
 
 
 def train(
@@ -333,13 +334,16 @@ def train(
     history: list[dict] = []
     best_val = np.inf
     best = _copy_params(params)
+    train_ops = [_operator(cfg.arch, g) for g in train_graphs]
+    val_ops = [_operator(cfg.arch, g) for g in val_graphs]
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_graphs))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = [train_graphs[i] for i in order[start : start + cfg.batch_size]]
+            idx = order[start : start + cfg.batch_size]
             try:
-                loss, grads = loss_and_grads(params, batch)
+                loss, grads = _loss_and_grads(params, [train_graphs[i] for i in idx],
+                                              [train_ops[i] for i in idx])
             except DivergenceError as exc:
                 raise DivergenceError(str(exc), history) from exc
             if not np.isfinite(loss):
@@ -353,7 +357,7 @@ def train(
                 m_hat = m.tensors[k] / (1 - beta1**step)
                 v_hat = v.tensors[k] / (1 - beta2**step)
                 params.tensors[k] -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
-        val_loss, val_acc = evaluate_loss(params, val_graphs)
+        val_loss, val_acc = _evaluate(params, val_graphs, val_ops, cfg.batch_size)
         history.append(
             {
                 "epoch": epoch,
@@ -369,14 +373,7 @@ def train(
 
 
 def _copy_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        params.arch,
-        params.lam,
-        params.in_dim,
-        params.hidden,
-        params.layers,
-        {k: v.copy() for k, v in params.tensors.items()},
-    )
+    return replace(params, tensors={k: v.copy() for k, v in params.tensors.items()})
 
 
 def save_history(history: list[dict], path) -> None:

@@ -1,9 +1,15 @@
 """End-to-end runs of the pipeline command line."""
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uen import cli, experiment
 from uen.cli import main
@@ -302,3 +308,67 @@ def test_tune_objective_uses_k1(pipeline, cold_val, tmp_path, monkeypatch):
             "--users", str(pipeline / "users" / "users.emb"),
             "--out", str(tmp_path / "tune"), "--epochs", "1", "--hidden", "8"])
     assert losses[1] != losses[3]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+RECORD_FIELDS = ("post_id", "author", "text_key", "timestamp", "comments", "label")
+COMMENT_FIELDS = ("id", "author", "parent", "text_key", "timestamp")
+
+
+def run_captured(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def assert_ok_or_one_json_line(rc, err):
+    assert rc in (0, 1), rc
+    if rc == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert set(json.loads(lines[0])) == {"error", "message"}
+    assert "Traceback" not in err
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_split_and_eval_on_damaged_corpus_keep_error_contract(pipeline, data):
+    """One record, one of its fields, or one field of one of its comments
+    becomes an arbitrary JSON value; split, train and eval exit 0, or exit 1
+    with one JSON line on stderr."""
+    lines = (pipeline / "data" / "corpus.jsonl").read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="record")
+    value = data.draw(JSON_VALUES, label="value")
+    rec = json.loads(lines[i])
+    where = data.draw(st.sampled_from(("record", "field", "comment")), label="where")
+    if where == "record":
+        rec = value
+    elif where == "field":
+        rec[data.draw(st.sampled_from(RECORD_FIELDS), label="field")] = value
+    else:
+        comment = data.draw(st.sampled_from(rec["comments"]), label="comment")
+        comment[data.draw(st.sampled_from(COMMENT_FIELDS), label="field")] = value
+    lines[i] = json.dumps(rec)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc, err = run_captured(["split", "--input", str(root / "corpus.jsonl"),
+                                "--out", str(root / "splits")])
+        assert_ok_or_one_json_line(rc, err)
+        if rc == 0:
+            rc, err = run_captured(["train", "--splits", str(root / "splits"),
+                                    "--users", str(pipeline / "users" / "users.emb"),
+                                    "--out", str(root / "model"), "--epochs", "1",
+                                    "--hidden", "8"])
+            assert_ok_or_one_json_line(rc, err)
+            rc, err = run_captured(["eval", "--model", str(pipeline / "model" / "model.mdl"),
+                                    "--splits", str(root / "splits"),
+                                    "--users", str(pipeline / "users" / "users.emb"),
+                                    "--out", str(root / "eval"), "--k1", "3", "--k2", "5"])
+            assert_ok_or_one_json_line(rc, err)

@@ -477,3 +477,39 @@ def test_resolver_equals_per_occurrence_reference(texts, heuristics):
         got = resolver(user_id, context)
         want = reference_resolve(user_id, context, train, texts, users, cfg)
         assert np.array_equal(got, want), (user_id, context[0], context[1].post_id)
+
+
+def test_full_variant_builds_train_side_on_first_cold_occurrence(texts, monkeypatch):
+    from uen import experiment
+    from uen.corpus import temporal_split
+    from uen.synth import SynthConfig, generate
+
+    corpus = generate(SynthConfig(n_samples=60, n_users=20, seed=5,
+                                  cold_user_rate_test=0.5))
+    split = temporal_split(corpus)
+    train = list(split.train)
+    users = random_user_table(sorted({u for s in train for u in s.users()}), d1=8)
+    cfg = ColdMapConfig(k1=3, k2=4)
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(1)
+        return build_train_side(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_train_side", counting_build)
+    resolver = experiment.variant_resolver("full", users, train, texts, None, cfg)
+    for s in train:  # every training user is in the table
+        resolver(s.author, ("post", s))
+        for c in s.comments:
+            resolver(c.author, ("comment", s, c.id))
+    assert built == []
+
+    eager = make_resolver("cold-mapper", users, texts=texts, cfg=cfg,
+                          train_side=build_train_side(train, texts, use_chains=True))
+    cold = [(c.author, ("comment", s, c.id)) for s in split.test for c in s.comments
+            if c.author not in users]
+    cold += [(s.author, ("post", s)) for s in split.test if s.author not in users]
+    assert len(cold) >= 10
+    for user_id, context in cold:
+        assert np.array_equal(resolver(user_id, context), eager(user_id, context))
+    assert built == [1]

@@ -93,6 +93,26 @@ def test_load_reports_line_number_on_bad_json(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "null", "3"])
+def test_load_rejects_json_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record("p1", [comment_rec("c1", "p1")])) + "\n" + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"corpus.jsonl:2: record is a JSON \w+, not an object"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("field,value", [("label", 2), ("label", -1), ("label", 7.5),
+                                         ("timestamp", float("inf")), ("label", float("-inf"))])
+def test_load_rejects_bad_label_or_timestamp(tmp_path, field, value):
+    rec = record("p1", [comment_rec("c1", "p1")])
+    rec[field] = value
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [rec])
+    with pytest.raises(CorpusError, match="corpus.jsonl:1: "):
+        load_corpus(path)
+
+
 def test_load_rejects_duplicate_post_id(tmp_path):
     recs = [record("p1", [comment_rec("c1", "p1")]),
             record("p1", [comment_rec("c2", "p1")])]

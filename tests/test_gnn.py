@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uen.assembly import SampleGraph
 from uen.gnn import (
@@ -58,6 +60,185 @@ def set_flat(params, vec):
         t = params.tensors[k]
         t[...] = vec[offset: offset + t.size].reshape(t.shape)
         offset += t.size
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: one sample at a time on dense per-graph matrices, the
+# forward and backward pass the padded batch replaced
+
+
+def oracle_loss_and_grads(params, g):
+    """Cross-entropy of one labeled sample and its gradients, from dense
+    per-sample operators built with a loop over the edges."""
+    n = len(g.node_order)
+    adj = np.zeros((n, n))
+    for i, j in g.edges:
+        adj[i, j] = adj[j, i] = 1.0
+    a_hat = adj + np.eye(n)
+    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    prop = a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    deg = adj.sum(axis=1)
+    mean = np.zeros_like(adj)
+    for i in range(n):
+        if deg[i] > 0:
+            mean[i] = adj[i] / deg[i]
+        else:
+            mean[i, i] = 1.0
+    mask = adj.astype(bool) | np.eye(n, dtype=bool)
+    t = params.tensors
+
+    def leaky(x):
+        return np.where(x > 0, x, 0.2 * x)
+
+    h = np.asarray(g.features, dtype=np.float64)
+    cache = {"h0": h}
+    for l in range(params.layers):
+        if params.arch == "gcn":
+            cache[f"ah{l}"] = prop @ h
+            z = cache[f"ah{l}"] @ t[f"layer{l}.W"]
+        elif params.arch == "sage":
+            cache[f"mh{l}"] = mean @ h
+            z = h @ t[f"layer{l}.W_self"] + cache[f"mh{l}"] @ t[f"layer{l}.W_neigh"]
+        else:
+            p = h @ t[f"layer{l}.W"]
+            pre = (p @ t[f"layer{l}.a_src"])[:, None] + (p @ t[f"layer{l}.a_dst"])[None, :]
+            e = np.where(mask, leaky(pre), -np.inf)
+            ex = np.exp(e - e.max(axis=1, keepdims=True))
+            ex[~mask] = 0.0
+            alpha = ex / ex.sum(axis=1, keepdims=True)
+            z = alpha @ p
+            cache[f"p{l}"], cache[f"pre{l}"], cache[f"alpha{l}"] = p, pre, alpha
+        cache[f"z{l}"] = z
+        h = cache[f"h{l + 1}"] = np.maximum(z, 0.0)
+    pooled = params.lam * h[0] + (1.0 - params.lam) * h[1:].mean(axis=0)
+    logits = t["cls.W"] @ pooled + t["cls.b"]
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    loss = -float(np.log(probs[g.label] + 1e-300))
+
+    grads = params.zeros_like()
+    dlogits = probs.copy()
+    dlogits[g.label] -= 1.0
+    grads.tensors["cls.W"] = np.outer(dlogits, pooled)
+    grads.tensors["cls.b"] = dlogits
+    d_pooled = t["cls.W"].T @ dlogits
+    dh = np.zeros_like(h)
+    dh[0] = params.lam * d_pooled
+    dh[1:] += (1.0 - params.lam) / (n - 1) * d_pooled
+    for l in reversed(range(params.layers)):
+        dz = dh * (cache[f"z{l}"] > 0)
+        h_in = cache[f"h{l}"]
+        if params.arch == "gcn":
+            grads.tensors[f"layer{l}.W"] = cache[f"ah{l}"].T @ dz
+            dh = prop.T @ (dz @ t[f"layer{l}.W"].T)
+        elif params.arch == "sage":
+            grads.tensors[f"layer{l}.W_self"] = h_in.T @ dz
+            grads.tensors[f"layer{l}.W_neigh"] = cache[f"mh{l}"].T @ dz
+            dh = dz @ t[f"layer{l}.W_self"].T + mean.T @ (dz @ t[f"layer{l}.W_neigh"].T)
+        else:
+            p, alpha = cache[f"p{l}"], cache[f"alpha{l}"]
+            d_alpha = dz @ p.T
+            de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
+            dpre = de * np.where(cache[f"pre{l}"] > 0, 1.0, 0.2)
+            dpre[~mask] = 0.0
+            ds, dt = dpre.sum(axis=1), dpre.sum(axis=0)
+            dp = alpha.T @ dz + ds[:, None] * t[f"layer{l}.a_src"][None, :]
+            dp += dt[:, None] * t[f"layer{l}.a_dst"][None, :]
+            grads.tensors[f"layer{l}.a_src"] = p.T @ ds
+            grads.tensors[f"layer{l}.a_dst"] = p.T @ dt
+            grads.tensors[f"layer{l}.W"] = h_in.T @ dp
+            dh = dp @ t[f"layer{l}.W"].T
+    return loss, grads, logits
+
+
+def oracle_batch(params, batch):
+    """Mean of the oracle's per-sample losses and gradients."""
+    results = [oracle_loss_and_grads(params, g) for g in batch]
+    loss = float(np.mean([r[0] for r in results]))
+    grads = {k: np.mean([r[1].tensors[k] for r in results], axis=0) for k in params.tensors}
+    return loss, grads
+
+
+def graph_with_isolated_node(rng, n_nodes, in_dim):
+    """A random tree over all nodes but the last, which has no edge."""
+    g = random_graph(rng, n_nodes - 1, in_dim)
+    feats = np.vstack([g.features, rng.normal(size=(1, in_dim))])
+    return make_graph(feats, g.edges, label=g.label, sample_id="isolated")
+
+
+@st.composite
+def mixed_batches(draw):
+    """1 to 6 graphs of 2 to 12 nodes, sometimes one with an isolated node."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    sizes = draw(st.lists(st.integers(2, 12), min_size=1, max_size=6))
+    batch = [random_graph(rng, n, 6) for n in sizes]
+    if draw(st.booleans()):
+        batch.insert(draw(st.integers(0, len(batch))),
+                     graph_with_isolated_node(rng, draw(st.integers(3, 12)), 6))
+    return batch, draw(st.integers(0, 2**16)), draw(st.sampled_from([0.0, 0.62, 1.0]))
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@settings(max_examples=60, deadline=None)
+@given(case=mixed_batches())
+def test_batch_equals_per_sample_oracle(arch, case):
+    batch, seed, lam = case
+    params = make_params(arch, hidden=5, layers=3, lam=lam, seed=seed)
+    loss, grads = loss_and_grads(params, batch)
+    ref_loss, ref_grads = oracle_batch(params, batch)
+    assert abs(loss - ref_loss) <= 1e-10
+    for k in params.tensors:
+        assert np.max(np.abs(grads.tensors[k] - ref_grads[k])) <= 1e-10, k
+    for g in batch:
+        assert np.max(np.abs(forward(params, g)[1] - oracle_loss_and_grads(params, g)[2])) <= 1e-10
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_shuffled_batch_gives_same_result(arch):
+    rng = np.random.Generator(np.random.PCG64(41))
+    batch = [random_graph(rng, n, 6) for n in (2, 9, 4, 12, 3, 7, 5)]
+    params = make_params(arch, hidden=5, layers=3, lam=0.62)
+    loss, grads = loss_and_grads(params, batch)
+    shuffled_loss, shuffled = loss_and_grads(params, [batch[i] for i in rng.permutation(7)])
+    assert abs(loss - shuffled_loss) <= 1e-12
+    for k in params.tensors:
+        assert np.max(np.abs(grads.tensors[k] - shuffled.tensors[k])) <= 1e-12
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_pad_slots_change_no_logit(arch):
+    from uen.gnn import _forward, _operator, _pack
+
+    rng = np.random.Generator(np.random.PCG64(43))
+    graphs = [random_graph(rng, n, 6) for n in (3, 5, 8)]
+    params = make_params(arch, hidden=5, layers=3, lam=0.3)
+    x, cache = _pack(params, graphs, [_operator(arch, g) for g in graphs])
+    _, logits = _forward(params, x, dict(cache))
+    # four more pad slots per graph: isolated zero-feature nodes
+    wide = {"real": np.zeros((3, 12), dtype=bool), "readout": np.zeros((3, 12)),
+            "op": np.zeros((3, 12, 12), dtype=cache["op"].dtype)}
+    for k in wide:
+        wide[k][(slice(None),) + (slice(8),) * (wide[k].ndim - 1)] = cache[k]
+    wide["op"][:, np.arange(8, 12), np.arange(8, 12)] = 1
+    h, wide_logits = _forward(params, x, wide)
+    np.testing.assert_allclose(wide_logits, logits, rtol=0, atol=1e-13)
+    assert not np.any(h[~wide["real"]])
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_evaluate_loss_equals_per_sample_oracle(arch):
+    rng = np.random.Generator(np.random.PCG64(47))
+    graphs = [random_graph(rng, int(rng.integers(2, 13)), 6) for _ in range(70)]
+    params = make_params(arch, hidden=5, layers=3, lam=0.62)
+    loss, acc = evaluate_loss(params, graphs)  # two full batches and a part
+    ref = [oracle_loss_and_grads(params, g) for g in graphs]
+    assert abs(loss - np.mean([r[0] for r in ref])) <= 1e-10
+    assert acc == np.mean([int(r[2][1] >= r[2][0]) == g.label for r, g in zip(ref, graphs)])
+
+
+def test_evaluate_loss_rejects_empty():
+    with pytest.raises(ValueError, match="no samples"):
+        evaluate_loss(make_params("gcn"), [])
 
 
 # ---------------------------------------------------------------------------
