@@ -107,4 +107,8 @@ def all_chain_representations(sample: Sample, texts: TextProvider) -> dict[str, 
 
     for c in sample.comments:
         rep(c.id)
+    # rep holds itself through its closure; clearing the name breaks that
+    # cycle, so `out` and `texts` are freed by refcount, not left to the
+    # cycle collector.
+    del rep
     return out

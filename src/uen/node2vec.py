@@ -1,19 +1,34 @@
 """User vectors from biased second-order random walks + skip-gram (SGNS).
 
 Walks follow the p/q-biased transition rule over the weighted interaction
-graph; the walk corpus then trains skip-gram with negative sampling by
-plain SGD with a linearly decaying learning rate. Everything is driven by
-explicit seeds: same graph + config => bit-identical table.
+graph. They run on a CSR adjacency over the sorted node list: the walks
+of a chunk of start nodes advance together, one step at a time. Each
+start node draws its walks' uniforms up front from its own seeded stream,
+and a step searches its row's cumulative weights the way
+`Generator.choice` does, so every walk is the one a `choice` call per
+step would give.
+
+The walk corpus then trains skip-gram with negative sampling by minibatch
+SGD. The (center, context) pairs are visited in a shuffled order,
+MINIBATCH at a time. Each pair keeps its own linearly decaying learning
+rate and its own k negatives from the unigram^3/4 law. All gradients of
+a batch are taken at the pre-batch rows and summed per row. Everything is
+driven by explicit seeds: same graph + config => bit-identical table.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .embedding import EmbeddingTable
 from .graph import InteractionGraph
+
+MINIBATCH = 256  # SGNS pairs per update
+WALK_CELLS = 1 << 14  # walks x widest neighbour row that one walker chunk may hold
 
 
 @dataclass(frozen=True)
@@ -67,47 +82,157 @@ def next_step_distribution(
     return {x: w / total for x, w in weights.items()}
 
 
-def _walk_from(
-    g: InteractionGraph, start: str, cfg: Node2VecConfig, rng: np.random.Generator
-) -> list[str]:
-    walk = [start]
-    while len(walk) < cfg.walk_length:
-        cur = walk[-1]
-        prev = walk[-2] if len(walk) > 1 else None
-        dist = next_step_distribution(g, prev, cur, cfg.p, cfg.q)
-        if not dist:
-            break  # dead end: truncate, no restart
-        nodes = list(dist.keys())
-        probs = np.fromiter(dist.values(), dtype=np.float64)
-        walk.append(nodes[rng.choice(len(nodes), p=probs)])
-    return walk
+@dataclass(frozen=True)
+class _Csr:
+    """The graph's adjacency over its sorted node list, each row in the
+    graph's neighbour order, plus every edge as a sorted `row * V + nbr` key."""
+
+    nodes: list
+    indptr: np.ndarray
+    nbr: np.ndarray
+    weight: np.ndarray
+    keys: np.ndarray
+
+
+def _csr(g: InteractionGraph) -> _Csr:
+    nodes = sorted(g.nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    rows = [g.neighbors(n) for n in nodes]
+    deg = np.fromiter(map(len, rows), np.int64, len(nodes))
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    flat = list(chain.from_iterable(rows))
+    nbr = np.fromiter((index[x] for x, _ in flat), np.int64, len(flat))
+    weight = np.fromiter((float(w) for _, w in flat), np.float64, len(flat))
+    src = np.repeat(np.arange(len(nodes)), deg)
+    keys = np.sort(src * len(nodes) + nbr)
+    if not np.array_equal(keys, np.sort(nbr * len(nodes) + src)):
+        raise ValueError("interaction graph adjacency is not symmetric")
+    return _Csr(nodes, indptr, nbr, weight, keys)
+
+
+def _advance(csr: _Csr, path: np.ndarray, uniforms: np.ndarray, p: float, q: float) -> None:
+    """Fill path[:, 1:] from the start nodes in path[:, 0], one step for all
+    rows at a time; step t of row r uses uniforms[r, t - 1]. Every start
+    node must have a neighbour, so (the graph being undirected) no walk
+    meets a dead end."""
+    n_rows, length = path.shape
+    v, last = len(csr.nodes), len(csr.nbr) - 1
+    rows = np.arange(n_rows)
+    for t in range(1, length):
+        cur = path[:, t - 1]
+        start = csr.indptr[cur]
+        deg = csr.indptr[cur + 1] - start
+        cols = np.arange(deg.max())
+        slot = np.minimum(start[:, None] + cols, last)
+        x = csr.nbr[slot]
+        w = np.where(cols < deg[:, None], csr.weight[slot], 0.0)
+        if t > 1:
+            prev = path[:, t - 2, None]
+            key = prev * v + x
+            common = csr.keys[np.minimum(np.searchsorted(csr.keys, key), len(csr.keys) - 1)] == key
+            w *= np.where(x == prev, 1.0 / p, np.where(common, 1.0, 1.0 / q))
+        # Generator.choice(p=w / sum(w)): cdf = cumsum(p) / cdf[-1], then a
+        # right-sided search of one uniform. Pad columns repeat the final
+        # cdf value 1.0, which no uniform reaches.
+        cdf = np.cumsum(w / np.cumsum(w, axis=1)[:, -1:], axis=1)
+        cdf /= cdf[:, -1:]
+        path[:, t] = x[rows, np.count_nonzero(cdf <= uniforms[:, t - 1, None], axis=1)]
 
 
 def sample_walks(g: InteractionGraph, cfg: Node2VecConfig) -> list[list[str]]:
     """walks_per_node walks per node, each from its own node-derived RNG stream.
 
-    Per-node streams make the corpus independent of iteration order, so a
-    parallel fan-out would merge to the same result.
+    Per-node streams make the corpus independent of iteration order, so any
+    chunking of the start nodes gives the same walks. A walk from an
+    isolated node is the node alone.
     """
+    csr = _csr(g)
+    deg = np.diff(csr.indptr)
+    n, steps = cfg.walks_per_node, cfg.walk_length - 1
+    per_chunk = max(1, WALK_CELLS // (n * max(1, int(deg.max(initial=0)))))
     walks = []
-    for node in sorted(g.nodes):
-        node_seed = np.random.SeedSequence(
-            entropy=cfg.seed, spawn_key=(hash_to_u32(node),)
-        )
-        rng = np.random.Generator(np.random.PCG64(node_seed))
-        for _ in range(cfg.walks_per_node):
-            walks.append(_walk_from(g, node, cfg, rng))
+    for lo in range(0, len(csr.nodes), per_chunk):
+        starts = np.arange(lo, min(lo + per_chunk, len(csr.nodes)))
+        moving = starts[deg[starts] > 0]
+        path = np.empty((len(moving) * n, cfg.walk_length), dtype=np.int64)
+        path[:, 0] = np.repeat(moving, n)
+        if len(moving):
+            uniforms = [walk_rng(csr.nodes[s], cfg.seed).random((n, steps)) for s in moving]
+            _advance(csr, path, np.concatenate(uniforms), cfg.p, cfg.q)
+        rows = iter(path.tolist())
+        for s in starts:
+            for _ in range(n):
+                walks.append([csr.nodes[i] for i in next(rows)] if deg[s] else [csr.nodes[s]])
     return walks
 
 
-def hash_to_u32(s: str) -> int:
-    import hashlib
+def walk_rng(node: str, seed: int) -> np.random.Generator:
+    """The stream every walk from `node` draws its uniforms from."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(hash_to_u32(node),)))
+    )
 
+
+def hash_to_u32(s: str) -> int:
     return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=4).digest(), "little")
 
 
 def _sigmoid(x: np.ndarray | float):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def window_pairs(seqs: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
+    """(center, context) pairs within `window` positions of each other, as
+    (n_pairs, 2), in the order of a loop over walks, then centers, then
+    contexts left to right. Row r of `seqs` is a walk of lengths[r] indices,
+    padded on the right."""
+    width = seqs.shape[1]
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    pos = np.arange(width)[:, None]
+    inside = (pos + offsets >= 0) & (pos + offsets < lengths[:, None, None]) & (pos < lengths[:, None, None])
+    hits = np.flatnonzero(inside)  # C order: walk, center, offset
+    centers = hits // len(offsets)  # flat position in seqs
+    flat = seqs.ravel()
+    return np.stack([flat[centers], flat[centers + offsets[hits % len(offsets)]]], axis=1)
+
+
+class SgnsBatch:
+    """One SGNS minibatch update, on buffers reused by every batch of up to
+    `size` pairs. The parameters are one (2V, d) table: center rows, then
+    context rows."""
+
+    def __init__(self, size: int, k: int, d: int):
+        m = size * (k + 2)  # per pair: its center row, its context and k negatives
+        self.rows = np.empty(m, dtype=np.int64)
+        self.vecs = np.empty((m, d))
+        self.grads = np.empty((m, d))
+        self.cells = np.empty((m, d), dtype=np.int64)
+        self.cols = np.arange(d)
+        self.labels = np.zeros(k + 1)
+        self.labels[0] = 1.0
+
+    def step(self, table, centers, contexts, negatives, lr) -> None:
+        """Apply each pair's SGNS gradient, taken at the pre-batch rows and
+        scaled by its lr, summed per row. centers and contexts are (b,)
+        vocabulary indices, negatives (b, k), lr (b,)."""
+        v, d = len(table) // 2, table.shape[1]
+        b, k1 = len(centers), negatives.shape[1] + 1
+        m = b * (k1 + 1)
+        rows, vecs, grads, cells = self.rows[:m], self.vecs[:m], self.grads[:m], self.cells[:m]
+        rows[:b] = centers
+        targets = rows[b:].reshape(b, k1)
+        targets[:, 0] = contexts
+        targets[:, 1:] = negatives
+        targets += v
+        np.take(table, rows, axis=0, out=vecs, mode="clip")
+        vc, mat = vecs[:b], vecs[b:].reshape(b, k1, d)
+        g = (_sigmoid(np.einsum("bkd,bd->bk", mat, vc)) - self.labels) * lr[:, None]
+        np.matmul(g[:, None, :], mat, out=grads[:b, None, :])
+        np.multiply(g[:, :, None], vc[:, None, :], out=grads[b:].reshape(b, k1, d))
+        uniq, inv = np.unique(rows, return_inverse=True)
+        np.add((inv * d)[:, None], self.cols, out=cells)
+        summed = np.bincount(cells.ravel(), grads.ravel(), len(uniq) * d)
+        table[uniq] -= summed.reshape(-1, d)
 
 
 def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTable:
@@ -120,56 +245,41 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
         raise ValueError("empty walk corpus")
     vocab = sorted({n for w in walks for n in w})
     idx = {n: i for i, n in enumerate(vocab)}
-    v = len(vocab)
-    counts = np.zeros(v, dtype=np.float64)
-    for w in walks:
-        for n in w:
-            counts[idx[n]] += 1
-    neg_probs = counts ** 0.75
+    v, d = len(vocab), cfg.d1
+    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
+    flat = np.fromiter((idx[n] for w in walks for n in w), np.int64, int(lengths.sum()))
+    seqs = np.zeros((len(walks), lengths.max()), dtype=np.int64)
+    seqs[np.arange(seqs.shape[1]) < lengths[:, None]] = flat
+    neg_probs = np.bincount(flat, minlength=v).astype(np.float64) ** 0.75
     neg_probs /= neg_probs.sum()
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    center = (rng.random((v, cfg.d1)) - 0.5) / cfg.d1
-    context = np.zeros((v, cfg.d1), dtype=np.float64)
+    table = np.zeros((2 * v, d))
+    table[:v] = (rng.random((v, d)) - 0.5) / d
 
-    # Precompute the pair list once; epochs reshuffle it.
-    pairs = []
-    for w in walks:
-        wi = [idx[n] for n in w]
-        for i, c in enumerate(wi):
-            lo = max(0, i - cfg.window)
-            hi = min(len(wi), i + cfg.window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    pairs.append((c, wi[j]))
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = window_pairs(seqs, lengths, cfg.window)
     n_pairs = len(pairs)
     if n_pairs == 0:
         # Degenerate corpus (e.g. a single isolated node): finite init rows.
-        matrix = center.astype(np.float32)
-        return EmbeddingTable.from_rows(vocab, matrix)
+        return EmbeddingTable.from_rows(vocab, table[:v].astype(np.float32))
 
     k = cfg.negatives_per_positive
     total_steps = cfg.epochs * n_pairs
-    step = 0
-    for _ in range(cfg.epochs):
+    # Each epoch draws rng.choice(v, size=(n_pairs, k), p=neg_probs) one batch
+    # at a time: the same uniforms, searched in the same cdf as choice's.
+    cdf = neg_probs.cumsum()
+    cdf /= cdf[-1]
+    batch = SgnsBatch(min(MINIBATCH, n_pairs), k, d)
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n_pairs)
-        negatives = rng.choice(v, size=(n_pairs, k), p=neg_probs)
-        for row, pi in enumerate(order):
-            lr = cfg.learning_rate * max(1.0 - step / total_steps, 1e-4)
-            step += 1
-            c, ctx = pairs[pi]
-            targets = np.empty(k + 1, dtype=np.int64)
-            targets[0] = ctx
-            targets[1:] = negatives[row]
-            labels = np.zeros(k + 1)
-            labels[0] = 1.0
-            vc = center[c]
-            mat = context[targets]  # (k+1, d1)
-            g = (_sigmoid(mat @ vc) - labels) * lr  # SGNS loss gradient per score, times lr
-            np.subtract.at(context, targets, g[:, None] * vc[None, :])
-            center[c] -= g @ mat
-    return EmbeddingTable.from_rows(vocab, center.astype(np.float32))
+        for lo in range(0, n_pairs, MINIBATCH):
+            hi = min(lo + MINIBATCH, n_pairs)
+            negatives = cdf.searchsorted(rng.random((hi - lo, k)), side="right")
+            step = np.arange(epoch * n_pairs + lo, epoch * n_pairs + hi)
+            lr = cfg.learning_rate * np.maximum(1.0 - step / total_steps, 1e-4)
+            chosen = pairs[order[lo:hi]]
+            batch.step(table, chosen[:, 0], chosen[:, 1], negatives, lr)
+    return EmbeddingTable.from_rows(vocab, table[:v].astype(np.float32))
 
 
 def learn_user_embeddings(g: InteractionGraph, cfg: Node2VecConfig) -> EmbeddingTable:

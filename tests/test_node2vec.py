@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uen.graph import build_interaction_graph
 from uen.node2vec import (
     Node2VecConfig,
+    SgnsBatch,
     learn_user_embeddings,
     next_step_distribution,
     sample_walks,
     train_skipgram,
+    walk_rng,
+    window_pairs,
 )
 
 from conftest import star_sample
@@ -55,6 +60,69 @@ def test_isolated_node_has_empty_distribution():
     g = build_interaction_graph([star_sample("p1", author="a", commenters=("b",))])
     object.__setattr__(g, "adjacency", {**g.adjacency, "z": ()})
     assert next_step_distribution(g, None, "z", 1.0, 1.0) == {}
+
+
+def oracle_walk(g, start, cfg, rng):
+    """One walk drawn the plain way: a `choice` call per step."""
+    walk = [start]
+    while len(walk) < cfg.walk_length:
+        cur = walk[-1]
+        prev = walk[-2] if len(walk) > 1 else None
+        dist = next_step_distribution(g, prev, cur, cfg.p, cfg.q)
+        if not dist:
+            break  # dead end: truncate, no restart
+        nodes = list(dist.keys())
+        probs = np.fromiter(dist.values(), dtype=np.float64)
+        walk.append(nodes[rng.choice(len(nodes), p=probs)])
+    return walk
+
+
+def oracle_walks(g, cfg):
+    walks = []
+    for node in sorted(g.nodes):
+        rng = walk_rng(node, cfg.seed)
+        walks += [oracle_walk(g, node, cfg, rng) for _ in range(cfg.walks_per_node)]
+    return walks
+
+
+NAMES = st.sampled_from("abcdef")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.lists(st.tuples(NAMES, NAMES, st.integers(1, 3)), max_size=10),
+    isolated=st.sets(st.sampled_from("xyz"), max_size=2),
+    p=st.floats(0.1, 10.0),
+    q=st.floats(0.1, 10.0),
+    walk_length=st.integers(2, 7),
+    walks_per_node=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walks_equal_per_step_choice_oracle(edges, isolated, p, q, walk_length,
+                                            walks_per_node, seed):
+    samples = [star_sample(f"p{i}_{j}", author=u, commenters=(v,))
+               for i, (u, v, w) in enumerate(edges) for j in range(w)]
+    samples += [star_sample(f"i{u}", author=u, commenters=()) for u in sorted(isolated)]
+    g = build_interaction_graph(samples)
+    cfg = Node2VecConfig(d1=4, p=p, q=q, walk_length=walk_length,
+                         walks_per_node=walks_per_node, seed=seed)
+    assert sample_walks(g, cfg) == oracle_walks(g, cfg)
+
+
+def test_walks_equal_oracle_on_a_wide_graph():
+    # more start nodes than one walker chunk holds, with a hub and a self-loop
+    edges = [("hub", f"u{i:03d}", 1 + i % 3) for i in range(120)]
+    edges += [(f"u{i:03d}", f"u{i + 1:03d}", 1) for i in range(0, 119, 2)] + [("u007", "u007", 2)]
+    g = graph_from_edges(edges)
+    cfg = Node2VecConfig(d1=4, p=0.5, q=2.0, walk_length=6, walks_per_node=3, seed=11)
+    assert sample_walks(g, cfg) == oracle_walks(g, cfg)
+
+
+def test_asymmetric_adjacency_rejected():
+    g = graph_from_edges([("a", "b", 1)])
+    object.__setattr__(g, "adjacency", {"a": (("b", 1),), "b": ()})
+    with pytest.raises(ValueError):
+        sample_walks(g, Node2VecConfig(d1=4, walk_length=3, walks_per_node=1))
 
 
 def test_single_edge_walks_alternate():
@@ -133,6 +201,86 @@ def test_sgns_gradients_match_finite_differences():
             dm[r, i] = h
             num = (loss_at(vc, ctx + dm) - loss_at(vc, ctx - dm)) / (2 * h)
             assert num == pytest.approx(grad_ctx[r, i], rel=1e-4, abs=1e-8)
+
+
+def oracle_pairs(index_walks, window):
+    """(center, context) pairs by plain loops over walks, centers, contexts."""
+    pairs = []
+    for wi in index_walks:
+        for i, c in enumerate(wi):
+            lo = max(0, i - window)
+            hi = min(len(wi), i + window + 1)
+            for j in range(lo, hi):
+                if j != i:
+                    pairs.append((c, wi[j]))
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def padded(index_walks):
+    lengths = np.array([len(w) for w in index_walks])
+    seqs = np.full((len(index_walks), lengths.max()), -1, dtype=np.int64)
+    for r, w in enumerate(index_walks):
+        seqs[r, : len(w)] = w
+    return seqs, lengths
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    index_walks=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=9),
+                         min_size=1, max_size=6),
+    window=st.integers(1, 10),
+)
+def test_window_pairs_equal_loops(index_walks, window):
+    got = window_pairs(*padded(index_walks), window)
+    assert np.array_equal(got, oracle_pairs(index_walks, window))
+
+
+@pytest.mark.parametrize("index_walks, window", [
+    ([[0, 0, 0, 0]], 5),  # one-node graph: a self-loop walk shorter than the window
+    ([[0], [1], [2]], 3),  # isolated nodes only: no pairs
+    ([[0, 1], [2, 3, 4, 5, 6, 7, 8, 9, 10, 11], [5]], 4),
+])
+def test_window_pairs_edge_cases(index_walks, window):
+    got = window_pairs(*padded(index_walks), window)
+    want = oracle_pairs(index_walks, window)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_minibatch_step_sums_per_pair_gradients():
+    rng = np.random.Generator(np.random.PCG64(5))
+    v, d, k = 4, 6, 3
+    table = rng.normal(size=(2 * v, d))
+    # row 0 is the center of three pairs; context row 1 recurs within one
+    # pair's targets and across pairs
+    centers = np.array([0, 1, 0, 3, 0])
+    contexts = np.array([1, 1, 2, 0, 1])
+    negatives = np.array([[1, 1, 2], [0, 3, 3], [1, 2, 0], [2, 2, 2], [3, 1, 0]])
+    lr = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
+    want = table.copy()
+    labels = np.r_[1.0, np.zeros(k)]
+    for c, x, negs, rate in zip(centers, contexts, negatives, lr):
+        targets = np.r_[x, negs]
+        _, grad_c, grad_ctx = sgns_loss_and_grads(table[c], table[v + targets], labels)
+        want[c] -= rate * grad_c
+        for t, grad in zip(targets, grad_ctx):
+            want[v + t] -= rate * grad
+    got = table.copy()
+    SgnsBatch(8, k, d).step(got, centers, contexts, negatives, lr)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_batched_negative_draws_equal_one_choice_call():
+    # train_skipgram draws each epoch's negatives batch by batch; the stream
+    # and the searched cdf must match one rng.choice call over the epoch
+    probs = np.array([1.0, 4.0, 0.5, 2.5]) ** 0.75
+    probs /= probs.sum()
+    want = np.random.Generator(np.random.PCG64(3)).choice(4, size=(10, 3), p=probs)
+    rng = np.random.Generator(np.random.PCG64(3))
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    got = np.concatenate([cdf.searchsorted(rng.random((n, 3)), side="right")
+                          for n in (4, 4, 2)])
+    assert np.array_equal(got, want)
 
 
 def clique_graph(members, tag):
