@@ -327,8 +327,9 @@ def train(
         raise ValueError("train and val splits must be non-empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     params = init_params(cfg, in_dim, rng)
-    m = params.zeros_like()
-    v = params.zeros_like()
+    flat = _flatten(params)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     history: list[dict] = []
@@ -350,13 +351,14 @@ def train(
                 raise DivergenceError(f"loss diverged at epoch {epoch}", history)
             epoch_losses.append(loss)
             step += 1
-            for k in params.tensors:
-                gk = grads.tensors[k]
-                m.tensors[k] = beta1 * m.tensors[k] + (1 - beta1) * gk
-                v.tensors[k] = beta2 * v.tensors[k] + (1 - beta2) * gk * gk
-                m_hat = m.tensors[k] / (1 - beta1**step)
-                v_hat = v.tensors[k] / (1 - beta2**step)
-                params.tensors[k] -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+            g = np.concatenate([grads.tensors[k].ravel() for k in params.tensors])
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**step)
+            v_hat = v / (1 - beta2**step)
+            flat -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
         val_loss, val_acc = _evaluate(params, val_graphs, val_ops, cfg.batch_size)
         history.append(
             {
@@ -370,6 +372,17 @@ def train(
             best_val = val_loss
             best = _copy_params(params)
     return best, history
+
+
+def _flatten(params: ModelParams) -> np.ndarray:
+    """Move the tensors into one flat buffer and leave views of it in
+    params.tensors, so an elementwise update of the buffer updates them all."""
+    flat = np.concatenate([t.ravel() for t in params.tensors.values()])
+    start = 0
+    for k, t in params.tensors.items():
+        params.tensors[k] = flat[start : start + t.size].reshape(t.shape)
+        start += t.size
+    return flat
 
 
 def _copy_params(params: ModelParams) -> ModelParams:

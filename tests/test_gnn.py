@@ -442,6 +442,48 @@ def test_training_deterministic_history():
     assert h1 == h2
 
 
+def oracle_train(train_graphs, val_graphs, cfg, in_dim):
+    """train() with its Adam step taken tensor by tensor."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    params = init_params(cfg, in_dim, rng)
+    m, v = params.zeros_like(), params.zeros_like()
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    history, best, best_val, step = [], None, np.inf, 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(train_graphs))
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train_graphs[i] for i in order[start : start + cfg.batch_size]]
+            loss, grads = loss_and_grads(params, batch)
+            losses.append(loss)
+            step += 1
+            for k, gk in grads.tensors.items():
+                m.tensors[k] = beta1 * m.tensors[k] + (1 - beta1) * gk
+                v.tensors[k] = beta2 * v.tensors[k] + (1 - beta2) * gk * gk
+                m_hat = m.tensors[k] / (1 - beta1**step)
+                v_hat = v.tensors[k] / (1 - beta2**step)
+                params.tensors[k] -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+        val_loss, val_acc = evaluate_loss(params, val_graphs)
+        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
+                        "val_loss": val_loss, "val_acc": val_acc})
+        if val_loss < best_val:
+            best_val, best = val_loss, {k: t.copy() for k, t in params.tensors.items()}
+    return best, history
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_flat_adam_equals_per_tensor_adam(arch):
+    rng = np.random.Generator(np.random.PCG64(37))
+    graphs = [random_graph(rng, int(rng.integers(2, 6)), 6) for _ in range(60)]
+    cfg = GnnConfig(arch=arch, hidden=5, lam=0.4, epochs=3, seed=2)
+    model, history = train(graphs[:44], graphs[44:], cfg, in_dim=6)
+    want, want_history = oracle_train(graphs[:44], graphs[44:], cfg, in_dim=6)
+    assert history == want_history
+    assert model.tensors.keys() == want.keys()
+    for k, t in want.items():
+        assert np.array_equal(model.tensors[k], t), k
+
+
 def test_training_with_paper_lambda_completes():
     rng = np.random.Generator(np.random.PCG64(23))
     graphs = separable_graphs(rng, 40)
