@@ -19,6 +19,7 @@ driven by explicit seeds: same graph + config => bit-identical table.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from itertools import chain
 
@@ -167,14 +168,12 @@ def sample_walks(g: InteractionGraph, cfg: Node2VecConfig) -> list[list[str]]:
 
 
 def walk_rng(node: str, seed: int) -> np.random.Generator:
-    """The stream every walk from `node` draws its uniforms from."""
+    """The stream every walk from `node` draws its uniforms from. Its spawn
+    key is a 128-bit hash of the node id, so no two nodes of any realistic
+    graph share a stream."""
+    key = struct.unpack("<4I", hashlib.blake2b(node.encode("utf-8"), digest_size=16).digest())
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(hash_to_u32(node),)))
-    )
-
-
-def hash_to_u32(s: str) -> int:
-    return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=4).digest(), "little")
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _sigmoid(x: np.ndarray | float):
@@ -189,7 +188,8 @@ def window_pairs(seqs: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarr
     width = seqs.shape[1]
     offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
     pos = np.arange(width)[:, None]
-    inside = (pos + offsets >= 0) & (pos + offsets < lengths[:, None, None]) & (pos < lengths[:, None, None])
+    ends = lengths[:, None, None]
+    inside = (pos < ends) & (pos + offsets >= 0) & (pos + offsets < ends)
     hits = np.flatnonzero(inside)  # C order: walk, center, offset
     centers = hits // len(offsets)  # flat position in seqs
     flat = seqs.ravel()
@@ -224,7 +224,7 @@ class SgnsBatch:
         targets[:, 0] = contexts
         targets[:, 1:] = negatives
         targets += v
-        np.take(table, rows, axis=0, out=vecs, mode="clip")
+        np.take(table, rows, axis=0, out=vecs, mode="clip")  # "raise" would buffer `out`
         vc, mat = vecs[:b], vecs[b:].reshape(b, k1, d)
         g = (_sigmoid(np.einsum("bkd,bd->bk", mat, vc)) - self.labels) * lr[:, None]
         np.matmul(g[:, None, :], mat, out=grads[:b, None, :])
