@@ -44,25 +44,24 @@ def assemble(
     """
     node_order = [sample.post_id] + [c.id for c in sample.comments]
     pos = {nid: i for i, nid in enumerate(node_order)}
-    rows = []
     post_text = np.asarray(texts(sample.text_key), dtype=np.float64)
+    d2 = post_text.shape[0]
     if resolver is None:
-        rows.append(post_text)
-        for c in sample.comments:
-            rows.append(np.asarray(texts(c.text_key), dtype=np.float64))
+        features = np.empty((len(node_order), d2))
+        features[0] = post_text
+        for i, c in enumerate(sample.comments, 1):
+            features[i] = texts(c.text_key)
     else:
-        post_author = sample.resolved_author(common_author)
-        rows.append(
-            np.concatenate([post_text, resolver(post_author, ("post", sample))])
-        )
-        for c in sample.comments:
-            tvec = np.asarray(texts(c.text_key), dtype=np.float64)
-            uvec = resolver(c.author, ("comment", sample, c.id))
-            rows.append(np.concatenate([tvec, uvec]))
+        post_user = resolver(sample.resolved_author(common_author), ("post", sample))
+        features = np.empty((len(node_order), d2 + len(post_user)))
+        features[0, :d2], features[0, d2:] = post_text, post_user
+        for i, c in enumerate(sample.comments, 1):
+            features[i, :d2] = texts(c.text_key)
+            features[i, d2:] = resolver(c.author, ("comment", sample, c.id))
     edges = tuple((pos[p], pos[c]) for p, c in sample.edges())
     return SampleGraph(
         node_order=tuple(node_order),
-        features=np.stack(rows),
+        features=features,
         edges=edges,
         label=sample.label,
         sample_id=sample.post_id,
@@ -70,14 +69,16 @@ def assemble(
 
 
 def chain_prefix_representation(
-    sample: Sample, comment_id: str, texts: TextProvider
+    sample: Sample, comment_id: str, texts: TextProvider, by_id: Optional[dict] = None
 ) -> np.ndarray:
     """Sum of text vectors from the first-level comment down to comment_id.
 
     The post's own text vector is excluded; a top-level comment is just its
-    own vector.
+    own vector. The sum runs from comment_id up to the root. `by_id`, the
+    sample's {comment id: comment} map, is built here when not given.
     """
-    by_id = {c.id: c for c in sample.comments}
+    if by_id is None:
+        by_id = {c.id: c for c in sample.comments}
     if comment_id not in by_id:
         raise KeyError(f"comment {comment_id!r} not in sample {sample.post_id!r}")
     total = None

@@ -5,13 +5,20 @@ H1 finds authors of textually similar posts, H2 finds authors of similar
 comments under those posts, H3 compares comments by their reply-chain
 prefix sums instead of raw text. The index is a brute-force normalized
 matrix scan, exact by construction.
+
+Retrieval works on row numbers throughout. `topk_rows` keeps the rows that
+an `np.partition` puts at or above the k-th score and orders them with one
+`np.lexsort` by (-score, rank of the key), the key ranks being cached per
+index. A mean over hit authors gathers their table rows in one indexing
+step. Neither changes a bit of what a full (-score, key) sort and a stack
+of per-author rows would give.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,6 +65,15 @@ class SimIndex:
         """`vectors` as float64, the precision queries are scored in; made once."""
         return self.vectors.astype(np.float64)
 
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Each row's place in a stable sort of `keys`: ordering rows by rank
+        orders them by key, equal keys in row order."""
+        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return rank
+
 
 def build_index(entries) -> SimIndex:
     """entries: iterable of (key, vector, owner). Rows are normalized here."""
@@ -93,8 +109,8 @@ def _unit_query(query, dim: int) -> np.ndarray:
     return query / qnorm if qnorm > 0 else query
 
 
-def topk(index: SimIndex, query: np.ndarray, k: int) -> list[tuple[str, str, float]]:
-    """Exact cosine top-k, descending score, ties broken by key ascending.
+def topk_rows(index: SimIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact cosine top-k as (rows, scores): descending score, ties by key ascending.
 
     A partition finds the k-th best score; every row that ties it stays a
     candidate, so ordering the candidates alone gives what a full sort would.
@@ -104,28 +120,44 @@ def topk(index: SimIndex, query: np.ndarray, k: int) -> list[tuple[str, str, flo
         raise FormatError("topk on an empty index")
     scores = index.vectors64 @ _unit_query(query, index.dim)
     if k <= 0:
-        return []
+        return np.empty(0, dtype=np.intp), scores[:0]
     if k < n:
         kth = np.partition(scores, n - k)[n - k]
-        rows = np.flatnonzero(scores >= kth).tolist()
+        cand = np.flatnonzero(scores >= kth)
+        rows = cand[np.lexsort((index.rank[cand], -scores[cand]))[:k]]
     else:
-        rows = range(n)
-    rows = sorted(rows, key=lambda i: (-scores[i], index.keys[i]))[:k]
-    return [(index.keys[i], index.owners[i], float(scores[i])) for i in rows]
+        rows = np.lexsort((index.rank, -scores))
+    return rows, scores[rows]
 
 
-def _mean_user(users: EmbeddingTable, owners) -> np.ndarray:
+def topk(index: SimIndex, query: np.ndarray, k: int) -> list[tuple[str, str, float]]:
+    """`topk_rows` as (key, owner, score) triples."""
+    rows, scores = topk_rows(index, query, k)
+    return [(index.keys[i], index.owners[i], s)
+            for i, s in zip(rows.tolist(), scores.tolist())]
+
+
+def _mean_user(users: EmbeddingTable, index: SimIndex, rows: np.ndarray) -> np.ndarray:
+    """Mean table vector of the owners of `rows` of `index`, gathered at once."""
+    owners, where = index.owners, users.index
     try:
-        rows = np.stack([users.vector(owner) for owner in owners]).astype(np.float64)
+        table_rows = [where[owners[i]] for i in rows.tolist()]
     except KeyError as exc:
         raise FormatError(f"training user {exc} has no row in the user table; embed "
                           "the users of this training split") from None
-    return rows.mean(axis=0)
+    return users.matrix[table_rows].astype(np.float64).mean(axis=0)
 
 
-def _global_mean(users: EmbeddingTable, why: str) -> np.ndarray:
+def _table_mean(users: EmbeddingTable) -> np.ndarray:
+    """The table's column mean in float64; read-only, since callers share it."""
+    mean = users.mean_vector().astype(np.float64)
+    mean.setflags(write=False)
+    return mean
+
+
+def _global_mean(table_mean: Callable[[], np.ndarray], why: str) -> np.ndarray:
     logger.warning("%s; falling back to global mean user vector", why)
-    return users.mean_vector().astype(np.float64)
+    return table_mean()
 
 
 def map_cold_author(
@@ -133,8 +165,8 @@ def map_cold_author(
 ) -> np.ndarray:
     """Mean user vector of the k1 most text-similar training posts' authors."""
     if len(post_index) == 0:
-        return _global_mean(users, "empty post index")
-    return _mean_user(users, [owner for _, owner, _ in topk(post_index, post_vec, k1)])
+        return _global_mean(lambda: _table_mean(users), "empty post index")
+    return _mean_user(users, post_index, topk_rows(post_index, post_vec, k1)[0])
 
 
 def _concat(blocks) -> SimIndex:
@@ -196,27 +228,28 @@ def build_train_side(
 class _ColdSample:
     """Retrieval state shared by every cold occurrence of one sample.
 
-    H1 hits, the author vector they give and the H2 candidate pool are
-    computed on first use and reused by the sample's other occurrences.
+    H1 hits, the author vector they give, the H2 candidate pool and the
+    sample's comment-id map are computed on first use and reused by the
+    sample's other occurrences. `table_mean` gives the user table's mean.
     """
 
-    def __init__(self, sample, train_side, texts, users, cfg):
+    def __init__(self, sample, train_side, texts, users, cfg, table_mean):
         self.sample, self.side, self.texts, self.users, self.cfg = (
             sample, train_side, texts, users, cfg)
+        self.table_mean = table_mean
 
     @cached_property
-    def post_hits(self) -> list[tuple[str, str, float]]:
-        """H1: the k1 training posts nearest this sample's post text."""
+    def post_hits(self) -> np.ndarray:
+        """H1: rows of the k1 training posts nearest this sample's post text."""
         post_vec = np.asarray(self.texts(self.sample.text_key), dtype=np.float64)
-        return topk(self.side.post_index, post_vec, self.cfg.k1)
+        return topk_rows(self.side.post_index, post_vec, self.cfg.k1)[0]
 
     @cached_property
     def author_vector(self) -> np.ndarray:
         """H1 author mapping; read-only, since every caller gets this one array."""
         if len(self.side.post_index) == 0:
-            vec = _global_mean(self.users, "empty post index")
-        else:
-            vec = _mean_user(self.users, [owner for _, owner, _ in self.post_hits])
+            return _global_mean(self.table_mean, "empty post index")
+        vec = _mean_user(self.users, self.side.post_index, self.post_hits)
         vec.setflags(write=False)
         return vec
 
@@ -225,26 +258,29 @@ class _ColdSample:
         """H2 candidates: the comments under the H1 posts in hit order, or
         every training comment with H1 off."""
         if "h1" in self.cfg.heuristics:
-            by_post = self.side.comments_by_post
-            return _concat(by_post[key] for key, _, _ in self.post_hits)
+            by_post, keys = self.side.comments_by_post, self.side.post_index.keys
+            return _concat(by_post[keys[i]] for i in self.post_hits.tolist())
         return self.side.all_comments
+
+    @cached_property
+    def comments_by_id(self) -> dict:
+        return {c.id: c for c in self.sample.comments}
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
         """H2 (with H3 chain sums if enabled): mean author of the k2 nearest pool rows."""
         h1 = "h1" in self.cfg.heuristics
         if h1 and len(self.side.post_index) == 0:
-            return _global_mean(self.users, "empty post index")
+            return _global_mean(self.table_mean, "empty post index")
         if len(self.pool) == 0:
             if h1:
                 return self.author_vector
-            return _global_mean(self.users, "no training comments to match")
+            return _global_mean(self.table_mean, "no training comments to match")
         if "h3" in self.cfg.heuristics:
-            rep = chain_prefix_representation(self.sample, comment_id, self.texts)
+            rep = chain_prefix_representation(self.sample, comment_id, self.texts,
+                                              self.comments_by_id)
         else:
-            comment = next(c for c in self.sample.comments if c.id == comment_id)
-            rep = self.texts(comment.text_key)
-        hits = topk(self.pool, rep, self.cfg.k2)
-        return _mean_user(self.users, [owner for _, owner, _ in hits])
+            rep = self.texts(self.comments_by_id[comment_id].text_key)
+        return _mean_user(self.users, self.pool, topk_rows(self.pool, rep, self.cfg.k2)[0])
 
 
 def map_cold_commenter(
@@ -257,7 +293,8 @@ def map_cold_commenter(
 ) -> np.ndarray:
     """H1 narrows to similar posts, H3 transforms comments to chain sums,
     H2 retrieves the k2 nearest comments and averages their authors."""
-    return _ColdSample(sample, train_side, texts, users, cfg).commenter_vector(comment_id)
+    return _ColdSample(sample, train_side, texts, users, cfg,
+                       lambda: _table_mean(users)).commenter_vector(comment_id)
 
 
 def make_resolver(
@@ -274,10 +311,11 @@ def make_resolver(
     retrieval state of the last sample it saw, so the cold occurrences of
     one sample share their H1 hits and H2 pool. Its `train_side` may be a
     function that builds it: it is then called on the first cold occurrence
-    that needs retrieval, and never if none does.
+    that needs retrieval, and never if none does. The table mean is
+    computed once, when first needed.
     """
     if mode == "mean-fallback":
-        mean = users.mean_vector().astype(np.float64)
+        mean = _table_mean(users)
 
         def resolver(user_id, context):
             if user_id in users:
@@ -291,13 +329,14 @@ def make_resolver(
         h1 = "h1" in cfg.heuristics
         h2 = "h2" in cfg.heuristics
         current: _ColdSample | None = None
+        table_mean = cache(lambda: _table_mean(users))
 
         def cold(sample) -> _ColdSample:
             nonlocal current, train_side
             if callable(train_side):
                 train_side = train_side()
             if current is None or current.sample is not sample:
-                current = _ColdSample(sample, train_side, texts, users, cfg)
+                current = _ColdSample(sample, train_side, texts, users, cfg, table_mean)
             return current
 
         def resolver(user_id, context):
@@ -307,7 +346,7 @@ def make_resolver(
                 return cold(context[1]).commenter_vector(context[2])
             if h1:
                 return cold(context[1]).author_vector
-            return users.mean_vector().astype(np.float64)
+            return table_mean()
 
         return resolver
     raise ValueError(f"unknown resolver mode {mode!r}")

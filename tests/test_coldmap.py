@@ -10,6 +10,7 @@ from uen.coldmap import (
     ColdMapConfig,
     SimIndex,
     TrainSideData,
+    _concat,
     build_index,
     build_train_side,
     map_cold_author,
@@ -126,6 +127,32 @@ def test_topk_equals_full_sort_property(case):
     order = sorted(range(len(idx)), key=lambda i: (-scores[i], idx.keys[i]))
     want = [(idx.keys[i], idx.owners[i], float(scores[i])) for i in order[:k]]
     assert topk(idx, query, k) == want
+
+
+@st.composite
+def blocks_and_query(draw):
+    """Like index_and_query, with the rows cut into blocks as H2 pools are."""
+    idx, query, k = draw(index_and_query())
+    cuts = sorted(draw(st.lists(st.integers(0, len(idx)), max_size=4)))
+    bounds = [0, *cuts, len(idx)]
+    blocks = [SimIndex(keys=idx.keys[a:b], vectors=idx.vectors[a:b],
+                       owners=idx.owners[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return blocks, query, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks_and_query())
+def test_topk_over_concatenated_blocks_equals_full_sort(case):
+    blocks, query, k = case
+    pool = _concat(blocks)
+    # one product over the stacked blocks scores every row as topk does
+    keys = [key for b in blocks for key in b.keys]
+    owners = [owner for b in blocks for owner in b.owners]
+    norm = np.linalg.norm(query)
+    scores = np.concatenate([b.vectors for b in blocks]).astype(np.float64) @ (
+        query / norm if norm > 0 else query)
+    want = sorted(zip(keys, owners, scores.tolist()), key=lambda t: (-t[2], t[0]))[:k]
+    assert topk(pool, query, k) == want
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +409,33 @@ def test_resolver_determinism(texts):
     assert np.array_equal(a, b)
 
 
+def test_resolver_reduces_the_table_once_for_mean_fallbacks(texts, monkeypatch, caplog):
+    from uen.embedding import EmbeddingTable
+
+    users = all_users()
+    want = users.mean_vector().astype(np.float64)
+    calls = []
+    mean_vector = EmbeddingTable.mean_vector
+    monkeypatch.setattr(EmbeddingTable, "mean_vector",
+                        lambda self: calls.append(1) or mean_vector(self))
+    cold = make_sample("q", author="ghost", comments=[
+        make_comment("qc0", "y", "q", text_key="alpha beta")])
+    occurrences = [("ghost", ("post", cold)), ("y", ("comment", cold, "qc0"))] * 2
+    empty_side = build_train_side([], texts)
+    # an empty post index logs each fallback; the sample's author vector is reused
+    for side, heuristics, logged in ((empty_side, {"h1", "h2", "h3"}, 3),
+                                     (build_train_side(train_samples_fixture(), texts),
+                                      set(), 0)):
+        calls.clear()
+        caplog.clear()
+        resolver = make_resolver("cold-mapper", users, train_side=side, texts=texts,
+                                 cfg=ColdMapConfig(heuristics=frozenset(heuristics)))
+        for user_id, context in occurrences:
+            assert np.array_equal(resolver(user_id, context), want)
+        assert calls == [1]
+        assert sum("global mean" in r.getMessage() for r in caplog.records) == logged
+
+
 def test_make_resolver_validation():
     users = all_users()
     with pytest.raises(ValueError, match="unknown resolver"):
@@ -473,6 +527,38 @@ def test_resolver_equals_per_occurrence_reference(texts, heuristics):
                    for occ in per_sample if i < len(occ)]
     cold = [(u, ctx) for u, ctx in in_order + interleaved if u not in users]
     assert len(cold) >= 40
+    for user_id, context in cold:
+        got = resolver(user_id, context)
+        want = reference_resolve(user_id, context, train, texts, users, cfg)
+        assert np.array_equal(got, want), (user_id, context[0], context[1].post_id)
+
+
+def test_resolver_equals_reference_at_acceptance_k(texts):
+    from uen.corpus import temporal_split
+    from uen.synth import SynthConfig, generate
+
+    corpus = generate(SynthConfig(n_samples=300, n_users=60, seed=11,
+                                  cold_user_rate_test=0.5))
+    split = temporal_split(corpus)
+    train = list(split.train)
+    users = random_user_table(sorted({u for s in train for u in s.users()}), d1=8)
+    cfg = ColdMapConfig(k1=7, k2=40)
+    side = build_train_side(train, texts)
+    resolver = make_resolver("cold-mapper", users, train_side=side, texts=texts, cfg=cfg)
+    cold = [(u, ctx) for s in split.val + split.test
+            for u, ctx in [(s.author, ("post", s))]
+            + [(c.author, ("comment", s, c.id)) for c in s.comments]
+            if u not in users]
+    # H1 always partitions (k1 < train posts); H2 pools must fall on both sides of k2
+    n_comments = {s.post_id: len(s.comments) for s in train}
+    pool_sizes = set()
+    for _, ctx in cold:
+        if ctx[0] == "comment":
+            hits = topk(side.post_index, texts(ctx[1].text_key), cfg.k1)
+            pool_sizes.add(sum(n_comments[key] for key, _, _ in hits))
+    assert len(side.post_index) > cfg.k1
+    assert min(pool_sizes) <= cfg.k2 < max(pool_sizes)
+    assert len(cold) >= 100
     for user_id, context in cold:
         got = resolver(user_id, context)
         want = reference_resolve(user_id, context, train, texts, users, cfg)
