@@ -40,6 +40,11 @@ class GnnConfig:
             raise ValueError(f"unknown arch {self.arch!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be in [0,1]")
+        for name in ("layers", "hidden", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not np.isfinite(self.lr) or self.lr <= 0:
+            raise ValueError("lr must be finite and > 0")
 
 
 class DivergenceError(RuntimeError):
@@ -154,6 +159,7 @@ def _pack(params: ModelParams, graphs, ops) -> tuple[np.ndarray, dict]:
     return x, {"real": real, "op": op, "readout": readout}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in the DivergenceError below
 def _forward(params: ModelParams, x, cache: dict):
     """Final node embeddings (B, n_max, hidden) and logits (B, 2) of the rows
     and cache of a packed batch; the cache also keeps what backward needs."""
@@ -418,8 +424,8 @@ def load_model(path) -> ModelParams:
         arch, lam, in_dim, hidden, layers = (
             fields[k] for k in ("arch", "lambda", "in_dim", "hidden", "layers"))
         if type(lam) not in (int, float) or not all(
-                type(v) is int and v > 0 for v in (in_dim, hidden, layers)):
-            raise ValueError("mistyped or non-positive field")
+                type(v) is int for v in (in_dim, hidden, layers)) or in_dim < 1:
+            raise ValueError("mistyped field or in_dim below 1")
         cfg = GnnConfig(arch=arch, layers=layers, hidden=hidden, lam=lam)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad model header ({exc})") from None

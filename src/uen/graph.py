@@ -72,11 +72,3 @@ def graph_stats(g: InteractionGraph) -> dict:
         "degree_histogram": dict(sorted(degree_hist.items())),
     }
 
-
-def export_edge_list(g: InteractionGraph, edges_path, nodes_path) -> None:
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        for (u, v), w in sorted(g.edges.items()):
-            fh.write(f"{u} {v} {w}\n")
-    with open(nodes_path, "w", encoding="utf-8") as fh:
-        for u in sorted(g.nodes):
-            fh.write(u + "\n")

@@ -53,6 +53,8 @@ class Node2VecConfig:
         for name in ("walks_per_node", "window", "negatives_per_positive", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 def next_step_distribution(

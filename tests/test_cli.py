@@ -1,5 +1,6 @@
 """End-to-end runs of the pipeline command line."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -34,8 +35,6 @@ def pipeline(tmp_path_factory):
             "--n-users", "30", "--seed", "0"])
     run_ok(["split", "--input", str(root / "data" / "corpus.jsonl"),
             "--out", str(root / "splits")])
-    run_ok(["graph", "--train", str(root / "splits" / "train.jsonl"),
-            "--out", str(root / "graph")])
     run_ok(["embed-users", "--train", str(root / "splits" / "train.jsonl"),
             "--out", str(root / "users"), "--d1", "8", "--walk-length", "5",
             "--walks-per-node", "2", "--epochs", "1", "--seed", "0"])
@@ -75,12 +74,6 @@ def test_split_outputs(pipeline):
         assert len(lines) == n
 
 
-def test_graph_outputs(pipeline):
-    stats = json.loads((pipeline / "graph" / "stats.json").read_text())
-    assert stats["node_count"] > 0
-    assert (pipeline / "graph" / "edges.txt").exists()
-
-
 def test_embedding_artifacts_have_sidecars(pipeline):
     for rel in ("users/users.emb", "texts/texts.emb"):
         assert (pipeline / rel).exists()
@@ -103,11 +96,34 @@ def test_eval_report_structure(pipeline):
     assert set(report["buckets"]) == {"zero", "low", "high"}
 
 
-def test_provenance_records_input_checksums(pipeline):
+def test_provenance_records_input_checksums(pipeline, tmp_path, monkeypatch):
+    """run_config.json holds the checksum of every input a command read and
+    the configs it resolved."""
+    splits, users = pipeline / "splits", pipeline / "users" / "users.emb"
+    texts = pipeline / "texts" / "texts.emb"
     config = json.loads((pipeline / "eval" / "run_config.json").read_text())
-    model_path = str(pipeline / "model" / "model.mdl")
-    assert model_path in config["inputs"]
-    assert len(config["inputs"][model_path]) == 64
+    assert set(config["inputs"]) == {str(p) for p in (
+        pipeline / "model" / "model.mdl", splits / "train.jsonl", splits / "test.jsonl", users)}
+    assert all(len(digest) == 64 for digest in config["inputs"].values())
+    assert config["configs"]["ColdMapConfig"] == {"k1": 3, "k2": 5,
+                                                  "heuristics": ["h1", "h2", "h3"]}
+    config = json.loads((pipeline / "model" / "run_config.json").read_text())
+    assert config["configs"]["GnnConfig"] == {"arch": "gcn", "layers": 3, "hidden": 8,
+                                              "lam": 0.5, "lr": 0.01, "epochs": 2,
+                                              "batch_size": 32, "seed": 0}
+    config = json.loads((pipeline / "data" / "run_config.json").read_text())
+    assert config["configs"]["SynthConfig"]["comments_per_sample"] == [4, 10]
+
+    best = {"lam": 0.25, "k1": 2, "k2": 3}
+    monkeypatch.setattr(cli, "tune", lambda objective, space, budget, seed: (best, []))
+    run_ok(["tune", "--splits", str(splits), "--users", str(users), "--texts", str(texts),
+            "--out", str(tmp_path / "tune")])
+    config = json.loads((tmp_path / "tune" / "run_config.json").read_text())
+    assert set(config["inputs"]) == {str(p) for p in (
+        splits / "train.jsonl", splits / "val.jsonl", users, texts)}
+    assert config["configs"]["GnnConfig"]["lam"] == 0.25
+    assert config["configs"]["GnnConfig"]["epochs"] == 5
+    assert config["configs"]["ColdMapConfig"]["k1"] == 2
 
 
 def test_report_command(pipeline, tmp_path, capsys):
@@ -192,6 +208,126 @@ def test_eval_bad_artifact_is_structured_error(pipeline, tmp_path, capsys, corru
     err = json.loads(lines[0])
     assert err["error"] == "FormatError"
     assert str(users if corrupt is None else model) in err["message"]
+
+
+def test_eval_no_user_on_user_model_is_structured_error(pipeline, tmp_path, capsys):
+    rc = main(["eval", "--model", str(pipeline / "model" / "model.mdl"),
+               "--splits", str(pipeline / "splits"), "--out", str(tmp_path / "eval"),
+               "--variant", "no-user"])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "FormatError"
+    assert "model dim 264" in err["message"]
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("train", "--hidden", "0", "hidden"),
+    ("train", "--epochs", "0", "epochs"),
+    ("train", "--batch-size", "0", "batch_size"),
+    ("train", "--lr", "-1", "lr"),
+    ("train", "--lr", "nan", "lr"),
+    ("tune", "--batch-size", "0", "batch_size"),
+    ("embed-users", "--lr", "-1", "learning_rate"),
+    ("embed-users", "--lr", "inf", "learning_rate"),
+])
+def test_bad_config_value_is_structured_error(pipeline, tmp_path, command, flag, value, field):
+    inputs = {"embed-users": ["--train", str(pipeline / "splits" / "train.jsonl")]}.get(
+        command, ["--splits", str(pipeline / "splits"),
+                  "--users", str(pipeline / "users" / "users.emb")])
+    rc, err = run_captured([command, *inputs, "--out", str(tmp_path / "out"), flag, value])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{field} must be")
+
+
+def test_divergence_is_structured_error(pipeline, tmp_path):
+    rc, err = run_captured(["train", "--splits", str(pipeline / "splits"),
+                            "--users", str(pipeline / "users" / "users.emb"),
+                            "--out", str(tmp_path / "model"), "--hidden", "8",
+                            "--lr", "1e300"])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    assert json.loads(err)["error"] == "DivergenceError"
+
+
+@pytest.mark.parametrize("content", ['{"a": 1}', "[1]", '{"overall": {"n": 1}}', "not json"])
+def test_report_rejects_non_report(tmp_path, content):
+    path = tmp_path / "report.json"
+    path.write_text(content)
+    rc, err = run_captured(["report", str(path)])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "FormatError"
+    assert str(path) in err["message"]
+
+
+REQUIRED = "<required>"
+TEXT_FLAGS = {"--d2": 256, "--hash-seed": 0, "--texts": None}
+COLD_FLAGS = {"--k1": 19, "--k2": 72, "--heuristics": frozenset({"h1", "h2", "h3"})}
+MODE = {"--mode": "reddit-style"}
+# Every flag of every subcommand and its parsed default, as the parser had them
+# before the flags were made from the config dataclasses; `--heuristics` then
+# parsed to the string "h1,h2,h3", which named the same set.
+CLI_SURFACE = {
+    "synth": {
+        "--out": REQUIRED, "--n-users": 300, "--n-communities": 6, "--n-samples": 2000,
+        "--min-comments": 4, "--max-comments": 10, "--max-chain-depth": 3,
+        "--fake-fraction": 0.5, "--text-signal": 0.3, "--user-signal": 0.8,
+        "--cold-rate": 0.3, "--seed": 0,
+    },
+    "ingest": {"--input": REQUIRED, "--out": REQUIRED, **MODE},
+    "split": {"--input": REQUIRED, "--out": REQUIRED, "--train-ratio": 0.7,
+              "--val-ratio": 0.1, "--test-ratio": 0.2, **MODE},
+    "embed-users": {
+        "--train": REQUIRED, "--out": REQUIRED, "--d1": 128, "--p": 1.0, "--q": 1.0,
+        "--walk-length": 40, "--walks-per-node": 10, "--window": 5, "--negatives": 5,
+        "--epochs": 3, "--lr": 0.025, "--seed": 0, "--unweighted": False, **MODE,
+    },
+    "embed-text": {"--corpus": REQUIRED, "--out": REQUIRED, "--d2": 256, "--hash-seed": 0,
+                   **MODE},
+    "train": {
+        "--splits": REQUIRED, "--users": None, "--out": REQUIRED, "--arch": "gcn",
+        "--lam --lambda": 0.5, "--lr": 0.01, "--epochs": 20, "--batch-size": 32,
+        "--hidden": 64, "--seed": 0, "--variant": "uen", **TEXT_FLAGS, **COLD_FLAGS, **MODE,
+    },
+    "tune": {
+        "--splits": REQUIRED, "--users": REQUIRED, "--out": REQUIRED, "--arch": "gcn",
+        "--budget": 20, "--epochs": 5, "--lr": 0.01, "--batch-size": 32, "--hidden": 64,
+        "--seed": 0, **TEXT_FLAGS, **MODE,
+    },
+    "map-cold": {"--train": REQUIRED, "--test": REQUIRED, "--users": REQUIRED,
+                 "--out": REQUIRED, **TEXT_FLAGS, **COLD_FLAGS, **MODE},
+    "eval": {"--model": REQUIRED, "--splits": REQUIRED, "--users": None, "--out": REQUIRED,
+             "--variant": "uen", **TEXT_FLAGS, **COLD_FLAGS, **MODE},
+    "report": {"inputs": REQUIRED, "--out": None},
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_cli_surface_is_pinned(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CLI_SURFACE)
+    actions = [a for a in sub.choices[command]._actions
+               if not isinstance(a, argparse._HelpAction)]
+    surface = {" ".join(a.option_strings) or a.dest: a for a in actions}
+    assert set(surface) == set(CLI_SURFACE[command])
+    argv = [command]
+    for a in actions:
+        if a.required:
+            argv += [*a.option_strings[:1], "x"]
+    args = parser.parse_args(argv)
+    for flag, expected in CLI_SURFACE[command].items():
+        action = surface[flag]
+        assert action.required == (expected is REQUIRED), flag
+        if expected is not REQUIRED:
+            parsed = getattr(args, action.dest)
+            assert (type(parsed), parsed) == (type(expected), expected), flag
 
 
 def test_unknown_flag_exits(capsys):

@@ -582,6 +582,18 @@ def test_model_file_bytes_are_pinned(arch, tmp_path):
     assert json.loads((tmp_path / "model.mdl.json").read_text()) == {"sha256": digest}
 
 
+@pytest.mark.parametrize("size", ["in_dim", "hidden", "layers"])
+def test_model_load_rejects_zero_sizes(size, tmp_path):
+    from uen.embedding import FormatError
+
+    params = make_params("gcn")
+    setattr(params, size, 0)
+    path = tmp_path / "model.mdl"
+    save_model(params, path)
+    with pytest.raises(FormatError, match="bad model header"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("corrupt", MODEL_DEFECTS)
 def test_model_load_rejects_bad_layout(corrupt, tmp_path):
     """Checkpoints with a matching sidecar whose model does not hold together."""
@@ -621,3 +633,9 @@ def test_config_validation():
         GnnConfig(arch="mlp")
     with pytest.raises(ValueError):
         GnnConfig(lam=1.5)
+    for name in ("layers", "hidden", "epochs", "batch_size"):
+        with pytest.raises(ValueError, match=name):
+            GnnConfig(**{name: 0})
+    for lr in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            GnnConfig(lr=lr)

@@ -1,7 +1,7 @@
 """Global interaction graph construction and statistics."""
 
 from uen.corpus import corpus_users, temporal_split
-from uen.graph import build_interaction_graph, export_edge_list, graph_stats
+from uen.graph import build_interaction_graph, graph_stats
 from uen.synth import SynthConfig, generate
 
 from conftest import make_comment, make_sample, star_sample
@@ -104,11 +104,3 @@ def test_common_author_becomes_hub_node():
     g = build_interaction_graph([s], common_author="__common__")
     assert g.weight("__common__", "u2") == 1
 
-
-def test_export_edge_list(tmp_path):
-    s = star_sample("p1", author="u1", commenters=("u2",))
-    g = build_interaction_graph([s])
-    edges_path, nodes_path = tmp_path / "edges.txt", tmp_path / "nodes.txt"
-    export_edge_list(g, edges_path, nodes_path)
-    assert edges_path.read_text().strip() == "u1 u2 1"
-    assert nodes_path.read_text().split() == ["u1", "u2"]

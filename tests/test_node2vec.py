@@ -376,3 +376,6 @@ def test_config_validation():
         Node2VecConfig(walk_length=1)
     with pytest.raises(ValueError):
         Node2VecConfig(epochs=0)
+    for lr in (0.0, -0.025, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            Node2VecConfig(learning_rate=lr)
