@@ -11,7 +11,7 @@ them per overlap bucket:
 
 The user-signal gap shows up as no-mapper beating no-user overall; the
 mapper's contribution concentrates in the zero bucket, where every user
-in the cascade is unseen. Takes a minute or two.
+in the cascade is unseen. Takes about 10 s.
 """
 
 from uen.coldmap import ColdMapConfig

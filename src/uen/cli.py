@@ -21,7 +21,7 @@ from . import __version__, experiment
 from .coldmap import ColdMapConfig
 from .corpus import Corpus, CorpusError, load_corpus, save_corpus, temporal_split
 from .embedding import EmbeddingTable, FormatError, sha256_file
-from .evaluation import SearchSpace, save_trials, tune
+from .evaluation import SearchSpace, TuneError, save_trials, tune
 from .gnn import ARCHS, DivergenceError, GnnConfig, load_model, save_history, save_model, train
 from .graph import build_interaction_graph
 from .node2vec import Node2VecConfig, learn_user_embeddings
@@ -404,7 +404,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (CorpusError, DivergenceError, FormatError, ValueError, FileNotFoundError) as exc:
+    except (CorpusError, DivergenceError, FormatError, TuneError, ValueError,
+            FileNotFoundError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -253,6 +253,10 @@ class Trial:
     failed: bool = False
 
 
+class TuneError(RuntimeError):
+    """Every trial of a search failed."""
+
+
 def tune(
     objective: Callable[[dict], float],
     space: SearchSpace,
@@ -277,13 +281,15 @@ def tune(
         except Exception as exc:  # noqa: BLE001 - a failed trial must not kill the search
             logger.warning("trial %d failed: %s", t, exc)
             trials.append(Trial(t, params, None, failed=True))
+            last_error = exc
             continue
         trials.append(Trial(t, params, loss))
         if loss < best_loss:
             best_loss = loss
             best_params = params
     if best_params is None:
-        raise RuntimeError("all trials failed")
+        raise TuneError(f"all trials failed; the last one with "
+                        f"{type(last_error).__name__}: {last_error}")
     return best_params, trials
 
 

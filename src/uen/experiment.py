@@ -100,6 +100,8 @@ def evaluate(model: ModelParams, train_samples, test_samples, texts: TextProvide
     known = corpus_users(train_samples, common_author)
     preds, labels, ratios = [], [], []
     for s in test_samples:
+        if s.label is None:
+            raise ValueError(f"test sample {s.post_id!r} is unlabeled, so it cannot be scored")
         label, _ = predict(model, assemble(s, texts, resolver, common_author))
         preds.append(label)
         labels.append(s.label)

@@ -1,11 +1,13 @@
 """Three-layer GCN / GraphSAGE / GAT with hand-written backward passes.
 
 Per-sample graphs are tiny trees. A batch of them is padded into dense
-(B, n_max, ·) arrays: each layer is a weight product over the batch's
-nodes and one batched matmul for propagation or attention, and a single
-graph is a batch of one. Readout blends the post node with the comment
-mean through lambda, then a dense head produces two logits. Training is
-Adam on mean cross-entropy with min-validation-loss model selection.
+(B, n_max, ·) arrays, and its propagation operators are built from the
+batch's edge lists when it is packed: each layer is a weight product over
+the batch's nodes and one batched matmul for propagation or attention. A
+single graph takes the same path, as a batch of one. Readout blends the
+post node with the comment mean through lambda, then a dense head produces
+two logits. Training is Adam on mean cross-entropy with min-validation-loss
+model selection.
 """
 
 from __future__ import annotations
@@ -109,31 +111,35 @@ def init_params(cfg: GnnConfig, in_dim: int, rng: np.random.Generator) -> ModelP
 # padded batches
 
 
-def _operator(arch: str, g: SampleGraph) -> np.ndarray:
-    """The graph's (n, n) propagation operator: GCN's normalized Â, SAGE's
-    neighbour mean (an isolated node aggregates itself) or GAT's mask of
-    neighbours plus self."""
-    n = len(g.node_order)
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
-    a = np.zeros((n, n))
-    a[ends[0::2], ends[1::2]] = a[ends[1::2], ends[0::2]] = 1.0
-    if arch == "gcn":
-        a.flat[:: n + 1] += 1.0  # Â = A + I
-        d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-        return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-    deg = a.sum(axis=1)[:, None]
+def _operators(arch: str, graphs, n_max: int) -> np.ndarray:
+    """The batch's (B, n_max, n_max) propagation operators, built from its
+    edge lists: GCN's normalized Â, SAGE's neighbour mean (an isolated node
+    aggregates itself) or GAT's mask of neighbours plus self. A pad slot is
+    an isolated node, so its operator row is self-only in every arch."""
+    counts = [len(g.edges) for g in graphs]
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+                       dtype=np.intp, count=2 * sum(counts))
+    b, i, j = np.arange(len(graphs)).repeat(counts), ends[0::2], ends[1::2]
+    a = np.zeros((len(graphs), n_max, n_max))
+    a[b, i, j] = a[b, j, i] = 1.0
     if arch == "sage":
-        return np.where(deg > 0, a / np.maximum(deg, 1.0), np.eye(n))
-    return (a > 0) | np.eye(n, dtype=bool)
+        deg = a.sum(axis=2)[:, :, None]
+        return np.where(deg > 0, a / np.maximum(deg, 1.0), np.eye(n_max))
+    a.reshape(len(graphs), -1)[:, :: n_max + 1] += 1.0  # Â = A + I
+    if arch == "gat":
+        return a > 0
+    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=2))
+    return a * d_inv_sqrt[:, :, None] * d_inv_sqrt[:, None, :]
 
 
-def _pack(params: ModelParams, graphs, ops) -> tuple[np.ndarray, dict]:
+def _pack(params: ModelParams, graphs) -> tuple[np.ndarray, dict]:
     """A batch as its real node rows (R, in_dim), in graph order, and a cache
     holding its padded (B, n_max) layout: the mask of real slots, operators
     (B, n_max, n_max) and readout weights (lambda on the post, the rest
     spread over the real comments). A pad slot is an isolated zero-feature
     node: its self-only operator row gives it exactly zero output and
-    gradient in every arch, and its readout weight is zero."""
+    gradient in every arch, and its readout weight is zero. One graph is a
+    batch of one, with no pad slots."""
     for g in graphs:
         if g.features.shape[0] < 2:
             raise FormatError(f"sample {g.sample_id}: no comment nodes, so the readout's "
@@ -141,22 +147,13 @@ def _pack(params: ModelParams, graphs, ops) -> tuple[np.ndarray, dict]:
         if g.features.shape[1] != params.in_dim:
             raise FormatError(f"sample {g.sample_id}: feature dim "
                               f"{g.features.shape[1]} != model dim {params.in_dim}")
-    if len(graphs) == 1:  # no pad slots: use the graph's own arrays
-        x = np.asarray(graphs[0].features, dtype=np.float64)
-        real, op = np.ones((1, len(x)), dtype=bool), ops[0][None]
-        readout = np.full(real.shape, (1.0 - params.lam) / (len(x) - 1))
-    else:
-        counts = np.array([g.features.shape[0] for g in graphs])
-        real = np.arange(counts.max()) < counts[:, None]
-        readout = real * ((1.0 - params.lam) / (counts[:, None] - 1))
-        op = np.zeros(real.shape + real.shape[1:], dtype=ops[0].dtype)
-        for b, o in enumerate(ops):
-            op[b, : counts[b], : counts[b]] = o
-        pad_b, pad_i = np.nonzero(~real)
-        op[pad_b, pad_i, pad_i] = 1
-        x = np.concatenate([g.features for g in graphs], dtype=np.float64)
+    counts = [len(g.features) for g in graphs]
+    n_max = max(counts)
+    real = np.arange(n_max) < np.array(counts)[:, None]
+    readout = real * np.array([(1.0 - params.lam) / (n - 1) for n in counts])[:, None]
     readout[:, 0] = params.lam
-    return x, {"real": real, "op": op, "readout": readout}
+    x = np.concatenate([g.features for g in graphs], dtype=np.float64)
+    return x, {"real": real, "op": _operators(params.arch, graphs, n_max), "readout": readout}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in the DivergenceError below
@@ -198,6 +195,7 @@ def _forward(params: ModelParams, x, cache: dict):
     return h, pooled @ t["cls.W"].T + t["cls.b"]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # train checks the Adam state it feeds
 def _backward(params: ModelParams, x, cache: dict, dlogits: np.ndarray) -> dict:
     """Gradient of sum(dlogits * logits) for every tensor, given the packed
     rows `x` and the cache of their forward pass; layer 0 computes no input
@@ -245,35 +243,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _nll(logits: np.ndarray, graphs) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample cross-entropy and its gradient with respect to the logits."""
+    labels = [g.label for g in graphs]
+    if None in labels:
+        raise ValueError(f"sample {graphs[labels.index(None)].sample_id} is unlabeled")
     rows = np.arange(len(graphs))
-    labels = np.array([g.label for g in graphs])
     probs = _softmax(logits)
     dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0
     return -np.log(probs[rows, labels] + 1e-300), dlogits
-
-
-def _loss_and_grads(params: ModelParams, graphs, ops):
-    for g in graphs:
-        if g.label is None:
-            raise ValueError(f"sample {g.sample_id} is unlabeled")
-    x, cache = _pack(params, graphs, ops)
-    _, logits = _forward(params, x, cache)
-    losses, dlogits = _nll(logits, graphs)
-    grads = _backward(params, x, cache, dlogits * (1.0 / len(graphs)))
-    return float(losses.mean()), replace(params, tensors={k: grads[k] for k in params.tensors})
-
-
-def _evaluate(params: ModelParams, graphs, ops, batch_size: int) -> tuple[float, float]:
-    if not graphs:
-        raise ValueError("no samples to evaluate")
-    losses, correct = [], 0
-    for start in range(0, len(graphs), batch_size):
-        batch = graphs[start : start + batch_size]
-        _, logits = _forward(params, *_pack(params, batch, ops[start : start + batch_size]))
-        losses.append(_nll(logits, batch)[0])
-        correct += int(np.sum((logits[:, 1] >= logits[:, 0]) == [g.label for g in batch]))
-    return float(np.mean(np.concatenate(losses))), correct / len(graphs)
 
 
 def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
@@ -281,7 +258,7 @@ def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
 
     Pass a dict as `cache` to capture the intermediates, batch axis dropped.
     """
-    x, store = _pack(params, [g], [_operator(params.arch, g)])
+    x, store = _pack(params, [g])
     h, logits = _forward(params, x, store)
     if cache is not None:
         cache.update({k: v[0] for k, v in store.items()})
@@ -305,7 +282,11 @@ def loss_and_grads(params: ModelParams, batch: list[SampleGraph]):
     """Mean cross-entropy over a batch and its gradients, from one padded pass."""
     if not batch:
         raise ValueError("empty batch")
-    return _loss_and_grads(params, batch, [_operator(params.arch, g) for g in batch])
+    x, cache = _pack(params, batch)
+    _, logits = _forward(params, x, cache)
+    losses, dlogits = _nll(logits, batch)
+    grads = _backward(params, x, cache, dlogits * (1.0 / len(batch)))
+    return float(losses.mean()), replace(params, tensors={k: grads[k] for k in params.tensors})
 
 
 def predict(params: ModelParams, g: SampleGraph) -> tuple[int, float]:
@@ -316,10 +297,18 @@ def predict(params: ModelParams, g: SampleGraph) -> tuple[int, float]:
     return label, float(probs[label])
 
 
-def evaluate_loss(params: ModelParams, samples: list[SampleGraph]) -> tuple[float, float]:
-    """(mean loss, accuracy) over labeled samples."""
-    return _evaluate(params, samples, [_operator(params.arch, g) for g in samples],
-                     GnnConfig.batch_size)
+def evaluate_loss(params: ModelParams, samples: list[SampleGraph],
+                  batch_size: int = GnnConfig.batch_size) -> tuple[float, float]:
+    """(mean loss, accuracy) over labeled samples, `batch_size` at a time."""
+    if not samples:
+        raise ValueError("no samples to evaluate")
+    losses, correct = [], 0
+    for start in range(0, len(samples), batch_size):
+        batch = samples[start : start + batch_size]
+        _, logits = _forward(params, *_pack(params, batch))
+        losses.append(_nll(logits, batch)[0])
+        correct += int(np.sum((logits[:, 1] >= logits[:, 0]) == [g.label for g in batch]))
+    return float(np.mean(np.concatenate(losses))), correct / len(samples)
 
 
 def train(
@@ -341,16 +330,13 @@ def train(
     history: list[dict] = []
     best_val = np.inf
     best = _copy_params(params)
-    train_ops = [_operator(cfg.arch, g) for g in train_graphs]
-    val_ops = [_operator(cfg.arch, g) for g in val_graphs]
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_graphs))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
             try:
-                loss, grads = _loss_and_grads(params, [train_graphs[i] for i in idx],
-                                              [train_ops[i] for i in idx])
+                loss, grads = loss_and_grads(
+                    params, [train_graphs[i] for i in order[start : start + cfg.batch_size]])
             except DivergenceError as exc:
                 raise DivergenceError(str(exc), history) from exc
             if not np.isfinite(loss):
@@ -358,14 +344,17 @@ def train(
             epoch_losses.append(loss)
             step += 1
             g = np.concatenate([grads.tensors[k].ravel() for k in params.tensors])
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g * g
-            m_hat = m / (1 - beta1**step)
-            v_hat = v / (1 - beta2**step)
-            flat -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
-        val_loss, val_acc = _evaluate(params, val_graphs, val_ops, cfg.batch_size)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                m *= beta1
+                m += (1 - beta1) * g
+                v *= beta2
+                v += (1 - beta2) * g * g
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                flat -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+            if not (np.isfinite(v).all() and np.isfinite(flat).all()):
+                raise DivergenceError(f"Adam update diverged at epoch {epoch}", history)
+        val_loss, val_acc = evaluate_loss(params, val_graphs, cfg.batch_size)
         history.append(
             {
                 "epoch": epoch,

@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,69 @@ def test_divergence_is_structured_error(pipeline, tmp_path):
     assert rc == 1
     assert_ok_or_one_json_line(rc, err)
     assert json.loads(err)["error"] == "DivergenceError"
+
+
+def test_adam_overflow_is_structured_error(pipeline, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = run_captured(["train", "--splits", str(pipeline / "splits"),
+                                "--users", str(pipeline / "users" / "users.emb"),
+                                "--out", str(tmp_path / "model"), "--arch", "gat",
+                                "--lr", "1e30", "--epochs", "3"])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    assert json.loads(err) == {"error": "DivergenceError",
+                               "message": "Adam update diverged at epoch 1"}
+
+
+def test_tune_with_every_trial_failing_is_structured_error(pipeline, tmp_path):
+    rc, err = run_captured(["tune", "--splits", str(pipeline / "splits"),
+                            "--users", str(pipeline / "users" / "users.emb"),
+                            "--out", str(tmp_path / "tune"), "--hidden", "8",
+                            "--epochs", "1", "--budget", "2", "--lr", "1e300"])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "TuneError"
+    assert err["message"].startswith("all trials failed; the last one with DivergenceError")
+
+
+def unlabel_one(splits, name, tmp_path):
+    """A copy of `splits` whose `name` part has its second sample unlabeled;
+    returns the copy and that sample's post id."""
+    root = tmp_path / "unlabeled"
+    shutil.copytree(splits, root)
+    lines = (root / f"{name}.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["label"] = None
+    lines[1] = json.dumps(rec)
+    (root / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+    return root, rec["post_id"]
+
+
+def test_train_unlabeled_val_sample_is_structured_error(pipeline, tmp_path):
+    splits, post_id = unlabel_one(pipeline / "splits", "val", tmp_path)
+    rc, err = run_captured(["train", "--splits", str(splits),
+                            "--users", str(pipeline / "users" / "users.emb"),
+                            "--out", str(tmp_path / "model"), "--epochs", "1",
+                            "--hidden", "8"])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"sample {post_id} is unlabeled"}
+
+
+def test_eval_unlabeled_test_sample_is_structured_error(pipeline, tmp_path):
+    splits, post_id = unlabel_one(pipeline / "splits", "test", tmp_path)
+    rc, err = run_captured(["eval", "--model", str(pipeline / "model" / "model.mdl"),
+                            "--splits", str(splits),
+                            "--users", str(pipeline / "users" / "users.emb"),
+                            "--out", str(tmp_path / "eval"), "--k1", "3", "--k2", "5"])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "ValueError"
+    assert repr(post_id) in err["message"] and "unlabeled" in err["message"]
 
 
 @pytest.mark.parametrize("content", ['{"a": 1}', "[1]", '{"overall": {"n": 1}}', "not json"])

@@ -12,6 +12,7 @@ from uen.evaluation import (
     EXACT_LIMIT,
     SearchSpace,
     Trial,
+    TuneError,
     accuracy,
     bucketed_report,
     macro_f1,
@@ -271,6 +272,18 @@ def test_tune_all_failures_raise():
 
     with pytest.raises(RuntimeError, match="all trials failed"):
         tune(broken, SearchSpace(), budget=5, seed=0)
+
+
+def test_tune_all_failures_name_the_last_error():
+    calls = []
+
+    def broken(params):
+        calls.append(params)
+        raise ValueError(f"bad trial {len(calls)}")
+
+    with pytest.raises(TuneError, match="all trials failed; the last one with "
+                                        "ValueError: bad trial 3"):
+        tune(broken, SearchSpace(), budget=3, seed=0)
 
 
 def test_tune_rejects_zero_budget():

@@ -1,5 +1,8 @@
 """GNN forward/backward correctness, readout boundaries, and training."""
 
+import warnings
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +68,24 @@ def set_flat(params, vec):
 # ---------------------------------------------------------------------------
 # reference oracle: one sample at a time on dense per-graph matrices, the
 # forward and backward pass the padded batch replaced
+
+
+def oracle_operator(arch, g):
+    """The graph's (n, n) propagation operator, built for one graph at a time:
+    GCN's normalized Â, SAGE's neighbour mean (an isolated node aggregates
+    itself) or GAT's mask of neighbours plus self."""
+    n = len(g.node_order)
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
+    a = np.zeros((n, n))
+    a[ends[0::2], ends[1::2]] = a[ends[1::2], ends[0::2]] = 1.0
+    if arch == "gcn":
+        a.flat[:: n + 1] += 1.0  # Â = A + I
+        d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    deg = a.sum(axis=1)[:, None]
+    if arch == "sage":
+        return np.where(deg > 0, a / np.maximum(deg, 1.0), np.eye(n))
+    return (a > 0) | np.eye(n, dtype=bool)
 
 
 def oracle_loss_and_grads(params, g):
@@ -194,6 +215,24 @@ def test_batch_equals_per_sample_oracle(arch, case):
 
 
 @pytest.mark.parametrize("arch", ARCHS)
+@settings(max_examples=60, deadline=None)
+@given(case=mixed_batches())
+def test_packed_operators_equal_per_graph_oracle(arch, case):
+    from uen.gnn import _pack
+
+    batch, seed, lam = case
+    _, cache = _pack(make_params(arch, lam=lam, seed=seed), batch)
+    op = cache["op"]
+    n_max = op.shape[1]
+    for b, g in enumerate(batch):
+        n = len(g.node_order)
+        assert np.array_equal(op[b, :n, :n], oracle_operator(arch, g))
+        assert not op[b, :n, n:].any()
+        # a pad slot is an isolated node: its row is self-only
+        assert np.array_equal(op[b, n:], np.eye(n_max, dtype=op.dtype)[n:])
+
+
+@pytest.mark.parametrize("arch", ARCHS)
 def test_shuffled_batch_gives_same_result(arch):
     rng = np.random.Generator(np.random.PCG64(41))
     batch = [random_graph(rng, n, 6) for n in (2, 9, 4, 12, 3, 7, 5)]
@@ -207,12 +246,12 @@ def test_shuffled_batch_gives_same_result(arch):
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_pad_slots_change_no_logit(arch):
-    from uen.gnn import _forward, _operator, _pack
+    from uen.gnn import _forward, _pack
 
     rng = np.random.Generator(np.random.PCG64(43))
     graphs = [random_graph(rng, n, 6) for n in (3, 5, 8)]
     params = make_params(arch, hidden=5, layers=3, lam=0.3)
-    x, cache = _pack(params, graphs, [_operator(arch, g) for g in graphs])
+    x, cache = _pack(params, graphs)
     _, logits = _forward(params, x, dict(cache))
     # four more pad slots per graph: isolated zero-feature nodes
     wide = {"real": np.zeros((3, 12), dtype=bool), "readout": np.zeros((3, 12)),
@@ -239,6 +278,25 @@ def test_evaluate_loss_equals_per_sample_oracle(arch):
 def test_evaluate_loss_rejects_empty():
     with pytest.raises(ValueError, match="no samples"):
         evaluate_loss(make_params("gcn"), [])
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, 32])
+def test_evaluate_loss_rejects_unlabeled_by_name(batch_size):
+    rng = np.random.Generator(np.random.PCG64(53))
+    graphs = [random_graph(rng, 4, 6) for _ in range(6)]
+    graphs[4] = make_graph(graphs[4].features, graphs[4].edges, label=None,
+                           sample_id="unlabeled-one")
+    with pytest.raises(ValueError, match="sample unlabeled-one is unlabeled"):
+        evaluate_loss(make_params("gcn"), graphs, batch_size)
+
+
+def test_unlabeled_val_sample_fails_training_by_name():
+    rng = np.random.Generator(np.random.PCG64(59))
+    graphs = separable_graphs(rng, 20)
+    graphs[17] = make_graph(graphs[17].features, graphs[17].edges, label=None,
+                            sample_id="no-label")
+    with pytest.raises(ValueError, match="sample no-label is unlabeled"):
+        train(graphs[:16], graphs[16:], GnnConfig(epochs=1), in_dim=6)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +562,18 @@ def test_divergence_carries_history():
     graphs[3] = make_graph(bad, graphs[3].edges, label=graphs[3].label)
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
         train(graphs[:16], graphs[16:], cfg, in_dim=6)
+    assert isinstance(exc.value.history, list)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_adam_overflow_is_divergence_without_warning(arch):
+    rng = np.random.Generator(np.random.PCG64(61))
+    graphs = separable_graphs(rng, 40)
+    cfg = GnnConfig(arch=arch, lam=0.5, lr=1e60, epochs=3, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="Adam update diverged") as exc:
+            train(graphs[:32], graphs[32:], cfg, in_dim=6)
     assert isinstance(exc.value.history, list)
 
 
