@@ -120,6 +120,7 @@ def cmd_embed_users(args):
 
 
 def cmd_embed_text(args):
+    cfg = _config(args, TextEmbedConfig)
     out = _out_dir(args)
     corpus, _ = load_corpus(args.corpus, args.mode)
     texts = {}
@@ -127,7 +128,6 @@ def cmd_embed_text(args):
         texts[s.text_key] = s.text_key
         for c in s.comments:
             texts[c.text_key] = c.text_key
-    cfg = _config(args, TextEmbedConfig)
     table = build_text_table(texts, cfg)
     table.save(out / "texts.emb")
     _write_provenance(out, args, [args.corpus], cfg)
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except (CorpusError, DivergenceError, FormatError, TuneError, ValueError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

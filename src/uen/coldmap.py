@@ -9,9 +9,10 @@ matrix scan, exact by construction.
 Retrieval works on row numbers throughout. `topk_rows` keeps the rows that
 an `np.partition` puts at or above the k-th score and orders them with one
 `np.lexsort` by (-score, rank of the key), the key ranks being cached per
-index. A mean over hit authors gathers their table rows in one indexing
-step. Neither changes a bit of what a full (-score, key) sort and a stack
-of per-author rows would give.
+index. Each index row's owner is resolved to its user-table row once, for
+the post index per resolver and for a sample's H2 pool per sample, so a
+mean over hit authors is one gather of those rows. Neither changes a bit of
+what a full (-score, key) sort and a stack of per-author rows would give.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -50,7 +52,7 @@ class ColdMapConfig:
 @dataclass(frozen=True)
 class SimIndex:
     keys: tuple[str, ...]
-    vectors: np.ndarray  # (n, d) float32, rows L2-normalized (or zero)
+    vectors: np.ndarray  # (n, d) float32 (float64 if stacked), rows L2-normalized (or zero)
     owners: tuple[str, ...]
 
     def __len__(self) -> int:
@@ -63,7 +65,7 @@ class SimIndex:
     @cached_property
     def vectors64(self) -> np.ndarray:
         """`vectors` as float64, the precision queries are scored in; made once."""
-        return self.vectors.astype(np.float64)
+        return np.asarray(self.vectors, dtype=np.float64)
 
     @cached_property
     def rank(self) -> np.ndarray:
@@ -103,9 +105,9 @@ def _unit_query(query, dim: int) -> np.ndarray:
     query = np.asarray(query, dtype=np.float64)
     if query.shape[0] != dim:
         raise FormatError(f"query dim {query.shape[0]} != index dim {dim}")
-    if not np.all(np.isfinite(query)):
+    if not np.isfinite(query).all():
         raise FormatError("query has non-finite entries")
-    qnorm = np.linalg.norm(query)
+    qnorm = np.sqrt(query.dot(query))  # np.linalg.norm's formula for a 1-D vector
     return query / qnorm if qnorm > 0 else query
 
 
@@ -137,15 +139,28 @@ def topk(index: SimIndex, query: np.ndarray, k: int) -> list[tuple[str, str, flo
             for i, s in zip(rows.tolist(), scores.tolist())]
 
 
-def _mean_user(users: EmbeddingTable, index: SimIndex, rows: np.ndarray) -> np.ndarray:
-    """Mean table vector of the owners of `rows` of `index`, gathered at once."""
-    owners, where = index.owners, users.index
-    try:
-        table_rows = [where[owners[i]] for i in rows.tolist()]
-    except KeyError as exc:
-        raise FormatError(f"training user {exc} has no row in the user table; embed "
-                          "the users of this training split") from None
-    return users.matrix[table_rows].astype(np.float64).mean(axis=0)
+def _owner_rows(index: SimIndex, users: EmbeddingTable) -> np.ndarray:
+    """Each index row's owner's row in `users`, -1 for an owner it lacks."""
+    where = users.index
+    return np.fromiter((where.get(o, -1) for o in index.owners), dtype=np.intp,
+                       count=len(index))
+
+
+def _mean_user(users: EmbeddingTable, index: SimIndex, owner_rows: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """Mean table vector of the owners of `rows` of `index`, gathered at once.
+
+    `owner_rows` is `_owner_rows(index, users)`; an owner missing from the
+    table is an error only when it is among `rows`.
+    """
+    table_rows = owner_rows.take(rows)
+    if table_rows.min(initial=0) < 0:
+        owner = index.owners[rows[(table_rows < 0).argmax()]]
+        raise FormatError(f"training user {owner!r} has no row in the user table; "
+                          "embed the users of this training split")
+    # what .mean(axis=0) computes, without its wrapper calls
+    gathered = users.matrix.take(table_rows, axis=0).astype(np.float64)
+    return np.add.reduce(gathered, axis=0) / len(rows)
 
 
 def _table_mean(users: EmbeddingTable) -> np.ndarray:
@@ -166,18 +181,21 @@ def map_cold_author(
     """Mean user vector of the k1 most text-similar training posts' authors."""
     if len(post_index) == 0:
         return _global_mean(lambda: _table_mean(users), "empty post index")
-    return _mean_user(users, post_index, topk_rows(post_index, post_vec, k1)[0])
+    return _mean_user(users, post_index, _owner_rows(post_index, users),
+                      topk_rows(post_index, post_vec, k1)[0])
 
 
 def _concat(blocks) -> SimIndex:
-    """Stack non-empty indices into one, rows in block order."""
+    """Stack non-empty indices into one, rows in block order. The rows are
+    stacked straight into float64, which scoring needs, so `vectors64` is
+    `vectors` itself and no float32 copy is made."""
     blocks = [b for b in blocks if len(b)]
     if not blocks:
-        return SimIndex(keys=(), vectors=np.zeros((0, 0), dtype=np.float32), owners=())
+        return SimIndex(keys=(), vectors=np.zeros((0, 0)), owners=())
     return SimIndex(
-        keys=tuple(k for b in blocks for k in b.keys),
-        vectors=np.concatenate([b.vectors for b in blocks]),
-        owners=tuple(o for b in blocks for o in b.owners),
+        keys=tuple(chain.from_iterable(b.keys for b in blocks)),
+        vectors=np.concatenate([b.vectors for b in blocks], dtype=np.float64),
+        owners=tuple(chain.from_iterable(b.owners for b in blocks)),
     )
 
 
@@ -228,15 +246,16 @@ def build_train_side(
 class _ColdSample:
     """Retrieval state shared by every cold occurrence of one sample.
 
-    H1 hits, the author vector they give, the H2 candidate pool and the
-    sample's comment-id map are computed on first use and reused by the
-    sample's other occurrences. `table_mean` gives the user table's mean.
+    H1 hits, the author vector they give, the H2 candidate pool with its
+    owners' table rows and the sample's comment-id map are computed on first
+    use and reused by the sample's other occurrences. `table_mean` gives the
+    user table's mean; `post_rows` gives `_owner_rows` of the post index.
     """
 
-    def __init__(self, sample, train_side, texts, users, cfg, table_mean):
+    def __init__(self, sample, train_side, texts, users, cfg, table_mean, post_rows):
         self.sample, self.side, self.texts, self.users, self.cfg = (
             sample, train_side, texts, users, cfg)
-        self.table_mean = table_mean
+        self.table_mean, self.post_rows = table_mean, post_rows
 
     @cached_property
     def post_hits(self) -> np.ndarray:
@@ -249,7 +268,8 @@ class _ColdSample:
         """H1 author mapping; read-only, since every caller gets this one array."""
         if len(self.side.post_index) == 0:
             return _global_mean(self.table_mean, "empty post index")
-        vec = _mean_user(self.users, self.side.post_index, self.post_hits)
+        vec = _mean_user(self.users, self.side.post_index, self.post_rows(),
+                         self.post_hits)
         vec.setflags(write=False)
         return vec
 
@@ -261,6 +281,10 @@ class _ColdSample:
             by_post, keys = self.side.comments_by_post, self.side.post_index.keys
             return _concat(by_post[keys[i]] for i in self.post_hits.tolist())
         return self.side.all_comments
+
+    @cached_property
+    def pool_rows(self) -> np.ndarray:
+        return _owner_rows(self.pool, self.users)
 
     @cached_property
     def comments_by_id(self) -> dict:
@@ -280,7 +304,8 @@ class _ColdSample:
                                               self.comments_by_id)
         else:
             rep = self.texts(self.comments_by_id[comment_id].text_key)
-        return _mean_user(self.users, self.pool, topk_rows(self.pool, rep, self.cfg.k2)[0])
+        return _mean_user(self.users, self.pool, self.pool_rows,
+                          topk_rows(self.pool, rep, self.cfg.k2)[0])
 
 
 def map_cold_commenter(
@@ -293,8 +318,9 @@ def map_cold_commenter(
 ) -> np.ndarray:
     """H1 narrows to similar posts, H3 transforms comments to chain sums,
     H2 retrieves the k2 nearest comments and averages their authors."""
-    return _ColdSample(sample, train_side, texts, users, cfg,
-                       lambda: _table_mean(users)).commenter_vector(comment_id)
+    return _ColdSample(sample, train_side, texts, users, cfg, lambda: _table_mean(users),
+                       lambda: _owner_rows(train_side.post_index, users)
+                       ).commenter_vector(comment_id)
 
 
 def make_resolver(
@@ -311,8 +337,8 @@ def make_resolver(
     retrieval state of the last sample it saw, so the cold occurrences of
     one sample share their H1 hits and H2 pool. Its `train_side` may be a
     function that builds it: it is then called on the first cold occurrence
-    that needs retrieval, and never if none does. The table mean is
-    computed once, when first needed.
+    that needs retrieval, and never if none does. The table mean and the
+    post index owners' table rows are computed once, when first needed.
     """
     if mode == "mean-fallback":
         mean = _table_mean(users)
@@ -330,13 +356,15 @@ def make_resolver(
         h2 = "h2" in cfg.heuristics
         current: _ColdSample | None = None
         table_mean = cache(lambda: _table_mean(users))
+        post_rows = cache(lambda: _owner_rows(train_side.post_index, users))
 
         def cold(sample) -> _ColdSample:
             nonlocal current, train_side
             if callable(train_side):
                 train_side = train_side()
             if current is None or current.sample is not sample:
-                current = _ColdSample(sample, train_side, texts, users, cfg, table_mean)
+                current = _ColdSample(sample, train_side, texts, users, cfg, table_mean,
+                                      post_rows)
             return current
 
         def resolver(user_id, context):

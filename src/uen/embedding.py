@@ -34,13 +34,24 @@ def sha256_file(path) -> str:
 
 
 def write_artifact(path, magic: bytes, fields: dict, tensors: dict) -> None:
-    """Write `fields` and float32 `tensors` under `magic`, plus the sidecar."""
+    """Write `fields` and float32 `tensors` under `magic`, plus the sidecar.
+
+    A tensor with a finite value beyond the float32 range is a FormatError
+    naming it, raised before any file is opened: its cast would be inf,
+    which `read_artifact` rejects.
+    """
     path = str(path)
     names = sorted(tensors)
     header = dict(fields, tensors=[[k, list(tensors[k].shape)] for k in names])
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [magic, struct.pack("<I", len(raw)), raw]
-    parts += [tensors[k].astype("<f4").tobytes() for k in names]
+    for k in names:
+        with np.errstate(over="ignore"):
+            f4 = tensors[k].astype("<f4")
+        if (np.isinf(f4) & np.isfinite(tensors[k])).any():
+            raise FormatError(f"{path}: tensor {k!r} has finite values beyond the float32 "
+                              "range; nothing was written")
+        parts.append(f4.tobytes())
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in parts:
@@ -117,7 +128,8 @@ class EmbeddingTable:
 
     @classmethod
     def from_rows(cls, ids, matrix) -> "EmbeddingTable":
-        matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow is the non-finite error below
+            matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         ids = list(ids)
         if matrix.ndim != 2 or matrix.shape[0] != len(ids):
             raise FormatError(

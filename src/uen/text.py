@@ -33,31 +33,40 @@ class TextEmbedConfig:
     def __post_init__(self):
         if self.d2 <= 0:
             raise ValueError("d2 must be positive")
+        if len(str(self.hash_seed).encode("utf-8")) > 64:
+            raise ValueError("hash_seed must be at most 64 characters in decimal: it is "
+                             "the blake2b key")
+        lo, hi = self.ngram_range
+        if lo < 1 or hi < lo:
+            raise ValueError(f"ngram_range {self.ngram_range} must have 1 <= lo <= hi")
 
 
 def _tokens(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def _bucket_sign(term: str, seed: int, d2: int) -> tuple[int, float]:
-    digest = hashlib.blake2b(
-        term.encode("utf-8"), digest_size=8, key=str(seed).encode("utf-8")
-    ).digest()
-    value = int.from_bytes(digest, "little")
-    return (value >> 1) % d2, 1.0 if value & 1 else -1.0
-
-
 def hash_embed(text: str, cfg: TextEmbedConfig = TextEmbedConfig()) -> np.ndarray:
-    """Deterministic signed-bucket embedding; zero vector for empty text."""
-    vec = np.zeros(cfg.d2, dtype=np.float64)
+    """Deterministic signed-bucket embedding; zero vector for empty text.
+
+    Each n-gram's 8-byte blake2b digest, keyed by the seed and read as a
+    little-endian u64 v, adds +1 (odd v) or -1 to bucket (v >> 1) % d2.
+    The keyed state is made once per call and copied per term. Each bucket
+    and the squared norm are sums of small integers, so they are exact
+    whatever order they are summed in.
+    """
     toks = _tokens(text)
     lo, hi = cfg.ngram_range
+    keyed = hashlib.blake2b(digest_size=8, key=str(cfg.hash_seed).encode("utf-8"))
+    digests = []
     for n in range(lo, hi + 1):
         for i in range(len(toks) - n + 1):
-            term = " ".join(toks[i : i + n])
-            bucket, sign = _bucket_sign(term, cfg.hash_seed, cfg.d2)
-            vec[bucket] += sign
-    norm = np.linalg.norm(vec)
+            h = keyed.copy()
+            h.update(" ".join(toks[i : i + n]).encode("utf-8"))
+            digests.append(h.digest())
+    v = np.frombuffer(b"".join(digests), dtype="<u8")
+    vec = np.bincount(((v >> 1) % cfg.d2).astype(np.intp),
+                      weights=(v & 1) * 2.0 - 1.0, minlength=cfg.d2)
+    norm = np.sqrt(vec @ vec)
     if norm > 0:
         vec /= norm
     return vec.astype(np.float32)

@@ -268,6 +268,60 @@ def test_adam_overflow_is_structured_error(pipeline, tmp_path):
                                "message": "Adam update diverged at epoch 1"}
 
 
+def test_float32_overflow_checkpoint_is_structured_error(pipeline, tmp_path):
+    """Training stays finite in float64 but leaves weights float32 cannot hold:
+    the save refuses them by tensor name and leaves no checkpoint behind."""
+    out = tmp_path / "model"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = run_captured(["train", "--splits", str(pipeline / "splits"),
+                                "--users", str(pipeline / "users" / "users.emb"),
+                                "--out", str(out), "--lr", "1e50", "--epochs", "3",
+                                "--hidden", "8"])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "FormatError"
+    assert "beyond the float32 range" in err["message"]
+    assert "tensor '" in err["message"]
+    assert not (out / "model.mdl").exists() and not (out / "model.mdl.json").exists()
+
+
+@pytest.mark.parametrize("case", ["split-input-dir", "synth-out-under-file",
+                                  "train-users-dir", "eval-model-dir"])
+def test_os_errors_are_structured_errors(pipeline, tmp_path, case):
+    """A directory where a file is read, or a file where a directory is made."""
+    a_file = tmp_path / "plain"
+    a_file.write_text("x")
+    splits, users = ["--splits", str(pipeline / "splits")], str(pipeline / "users" / "users.emb")
+    argv, error = {
+        "split-input-dir": (["split", "--input", str(tmp_path), "--out", str(tmp_path / "o")],
+                            "IsADirectoryError"),
+        "synth-out-under-file": (["synth", "--out", str(a_file / "x"), "--n-samples", "20"],
+                                 "NotADirectoryError"),
+        "train-users-dir": (["train", *splits, "--users", str(tmp_path), "--epochs", "1",
+                             "--out", str(tmp_path / "o")], "IsADirectoryError"),
+        "eval-model-dir": (["eval", "--model", str(tmp_path), *splits, "--users", users,
+                            "--out", str(tmp_path / "o")], "IsADirectoryError"),
+    }[case]
+    rc, err = run_captured(argv)
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    assert json.loads(err)["error"] == error
+
+
+def test_embed_text_unusable_hash_seed_fails_before_any_work(pipeline, tmp_path):
+    """A 71-digit seed cannot key blake2b: one JSON line, no output directory."""
+    out = tmp_path / "texts"
+    rc, err = run_captured(["embed-text", "--corpus", str(pipeline / "data" / "corpus.jsonl"),
+                            "--out", str(out), "--hash-seed", str(10**70)])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "ValueError" and err["message"].startswith("hash_seed")
+    assert not out.exists()
+
+
 def test_tune_with_every_trial_failing_is_structured_error(pipeline, tmp_path):
     rc, err = run_captured(["tune", "--splits", str(pipeline / "splits"),
                             "--users", str(pipeline / "users" / "users.emb"),

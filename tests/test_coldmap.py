@@ -250,6 +250,38 @@ def test_map_cold_commenter_k2_truncation(texts):
     assert np.allclose(out, expected)
 
 
+def test_owner_missing_from_table_raises_only_among_hits(texts):
+    """The owner-row arrays hold every owner up front, but a training user
+    without a table row is an error only for an occurrence whose hits use it."""
+    side = build_train_side(train_samples_fixture(), texts)
+    cfg = ColdMapConfig(k1=2, k2=1)
+    users = random_user_table(["a1", "b1", "b2"], d1=8)  # no a2, no b3
+
+    def query(post_text, comment_text):
+        return make_sample("q", author="x", text_key=post_text, comments=[
+            make_comment("qc0", "y", "q", text_key=comment_text)])
+
+    near_t1, near_t2 = query("shared topic words", "alpha beta"), query(
+        "different subject entirely", "epsilon zeta")
+    one_post = ColdMapConfig(k1=1, k2=1)
+    assert np.array_equal(
+        make_resolver("cold-mapper", users, side, texts, one_post)("x", ("post", near_t1)),
+        users.vector("a1").astype(np.float64))
+    with pytest.raises(FormatError, match="training user 'a2' has no row in the user table"):
+        make_resolver("cold-mapper", users, side, texts, one_post)("x", ("post", near_t2))
+    with pytest.raises(FormatError, match="training user 'a2'"):
+        map_cold_author(texts(near_t2.text_key), side.post_index, users, k1=1)
+    assert np.array_equal(
+        map_cold_author(texts(near_t1.text_key), side.post_index, users, k1=1),
+        users.vector("a1").astype(np.float64))
+    # both posts' comments (b1, b2, b3) are in the H2 pool; only the hit matters
+    resolver = make_resolver("cold-mapper", users, side, texts, cfg)
+    assert np.array_equal(resolver("y", ("comment", near_t1, "qc0")),
+                          users.vector("b1").astype(np.float64))
+    with pytest.raises(FormatError, match="training user 'b3' has no row in the user table"):
+        resolver("y", ("comment", near_t2, "qc0"))
+
+
 def oracle_map_cold_commenter(sample, comment_id, train, texts, users, cfg):
     """Monolithic re-implementation of steps 1-5 with full sorts."""
     post_vec = np.asarray(texts(sample.text_key), dtype=np.float64)

@@ -1,18 +1,70 @@
 """Feature-hashing text vectors and the external table loader."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uen.embedding import EmbeddingTable, FormatError, sha256_file
 from uen.text import (
     TextEmbedConfig,
+    _tokens,
     build_text_table,
     hash_embed,
     make_hash_provider,
     table_provider,
 )
+
+
+def _bucket_sign(term: str, seed: int, d2: int) -> tuple[int, float]:
+    digest = hashlib.blake2b(
+        term.encode("utf-8"), digest_size=8, key=str(seed).encode("utf-8")
+    ).digest()
+    value = int.from_bytes(digest, "little")
+    return (value >> 1) % d2, 1.0 if value & 1 else -1.0
+
+
+def oracle_hash_embed(text: str, cfg: TextEmbedConfig) -> np.ndarray:
+    """One fresh keyed hash and one scalar add per term, then np.linalg.norm."""
+    vec = np.zeros(cfg.d2, dtype=np.float64)
+    toks = _tokens(text)
+    lo, hi = cfg.ngram_range
+    for n in range(lo, hi + 1):
+        for i in range(len(toks) - n + 1):
+            term = " ".join(toks[i : i + n])
+            bucket, sign = _bucket_sign(term, cfg.hash_seed, cfg.d2)
+            vec[bucket] += sign
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec.astype(np.float32)
+
+
+_TEXT_ALPHABET = st.sampled_from(list("aAbZ09_ \t.,-'") + [
+    "\u0130", "\u0131", "\u0307", "\u0301", "\u00df", "\u03a3", "\u00e9", "e\u0301",
+    "\u4e2d", "\u0660", "\U0001f600", "\n", "a b"])
+
+
+@settings(max_examples=400, deadline=None)
+# many terms in few buckets: sums far from 0 and 1, and cancellations to +0
+@example(text="a a a a b b", seed=0, d2=3, ngram_range=(1, 2))
+@example(text="x " * 200, seed=0, d2=3, ngram_range=(1, 2))
+@example(text="İstanbul ISTANBUL istanbul a_b a_b 1 2 1", seed=-1, d2=1, ngram_range=(1, 2))
+@given(
+    text=st.one_of(st.text(max_size=80), st.lists(_TEXT_ALPHABET, max_size=60).map("".join)),
+    seed=st.one_of(st.integers(-10**62, 10**63), st.sampled_from([0, -1, 10**63, -10**62])),
+    d2=st.sampled_from([1, 3, 256, 1000]),
+    ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3)]),
+)
+def test_hash_embed_bytes_equal_per_term_oracle(text, seed, d2, ngram_range):
+    """Arbitrary Unicode (İ, combining marks, `_`, digits, empty), keys up to 64 bytes."""
+    cfg = TextEmbedConfig(d2=d2, hash_seed=seed, ngram_range=ngram_range)
+    got = hash_embed(text, cfg)
+    assert got.dtype == np.float32 and got.shape == (d2,)
+    assert got.tobytes() == oracle_hash_embed(text, cfg).tobytes()
 
 
 def cosine(a, b):
@@ -164,3 +216,17 @@ def test_table_provider_missing_key():
 def test_config_rejects_bad_dim():
     with pytest.raises(ValueError):
         TextEmbedConfig(d2=0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"hash_seed": 10**64}, "hash_seed"),
+    ({"hash_seed": 10**70}, "hash_seed"),
+    ({"hash_seed": -10**63}, "hash_seed"),
+    ({"ngram_range": (2, 1)}, "ngram_range"),
+    ({"ngram_range": (0, 1)}, "ngram_range"),
+    ({"ngram_range": (-1, 2)}, "ngram_range"),
+])
+def test_config_rejects_unusable_key_and_ngram_range(kwargs, match):
+    """A key blake2b refuses, an empty range or a 0-gram is caught at construction."""
+    with pytest.raises(ValueError, match=match):
+        TextEmbedConfig(**kwargs)
