@@ -8,6 +8,14 @@ single graph takes the same path, as a batch of one. Readout blends the
 post node with the comment mean through lambda, then a dense head produces
 two logits. Training is Adam on mean cross-entropy with min-validation-loss
 model selection.
+
+Every pass computes in the dtype of the model's tensors. `train` casts the
+float64 draws of `init_params` to float32 once, so training, checkpoints
+and prediction run in float32. The softmax and cross-entropy of the (B, 2)
+logits are taken in float64 and their gradient cast back, as in
+mixed-precision training, so a confident float32 logit pair still has a
+nonzero loss. `init_params` output used directly keeps every pass in
+float64, which the finite-difference gradient checks rely on.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class ModelParams:
     in_dim: int
     hidden: int
     layers: int
-    tensors: dict = field(default_factory=dict)  # name -> float64 ndarray
+    tensors: dict = field(default_factory=dict)  # name -> ndarray; all share the compute dtype
 
     def zeros_like(self) -> "ModelParams":
         return replace(self, tensors={k: np.zeros_like(v) for k, v in self.tensors.items()})
@@ -111,20 +119,21 @@ def init_params(cfg: GnnConfig, in_dim: int, rng: np.random.Generator) -> ModelP
 # padded batches
 
 
-def _operators(arch: str, graphs, n_max: int) -> np.ndarray:
-    """The batch's (B, n_max, n_max) propagation operators, built from its
-    edge lists: GCN's normalized Â, SAGE's neighbour mean (an isolated node
-    aggregates itself) or GAT's mask of neighbours plus self. A pad slot is
-    an isolated node, so its operator row is self-only in every arch."""
+def _operators(arch: str, graphs, n_max: int, dtype) -> np.ndarray:
+    """The batch's (B, n_max, n_max) propagation operators in `dtype`, built
+    from its edge lists: GCN's normalized Â, SAGE's neighbour mean (an
+    isolated node aggregates itself) or GAT's mask of neighbours plus self.
+    A pad slot is an isolated node, so its operator row is self-only in
+    every arch."""
     counts = [len(g.edges) for g in graphs]
     ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
                        dtype=np.intp, count=2 * sum(counts))
     b, i, j = np.arange(len(graphs)).repeat(counts), ends[0::2], ends[1::2]
-    a = np.zeros((len(graphs), n_max, n_max))
+    a = np.zeros((len(graphs), n_max, n_max), dtype=dtype)
     a[b, i, j] = a[b, j, i] = 1.0
     if arch == "sage":
         deg = a.sum(axis=2)[:, :, None]
-        return np.where(deg > 0, a / np.maximum(deg, 1.0), np.eye(n_max))
+        return np.where(deg > 0, a / np.maximum(deg, 1.0), np.eye(n_max, dtype=dtype))
     a.reshape(len(graphs), -1)[:, :: n_max + 1] += 1.0  # Â = A + I
     if arch == "gat":
         return a > 0
@@ -133,13 +142,13 @@ def _operators(arch: str, graphs, n_max: int) -> np.ndarray:
 
 
 def _pack(params: ModelParams, graphs) -> tuple[np.ndarray, dict]:
-    """A batch as its real node rows (R, in_dim), in graph order, and a cache
-    holding its padded (B, n_max) layout: the mask of real slots, operators
-    (B, n_max, n_max) and readout weights (lambda on the post, the rest
-    spread over the real comments). A pad slot is an isolated zero-feature
-    node: its self-only operator row gives it exactly zero output and
-    gradient in every arch, and its readout weight is zero. One graph is a
-    batch of one, with no pad slots."""
+    """A batch as its real node rows (R, in_dim), in graph order and in the
+    model's dtype, and a cache holding its padded (B, n_max) layout: the
+    mask of real slots, operators (B, n_max, n_max) and readout weights
+    (lambda on the post, the rest spread over the real comments). A pad slot
+    is an isolated zero-feature node: its self-only operator row gives it
+    exactly zero output and gradient in every arch, and its readout weight
+    is zero. One graph is a batch of one, with no pad slots."""
     for g in graphs:
         if g.features.shape[0] < 2:
             raise FormatError(f"sample {g.sample_id}: no comment nodes, so the readout's "
@@ -150,10 +159,12 @@ def _pack(params: ModelParams, graphs) -> tuple[np.ndarray, dict]:
     counts = [len(g.features) for g in graphs]
     n_max = max(counts)
     real = np.arange(n_max) < np.array(counts)[:, None]
-    readout = real * np.array([(1.0 - params.lam) / (n - 1) for n in counts])[:, None]
+    dtype = params.tensors["cls.W"].dtype
+    readout = real * np.array([(1.0 - params.lam) / (n - 1) for n in counts], dtype)[:, None]
     readout[:, 0] = params.lam
-    x = np.concatenate([g.features for g in graphs], dtype=np.float64)
-    return x, {"real": real, "op": _operators(params.arch, graphs, n_max), "readout": readout}
+    x = np.concatenate([g.features for g in graphs], dtype=dtype)
+    return x, {"real": real, "op": _operators(params.arch, graphs, n_max, dtype),
+               "readout": readout}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in the DivergenceError below
@@ -169,7 +180,7 @@ def _forward(params: ModelParams, x, cache: dict):
             return h @ w
         if len(x) == real.size:
             return (x @ w).reshape(real.shape + w.shape[1:])
-        out = np.zeros(real.shape + w.shape[1:])
+        out = np.zeros(real.shape + w.shape[1:], dtype=x.dtype)
         out[real] = x @ w
         return out
 
@@ -192,7 +203,10 @@ def _forward(params: ModelParams, x, cache: dict):
             raise DivergenceError(f"NaN in forward at layer {l}", None)
         h = cache[f"h{l + 1}"] = np.maximum(z, 0.0)
     pooled = cache["pooled"] = (cache["readout"][:, None, :] @ h)[:, 0]
-    return h, pooled @ t["cls.W"].T + t["cls.b"]
+    logits = pooled @ t["cls.W"].T + t["cls.b"]
+    if not np.isfinite(logits).all():
+        raise DivergenceError("NaN in forward at the classifier head", None)
+    return h, logits
 
 
 @np.errstate(over="ignore", invalid="ignore")  # train checks the Adam state it feeds
@@ -220,7 +234,7 @@ def _backward(params: ModelParams, x, cache: dict, dlogits: np.ndarray) -> dict:
             p, alpha = cache[f"p{l}"], cache[f"alpha{l}"]
             d_alpha = dz @ p.transpose(0, 2, 1)
             de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=2, keepdims=True))
-            dpre = de * np.where(cache[f"pre{l}"] > 0, 1.0, 0.2)
+            dpre = np.where(cache[f"pre{l}"] > 0, de, 0.2 * de)
             ds, dt = dpre.sum(axis=2), dpre.sum(axis=1)
             grads[f"layer{l}.a_src"] = np.tensordot(ds, p, 2)
             grads[f"layer{l}.a_dst"] = np.tensordot(dt, p, 2)
@@ -237,12 +251,15 @@ def _backward(params: ModelParams, x, cache: dict, dlogits: np.ndarray) -> dict:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row softmax, in float64 whatever the logits' dtype."""
+    logits = np.asarray(logits, dtype=np.float64)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _nll(logits: np.ndarray, graphs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample cross-entropy and its gradient with respect to the logits."""
+    """Per-sample cross-entropy (float64) and its gradient with respect to
+    the logits (in their dtype)."""
     labels = [g.label for g in graphs]
     if None in labels:
         raise ValueError(f"sample {graphs[labels.index(None)].sample_id} is unlabeled")
@@ -250,7 +267,7 @@ def _nll(logits: np.ndarray, graphs) -> tuple[np.ndarray, np.ndarray]:
     probs = _softmax(logits)
     dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0
-    return -np.log(probs[rows, labels] + 1e-300), dlogits
+    return -np.log(probs[rows, labels] + 1e-300), dlogits.astype(logits.dtype)
 
 
 def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
@@ -263,14 +280,6 @@ def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
     if cache is not None:
         cache.update({k: v[0] for k, v in store.items()})
     return h[0], logits[0]
-
-
-def attention_weights(params: ModelParams, g: SampleGraph, layer: int) -> np.ndarray:
-    if params.arch != "gat":
-        raise ValueError("attention weights only exist for GAT")
-    cache: dict = {}
-    forward(params, g, cache)
-    return cache[f"alpha{layer}"]
 
 
 def sample_loss_and_grads(params: ModelParams, g: SampleGraph):
@@ -317,12 +326,13 @@ def train(
     cfg: GnnConfig,
     in_dim: int,
 ) -> tuple[ModelParams, list[dict]]:
-    """Adam training with per-epoch shuffles; returns the min-val-loss params."""
+    """Adam training in float32 with per-epoch shuffles; returns the
+    min-val-loss params."""
     if not train_graphs or not val_graphs:
         raise ValueError("train and val splits must be non-empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     params = init_params(cfg, in_dim, rng)
-    flat = _flatten(params)
+    flat = _flatten(params, np.float32)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -369,10 +379,11 @@ def train(
     return best, history
 
 
-def _flatten(params: ModelParams) -> np.ndarray:
-    """Move the tensors into one flat buffer and leave views of it in
-    params.tensors, so an elementwise update of the buffer updates them all."""
-    flat = np.concatenate([t.ravel() for t in params.tensors.values()])
+def _flatten(params: ModelParams, dtype) -> np.ndarray:
+    """Move the tensors into one flat buffer of `dtype` and leave views of it
+    in params.tensors, so an elementwise update of the buffer updates them
+    all."""
+    flat = np.concatenate([t.ravel() for t in params.tensors.values()], dtype=dtype)
     start = 0
     for k, t in params.tensors.items():
         params.tensors[k] = flat[start : start + t.size].reshape(t.shape)
@@ -422,5 +433,4 @@ def load_model(path) -> ModelParams:
         raise FormatError(
             f"{path}: tensors do not match a {layers}-layer {arch} model "
             f"with in_dim {in_dim} and hidden {hidden}")
-    tensors = {k: v.astype(np.float64) for k, v in tensors.items()}
     return ModelParams(arch, lam, in_dim, hidden, layers, tensors)

@@ -241,7 +241,9 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
     """SGNS over (center, context) pairs within the window.
 
     Negatives come from the unigram distribution raised to 3/4. Output rows
-    are the center vectors.
+    are the center vectors, minus their float64 column mean: SGNS leaves
+    one common direction in every row (All-but-the-Top, Mu & Viswanath
+    2018), which would otherwise dominate every user vector.
     """
     if not walks:
         raise ValueError("empty walk corpus")
@@ -263,7 +265,7 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
     n_pairs = len(pairs)
     if n_pairs == 0:
         # Degenerate corpus (e.g. a single isolated node): finite init rows.
-        return EmbeddingTable.from_rows(vocab, table[:v].astype(np.float32))
+        return _centred_table(vocab, table[:v])
 
     k = cfg.negatives_per_positive
     total_steps = cfg.epochs * n_pairs
@@ -281,7 +283,11 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
             lr = cfg.learning_rate * np.maximum(1.0 - step / total_steps, 1e-4)
             chosen = pairs[order[lo:hi]]
             batch.step(table, chosen[:, 0], chosen[:, 1], negatives, lr)
-    return EmbeddingTable.from_rows(vocab, table[:v].astype(np.float32))
+    return _centred_table(vocab, table[:v])
+
+
+def _centred_table(vocab: list[str], rows: np.ndarray) -> EmbeddingTable:
+    return EmbeddingTable.from_rows(vocab, (rows - rows.mean(axis=0)).astype(np.float32))
 
 
 def learn_user_embeddings(g: InteractionGraph, cfg: Node2VecConfig) -> EmbeddingTable:

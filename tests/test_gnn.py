@@ -14,7 +14,6 @@ from uen.gnn import (
     DivergenceError,
     GnnConfig,
     ModelParams,
-    attention_weights,
     evaluate_loss,
     forward,
     init_params,
@@ -428,6 +427,13 @@ def test_permutation_equivariance(arch):
     assert np.allclose(logits, logits_p, atol=1e-6)
 
 
+def attention_weights(params, g, layer):
+    """GAT attention coefficients (n, n) of one graph at `layer`."""
+    cache = {}
+    forward(params, g, cache)
+    return cache[f"alpha{layer}"]
+
+
 def test_gat_attention_rows_sum_to_one():
     rng = np.random.Generator(np.random.PCG64(13))
     params = make_params("gat")
@@ -447,6 +453,16 @@ def test_forward_reports_nan():
     g = make_graph(np.full((3, 6), np.nan), [(0, 1), (0, 2)])
     with pytest.raises(DivergenceError, match="layer 0"):
         forward(params, g)
+
+
+def test_forward_reports_logits_beyond_float32():
+    # finite float32 weights whose logits overflow: an error, not a NaN probability
+    params = ModelParams("gcn", 0.5, 2, 2, 1, {
+        "layer0.W": np.eye(2, dtype=np.float32), "cls.W": np.full((2, 2), 3e38, np.float32),
+        "cls.b": np.zeros(2, np.float32)})
+    g = make_graph([[4.0, 4.0], [4.0, 4.0]], [(0, 1)])
+    with pytest.raises(DivergenceError, match="classifier head"):
+        predict(params, g)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +517,11 @@ def test_training_deterministic_history():
 
 
 def oracle_train(train_graphs, val_graphs, cfg, in_dim):
-    """train() with its Adam step taken tensor by tensor."""
+    """train() with its Adam step taken tensor by tensor, on the float32 cast
+    of the same draws."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     params = init_params(cfg, in_dim, rng)
+    params.tensors = {k: t.astype(np.float32) for k, t in params.tensors.items()}
     m, v = params.zeros_like(), params.zeros_like()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     history, best, best_val, step = [], None, np.inf, 0
@@ -594,6 +612,44 @@ def test_model_save_load_round_trip(tmp_path):
     save_model(loaded, path2)
     save_model(load_model(path2), tmp_path / "model3.mdl")
     assert (tmp_path / "model2.mdl").read_bytes() == (tmp_path / "model3.mdl").read_bytes()
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_trained_model_round_trips_bit_for_bit(arch, tmp_path):
+    """train's float32 tensors are what the checkpoint holds, so a loaded
+    model gives exactly the logits of the model train returned."""
+    rng = np.random.Generator(np.random.PCG64(67))
+    graphs = [random_graph(rng, int(rng.integers(2, 8)), 6) for _ in range(40)]
+    model, _ = train(graphs[:32], graphs[32:], GnnConfig(arch=arch, hidden=5, epochs=2),
+                     in_dim=6)
+    save_model(model, tmp_path / "model.mdl")
+    loaded = load_model(tmp_path / "model.mdl")
+    for g in graphs:
+        assert np.array_equal(forward(loaded, g)[1], forward(model, g)[1])
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_computes_in_float32_and_init_params_in_float64(arch):
+    rng = np.random.Generator(np.random.PCG64(71))
+    graphs = [random_graph(rng, int(rng.integers(2, 8)), 6) for _ in range(20)]
+    model, _ = train(graphs[:16], graphs[16:], GnnConfig(arch=arch, hidden=5, epochs=1),
+                     in_dim=6)
+    assert all(t.dtype == np.float32 for t in model.tensors.values())
+    assert forward(model, graphs[0])[1].dtype == np.float32
+    params = make_params(arch)
+    _, grads = loss_and_grads(params, graphs[:4])
+    assert all(t.dtype == np.float64 for t in grads.tensors.values())
+
+
+def test_save_refuses_weights_beyond_float32_by_name(tmp_path):
+    from uen.embedding import FormatError
+
+    params = make_params("gcn")
+    params.tensors["layer1.W"][0, 0] = 1e50
+    path = tmp_path / "model.mdl"
+    with pytest.raises(FormatError, match="tensor 'layer1.W'.*beyond the float32 range"):
+        save_model(params, path)
+    assert not path.exists() and not (tmp_path / "model.mdl.json").exists()
 
 
 def test_model_load_rejects_corruption(tmp_path):

@@ -335,6 +335,19 @@ def test_training_bit_identical_under_seed():
     assert np.array_equal(t1.matrix, t2.matrix)
 
 
+def test_table_is_centred():
+    """The column mean is removed in float64 before the float32 cast, so
+    what is left of it is float32 rounding of the rows."""
+    left = [f"l{i}" for i in range(8)]
+    right = [f"r{i}" for i in range(8)]
+    g = build_interaction_graph(clique_graph(left, "pl") + clique_graph(right, "pr"))
+    table = learn_user_embeddings(g, Node2VecConfig(d1=16, walk_length=8, walks_per_node=3,
+                                                    epochs=2, seed=4))
+    mean = table.matrix.mean(axis=0, dtype=np.float64)
+    assert np.all(np.abs(mean) <= np.finfo(np.float32).eps * np.abs(table.matrix).max(axis=0))
+    assert np.abs(table.matrix).max() > 0
+
+
 def test_empty_walk_corpus_rejected():
     with pytest.raises(ValueError):
         train_skipgram([], Node2VecConfig(d1=4))
