@@ -68,17 +68,14 @@ def assemble(
     )
 
 
-def chain_prefix_representation(
-    sample: Sample, comment_id: str, texts: TextProvider, by_id: Optional[dict] = None
-) -> np.ndarray:
+def chain_prefix_representation(sample: Sample, comment_id: str,
+                                texts: TextProvider) -> np.ndarray:
     """Sum of text vectors from the first-level comment down to comment_id.
 
     The post's own text vector is excluded; a top-level comment is just its
-    own vector. The sum runs from comment_id up to the root. `by_id`, the
-    sample's {comment id: comment} map, is built here when not given.
+    own vector. The sum runs from comment_id up to the root.
     """
-    if by_id is None:
-        by_id = {c.id: c for c in sample.comments}
+    by_id = {c.id: c for c in sample.comments}
     if comment_id not in by_id:
         raise KeyError(f"comment {comment_id!r} not in sample {sample.post_id!r}")
     total = None

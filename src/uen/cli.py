@@ -35,7 +35,7 @@ VARIANTS = {"uen": "full", "no-mapper": "no-mapper", "no-user": "no-user"}
 def _write_provenance(out_dir: Path, args: argparse.Namespace, inputs: list, *configs) -> None:
     """The parsed flags, the resolved `configs` and the checksum of every input
     read, `--users` and `--texts` included."""
-    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
     config["configs"] = {type(c).__name__: asdict(c) for c in configs}
     inputs = [*inputs, getattr(args, "users", None), getattr(args, "texts", None)]
     config["inputs"] = {str(p): sha256_file(p) for p in inputs if p and Path(p).exists()}
@@ -274,19 +274,22 @@ def cmd_report(args):
 
 
 def _check_variant_conflicts(args):
-    """Flag checks shared by train and eval: the user table goes with the variant."""
-    if args.variant != "no-user":
-        if not args.users:
-            raise FormatError("--users is required unless --variant no-user")
-        return
-    if args.users:
-        raise FormatError("--variant no-user conflicts with --users")
-    for flag in ("k1", "k2"):
-        if getattr(args, f"_{flag}_set", False):
-            raise FormatError(f"--variant no-user conflicts with --{flag}")
+    """Flag checks shared by train and eval: the user table goes with the
+    variant, and the cold-mapper flags with the one variant that maps."""
+    if args.variant == "no-user":
+        if args.users:
+            raise FormatError("--variant no-user conflicts with --users")
+    elif not args.users:
+        raise FormatError("--users is required unless --variant no-user")
+    if args.variant != "uen":
+        for flag in ("k1", "k2", "heuristics"):
+            if getattr(args, f"_{flag}_set", False):
+                raise FormatError(f"--variant {args.variant} conflicts with --{flag}")
 
 
 class _TrackK(argparse.Action):
+    """Stores the value and marks the flag as given, as `_<dest>_set`."""
+
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
         setattr(namespace, f"_{self.dest}_set", True)
@@ -309,7 +312,8 @@ _FLAG_NAMES = {
 _FLAG_EXTRAS = {
     "arch": {"choices": ARCHS},
     "heuristics": {"type": lambda v: frozenset(h.strip().lower() for h in v.split(",")
-                                               if h.strip())},
+                                               if h.strip()),
+                   "action": _TrackK},
     "k1": {"action": _TrackK},
     "k2": {"action": _TrackK},
     "layers": None,

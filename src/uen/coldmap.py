@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import all_chain_representations, chain_prefix_representation
+from .assembly import all_chain_representations
 from .corpus import Sample
 from .embedding import EmbeddingTable, FormatError
 from .text import TextProvider
@@ -218,6 +218,15 @@ class TrainSideData:
         return _concat(self.comments_by_post.values())
 
 
+def comment_representations(sample: Sample, texts: TextProvider,
+                            use_chains: bool) -> dict[str, np.ndarray]:
+    """How H2 represents each comment of `sample`, by comment id: its reply-chain
+    prefix sum when H3 is on (`use_chains`), its raw text vector otherwise."""
+    if use_chains:
+        return all_chain_representations(sample, texts)
+    return {c.id: texts(c.text_key) for c in sample.comments}
+
+
 def build_train_side(
     train: list[Sample],
     texts: TextProvider,
@@ -230,11 +239,7 @@ def build_train_side(
     """
     comments_by_post: dict[str, SimIndex] = {}
     for s in train:
-        reps = (
-            all_chain_representations(s, texts)
-            if use_chains
-            else {c.id: texts(c.text_key) for c in s.comments}
-        )
+        reps = comment_representations(s, texts, use_chains)
         comments_by_post[s.post_id] = build_index(
             (c.id, reps[c.id], c.author) for c in s.comments)
     post_index = build_index(
@@ -247,9 +252,10 @@ class _ColdSample:
     """Retrieval state shared by every cold occurrence of one sample.
 
     H1 hits, the author vector they give, the H2 candidate pool with its
-    owners' table rows and the sample's comment-id map are computed on first
-    use and reused by the sample's other occurrences. `table_mean` gives the
-    user table's mean; `post_rows` gives `_owner_rows` of the post index.
+    owners' table rows and the sample's comment representations are computed
+    on first use and reused by the sample's other occurrences. `table_mean`
+    gives the user table's mean; `post_rows` gives `_owner_rows` of the post
+    index.
     """
 
     def __init__(self, sample, train_side, texts, users, cfg, table_mean, post_rows):
@@ -287,8 +293,8 @@ class _ColdSample:
         return _owner_rows(self.pool, self.users)
 
     @cached_property
-    def comments_by_id(self) -> dict:
-        return {c.id: c for c in self.sample.comments}
+    def comment_reps(self) -> dict:
+        return comment_representations(self.sample, self.texts, "h3" in self.cfg.heuristics)
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
         """H2 (with H3 chain sums if enabled): mean author of the k2 nearest pool rows."""
@@ -299,13 +305,8 @@ class _ColdSample:
             if h1:
                 return self.author_vector
             return _global_mean(self.table_mean, "no training comments to match")
-        if "h3" in self.cfg.heuristics:
-            rep = chain_prefix_representation(self.sample, comment_id, self.texts,
-                                              self.comments_by_id)
-        else:
-            rep = self.texts(self.comments_by_id[comment_id].text_key)
         return _mean_user(self.users, self.pool, self.pool_rows,
-                          topk_rows(self.pool, rep, self.cfg.k2)[0])
+                          topk_rows(self.pool, self.comment_reps[comment_id], self.cfg.k2)[0])
 
 
 def map_cold_commenter(

@@ -1,9 +1,10 @@
 """Metrics, overlap-bucket reports, Mann-Whitney U, and random search.
 
 Macro-F1 uses the conservative convention that a class absent from both
-predictions and labels scores F1 = 0. The significance test handles ties
-with midranks and a tie-corrected normal approximation, switching to the
-exact rank-sum distribution for small groups.
+predictions and labels scores F1 = 0. The significance test ranks ties by
+their midrank. For small groups its p-value is exact, ties included: one
+table counts the subsets of the pooled values by rank sum. For larger
+groups it is the tie-corrected normal approximation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,97 +141,44 @@ def bucketed_report(
 # Mann-Whitney U
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
-    return ranks
-
 EXACT_LIMIT = 400
 
 
-def _exact_u_counts(n1: int, n2: int) -> np.ndarray:
-    """counts[u] = number of arrangements with U statistic u (no ties)."""
-    max_u = n1 * n2
-    counts = np.zeros(max_u + 1, dtype=np.float64)
-    counts[0] = 1.0
-    # Recurrence over the generating function prod_{i=1..n1} (1-x^{n2+i})/(1-x^i).
-    for i in range(1, n1 + 1):
-        new = np.zeros_like(counts)
-        # multiply by 1/(1-x^i): prefix sums with stride i
-        for u in range(max_u + 1):
-            new[u] = counts[u] + (new[u - i] if u >= i else 0.0)
-        # multiply by (1-x^{n2+i})
-        shift = n2 + i
-        for u in range(max_u, -1, -1):
-            if u >= shift:
-                new[u] -= new[u - shift]
-        counts = new
-    return counts
-
-
-def _norm_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Two-sided MWU: exact rank-sum distribution for small untied groups,
-    tie-corrected normal approximation with continuity correction otherwise."""
+    """Two-sided Mann-Whitney test on midranks: (U of `x`, p).
+
+    For n1 * n2 <= EXACT_LIMIT, p is exact, ties included: the share of all
+    equal-size subsets of the pooled values whose U lies at least as far
+    from n1 * n2 / 2 as the observed one, counted with the shift algorithm
+    of Streitberg & Roehmel (1986). Above it, p is the tie-corrected normal
+    approximation with continuity correction.
+    """
     n1, n2 = len(x), len(y)
     if n1 == 0 or n2 == 0:
         raise ValueError("both groups must be non-empty")
-    pooled = list(x) + list(y)
-    ranks = _midranks(pooled)
-    r1 = sum(ranks[:n1])
-    u1 = r1 - n1 * (n1 + 1) / 2.0
-    u2 = n1 * n2 - u1
-
-    # tie structure
-    from collections import Counter
-
-    tie_counts = Counter(pooled).values()
-    has_ties = any(t > 1 for t in tie_counts)
+    pooled = np.asarray([*x, *y], dtype=np.float64)
+    if not np.isfinite(pooled).all():
+        raise ValueError("values must be finite")
+    _, group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks2 = (2 * np.cumsum(counts) - counts + 1)[group]  # doubled midranks
+    u = float(ranks2[:n1].sum()) / 2.0 - n1 * (n1 + 1) / 2.0
     n = n1 + n2
-    tie_term = sum(t**3 - t for t in tie_counts)
-
-    if len(set(pooled)) == 1:
-        return u1, 1.0
-
-    if n1 * n2 <= EXACT_LIMIT and not has_ties:
-        counts = _exact_u_counts(n1, n2)
-        total = counts.sum()
-        u_lo = min(u1, u2)
-        p = 2.0 * counts[: int(u_lo) + 1].sum() / total
-        return u1, min(p, 1.0)
-
-    if has_ties and n1 * n2 <= EXACT_LIMIT and math.comb(n, n1) <= 100_000:
-        # exact permutation of the observed (tied) values
-        idx = range(n)
-        u_obs_dev = abs(u1 - n1 * n2 / 2.0)
-        hits = 0
-        total = 0
-        for combo in combinations(idx, n1):
-            rsum = sum(ranks[i] for i in combo)
-            u = rsum - n1 * (n1 + 1) / 2.0
-            if abs(u - n1 * n2 / 2.0) >= u_obs_dev - 1e-12:
-                hits += 1
-            total += 1
-        return u1, hits / total
-
-    sd = math.sqrt(n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1))))
-    if sd == 0:
-        return u1, 1.0
-    mean = n1 * n2 / 2.0
-    z = (abs(u1 - mean) - 0.5) / sd
-    return u1, min(2.0 * _norm_sf(max(z, 0.0)), 1.0)
+    if n1 * n2 <= EXACT_LIMIT:
+        # ways[j, s]: j-subsets whose doubled midranks (each <= 2n) sum to s.
+        # |U - n1*n2/2| is the same for either group, so counting subsets of
+        # the smaller group's size m keeps the table at m + 1 rows.
+        m = min(n1, n2)
+        ways = np.zeros((m + 1, 2 * m * n + 1), dtype=np.int64)
+        ways[0, 0] = 1
+        for r in ranks2.tolist():
+            ways[1:, r:] += ways[:-1, :-r]
+        dev2 = np.abs(np.arange(ways.shape[1]) - m * (m + 1) - n1 * n2)
+        hits = ways[m, dev2 >= abs(2.0 * u - n1 * n2)].sum()
+        return u, float(hits / ways[m].sum())
+    ties = sum(t**3 - t for t in counts.tolist())
+    sd = math.sqrt(n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1))))
+    z = max(abs(u - n1 * n2 / 2.0) - 0.5, 0.0) / sd if sd else 0.0  # sd 0: all equal
+    return u, math.erfc(z / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

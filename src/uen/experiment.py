@@ -129,7 +129,7 @@ def run_variant(
     if cfg.variant != "no-user":
         if users is None:
             users = prepare_user_embeddings(split, cfg, common)
-        in_dim += cfg.node2vec.d1
+        in_dim += users.dim
     resolver = variant_resolver(cfg.variant, users, split.train, texts, common, cfg.coldmap)
     # the graphs die with the call, so evaluation reuses their memory
     model, history = train(*assemble_splits(texts, resolver, common, split.train, split.val),

@@ -108,6 +108,7 @@ def test_provenance_records_input_checksums(pipeline, tmp_path, monkeypatch):
     assert all(len(digest) == 64 for digest in config["inputs"].values())
     assert config["configs"]["ColdMapConfig"] == {"k1": 3, "k2": 5,
                                                   "heuristics": ["h1", "h2", "h3"]}
+    assert not [key for key in config if key.startswith("_")]  # no parser bookkeeping
     config = json.loads((pipeline / "model" / "run_config.json").read_text())
     assert config["configs"]["GnnConfig"] == {"arch": "gcn", "layers": 3, "hidden": 8,
                                               "lam": 0.5, "lr": 0.01, "epochs": 2,
@@ -147,15 +148,22 @@ def test_no_user_variant(pipeline, tmp_path):
     assert report["metadata"]["user_feature_width"] == 0
 
 
-def test_no_user_conflicts_with_k_flags(pipeline, tmp_path, capsys):
-    rc = main(["eval", "--model", str(pipeline / "model" / "model.mdl"),
-               "--splits", str(pipeline / "splits"),
-               "--out", str(tmp_path / "eval"), "--variant", "no-user",
-               "--k1", "5"])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "FormatError"
-    assert "--k1" in err["message"]
+@pytest.mark.parametrize("variant, flag, value", [
+    ("no-user", "--k1", "5"), ("no-user", "--k2", "5"), ("no-user", "--heuristics", "h1"),
+    ("no-mapper", "--k1", "5"), ("no-mapper", "--k2", "5"),
+    ("no-mapper", "--heuristics", "h1"),
+])
+def test_no_user_conflicts_with_k_flags(pipeline, tmp_path, capsys, variant, flag, value):
+    """A variant without the cold mapper rejects its flags instead of ignoring them."""
+    users = [] if variant == "no-user" else ["--users", str(pipeline / "users" / "users.emb")]
+    for argv in (["eval", "--model", str(pipeline / "model" / "model.mdl")], ["train"]):
+        rc = main([*argv, "--splits", str(pipeline / "splits"), *users,
+                   "--out", str(tmp_path / argv[0]), "--variant", variant, flag, value])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "FormatError",
+                       "message": f"--variant {variant} conflicts with {flag}"}
+        assert not (tmp_path / argv[0]).exists()
 
 
 def test_train_without_users_fails(pipeline, tmp_path, capsys):

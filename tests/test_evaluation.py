@@ -219,6 +219,65 @@ def test_mwu_empty_group_rejected():
         mann_whitney_u([], [1.0])
 
 
+def _enumerated_mwu(x, y):
+    """(U, p) by brute force: every n1-subset of the pooled values is a
+    possible group x, and p is the share at least as far from n1*n2/2."""
+    pooled = np.array([*x, *y], dtype=np.float64)
+    n1, n = len(x), len(pooled)
+    ranks = np.array([(pooled < v).sum() + ((pooled == v).sum() + 1) / 2 for v in pooled])
+    masks = np.arange(1 << n)
+    masks = masks[sum((masks >> i) & 1 for i in range(n)) == n1]
+    offset, mean = n1 * (n1 + 1) / 2, n1 * (n - n1) / 2
+    u = ranks[:n1].sum() - offset
+    us = sum(((masks >> i) & 1) * ranks[i] for i in range(n)) - offset
+    return float(u), np.count_nonzero(np.abs(us - mean) >= abs(u - mean)) / len(masks)
+
+
+def test_mwu_equals_subset_enumeration():
+    rng = np.random.Generator(np.random.PCG64(6))
+    for case in range(60):
+        n1 = int(rng.integers(1, 16))
+        n2 = int(rng.integers(1, 17 - n1))
+        if case % 2:  # tied: a few levels
+            levels = int(rng.integers(1, 5))
+            x = rng.integers(0, levels, size=n1).astype(float).tolist()
+            y = rng.integers(0, levels, size=n2).astype(float).tolist()
+        else:
+            x = rng.normal(size=n1).tolist()
+            y = rng.normal(loc=0.5, size=n2).tolist()
+        u, p = mann_whitney_u(x, y)
+        assert (type(u), type(p)) == (float, float)
+        assert (u, p) == _enumerated_mwu(x, y), (x, y)
+
+
+def test_mwu_tied_ten_by_ten_is_exact():
+    # comb(20, 10) = 184 756 subsets: exact, where a cap on enumeration would
+    # have fallen back to the normal approximation (p = 0.184 here, 0.218 exact)
+    x = [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+    y = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+    assert mann_whitney_u(x, y) == _enumerated_mwu(x, y)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_mwu_one_against_four_hundred(swap):
+    tied = [0.0] * 200 + [1.0] * 100 + [2.0] * 100
+    cases = [([398.5], list(range(400)), 399.0, 4 / 401),
+             ([2.0], tied, 350.0, 101 / 401)]
+    for x, y, u, p in cases:
+        if swap:
+            assert mann_whitney_u(y, x) == (400 - u, p)
+        else:
+            assert mann_whitney_u(x, y) == (u, p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mwu_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        mann_whitney_u([1.0, bad], [2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        mann_whitney_u([1.0], [bad])
+
+
 # ---------------------------------------------------------------------------
 # random search
 
