@@ -15,7 +15,7 @@ in the cascade is unseen. Takes about 10 s.
 """
 
 from uen.coldmap import ColdMapConfig
-from uen.evaluation import mann_whitney_u
+from uen.evaluation import sign_test
 from uen.experiment import PipelineConfig, run_ablation
 from uen.gnn import GnnConfig
 from uen.node2vec import Node2VecConfig
@@ -50,20 +50,16 @@ for variant in ("full", "no-mapper"):
     print("%s zero-bucket macro-F1: %.4f (n=%d)"
           % (variant, b.macro_f1, b.n))
 
-# 5. Per-sample correctness lets a rank-sum test ask whether the full
-#    variant's wins over no-mapper could be luck.
+# 5. Both variants classify the same test cascades, so compare them pair
+#    by pair: where they disagree, count who was right, and ask with an
+#    exact sign test (McNemar's) whether a split that lopsided could be luck.
 labels = results["full"].labels
-full_hits = [int(p == y) for p, y in zip(results["full"].preds, labels)]
-base_hits = [int(p == y) for p, y in zip(results["no-mapper"].preds, labels)]
-u_stat, p_value = mann_whitney_u(full_hits, base_hits)
-print("\nMann-Whitney U=%.1f p=%.4f (full vs no-mapper, per-sample hits)"
-      % (u_stat, p_value))
-
-# 6. Where the variants disagree, count who was right.
 disagree = [(f, b, y) for f, b, y in zip(results["full"].preds,
                                          results["no-mapper"].preds, labels)
             if f != b]
 full_right = sum(1 for f, _, y in disagree if f == y)
-print("disagreements: %d, full variant right on %d (%.0f%%)"
+print("\ndisagreements: %d, full variant right on %d (%.0f%%)"
       % (len(disagree), full_right,
          100.0 * full_right / max(1, len(disagree))))
+print("sign test p=%.2g (full vs no-mapper, paired per-sample hits)"
+      % sign_test(full_right, len(disagree) - full_right))

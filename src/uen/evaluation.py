@@ -1,10 +1,12 @@
-"""Metrics, overlap-bucket reports, Mann-Whitney U, and random search.
+"""Metrics, overlap-bucket reports, Mann-Whitney U, sign test, random search.
 
 Macro-F1 uses the conservative convention that a class absent from both
-predictions and labels scores F1 = 0. The significance test ranks ties by
-their midrank. For small groups its p-value is exact, ties included: one
-table counts the subsets of the pooled values by rank sum. For larger
-groups it is the tie-corrected normal approximation.
+predictions and labels scores F1 = 0. The rank-sum test, for two
+independent samples, ranks ties by their midrank. For small groups its
+p-value is exact, ties included: one table counts the subsets of the pooled
+values by rank sum. For larger groups it is the tie-corrected normal
+approximation. Paired outcomes, such as two variants' hits on the same
+test cascades, take the exact sign test instead.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -179,6 +182,23 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> tuple[float, float
     sd = math.sqrt(n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1))))
     z = max(abs(u - n1 * n2 / 2.0) - 0.5, 0.0) / sd if sd else 0.0  # sd 0: all equal
     return u, math.erfc(z / math.sqrt(2.0))
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Exact two-sided sign test (McNemar's exact test) on paired outcomes.
+
+    `wins` and `losses` count the pairs on which only the first or only the
+    second system is right; agreements carry no information and are left
+    out. Under the null each disagreement goes either way with probability
+    1/2, so p = min(1, 2 P(W <= min(wins, losses))) for W ~ Bin(wins + losses,
+    1/2), summed in integers. No disagreements give p = 1.
+    """
+    wins, losses = operator.index(wins), operator.index(losses)
+    if wins < 0 or losses < 0:
+        raise ValueError("counts must be >= 0")
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,21 @@ variant maps the users of the train, val and test graphs alike. Variants:
   full      - cold users resolved by the mapper heuristics
   no-mapper - cold users get the global mean user vector
   no-user   - nodes carry text features only (narrower input layer)
+`mapper_fidelity` measures the cold mapper itself: how close it comes to
+the vectors of warm users hidden from training.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+
+import numpy as np
 
 from .assembly import SampleGraph, UserResolver, assemble
 from .coldmap import ColdMapConfig, TrainSideData, build_train_side, make_resolver
-from .corpus import Corpus, Split, corpus_users, overlap_ratio, temporal_split
+from .corpus import Corpus, Sample, Split, corpus_users, overlap_ratio, temporal_split
 from .embedding import EmbeddingTable
 from .evaluation import EvalReport, bucketed_report
 from .gnn import GnnConfig, ModelParams, predict, train
@@ -166,3 +170,114 @@ def run_ablation(
         logger.info("running variant %s", variant)
         results[variant] = run_variant(corpus, cfg, split=split, users=users)
     return results
+
+
+# ---------------------------------------------------------------------------
+# mapper fidelity
+
+
+HEURISTIC_SETS = (frozenset({"h1"}), frozenset({"h1", "h2"}), frozenset({"h1", "h2", "h3"}))
+
+
+@dataclass
+class FidelityReport:
+    users: int  # warm users hidden
+    occurrences: int  # their occurrences in the test split
+    alignment: float  # mean cosine of the shared users' rows after the rotation
+    cosine: dict  # row name -> mean cosine of the resolved vectors to the real ones
+
+
+def without_users(samples, hidden: set, common_author=None) -> list[Sample]:
+    """`samples` as if the `hidden` users had never posted: their posts are
+    dropped, and so are their comments with every reply below them."""
+    out = []
+    for s in samples:
+        if s.resolved_author(common_author) in hidden:
+            continue
+        by_id = {c.id: c for c in s.comments}
+
+        def cut(c) -> bool:
+            while c.author not in hidden:
+                if c.parent == s.post_id:
+                    return False
+                c = by_id[c.parent]
+            return True
+
+        out.append(replace(s, comments=tuple(c for c in s.comments if not cut(c))))
+    return out
+
+
+def _occurrences(samples, common_author):
+    """Every (user, resolver context) of `samples`, in assembly order."""
+    for s in samples:
+        yield s.resolved_author(common_author), ("post", s)
+        for c in s.comments:
+            yield c.author, ("comment", s, c.id)
+
+
+def _procrustes(source: EmbeddingTable, target: EmbeddingTable) -> tuple[np.ndarray, float]:
+    """The orthogonal R that best maps the rows of `source` onto `target`'s
+    rows of the same users (Schoenemann 1966), so that `source` rows @ R
+    are in `target`'s coordinates, and the mean cosine of those users'
+    rotated rows to their `target` rows."""
+    shared = [u for u in source.ids if u in target]
+    a = source.matrix[[source.index[u] for u in shared]].astype(np.float64)
+    b = target.matrix[[target.index[u] for u in shared]].astype(np.float64)
+    u, _, vt = np.linalg.svd(a.T @ b)
+    rotation = u @ vt
+    return rotation, _mean_cosine(a @ rotation, b)
+
+
+def _mean_cosine(got: np.ndarray, want: np.ndarray) -> float:
+    """Mean row-wise cosine; a zero row scores 0."""
+    norms = np.linalg.norm(got, axis=1) * np.linalg.norm(want, axis=1)
+    dots = np.einsum("nd,nd->n", got, want)
+    return float(np.mean(np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)))
+
+
+def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
+                    seed: int) -> FidelityReport:
+    """How close the cold mapper comes to the vectors of users it never saw.
+
+    A seeded `hide_fraction` of the warm users (training users who also
+    occur in the test split) is hidden: the training samples are rebuilt
+    without them (`without_users`), and so are the user table and the
+    mapper's index. Each test occurrence of a hidden user is then resolved
+    as a cold user under each of `HEURISTIC_SETS` (with `cfg.coldmap`'s k1
+    and k2) and scored by its cosine to the user's row in the table trained
+    with them. The two tables are separate SGNS runs, so the rebuilt one is
+    first rotated onto the full one over the users they share; `alignment`
+    is how well that rotation fits them. Baselines: the rebuilt table's
+    mean, which the no-mapper variant gives every cold user, and a random
+    user of the rebuilt table per occurrence.
+    """
+    if not 0 < hide_fraction < 1:
+        raise ValueError("hide_fraction must lie in (0, 1)")
+    common = corpus.common_author
+    split = temporal_split(corpus)
+    full = prepare_user_embeddings(split, cfg, common)
+    warm = sorted(u for u in corpus_users(split.test, common) if u in full and u != common)
+    if not warm:
+        raise ValueError("no training user occurs in the test split")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    hidden = set(rng.choice(warm, size=max(1, round(hide_fraction * len(warm))),
+                            replace=False).tolist())
+    train = without_users(split.train, hidden, common)
+    kept = learn_user_embeddings(build_interaction_graph(train, common), cfg.node2vec)
+    rotation, alignment = _procrustes(kept, full)
+    occurrences = [(u, ctx) for u, ctx in _occurrences(split.test, common) if u in hidden]
+    truth = np.stack([full.vector(u) for u, _ in occurrences]).astype(np.float64)
+    texts = make_hash_provider(cfg.text)
+    rows, sides = {}, {}  # one train side per comment representation
+    for heuristics in HEURISTIC_SETS:
+        coldmap = replace(cfg.coldmap, heuristics=heuristics)
+        chains = "h3" in heuristics
+        if chains not in sides:
+            sides[chains] = cold_train_side(train, texts, common, coldmap)
+        resolver = variant_resolver("full", kept, train, texts, common, coldmap, sides[chains])
+        rows["+".join(sorted(heuristics))] = np.stack([resolver(u, ctx) for u, ctx in occurrences])
+    rows["global-mean"] = np.tile(kept.mean_vector().astype(np.float64), (len(occurrences), 1))
+    rows["random-user"] = kept.matrix[rng.integers(len(kept), size=len(occurrences))]
+    cosine = {name: _mean_cosine(vecs @ rotation, truth) for name, vecs in rows.items()}
+    return FidelityReport(users=len(hidden), occurrences=len(occurrences),
+                          alignment=alignment, cosine=cosine)

@@ -9,11 +9,15 @@ and a step searches its row's cumulative weights the way
 step would give.
 
 The walk corpus then trains skip-gram with negative sampling by minibatch
-SGD. The (center, context) pairs are visited in a shuffled order,
-MINIBATCH at a time. Each pair keeps its own linearly decaying learning
-rate and its own k negatives from the unigram^3/4 law. All gradients of
-a batch are taken at the pre-batch rows and summed per row. Everything is
-driven by explicit seeds: same graph + config => bit-identical table.
+SGD on a float32 table, as the word2vec code does (Mikolov et al. 2013).
+The (center, context) pairs are visited in a shuffled order, MINIBATCH at
+a time. Each pair keeps its own linearly decaying learning rate. One draw
+of k negatives from the unigram^3/4 law is shared by every pair of a batch,
+as in PyTorch-BigGraph (Lerer et al. 2019): each pair's negatives still
+follow that law, so the expected gradient is unchanged, and scoring them
+is one dense product. All gradients of a batch are taken at the pre-batch
+rows and summed per row. Everything is driven by explicit seeds: same
+graph + config => bit-identical table.
 """
 
 from __future__ import annotations
@@ -178,8 +182,10 @@ def walk_rng(node: str, seed: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def _sigmoid(x: np.ndarray | float):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function in x's dtype. Logits below -80 count as -80: past
+    that, exp(-x) overflows float32, and sigmoid is below 2e-35 either way."""
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -80.0)))
 
 
 def window_pairs(seqs: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
@@ -198,52 +204,35 @@ def window_pairs(seqs: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarr
     return np.stack([flat[centers], flat[centers + offsets[hits % len(offsets)]]], axis=1)
 
 
-class SgnsBatch:
-    """One SGNS minibatch update, on buffers reused by every batch of up to
-    `size` pairs. The parameters are one (2V, d) table: center rows, then
-    context rows."""
+def sgns_step(table: np.ndarray, centers, contexts, negatives, lr) -> None:
+    """Apply one minibatch of SGNS gradients to `table`, in its dtype.
 
-    def __init__(self, size: int, k: int, d: int):
-        m = size * (k + 2)  # per pair: its center row, its context and k negatives
-        self.rows = np.empty(m, dtype=np.int64)
-        self.vecs = np.empty((m, d))
-        self.grads = np.empty((m, d))
-        self.cells = np.empty((m, d), dtype=np.int64)
-        self.cols = np.arange(d)
-        self.labels = np.zeros(k + 1)
-        self.labels[0] = 1.0
-
-    def step(self, table, centers, contexts, negatives, lr) -> None:
-        """Apply each pair's SGNS gradient, taken at the pre-batch rows and
-        scaled by its lr, summed per row. centers and contexts are (b,)
-        vocabulary indices, negatives (b, k), lr (b,)."""
-        v, d = len(table) // 2, table.shape[1]
-        b, k1 = len(centers), negatives.shape[1] + 1
-        m = b * (k1 + 1)
-        rows, vecs, grads, cells = self.rows[:m], self.vecs[:m], self.grads[:m], self.cells[:m]
-        rows[:b] = centers
-        targets = rows[b:].reshape(b, k1)
-        targets[:, 0] = contexts
-        targets[:, 1:] = negatives
-        targets += v
-        np.take(table, rows, axis=0, out=vecs, mode="clip")  # "raise" would buffer `out`
-        vc, mat = vecs[:b], vecs[b:].reshape(b, k1, d)
-        g = (_sigmoid(np.einsum("bkd,bd->bk", mat, vc)) - self.labels) * lr[:, None]
-        np.matmul(g[:, None, :], mat, out=grads[:b, None, :])
-        np.multiply(g[:, :, None], vc[:, None, :], out=grads[b:].reshape(b, k1, d))
-        uniq, inv = np.unique(rows, return_inverse=True)
-        np.add((inv * d)[:, None], self.cols, out=cells)
-        summed = np.bincount(cells.ravel(), grads.ravel(), len(uniq) * d)
-        table[uniq] -= summed.reshape(-1, d)
+    `table` is (2V, d): center rows, then context rows. centers and
+    contexts are (b,) vocabulary indices and lr (b,) the pairs' learning
+    rates; negatives are (k,) indices shared by every pair of the batch.
+    Each pair's gradient is taken at the pre-batch rows and scaled by its
+    lr, and the gradients are summed per row.
+    """
+    v, d = len(table) // 2, table.shape[1]
+    lr = lr.astype(table.dtype)
+    vc, uo, un = table[centers], table[v + contexts], table[v + negatives]
+    go = (_sigmoid(np.einsum("bd,bd->b", vc, uo)) - 1.0) * lr  # (b,) context terms
+    gn = _sigmoid(vc @ un.T) * lr[:, None]  # (b, k) negative terms
+    rows = np.concatenate([centers, v + contexts, v + negatives])
+    grads = np.concatenate([go[:, None] * uo + gn @ un, go[:, None] * vc, gn.T @ vc])
+    uniq, inv = np.unique(rows, return_inverse=True)
+    cells = (inv * d)[:, None] + np.arange(d)
+    table[uniq] -= np.bincount(cells.ravel(), grads.ravel(), len(uniq) * d).reshape(-1, d)
 
 
 def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTable:
-    """SGNS over (center, context) pairs within the window.
+    """SGNS over (center, context) pairs within the window, in float32.
 
-    Negatives come from the unigram distribution raised to 3/4. Output rows
-    are the center vectors, minus their float64 column mean: SGNS leaves
-    one common direction in every row (All-but-the-Top, Mu & Viswanath
-    2018), which would otherwise dominate every user vector.
+    Negatives come from the unigram distribution raised to 3/4, one set of
+    k per minibatch. Output rows are the center vectors, minus their
+    float64 column mean: SGNS leaves one common direction in every row
+    (All-but-the-Top, Mu & Viswanath 2018), which would otherwise dominate
+    every user vector.
     """
     if not walks:
         raise ValueError("empty walk corpus")
@@ -258,7 +247,7 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
     neg_probs /= neg_probs.sum()
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    table = np.zeros((2 * v, d))
+    table = np.zeros((2 * v, d), dtype=np.float32)
     table[:v] = (rng.random((v, d)) - 0.5) / d
 
     pairs = window_pairs(seqs, lengths, cfg.window)
@@ -269,24 +258,24 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
 
     k = cfg.negatives_per_positive
     total_steps = cfg.epochs * n_pairs
-    # Each epoch draws rng.choice(v, size=(n_pairs, k), p=neg_probs) one batch
-    # at a time: the same uniforms, searched in the same cdf as choice's.
+    # Each batch's negatives are rng.choice(v, size=k, p=neg_probs): the same
+    # uniforms, searched in the same cdf as choice's.
     cdf = neg_probs.cumsum()
     cdf /= cdf[-1]
-    batch = SgnsBatch(min(MINIBATCH, n_pairs), k, d)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_pairs)
         for lo in range(0, n_pairs, MINIBATCH):
             hi = min(lo + MINIBATCH, n_pairs)
-            negatives = cdf.searchsorted(rng.random((hi - lo, k)), side="right")
+            negatives = cdf.searchsorted(rng.random(k), side="right")
             step = np.arange(epoch * n_pairs + lo, epoch * n_pairs + hi)
             lr = cfg.learning_rate * np.maximum(1.0 - step / total_steps, 1e-4)
             chosen = pairs[order[lo:hi]]
-            batch.step(table, chosen[:, 0], chosen[:, 1], negatives, lr)
+            sgns_step(table, chosen[:, 0], chosen[:, 1], negatives, lr)
     return _centred_table(vocab, table[:v])
 
 
 def _centred_table(vocab: list[str], rows: np.ndarray) -> EmbeddingTable:
+    rows = rows.astype(np.float64)
     return EmbeddingTable.from_rows(vocab, (rows - rows.mean(axis=0)).astype(np.float32))
 
 

@@ -18,6 +18,7 @@ from uen.evaluation import (
     macro_f1,
     mann_whitney_u,
     save_trials,
+    sign_test,
     tune,
 )
 
@@ -212,6 +213,26 @@ def test_mwu_exact_vs_normal_agreement():
         z = (abs(u1 - n1 * n1 / 2.0) - 0.5) / sd
         p_norm = 2.0 * 0.5 * math.erfc(z / math.sqrt(2.0))
         assert abs(p_exact - min(p_norm, 1.0)) < 0.02
+
+
+def test_sign_test_matches_scipy_binomtest():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    grid = [(w, l) for w in range(13) for l in range(13) if w + l]
+    grid += [(47, 5), (5, 47), (60, 60), (200, 171), (0, 900)]
+    for wins, losses in grid:
+        ref = scipy_stats.binomtest(wins, wins + losses, 0.5).pvalue
+        assert sign_test(wins, losses) == pytest.approx(ref, rel=1e-12, abs=1e-300), (wins, losses)
+
+
+def test_sign_test_edge_cases():
+    assert sign_test(0, 0) == 1.0  # no disagreements: nothing to test
+    assert sign_test(7, 7) == 1.0
+    assert sign_test(np.int64(3), 0) == 0.25  # the two all-one-way outcomes of 3
+    for wins, losses in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            sign_test(wins, losses)
+    with pytest.raises(TypeError):
+        sign_test(2.5, 1)
 
 
 def test_mwu_empty_group_rejected():

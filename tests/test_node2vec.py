@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from uen.graph import build_interaction_graph
 from uen.node2vec import (
     Node2VecConfig,
-    SgnsBatch,
     learn_user_embeddings,
     next_step_distribution,
     sample_walks,
+    sgns_step,
     train_skipgram,
     walk_rng,
     window_pairs,
@@ -246,32 +246,48 @@ def test_window_pairs_edge_cases(index_walks, window):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def test_minibatch_step_sums_per_pair_gradients():
-    rng = np.random.Generator(np.random.PCG64(5))
-    v, d, k = 4, 6, 3
-    table = rng.normal(size=(2 * v, d))
-    # row 0 is the center of three pairs; context row 1 recurs within one
-    # pair's targets and across pairs
-    centers = np.array([0, 1, 0, 3, 0])
-    contexts = np.array([1, 1, 2, 0, 1])
-    negatives = np.array([[1, 1, 2], [0, 3, 3], [1, 2, 0], [2, 2, 2], [3, 1, 0]])
-    lr = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
-    want = table.copy()
-    labels = np.r_[1.0, np.zeros(k)]
-    for c, x, negs, rate in zip(centers, contexts, negatives, lr):
-        targets = np.r_[x, negs]
-        _, grad_c, grad_ctx = sgns_loss_and_grads(table[c], table[v + targets], labels)
+def oracle_step(table, centers, contexts, negatives, lr):
+    """One minibatch by a loop over pairs, in float64: every pair scores its
+    context and the batch's shared negatives at the pre-batch rows."""
+    v = len(table) // 2
+    before = table.astype(np.float64)
+    want = before.copy()
+    labels = np.r_[1.0, np.zeros(len(negatives))]
+    for c, x, rate in zip(centers, contexts, lr):
+        targets = np.r_[x, negatives]
+        _, grad_c, grad_ctx = sgns_loss_and_grads(before[c], before[v + targets], labels)
         want[c] -= rate * grad_c
         for t, grad in zip(targets, grad_ctx):
             want[v + t] -= rate * grad
+    return want
+
+
+def test_minibatch_step_sums_per_pair_gradients():
+    rng = np.random.Generator(np.random.PCG64(5))
+    v, d = 4, 6
+    table = rng.normal(size=(2 * v, d))
+    # row 0 is the center of three pairs; context row 1 recurs across pairs
+    # and among the negatives, and negative 2 is drawn twice
+    centers = np.array([0, 1, 0, 3, 0])
+    contexts = np.array([1, 1, 2, 0, 1])
+    negatives = np.array([1, 2, 2])
+    lr = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
+    want = oracle_step(table, centers, contexts, negatives, lr)
     got = table.copy()
-    SgnsBatch(8, k, d).step(got, centers, contexts, negatives, lr)
+    sgns_step(got, centers, contexts, negatives, lr)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    # a float32 table is stepped in float32: each product rounds to 24 bits
+    table32 = table.astype(np.float32)
+    want = oracle_step(table32, centers, contexts, negatives, lr)
+    sgns_step(table32, centers, contexts, negatives, lr)
+    assert table32.dtype == np.float32
+    np.testing.assert_allclose(table32, want, rtol=1e-6, atol=1e-6)
 
 
 def test_batched_negative_draws_equal_one_choice_call():
-    # train_skipgram draws each epoch's negatives batch by batch; the stream
-    # and the searched cdf must match one rng.choice call over the epoch
+    # searching the cdf batch by batch equals one rng.choice call over all
+    # the batches: the draw train_skipgram's negatives are made with
     probs = np.array([1.0, 4.0, 0.5, 2.5]) ** 0.75
     probs /= probs.sum()
     want = np.random.Generator(np.random.PCG64(3)).choice(4, size=(10, 3), p=probs)
@@ -281,6 +297,23 @@ def test_batched_negative_draws_equal_one_choice_call():
     got = np.concatenate([cdf.searchsorted(rng.random((n, 3)), side="right")
                           for n in (4, 4, 2)])
     assert np.array_equal(got, want)
+
+
+def test_shared_negatives_equal_one_choice_call_per_batch():
+    # train_skipgram shuffles the pairs each epoch, then draws one set of k
+    # negatives per batch: rng.choice(v, size=k, p=probs), batch by batch
+    probs = np.array([1.0, 4.0, 0.5, 2.5, 3.0]) ** 0.75
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    want_rng = np.random.Generator(np.random.PCG64(3))
+    got_rng = np.random.Generator(np.random.PCG64(3))
+    for _epoch in range(2):
+        assert np.array_equal(want_rng.permutation(7), got_rng.permutation(7))
+        for _batch in range(3):
+            want = want_rng.choice(5, size=4, p=probs)
+            got = cdf.searchsorted(got_rng.random(4), side="right")
+            assert np.array_equal(got, want)
 
 
 def clique_graph(members, tag):
