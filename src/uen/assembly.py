@@ -9,7 +9,7 @@ heuristic) also live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -32,6 +32,15 @@ class SampleGraph:
     sample_id: str
 
 
+def occurrences(sample: Sample, common_author: Optional[str] = None
+                ) -> Iterator[tuple[str, tuple]]:
+    """Each node's (user_id, resolver context), in node order: the post's
+    author, then each comment's author."""
+    yield sample.resolved_author(common_author), ("post", sample)
+    for c in sample.comments:
+        yield c.author, ("comment", sample, c.id)
+
+
 def assemble(
     sample: Sample,
     texts: TextProvider,
@@ -42,27 +51,18 @@ def assemble(
 
     resolver=None drops user features entirely (text-only node rows).
     """
-    node_order = [sample.post_id] + [c.id for c in sample.comments]
+    node_order = (sample.post_id, *(c.id for c in sample.comments))
     pos = {nid: i for i, nid in enumerate(node_order)}
-    post_text = np.asarray(texts(sample.text_key), dtype=np.float64)
-    d2 = post_text.shape[0]
-    if resolver is None:
-        features = np.empty((len(node_order), d2))
-        features[0] = post_text
-        for i, c in enumerate(sample.comments, 1):
-            features[i] = texts(c.text_key)
-    else:
-        post_user = resolver(sample.resolved_author(common_author), ("post", sample))
-        features = np.empty((len(node_order), d2 + len(post_user)))
-        features[0, :d2], features[0, d2:] = post_text, post_user
-        for i, c in enumerate(sample.comments, 1):
-            features[i, :d2] = texts(c.text_key)
-            features[i, d2:] = resolver(c.author, ("comment", sample, c.id))
-    edges = tuple((pos[p], pos[c]) for p, c in sample.edges())
+    text = [texts(sample.text_key), *(texts(c.text_key) for c in sample.comments)]
+    user = (np.empty((len(text), 0)) if resolver is None else
+            [resolver(*occ) for occ in occurrences(sample, common_author)])
+    d2 = len(text[0])
+    features = np.empty((len(text), d2 + len(user[0])))
+    features[:, :d2], features[:, d2:] = text, user
     return SampleGraph(
-        node_order=tuple(node_order),
+        node_order=node_order,
         features=features,
-        edges=edges,
+        edges=tuple((pos[p], pos[c]) for p, c in sample.edges()),
         label=sample.label,
         sample_id=sample.post_id,
     )

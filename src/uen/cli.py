@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiment
+from .assembly import occurrences
 from .coldmap import ColdMapConfig
 from .corpus import Corpus, CorpusError, load_corpus, save_corpus, temporal_split
 from .embedding import EmbeddingTable, FormatError, sha256_file
@@ -207,14 +208,11 @@ def cmd_map_cold(args):
                                            train_corpus.common_author, coldmap)
     ids, rows = [], []
     for s in test_corpus.samples:
-        author = s.resolved_author(test_corpus.common_author)
-        if author not in users:
-            ids.append(f"{s.post_id}/post/{author}")
-            rows.append(resolver(author, ("post", s)))
-        for c in s.comments:
-            if c.author not in users:
-                ids.append(f"{s.post_id}/{c.id}/{c.author}")
-                rows.append(resolver(c.author, ("comment", s, c.id)))
+        for user, context in occurrences(s, test_corpus.common_author):
+            if user not in users:
+                node = context[2] if context[0] == "comment" else "post"
+                ids.append(f"{s.post_id}/{node}/{user}")
+                rows.append(resolver(user, context))
     table = EmbeddingTable.from_rows(ids, np.reshape(rows, (len(rows), users.dim)))
     table.save(out / "cold.emb")
     _write_provenance(out, args, [args.train, args.test], coldmap, _config(args, TextEmbedConfig))

@@ -211,6 +211,7 @@ class TrainSideData:
 
     post_index: SimIndex
     comments_by_post: dict  # post_id -> SimIndex of that post's comments
+    chains: bool  # comments are represented by chain sums (H3), not raw texts
 
     @cached_property
     def all_comments(self) -> SimIndex:
@@ -245,7 +246,11 @@ def build_train_side(
     post_index = build_index(
         (s.post_id, texts(s.text_key), s.resolved_author(common_author)) for s in train
     )
-    return TrainSideData(post_index=post_index, comments_by_post=comments_by_post)
+    return TrainSideData(post_index=post_index, comments_by_post=comments_by_post,
+                         chains=bool(use_chains))
+
+
+_REPS = {True: "reply-chain sums", False: "raw comment texts"}
 
 
 class _ColdSample:
@@ -259,6 +264,11 @@ class _ColdSample:
     """
 
     def __init__(self, sample, train_side, texts, users, cfg, table_mean, post_rows):
+        chains = "h3" in cfg.heuristics
+        if "h2" in cfg.heuristics and train_side.chains != chains:
+            raise ValueError(f"the train side represents comments by {_REPS[train_side.chains]}, "
+                             f"but heuristics {sorted(cfg.heuristics)} compare "
+                             f"{_REPS[chains]}; build it with use_chains={chains}")
         self.sample, self.side, self.texts, self.users, self.cfg = (
             sample, train_side, texts, users, cfg)
         self.table_mean, self.post_rows = table_mean, post_rows

@@ -9,7 +9,7 @@ time so test posts never precede training posts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -80,13 +80,7 @@ class LoadReport:
     errors: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "loaded": self.loaded,
-                "dropped_zero_comment": self.dropped_zero_comment,
-                "errors": self.errors,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 class Bucket(str, Enum):

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,21 +74,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def bm(b: BucketMetrics) -> dict:
-            return {
-                "n": b.n,
-                "n_true": b.n_true,
-                "n_fake": b.n_fake,
-                "accuracy": b.accuracy,
-                "macro_f1": b.macro_f1,
-            }
-
-        return {
-            "overall": bm(self.overall),
-            "buckets": {k: bm(v) for k, v in self.buckets.items()},
-            "confusion": self.confusion,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import SampleGraph, UserResolver, assemble
+from .assembly import SampleGraph, UserResolver, assemble, occurrences
 from .coldmap import ColdMapConfig, TrainSideData, build_train_side, make_resolver
 from .corpus import Corpus, Sample, Split, corpus_users, overlap_ratio, temporal_split
 from .embedding import EmbeddingTable
@@ -161,10 +161,7 @@ def run_ablation(
     users = None
     results: dict[str, RunResult] = {}
     for variant in variants:
-        cfg = PipelineConfig(
-            gnn=base.gnn, node2vec=base.node2vec, text=base.text,
-            coldmap=base.coldmap, variant=variant,
-        )
+        cfg = replace(base, variant=variant)
         if variant != "no-user" and users is None:
             users = prepare_user_embeddings(split, cfg, corpus.common_author)
         logger.info("running variant %s", variant)
@@ -205,14 +202,6 @@ def without_users(samples, hidden: set, common_author=None) -> list[Sample]:
 
         out.append(replace(s, comments=tuple(c for c in s.comments if not cut(c))))
     return out
-
-
-def _occurrences(samples, common_author):
-    """Every (user, resolver context) of `samples`, in assembly order."""
-    for s in samples:
-        yield s.resolved_author(common_author), ("post", s)
-        for c in s.comments:
-            yield c.author, ("comment", s, c.id)
 
 
 def _procrustes(source: EmbeddingTable, target: EmbeddingTable) -> tuple[np.ndarray, float]:
@@ -265,8 +254,8 @@ def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
     train = without_users(split.train, hidden, common)
     kept = learn_user_embeddings(build_interaction_graph(train, common), cfg.node2vec)
     rotation, alignment = _procrustes(kept, full)
-    occurrences = [(u, ctx) for u, ctx in _occurrences(split.test, common) if u in hidden]
-    truth = np.stack([full.vector(u) for u, _ in occurrences]).astype(np.float64)
+    targets = [(u, ctx) for s in split.test for u, ctx in occurrences(s, common) if u in hidden]
+    truth = np.stack([full.vector(u) for u, _ in targets]).astype(np.float64)
     texts = make_hash_provider(cfg.text)
     rows, sides = {}, {}  # one train side per comment representation
     for heuristics in HEURISTIC_SETS:
@@ -275,9 +264,9 @@ def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
         if chains not in sides:
             sides[chains] = cold_train_side(train, texts, common, coldmap)
         resolver = variant_resolver("full", kept, train, texts, common, coldmap, sides[chains])
-        rows["+".join(sorted(heuristics))] = np.stack([resolver(u, ctx) for u, ctx in occurrences])
-    rows["global-mean"] = np.tile(kept.mean_vector().astype(np.float64), (len(occurrences), 1))
-    rows["random-user"] = kept.matrix[rng.integers(len(kept), size=len(occurrences))]
+        rows["+".join(sorted(heuristics))] = np.stack([resolver(u, ctx) for u, ctx in targets])
+    rows["global-mean"] = np.tile(kept.mean_vector().astype(np.float64), (len(targets), 1))
+    rows["random-user"] = kept.matrix[rng.integers(len(kept), size=len(targets))]
     cosine = {name: _mean_cosine(vecs @ rotation, truth) for name, vecs in rows.items()}
-    return FidelityReport(users=len(hidden), occurrences=len(occurrences),
+    return FidelityReport(users=len(hidden), occurrences=len(targets),
                           alignment=alignment, cosine=cosine)

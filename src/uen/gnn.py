@@ -75,9 +75,6 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         return replace(self, tensors={k: np.zeros_like(v) for k, v in self.tensors.items()})
 
-    def names(self) -> list[str]:
-        return sorted(self.tensors)
-
 
 def param_shapes(cfg: GnnConfig, in_dim: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every model tensor, in the order init_params draws them."""
@@ -282,11 +279,6 @@ def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
     return h[0], logits[0]
 
 
-def sample_loss_and_grads(params: ModelParams, g: SampleGraph):
-    """Cross-entropy loss of one labeled sample plus analytic gradients."""
-    return loss_and_grads(params, [g])
-
-
 def loss_and_grads(params: ModelParams, batch: list[SampleGraph]):
     """Mean cross-entropy over a batch and its gradients, from one padded pass."""
     if not batch:
@@ -397,12 +389,9 @@ def _copy_params(params: ModelParams) -> ModelParams:
 
 def save_history(history: list[dict], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "val_acc"])
-        for row in history:
-            writer.writerow(
-                [row["epoch"], row["train_loss"], row["val_loss"], row["val_acc"]]
-            )
+        writer = csv.DictWriter(fh, ["epoch", "train_loss", "val_loss", "val_acc"])
+        writer.writeheader()
+        writer.writerows(history)
 
 
 def save_model(params: ModelParams, path) -> None:

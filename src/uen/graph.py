@@ -27,14 +27,8 @@ class InteractionGraph:
     def neighbors(self, u: str) -> tuple[tuple[str, float], ...]:
         return self.adjacency.get(u, ())
 
-    def degree(self, u: str) -> int:
-        return len(self.adjacency.get(u, ()))
-
     def weight(self, u: str, v: str) -> int:
         return self.edges.get(_key(u, v), 0)
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return _key(u, v) in self.edges
 
 
 def build_interaction_graph(

@@ -16,7 +16,7 @@ from uen.corpus import temporal_split
 from uen.embedding import EmbeddingTable
 from uen.evaluation import bucketed_report, mann_whitney_u
 from uen.experiment import PipelineConfig, run_ablation, run_variant
-from uen.gnn import GnnConfig, SampleGraph, forward, init_params, load_model, sample_loss_and_grads, save_model
+from uen.gnn import GnnConfig, SampleGraph, forward, init_params, load_model, loss_and_grads, save_model
 from uen.graph import build_interaction_graph
 from uen.node2vec import Node2VecConfig, learn_user_embeddings, next_step_distribution, sample_walks
 from uen.synth import SynthConfig, generate
@@ -168,17 +168,17 @@ def test_criterion_03_gradient_checks():
             g = _random_graph(rng, n, in_dim)
             cfg = GnnConfig(arch=arch, hidden=5, layers=3, seed=trial)
             params = init_params(cfg, in_dim, rng)
-            _, grads = sample_loss_and_grads(params, g)
-            for name in params.names():
+            _, grads = loss_and_grads(params, [g])
+            for name in sorted(params.tensors):
                 tensor = params.tensors[name]
                 it = np.nditer(tensor, flags=["multi_index"])
                 for _ in it:
                     i = it.multi_index
                     orig = tensor[i]
                     tensor[i] = orig + step
-                    lp, _ = sample_loss_and_grads(params, g)
+                    lp, _ = loss_and_grads(params, [g])
                     tensor[i] = orig - step
-                    lm, _ = sample_loss_and_grads(params, g)
+                    lm, _ = loss_and_grads(params, [g])
                     tensor[i] = orig
                     numeric = (lp - lm) / (2 * step)
                     analytic = grads.tensors[name][i]

@@ -39,7 +39,7 @@ def test_cold_author_mean_fallback_suffix(texts):
     assert np.allclose(g.features[0, 256:], users.mean_vector())
 
 
-def test_concatenation_order_with_sentinels():
+def test_concatenation_order_with_sentinels(texts):
     s = star_sample("p1", author="u1", commenters=("u2",))
     d2, d1 = 4, 3
 
@@ -52,6 +52,29 @@ def test_concatenation_order_with_sentinels():
     g = assemble(s, sentinel_texts, sentinel_resolver)
     assert np.all(g.features[:, :d2] == 7.0)
     assert np.all(g.features[:, d2:] == -5.0)
+    # exact float64 rows, text then user, resolved post author first, then
+    # each comment in input order
+    s = chain_sample("p1", depth=4)  # poster, then u0..u3
+    users = random_user_table(["poster", "u1", "u3"], d1=8)  # u0 and u2 are cold
+    inner = make_resolver("mean-fallback", users)
+    calls = []
+
+    def resolver(user_id, context):
+        calls.append((user_id, context))
+        return inner(user_id, context)
+
+    g = assemble(s, texts, resolver)
+    nodes = _keys_and_occurrences(s)
+    assert calls == [(user, ctx) for _, user, ctx in nodes]
+    assert g.features.dtype == np.float64 and g.features.shape == (5, 264)
+    for row, (key, user, ctx) in zip(g.features, nodes):
+        assert np.array_equal(row, np.concatenate([texts(key), inner(user, ctx)]))
+
+
+def _keys_and_occurrences(s):
+    """Each node's text key, user and resolver context, post first."""
+    return [(s.text_key, s.author, ("post", s))] + [
+        (c.text_key, c.author, ("comment", s, c.id)) for c in s.comments]
 
 
 def test_resolver_none_gives_text_only_rows(texts):
@@ -59,6 +82,11 @@ def test_resolver_none_gives_text_only_rows(texts):
     g = assemble(s, texts, None)
     assert g.features.shape == (3, 256)
     assert np.allclose(g.features[0], texts(s.text_key))
+    s = chain_sample("p1", depth=4)
+    g = assemble(s, texts, None)
+    assert g.features.dtype == np.float64 and g.features.shape == (5, 256)
+    for row, (key, _, _) in zip(g.features, _keys_and_occurrences(s)):
+        assert np.array_equal(row, texts(key))
 
 
 def test_edges_mirror_reply_tree(texts):

@@ -9,6 +9,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -470,11 +471,26 @@ def test_map_cold_command(pipeline, tmp_path):
             "--test", str(pipeline / "splits" / "test.jsonl"),
             "--users", str(pipeline / "users" / "users.emb"),
             "--out", str(tmp_path / "cold"), "--k1", "3", "--k2", "5"])
-    from uen.embedding import EmbeddingTable
-
     table = EmbeddingTable.load(tmp_path / "cold" / "cold.emb")
     assert table.dim == 8
     assert len(table) > 0  # default synth config plants cold users
+    # one row per cold occurrence, in node order, each the vector the full
+    # variant's resolver gives that occurrence
+    train = load_corpus(pipeline / "splits" / "train.jsonl")[0]
+    test = load_corpus(pipeline / "splits" / "test.jsonl")[0]
+    users = EmbeddingTable.load(pipeline / "users" / "users.emb")
+    resolver = experiment.variant_resolver("full", users, train.samples, make_hash_provider(),
+                                           train.common_author, ColdMapConfig(k1=3, k2=5))
+    expected = []
+    for s in test.samples:
+        author = s.resolved_author(test.common_author)
+        expected.append((f"{s.post_id}/post/{author}", author, ("post", s)))
+        expected += [(f"{s.post_id}/{c.id}/{c.author}", c.author, ("comment", s, c.id))
+                     for c in s.comments]
+    expected = [(key, user, ctx) for key, user, ctx in expected if user not in users]
+    assert table.ids == [key for key, _, _ in expected]
+    for row, (_, user, ctx) in zip(table.matrix, expected):
+        assert np.array_equal(row, resolver(user, ctx).astype(np.float32))
 
 
 def test_ingest_round_trip(pipeline, tmp_path, capsys):

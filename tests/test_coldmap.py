@@ -342,7 +342,7 @@ def test_map_cold_commenter_empty_pool_falls_back_to_author(texts):
     train = train_samples_fixture()
     side = build_train_side(train, texts)
     empty = {k: build_index([]) for k in side.comments_by_post}
-    side = TrainSideData(post_index=side.post_index, comments_by_post=empty)
+    side = TrainSideData(post_index=side.post_index, comments_by_post=empty, chains=side.chains)
     cold = make_sample("q", author="x", text_key="shared topic words", comments=[
         make_comment("qc0", "y", "q", text_key="alpha beta")])
     out = map_cold_commenter(cold, "qc0", side, texts, users,
@@ -365,6 +365,29 @@ def test_h3_off_equals_h3_on_for_flat_trees(texts):
         cold, "qc0", build_train_side(train, texts, use_chains=False), texts,
         users, ColdMapConfig(k1=2, k2=2, heuristics=frozenset({"h1", "h2"})))
     assert np.allclose(with_h3, without_h3)
+
+
+@pytest.mark.parametrize("use_chains", [True, False])
+def test_train_side_of_the_other_representation_is_rejected(texts, use_chains):
+    # a chain-sum side under H2 without H3, or a raw-text side under H3,
+    # would score comments against vectors of the other kind
+    side = build_train_side(train_samples_fixture(), texts, use_chains=use_chains)
+    heuristics = frozenset({"h1", "h2"} if use_chains else {"h1", "h2", "h3"})
+    cfg = ColdMapConfig(k1=2, k2=2, heuristics=heuristics)
+    cold = star_sample("q", author="x", commenters=("y",))
+    with pytest.raises(ValueError, match="reply-chain sums.*raw comment texts|"
+                                         "raw comment texts.*reply-chain sums"):
+        map_cold_commenter(cold, "qc0", side, texts, all_users(), cfg)
+    resolver = make_resolver("cold-mapper", all_users(), train_side=side, texts=texts, cfg=cfg)
+    with pytest.raises(ValueError, match=f"use_chains={not use_chains}"):
+        resolver("y", ("comment", cold, "qc0"))
+    # a resolver without H2 never reads the comment representation
+    h1_only = make_resolver("cold-mapper", all_users(), train_side=side, texts=texts,
+                            cfg=ColdMapConfig(k1=2, k2=2, heuristics=frozenset({"h1"})))
+    assert np.array_equal(
+        h1_only("y", ("comment", cold, "qc0")),
+        map_cold_author(np.asarray(texts(cold.text_key), dtype=np.float64),
+                        side.post_index, all_users(), 2))
 
 
 def test_h1_disabled_pools_all_train_comments(texts):

@@ -20,7 +20,6 @@ from uen.gnn import (
     load_model,
     loss_and_grads,
     predict,
-    sample_loss_and_grads,
     save_history,
     save_model,
     train,
@@ -53,12 +52,12 @@ def make_params(arch, in_dim=6, hidden=5, layers=2, lam=0.5, seed=0):
 
 
 def flatten(params):
-    return np.concatenate([params.tensors[k].reshape(-1) for k in params.names()])
+    return np.concatenate([params.tensors[k].reshape(-1) for k in sorted(params.tensors)])
 
 
 def set_flat(params, vec):
     offset = 0
-    for k in params.names():
+    for k in sorted(params.tensors):
         t = params.tensors[k]
         t[...] = vec[offset: offset + t.size].reshape(t.shape)
         offset += t.size
@@ -368,7 +367,7 @@ def test_uniform_logits_loss_is_ln2():
     for k in params.tensors:
         params.tensors[k][...] = 0.0
     g = random_graph(np.random.Generator(np.random.PCG64(0)), 4, 6, label=0)
-    loss, _ = sample_loss_and_grads(params, g)
+    loss, _ = loss_and_grads(params, [g])
     assert loss == pytest.approx(np.log(2.0))
 
 
@@ -377,7 +376,7 @@ def test_gradients_match_finite_differences(arch):
     rng = np.random.Generator(np.random.PCG64(7))
     params = make_params(arch, in_dim=5, hidden=4, layers=2, lam=0.4)
     g = random_graph(rng, 5, 5, label=1)
-    _, grads = sample_loss_and_grads(params, g)
+    _, grads = loss_and_grads(params, [g])
     analytic = flatten(grads)
     theta = flatten(params)
     h = 1e-4
@@ -388,7 +387,7 @@ def test_gradients_match_finite_differences(arch):
             t = theta.copy()
             t[i] += sign * h
             set_flat(probe, t)
-            loss, _ = sample_loss_and_grads(probe, g)
+            loss, _ = loss_and_grads(probe, [g])
             numeric[i] += sign * loss
     numeric /= 2 * h
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
@@ -409,7 +408,7 @@ def test_unlabeled_sample_rejected():
     params = make_params("gcn")
     g = make_graph(np.zeros((2, 6)), [(0, 1)], label=None)
     with pytest.raises(ValueError, match="unlabeled"):
-        sample_loss_and_grads(params, g)
+        loss_and_grads(params, [g])
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -603,7 +602,7 @@ def test_model_save_load_round_trip(tmp_path):
     save_model(params, path)
     loaded = load_model(path)
     assert loaded.arch == "gat" and loaded.lam == 0.7
-    assert loaded.names() == params.names()
+    assert sorted(loaded.tensors) == sorted(params.tensors)
     _, logits_a = forward(params, g)
     _, logits_b = forward(loaded, g)
     assert np.allclose(logits_a, logits_b, atol=1e-4)  # float32 checkpoint
@@ -681,7 +680,7 @@ def test_model_load_rejects_truncation_and_padding(tmp_path):
     with pytest.raises(FormatError, match="payload"):
         load_model(path)
     path.write_bytes(raw)
-    assert load_model(path).names() == make_params("gcn").names()
+    assert sorted(load_model(path).tensors) == sorted(make_params("gcn").tensors)
 
 
 # sha256 of model.mdl for make_params(arch) with arange-filled tensors, as

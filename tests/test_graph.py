@@ -13,7 +13,7 @@ def test_star_comments_yield_post_author_edges():
     assert g.nodes == frozenset({"u1", "u2", "u3"})
     assert g.weight("u1", "u2") == 1
     assert g.weight("u1", "u3") == 1
-    assert not g.has_edge("u2", "u3")
+    assert g.weight("u2", "u3") == 0
 
 
 def test_reply_accumulates_weight():
@@ -32,7 +32,7 @@ def test_self_reply_is_a_self_loop():
     ])
     g = build_interaction_graph([s])
     assert g.weight("u1", "u1") == 1
-    assert g.degree("u1") == 1
+    assert len(g.neighbors("u1")) == 1
 
 
 def test_unweighted_flag_collapses_counts():
