@@ -1,9 +1,10 @@
 """Per-sample node features and the local graph fed to the GNN.
 
-Each node row is text vector || user vector (text first). The post is node
-0, comments follow in input order, and edges mirror the sample's reply
-tree. Comment-chain prefix sums (used by the cold mapper's history
-heuristic) also live here.
+Each node row is text vector || user vector (text first), stored in float32,
+the GNN's compute dtype: a float64 user vector is rounded once, here. The
+post is node 0, comments follow in input order, and edges mirror the
+sample's reply tree. Comment-chain prefix sums (used by the cold mapper's
+history heuristic) also live here.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ UserResolver = Callable[[str, tuple], np.ndarray]
 @dataclass(frozen=True)
 class SampleGraph:
     node_order: tuple[str, ...]  # post_id first, then comment ids
-    features: np.ndarray  # (n_nodes, feat_dim)
+    features: np.ndarray  # (n_nodes, feat_dim) float32
     edges: tuple[tuple[int, int], ...]  # undirected, indices into node_order
     label: Optional[int]
     sample_id: str
@@ -57,7 +58,7 @@ def assemble(
     user = (np.empty((len(text), 0)) if resolver is None else
             [resolver(*occ) for occ in occurrences(sample, common_author)])
     d2 = len(text[0])
-    features = np.empty((len(text), d2 + len(user[0])))
+    features = np.empty((len(text), d2 + len(user[0])), dtype=np.float32)
     features[:, :d2], features[:, d2:] = text, user
     return SampleGraph(
         node_order=node_order,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain
 from typing import Callable
 
@@ -319,6 +319,18 @@ class _ColdSample:
                           topk_rows(self.pool, self.comment_reps[comment_id], self.cfg.k2)[0])
 
 
+def _cold_vector(cold: Callable[[Sample], _ColdSample], context: tuple,
+                 cfg: ColdMapConfig, table_mean: Callable[[], np.ndarray]) -> np.ndarray:
+    """The mapped vector of a cold user's occurrence: H2 for a comment when
+    enabled, else H1's author mapping, else the table mean. `cold` gives the
+    sample's retrieval state; it is called only when retrieval is needed."""
+    if context[0] == "comment" and "h2" in cfg.heuristics:
+        return cold(context[1]).commenter_vector(context[2])
+    if "h1" in cfg.heuristics:
+        return cold(context[1]).author_vector
+    return table_mean()
+
+
 def map_cold_commenter(
     sample: Sample,
     comment_id: str,
@@ -328,10 +340,14 @@ def map_cold_commenter(
     cfg: ColdMapConfig,
 ) -> np.ndarray:
     """H1 narrows to similar posts, H3 transforms comments to chain sums,
-    H2 retrieves the k2 nearest comments and averages their authors."""
-    return _ColdSample(sample, train_side, texts, users, cfg, lambda: _table_mean(users),
-                       lambda: _owner_rows(train_side.post_index, users)
-                       ).commenter_vector(comment_id)
+    H2 retrieves the k2 nearest comments and averages their authors. Without
+    H2 the commenter is mapped as the cold-mapper resolver maps them: by H1's
+    author mapping, or to the table mean without H1 either."""
+    table_mean = partial(_table_mean, users)
+    return _cold_vector(
+        lambda s: _ColdSample(s, train_side, texts, users, cfg, table_mean,
+                              lambda: _owner_rows(train_side.post_index, users)),
+        ("comment", sample, comment_id), cfg, table_mean)
 
 
 def make_resolver(
@@ -363,8 +379,6 @@ def make_resolver(
     if mode == "cold-mapper":
         if train_side is None or texts is None or cfg is None:
             raise ValueError("cold-mapper mode needs train_side, texts, and cfg")
-        h1 = "h1" in cfg.heuristics
-        h2 = "h2" in cfg.heuristics
         current: _ColdSample | None = None
         table_mean = cache(lambda: _table_mean(users))
         post_rows = cache(lambda: _owner_rows(train_side.post_index, users))
@@ -381,11 +395,7 @@ def make_resolver(
         def resolver(user_id, context):
             if user_id in users:
                 return users.vector(user_id).astype(np.float64)
-            if context[0] == "comment" and h2:
-                return cold(context[1]).commenter_vector(context[2])
-            if h1:
-                return cold(context[1]).author_vector
-            return table_mean()
+            return _cold_vector(cold, context, cfg, table_mean)
 
         return resolver
     raise ValueError(f"unknown resolver mode {mode!r}")

@@ -1,13 +1,15 @@
 """Three-layer GCN / GraphSAGE / GAT with hand-written backward passes.
 
-Per-sample graphs are tiny trees. A batch of them is padded into dense
-(B, n_max, ·) arrays, and its propagation operators are built from the
-batch's edge lists when it is packed: each layer is a weight product over
-the batch's nodes and one batched matmul for propagation or attention. A
-single graph takes the same path, as a batch of one. Readout blends the
-post node with the comment mean through lambda, then a dense head produces
-two logits. Training is Adam on mean cross-entropy with min-validation-loss
-model selection.
+Per-sample graphs are tiny trees. Each call lays its graphs out once, as a
+split: checked, with node counts, labels and every edge in one int array,
+each graph's feature array referenced rather than copied. A batch of a
+split's graphs is packed by index arithmetic into dense (B, n_max, ·)
+arrays, its propagation operators built from its edges: each layer is a
+weight product over the batch's nodes and one batched matmul for
+propagation or attention. A single graph takes the same path, as a split
+and batch of one. Readout blends the post node with the comment mean
+through lambda, then a dense head produces two logits. Training is Adam on
+mean cross-entropy with min-validation-loss model selection.
 
 Every pass computes in the dtype of the model's tensors. `train` casts the
 float64 draws of `init_params` to float32 once, so training, checkpoints
@@ -113,55 +115,95 @@ def init_params(cfg: GnnConfig, in_dim: int, rng: np.random.Generator) -> ModelP
 
 
 # ---------------------------------------------------------------------------
-# padded batches
+# packed splits and padded batches
 
 
-def _operators(arch: str, graphs, n_max: int, dtype) -> np.ndarray:
-    """The batch's (B, n_max, n_max) propagation operators in `dtype`, built
-    from its edge lists: GCN's normalized Â, SAGE's neighbour mean (an
-    isolated node aggregates itself) or GAT's mask of neighbours plus self.
-    A pad slot is an isolated node, so its operator row is self-only in
-    every arch."""
-    counts = [len(g.edges) for g in graphs]
+@dataclass
+class _Split:
+    """Graphs checked and laid out once, so that any batch of them packs by
+    index arithmetic. Each graph's feature array is referenced, not copied."""
+
+    features: list  # each graph's (n, in_dim) array
+    counts: list  # node counts
+    edge_start: list  # graph k's edges are edge_start[k]:edge_start[k + 1]
+    ends: np.ndarray  # every edge as flat (i, j) pairs: graph k's are ends[2 * edge_start[k]:...]
+    labels: np.ndarray | None  # kept when the caller needs them
+
+
+def _split(graphs, in_dim: int, labeled: bool) -> _Split:
+    """Check `graphs` against a model of width `in_dim` and lay them out;
+    `labeled` also requires every graph's label."""
+    features, counts, edge_start = [], [], [0]
+    for g in graphs:
+        if g.features.shape[0] < 2:
+            raise FormatError(f"sample {g.sample_id}: no comment nodes, so the readout's "
+                              "comment mean is undefined")
+        if g.features.shape[1] != in_dim:
+            raise FormatError(f"sample {g.sample_id}: feature dim "
+                              f"{g.features.shape[1]} != model dim {in_dim}")
+        features.append(g.features)
+        counts.append(len(g.features))
+        edge_start.append(edge_start[-1] + len(g.edges))
+    labels = None
+    if labeled:
+        labels = [g.label for g in graphs]
+        if None in labels:
+            raise ValueError(f"sample {graphs[labels.index(None)].sample_id} is unlabeled")
+        labels = np.array(labels)
     ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-                       dtype=np.intp, count=2 * sum(counts))
-    b, i, j = np.arange(len(graphs)).repeat(counts), ends[0::2], ends[1::2]
-    a = np.zeros((len(graphs), n_max, n_max), dtype=dtype)
+                       dtype=np.intp, count=2 * edge_start[-1])
+    return _Split(features, counts, edge_start, ends, labels)
+
+
+def _operators(arch: str, split: _Split, idx, n_max: int, dtype) -> np.ndarray:
+    """The (B, n_max, n_max) propagation operators in `dtype` of the graphs
+    `idx` of `split`: GCN's normalized Â, SAGE's neighbour mean (an isolated
+    node aggregates itself) or GAT's mask of neighbours plus self. A pad slot
+    is an isolated node, so its operator row is self-only in every arch."""
+    start = split.edge_start
+    ends = np.concatenate([split.ends[2 * start[k] : 2 * start[k + 1]] for k in idx])
+    b, i, j = (np.arange(len(idx)).repeat([start[k + 1] - start[k] for k in idx]),
+               ends[0::2], ends[1::2])
+    a = np.zeros((len(idx), n_max, n_max), dtype=dtype)
     a[b, i, j] = a[b, j, i] = 1.0
     if arch == "sage":
         deg = a.sum(axis=2)[:, :, None]
         return np.where(deg > 0, a / np.maximum(deg, 1.0), np.eye(n_max, dtype=dtype))
-    a.reshape(len(graphs), -1)[:, :: n_max + 1] += 1.0  # Â = A + I
+    a.reshape(len(idx), -1)[:, :: n_max + 1] += 1.0  # Â = A + I
     if arch == "gat":
         return a > 0
     d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=2))
     return a * d_inv_sqrt[:, :, None] * d_inv_sqrt[:, None, :]
 
 
-def _pack(params: ModelParams, graphs) -> tuple[np.ndarray, dict]:
-    """A batch as its real node rows (R, in_dim), in graph order and in the
-    model's dtype, and a cache holding its padded (B, n_max) layout: the
-    mask of real slots, operators (B, n_max, n_max) and readout weights
-    (lambda on the post, the rest spread over the real comments). A pad slot
-    is an isolated zero-feature node: its self-only operator row gives it
-    exactly zero output and gradient in every arch, and its readout weight
-    is zero. One graph is a batch of one, with no pad slots."""
-    for g in graphs:
-        if g.features.shape[0] < 2:
-            raise FormatError(f"sample {g.sample_id}: no comment nodes, so the readout's "
-                              "comment mean is undefined")
-        if g.features.shape[1] != params.in_dim:
-            raise FormatError(f"sample {g.sample_id}: feature dim "
-                              f"{g.features.shape[1]} != model dim {params.in_dim}")
-    counts = [len(g.features) for g in graphs]
+def _rows(params: ModelParams, split: _Split, idx) -> np.ndarray:
+    """The real node rows (R, in_dim) of the graphs `idx` of `split`, in
+    batch order and in the model's dtype."""
+    dtype = params.tensors["cls.W"].dtype
+    return np.concatenate([split.features[k] for k in idx], dtype=dtype)
+
+
+def _layout(params: ModelParams, split: _Split, idx) -> dict:
+    """The padded (B, n_max) layout of the graphs `idx` of `split`: the mask
+    of real slots, operators (B, n_max, n_max) and readout weights (lambda on
+    the post, the rest spread over the real comments). A pad slot is an
+    isolated zero-feature node: its self-only operator row gives it exactly
+    zero output and gradient in every arch, and its readout weight is zero."""
+    counts = [split.counts[k] for k in idx]
     n_max = max(counts)
-    real = np.arange(n_max) < np.array(counts)[:, None]
+    real = np.greater.outer(counts, np.arange(n_max))
     dtype = params.tensors["cls.W"].dtype
     readout = real * np.array([(1.0 - params.lam) / (n - 1) for n in counts], dtype)[:, None]
     readout[:, 0] = params.lam
-    x = np.concatenate([g.features for g in graphs], dtype=dtype)
-    return x, {"real": real, "op": _operators(params.arch, graphs, n_max, dtype),
-               "readout": readout}
+    return {"real": real, "op": _operators(params.arch, split, idx, n_max, dtype),
+            "readout": readout}
+
+
+def _pack(params: ModelParams, split: _Split, idx) -> tuple[np.ndarray, dict]:
+    """The graphs `idx` (a sequence of ints) of `split` as a batch: its rows
+    and a cache holding its layout. One graph is a batch of one, with no pad
+    slots."""
+    return _rows(params, split, idx), _layout(params, split, idx)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in the DivergenceError below
@@ -254,13 +296,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _nll(logits: np.ndarray, graphs) -> tuple[np.ndarray, np.ndarray]:
+def _nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample cross-entropy (float64) and its gradient with respect to
     the logits (in their dtype)."""
-    labels = [g.label for g in graphs]
-    if None in labels:
-        raise ValueError(f"sample {graphs[labels.index(None)].sample_id} is unlabeled")
-    rows = np.arange(len(graphs))
+    rows = np.arange(len(labels))
     probs = _softmax(logits)
     dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0
@@ -272,22 +311,29 @@ def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
 
     Pass a dict as `cache` to capture the intermediates, batch axis dropped.
     """
-    x, store = _pack(params, [g])
+    x, store = _pack(params, _split([g], params.in_dim, labeled=False), [0])
     h, logits = _forward(params, x, store)
     if cache is not None:
         cache.update({k: v[0] for k, v in store.items()})
     return h[0], logits[0]
 
 
+def _loss_and_grads(params: ModelParams, split: _Split, idx) -> tuple[float, dict]:
+    """Mean cross-entropy over the graphs `idx` of a labeled split and its
+    gradients, by tensor name, from one padded pass."""
+    x, cache = _pack(params, split, idx)
+    _, logits = _forward(params, x, cache)
+    losses, dlogits = _nll(logits, split.labels[idx])
+    return float(losses.mean()), _backward(params, x, cache, dlogits * (1.0 / len(idx)))
+
+
 def loss_and_grads(params: ModelParams, batch: list[SampleGraph]):
     """Mean cross-entropy over a batch and its gradients, from one padded pass."""
     if not batch:
         raise ValueError("empty batch")
-    x, cache = _pack(params, batch)
-    _, logits = _forward(params, x, cache)
-    losses, dlogits = _nll(logits, batch)
-    grads = _backward(params, x, cache, dlogits * (1.0 / len(batch)))
-    return float(losses.mean()), replace(params, tensors={k: grads[k] for k in params.tensors})
+    loss, grads = _loss_and_grads(params, _split(batch, params.in_dim, labeled=True),
+                                  range(len(batch)))
+    return loss, replace(params, tensors={k: grads[k] for k in params.tensors})
 
 
 def predict(params: ModelParams, g: SampleGraph) -> tuple[int, float]:
@@ -298,18 +344,33 @@ def predict(params: ModelParams, g: SampleGraph) -> tuple[int, float]:
     return label, float(probs[label])
 
 
+def _eval_batches(params: ModelParams, samples: list[SampleGraph], batch_size: int):
+    """Labeled `samples` as a split and, for each `batch_size` run of it in
+    order, its indices and layout. The rows are left out: an evaluation
+    gathers them each time, so kept batches hold no copy of the features."""
+    if not samples:
+        raise ValueError("no samples to evaluate")
+    split = _split(samples, params.in_dim, labeled=True)
+    runs = (range(start, min(start + batch_size, len(samples)))
+            for start in range(0, len(samples), batch_size))
+    return split, [(idx, _layout(params, split, idx)) for idx in runs]
+
+
+def _evaluate(params: ModelParams, split: _Split, batches) -> tuple[float, float]:
+    """(mean loss, accuracy) over the batches of `_eval_batches`."""
+    losses, correct = [], 0
+    for idx, layout in batches:
+        _, logits = _forward(params, _rows(params, split, idx), dict(layout))
+        labels = split.labels[idx]
+        losses.append(_nll(logits, labels)[0])
+        correct += int(np.sum((logits[:, 1] >= logits[:, 0]) == labels))
+    return float(np.mean(np.concatenate(losses))), correct / len(split.counts)
+
+
 def evaluate_loss(params: ModelParams, samples: list[SampleGraph],
                   batch_size: int = GnnConfig.batch_size) -> tuple[float, float]:
     """(mean loss, accuracy) over labeled samples, `batch_size` at a time."""
-    if not samples:
-        raise ValueError("no samples to evaluate")
-    losses, correct = [], 0
-    for start in range(0, len(samples), batch_size):
-        batch = samples[start : start + batch_size]
-        _, logits = _forward(params, *_pack(params, batch))
-        losses.append(_nll(logits, batch)[0])
-        correct += int(np.sum((logits[:, 1] >= logits[:, 0]) == [g.label for g in batch]))
-    return float(np.mean(np.concatenate(losses))), correct / len(samples)
+    return _evaluate(params, *_eval_batches(params, samples, batch_size))
 
 
 def train(
@@ -319,12 +380,15 @@ def train(
     in_dim: int,
 ) -> tuple[ModelParams, list[dict]]:
     """Adam training in float32 with per-epoch shuffles; returns the
-    min-val-loss params."""
+    min-val-loss params. Both splits are checked and laid out once, and the
+    validation batches' layouts are built once, not every epoch."""
     if not train_graphs or not val_graphs:
         raise ValueError("train and val splits must be non-empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     params = init_params(cfg, in_dim, rng)
     flat = _flatten(params, np.float32)
+    split = _split(train_graphs, in_dim, labeled=True)
+    val = _eval_batches(params, val_graphs, cfg.batch_size)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -333,19 +397,19 @@ def train(
     best_val = np.inf
     best = _copy_params(params)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_graphs))
+        order = rng.permutation(len(train_graphs)).tolist()
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             try:
-                loss, grads = loss_and_grads(
-                    params, [train_graphs[i] for i in order[start : start + cfg.batch_size]])
+                loss, grads = _loss_and_grads(params, split,
+                                              order[start : start + cfg.batch_size])
             except DivergenceError as exc:
                 raise DivergenceError(str(exc), history) from exc
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss diverged at epoch {epoch}", history)
             epoch_losses.append(loss)
             step += 1
-            g = np.concatenate([grads.tensors[k].ravel() for k in params.tensors])
+            g = np.concatenate([grads[k].ravel() for k in params.tensors])
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below
                 m *= beta1
                 m += (1 - beta1) * g
@@ -356,7 +420,7 @@ def train(
                 flat -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
             if not (np.isfinite(v).all() and np.isfinite(flat).all()):
                 raise DivergenceError(f"Adam update diverged at epoch {epoch}", history)
-        val_loss, val_acc = evaluate_loss(params, val_graphs, cfg.batch_size)
+        val_loss, val_acc = _evaluate(params, *val)
         history.append(
             {
                 "epoch": epoch,

@@ -8,7 +8,7 @@ from uen.assembly import (
     assemble,
     chain_prefix_representation,
 )
-from uen.coldmap import make_resolver
+from uen.coldmap import ColdMapConfig, make_resolver
 
 from conftest import chain_sample, make_comment, make_sample, random_user_table, star_sample
 
@@ -52,8 +52,8 @@ def test_concatenation_order_with_sentinels(texts):
     g = assemble(s, sentinel_texts, sentinel_resolver)
     assert np.all(g.features[:, :d2] == 7.0)
     assert np.all(g.features[:, d2:] == -5.0)
-    # exact float64 rows, text then user, resolved post author first, then
-    # each comment in input order
+    # each row is the float32 cast of the float64 text || user row, byte for
+    # byte: resolved post author first, then each comment in input order
     s = chain_sample("p1", depth=4)  # poster, then u0..u3
     users = random_user_table(["poster", "u1", "u3"], d1=8)  # u0 and u2 are cold
     inner = make_resolver("mean-fallback", users)
@@ -66,9 +66,10 @@ def test_concatenation_order_with_sentinels(texts):
     g = assemble(s, texts, resolver)
     nodes = _keys_and_occurrences(s)
     assert calls == [(user, ctx) for _, user, ctx in nodes]
-    assert g.features.dtype == np.float64 and g.features.shape == (5, 264)
+    assert g.features.dtype == np.float32 and g.features.shape == (5, 264)
     for row, (key, user, ctx) in zip(g.features, nodes):
-        assert np.array_equal(row, np.concatenate([texts(key), inner(user, ctx)]))
+        expected = np.concatenate([texts(key), inner(user, ctx)], dtype=np.float64)
+        assert row.tobytes() == expected.astype(np.float32).tobytes()
 
 
 def _keys_and_occurrences(s):
@@ -84,9 +85,10 @@ def test_resolver_none_gives_text_only_rows(texts):
     assert np.allclose(g.features[0], texts(s.text_key))
     s = chain_sample("p1", depth=4)
     g = assemble(s, texts, None)
-    assert g.features.dtype == np.float64 and g.features.shape == (5, 256)
+    assert g.features.dtype == np.float32 and g.features.shape == (5, 256)
     for row, (key, _, _) in zip(g.features, _keys_and_occurrences(s)):
-        assert np.array_equal(row, texts(key))
+        expected = np.asarray(texts(key), dtype=np.float64)
+        assert row.tobytes() == expected.astype(np.float32).tobytes()
 
 
 def test_edges_mirror_reply_tree(texts):
@@ -190,3 +192,22 @@ def test_assemble_deterministic(texts):
     g2 = assemble(s, texts, resolver)
     assert np.array_equal(g1.features, g2.features)
     assert g1.edges == g2.edges
+
+
+def test_assembled_features_are_float32_only(texts):
+    """Every node row is stored once, in float32: a split's features take
+    nodes x in_dim x 4 bytes."""
+    from uen import experiment
+    from uen.corpus import temporal_split
+    from uen.synth import SynthConfig, generate
+
+    corpus = generate(SynthConfig(n_samples=60, n_users=20, seed=5,
+                                  cold_user_rate_test=0.5))
+    split = temporal_split(corpus)
+    users = random_user_table(sorted({u for s in split.train for u in s.users()}), d1=8)
+    resolver = experiment.variant_resolver("full", users, split.train, texts, None,
+                                           ColdMapConfig(k1=3, k2=4))
+    graphs = [g for part in experiment.assemble_splits(texts, resolver, None, split.train,
+                                                       split.val, split.test) for g in part]
+    nodes = sum(len(g.node_order) for g in graphs)
+    assert sum(g.features.nbytes for g in graphs) == nodes * (256 + 8) * 4

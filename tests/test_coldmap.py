@@ -654,3 +654,25 @@ def test_full_variant_builds_train_side_on_first_cold_occurrence(texts, monkeypa
     for user_id, context in cold:
         assert np.array_equal(resolver(user_id, context), eager(user_id, context))
     assert built == [1]
+
+
+@pytest.mark.parametrize("heuristics", [{"h1"}, {"h1", "h2"}, {"h1", "h2", "h3"}])
+def test_map_cold_commenter_equals_resolver(texts, heuristics):
+    """The public single-occurrence mapper and the pipeline's resolver take
+    the same branch for a cold commenter, byte for byte, H2 off included."""
+    from uen.corpus import temporal_split
+    from uen.synth import SynthConfig, generate
+
+    corpus = generate(SynthConfig(n_samples=200, n_users=40, seed=1,
+                                  cold_user_rate_test=0.5))
+    split = temporal_split(corpus)
+    train = list(split.train)
+    users = random_user_table(sorted({u for s in train for u in s.users()}), d1=8)
+    cfg = ColdMapConfig(k1=3, k2=5, heuristics=frozenset(heuristics))
+    side = build_train_side(train, texts, use_chains="h3" in heuristics)
+    resolver = make_resolver("cold-mapper", users, train_side=side, texts=texts, cfg=cfg)
+    cold = [(s, c) for s in split.test for c in s.comments if c.author not in users]
+    assert len(cold) >= 100
+    for s, c in cold:
+        got = map_cold_commenter(s, c.id, side, texts, users, cfg)
+        assert got.tobytes() == resolver(c.author, ("comment", s, c.id)).tobytes(), c.id

@@ -1,6 +1,7 @@
 """GNN forward/backward correctness, readout boundaries, and training."""
 
 import warnings
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -216,10 +217,13 @@ def test_batch_equals_per_sample_oracle(arch, case):
 @settings(max_examples=60, deadline=None)
 @given(case=mixed_batches())
 def test_packed_operators_equal_per_graph_oracle(arch, case):
-    from uen.gnn import _pack
+    from uen.gnn import _pack, _split
 
     batch, seed, lam = case
-    _, cache = _pack(make_params(arch, lam=lam, seed=seed), batch)
+    # the batch packed from a split that holds its graphs in another order
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(len(batch))
+    split = _split([batch[i] for i in perm], 6, labeled=False)
+    _, cache = _pack(make_params(arch, lam=lam, seed=seed), split, np.argsort(perm).tolist())
     op = cache["op"]
     n_max = op.shape[1]
     for b, g in enumerate(batch):
@@ -244,12 +248,12 @@ def test_shuffled_batch_gives_same_result(arch):
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_pad_slots_change_no_logit(arch):
-    from uen.gnn import _forward, _pack
+    from uen.gnn import _forward, _pack, _split
 
     rng = np.random.Generator(np.random.PCG64(43))
     graphs = [random_graph(rng, n, 6) for n in (3, 5, 8)]
     params = make_params(arch, hidden=5, layers=3, lam=0.3)
-    x, cache = _pack(params, graphs)
+    x, cache = _pack(params, _split(graphs, 6, labeled=False), range(3))
     _, logits = _forward(params, x, dict(cache))
     # four more pad slots per graph: isolated zero-feature nodes
     wide = {"real": np.zeros((3, 12), dtype=bool), "readout": np.zeros((3, 12)),
@@ -638,6 +642,21 @@ def test_train_computes_in_float32_and_init_params_in_float64(arch):
     params = make_params(arch)
     _, grads = loss_and_grads(params, graphs[:4])
     assert all(t.dtype == np.float64 for t in grads.tensors.values())
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_feature_storage_precision_changes_nothing(arch):
+    """train computes in float32, so graphs whose features are stored in
+    float64 and their float32 casts train to the same bytes."""
+    rng = np.random.Generator(np.random.PCG64(73))
+    wide = [random_graph(rng, int(rng.integers(2, 9)), 6) for _ in range(50)]
+    narrow = [replace(g, features=g.features.astype(np.float32)) for g in wide]
+    cfg = GnnConfig(arch=arch, hidden=5, epochs=3, batch_size=8)
+    model_a, history_a = train(wide[:40], wide[40:], cfg, in_dim=6)
+    model_b, history_b = train(narrow[:40], narrow[40:], cfg, in_dim=6)
+    assert history_a == history_b
+    for k, t in model_a.tensors.items():
+        assert t.tobytes() == model_b.tensors[k].tobytes(), k
 
 
 def test_save_refuses_weights_beyond_float32_by_name(tmp_path):
