@@ -69,26 +69,6 @@ def assemble(
     )
 
 
-def chain_prefix_representation(sample: Sample, comment_id: str,
-                                texts: TextProvider) -> np.ndarray:
-    """Sum of text vectors from the first-level comment down to comment_id.
-
-    The post's own text vector is excluded; a top-level comment is just its
-    own vector. The sum runs from comment_id up to the root.
-    """
-    by_id = {c.id: c for c in sample.comments}
-    if comment_id not in by_id:
-        raise KeyError(f"comment {comment_id!r} not in sample {sample.post_id!r}")
-    total = None
-    cur = by_id[comment_id]
-    while True:
-        vec = np.asarray(texts(cur.text_key), dtype=np.float64)
-        total = vec if total is None else total + vec
-        if cur.parent == sample.post_id:
-            return total
-        cur = by_id[cur.parent]
-
-
 def all_chain_representations(sample: Sample, texts: TextProvider) -> dict[str, np.ndarray]:
     """Chain prefix sums for every comment, via the prefix recurrence."""
     out: dict[str, np.ndarray] = {}

@@ -18,8 +18,9 @@ what a full (-score, key) sort and a stack of per-author rows would give.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import chain
 from typing import Callable
 
@@ -163,16 +164,9 @@ def _mean_user(users: EmbeddingTable, index: SimIndex, owner_rows: np.ndarray,
     return np.add.reduce(gathered, axis=0) / len(rows)
 
 
-def _table_mean(users: EmbeddingTable) -> np.ndarray:
-    """The table's column mean in float64; read-only, since callers share it."""
-    mean = users.mean_vector().astype(np.float64)
-    mean.setflags(write=False)
-    return mean
-
-
-def _global_mean(table_mean: Callable[[], np.ndarray], why: str) -> np.ndarray:
+def _global_mean(mean: np.ndarray, why: str) -> np.ndarray:
     logger.warning("%s; falling back to global mean user vector", why)
-    return table_mean()
+    return mean
 
 
 def map_cold_author(
@@ -180,7 +174,7 @@ def map_cold_author(
 ) -> np.ndarray:
     """Mean user vector of the k1 most text-similar training posts' authors."""
     if len(post_index) == 0:
-        return _global_mean(lambda: _table_mean(users), "empty post index")
+        return _global_mean(users.mean_vector().astype(np.float64), "empty post index")
     return _mean_user(users, post_index, _owner_rows(post_index, users),
                       topk_rows(post_index, post_vec, k1)[0])
 
@@ -254,37 +248,28 @@ _REPS = {True: "reply-chain sums", False: "raw comment texts"}
 
 
 class _ColdSample:
-    """Retrieval state shared by every cold occurrence of one sample.
-
-    H1 hits, the author vector they give, the H2 candidate pool with its
-    owners' table rows and the sample's comment representations are computed
-    on first use and reused by the sample's other occurrences. `table_mean`
-    gives the user table's mean; `post_rows` gives `_owner_rows` of the post
-    index.
+    """Retrieval state shared by every cold occurrence of one sample: H1 hits,
+    the author vector they give, the H2 candidate pool with its owners' table
+    rows and the sample's comment representations, each made on first use.
     """
 
-    def __init__(self, sample, train_side, texts, users, cfg, table_mean, post_rows):
-        chains = "h3" in cfg.heuristics
-        if "h2" in cfg.heuristics and train_side.chains != chains:
-            raise ValueError(f"the train side represents comments by {_REPS[train_side.chains]}, "
-                             f"but heuristics {sorted(cfg.heuristics)} compare "
-                             f"{_REPS[chains]}; build it with use_chains={chains}")
-        self.sample, self.side, self.texts, self.users, self.cfg = (
-            sample, train_side, texts, users, cfg)
-        self.table_mean, self.post_rows = table_mean, post_rows
+    def __init__(self, mapper: _ColdMapper, sample: Sample):
+        # weak, as the mapper holds its last sample: a cycle would keep the
+        # train side and the text cache alive until the cycle collector ran
+        self.mapper, self.sample, self.side = weakref.proxy(mapper), sample, mapper.side
 
     @cached_property
     def post_hits(self) -> np.ndarray:
         """H1: rows of the k1 training posts nearest this sample's post text."""
-        post_vec = np.asarray(self.texts(self.sample.text_key), dtype=np.float64)
-        return topk_rows(self.side.post_index, post_vec, self.cfg.k1)[0]
+        post_vec = np.asarray(self.mapper.texts(self.sample.text_key), dtype=np.float64)
+        return topk_rows(self.side.post_index, post_vec, self.mapper.cfg.k1)[0]
 
     @cached_property
     def author_vector(self) -> np.ndarray:
         """H1 author mapping; read-only, since every caller gets this one array."""
         if len(self.side.post_index) == 0:
-            return _global_mean(self.table_mean, "empty post index")
-        vec = _mean_user(self.users, self.side.post_index, self.post_rows(),
+            return _global_mean(self.mapper.table_mean, "empty post index")
+        vec = _mean_user(self.mapper.users, self.side.post_index, self.mapper.post_rows,
                          self.post_hits)
         vec.setflags(write=False)
         return vec
@@ -293,42 +278,87 @@ class _ColdSample:
     def pool(self) -> SimIndex:
         """H2 candidates: the comments under the H1 posts in hit order, or
         every training comment with H1 off."""
-        if "h1" in self.cfg.heuristics:
+        if "h1" in self.mapper.cfg.heuristics:
             by_post, keys = self.side.comments_by_post, self.side.post_index.keys
             return _concat(by_post[keys[i]] for i in self.post_hits.tolist())
         return self.side.all_comments
 
     @cached_property
     def pool_rows(self) -> np.ndarray:
-        return _owner_rows(self.pool, self.users)
+        return _owner_rows(self.pool, self.mapper.users)
 
     @cached_property
     def comment_reps(self) -> dict:
-        return comment_representations(self.sample, self.texts, "h3" in self.cfg.heuristics)
+        return comment_representations(self.sample, self.mapper.texts,
+                                       "h3" in self.mapper.cfg.heuristics)
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
         """H2 (with H3 chain sums if enabled): mean author of the k2 nearest pool rows."""
-        h1 = "h1" in self.cfg.heuristics
+        h1 = "h1" in self.mapper.cfg.heuristics
         if h1 and len(self.side.post_index) == 0:
-            return _global_mean(self.table_mean, "empty post index")
+            return _global_mean(self.mapper.table_mean, "empty post index")
         if len(self.pool) == 0:
             if h1:
                 return self.author_vector
-            return _global_mean(self.table_mean, "no training comments to match")
-        return _mean_user(self.users, self.pool, self.pool_rows,
-                          topk_rows(self.pool, self.comment_reps[comment_id], self.cfg.k2)[0])
+            return _global_mean(self.mapper.table_mean, "no training comments to match")
+        return _mean_user(self.mapper.users, self.pool, self.pool_rows,
+                          topk_rows(self.pool, self.comment_reps[comment_id],
+                                    self.mapper.cfg.k2)[0])
 
 
-def _cold_vector(cold: Callable[[Sample], _ColdSample], context: tuple,
-                 cfg: ColdMapConfig, table_mean: Callable[[], np.ndarray]) -> np.ndarray:
-    """The mapped vector of a cold user's occurrence: H2 for a comment when
-    enabled, else H1's author mapping, else the table mean. `cold` gives the
-    sample's retrieval state; it is called only when retrieval is needed."""
-    if context[0] == "comment" and "h2" in cfg.heuristics:
-        return cold(context[1]).commenter_vector(context[2])
-    if "h1" in cfg.heuristics:
-        return cold(context[1]).author_vector
-    return table_mean()
+class _ColdMapper:
+    """The user resolver: a user in the table is looked up, a cold one mapped.
+
+    The cold occurrences of one sample share the `_ColdSample` of the last
+    sample mapped. `train_side` may be a function that builds it on the first
+    cold occurrence that needs retrieval; with no heuristics none does.
+    """
+
+    def __init__(self, users, cfg: ColdMapConfig, train_side=None, texts=None):
+        self.users, self.cfg, self.texts, self._train_side = users, cfg, texts, train_side
+        self.last: _ColdSample | None = None
+
+    def __call__(self, user_id: str, context: tuple) -> np.ndarray:
+        if user_id in self.users:
+            return self.users.vector(user_id).astype(np.float64)
+        return self.cold(context)
+
+    def cold(self, context: tuple) -> np.ndarray:
+        """The mapped vector of a cold user's occurrence: H2 for a comment when
+        enabled, else H1's author mapping, else the table mean."""
+        heuristics = self.cfg.heuristics
+        if context[0] == "comment" and "h2" in heuristics:
+            return self._sample(context[1]).commenter_vector(context[2])
+        if "h1" in heuristics:
+            return self._sample(context[1]).author_vector
+        return self.table_mean
+
+    def _sample(self, sample: Sample) -> _ColdSample:
+        if self.last is None or self.last.sample is not sample:
+            self.last = _ColdSample(self, sample)
+        return self.last
+
+    @cached_property
+    def table_mean(self) -> np.ndarray:
+        """The table's column mean in float64; read-only, since callers share it."""
+        mean = self.users.mean_vector().astype(np.float64)
+        mean.setflags(write=False)
+        return mean
+
+    @cached_property
+    def side(self) -> TrainSideData:
+        """The train side, checked once to represent comments as H2 compares them."""
+        side = self._train_side() if callable(self._train_side) else self._train_side
+        chains = "h3" in self.cfg.heuristics
+        if "h2" in self.cfg.heuristics and side.chains != chains:
+            raise ValueError(f"the train side represents comments by {_REPS[side.chains]}, "
+                             f"but heuristics {sorted(self.cfg.heuristics)} compare "
+                             f"{_REPS[chains]}; build it with use_chains={chains}")
+        return side
+
+    @cached_property
+    def post_rows(self) -> np.ndarray:
+        return _owner_rows(self.side.post_index, self.users)
 
 
 def map_cold_commenter(
@@ -343,11 +373,7 @@ def map_cold_commenter(
     H2 retrieves the k2 nearest comments and averages their authors. Without
     H2 the commenter is mapped as the cold-mapper resolver maps them: by H1's
     author mapping, or to the table mean without H1 either."""
-    table_mean = partial(_table_mean, users)
-    return _cold_vector(
-        lambda s: _ColdSample(s, train_side, texts, users, cfg, table_mean,
-                              lambda: _owner_rows(train_side.post_index, users)),
-        ("comment", sample, comment_id), cfg, table_mean)
+    return _ColdMapper(users, cfg, train_side, texts).cold(("comment", sample, comment_id))
 
 
 def make_resolver(
@@ -356,46 +382,13 @@ def make_resolver(
     train_side: TrainSideData | Callable[[], TrainSideData] | None = None,
     texts: TextProvider | None = None,
     cfg: ColdMapConfig | None = None,
-):
-    """Resolver factory for modes mean-fallback and cold-mapper.
-
-    Known users always resolve by direct lookup; the mode only decides what
-    happens for users outside the table. The cold-mapper resolver keeps the
-    retrieval state of the last sample it saw, so the cold occurrences of
-    one sample share their H1 hits and H2 pool. Its `train_side` may be a
-    function that builds it: it is then called on the first cold occurrence
-    that needs retrieval, and never if none does. The table mean and the
-    post index owners' table rows are computed once, when first needed.
-    """
+) -> _ColdMapper:
+    """The resolver of mode cold-mapper, a `_ColdMapper` with `cfg`, or of mode
+    mean-fallback, the mapper with no heuristics, which needs no train side."""
     if mode == "mean-fallback":
-        mean = _table_mean(users)
-
-        def resolver(user_id, context):
-            if user_id in users:
-                return users.vector(user_id).astype(np.float64)
-            return mean
-
-        return resolver
-    if mode == "cold-mapper":
-        if train_side is None or texts is None or cfg is None:
-            raise ValueError("cold-mapper mode needs train_side, texts, and cfg")
-        current: _ColdSample | None = None
-        table_mean = cache(lambda: _table_mean(users))
-        post_rows = cache(lambda: _owner_rows(train_side.post_index, users))
-
-        def cold(sample) -> _ColdSample:
-            nonlocal current, train_side
-            if callable(train_side):
-                train_side = train_side()
-            if current is None or current.sample is not sample:
-                current = _ColdSample(sample, train_side, texts, users, cfg, table_mean,
-                                      post_rows)
-            return current
-
-        def resolver(user_id, context):
-            if user_id in users:
-                return users.vector(user_id).astype(np.float64)
-            return _cold_vector(cold, context, cfg, table_mean)
-
-        return resolver
-    raise ValueError(f"unknown resolver mode {mode!r}")
+        return _ColdMapper(users, ColdMapConfig(heuristics=frozenset()))
+    if mode != "cold-mapper":
+        raise ValueError(f"unknown resolver mode {mode!r}")
+    if cfg is None or cfg.heuristics and (train_side is None or texts is None):
+        raise ValueError("cold-mapper mode needs train_side, texts, and cfg")
+    return _ColdMapper(users, cfg, train_side, texts)

@@ -9,6 +9,7 @@ time so test posts never precede training posts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -234,6 +235,9 @@ def temporal_split(
     corpus: Corpus, ratios: tuple[float, float, float] = (0.70, 0.10, 0.20)
 ) -> Split:
     """Sort by post timestamp (ties by post_id) and cut contiguous 70/10/20."""
+    for name, ratio in zip(("train", "val", "test"), ratios):
+        if not (math.isfinite(ratio) and ratio >= 0):
+            raise ValueError(f"{name} split ratio must be finite and >= 0, got {ratio}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("split ratios must sum to 1")
     if len(corpus.samples) < 10:

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import operator
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -26,12 +27,30 @@ from .corpus import Bucket, bucket_of
 logger = logging.getLogger(__name__)
 
 
-def accuracy(preds: Sequence[int], labels: Sequence[int]) -> float:
+_CELLS = {(0, 0): "tp", (0, 1): "fp", (1, 0): "fn", (1, 1): "tn"}
+
+
+def _count(preds: Sequence[int], labels: Sequence[int]) -> dict[str, int]:
+    """The outcome count, fake (class 0) as the positive class: tp, fp, fn, tn
+    by (pred, label) pair. Every metric of this module reads it."""
     if len(preds) != len(labels):
         raise ValueError("preds and labels differ in length")
     if not preds:
         raise ValueError("empty input")
-    return sum(int(p == y) for p, y in zip(preds, labels)) / len(preds)
+    pairs = Counter(zip(preds, labels))
+    for pred, label in pairs:
+        if (pred, label) not in _CELLS:
+            raise ValueError(f"preds and labels must be 0 or 1, got pred {pred!r} "
+                             f"with label {label!r}")
+    return {cell: pairs[pair] for pair, cell in _CELLS.items()}
+
+
+def _accuracy(count: dict[str, int]) -> float:
+    return (count["tp"] + count["tn"]) / sum(count.values())
+
+
+def accuracy(preds: Sequence[int], labels: Sequence[int]) -> float:
+    return _accuracy(_count(preds, labels))
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -39,22 +58,21 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
-def macro_f1(preds: Sequence[int], labels: Sequence[int]) -> float:
-    if len(preds) != len(labels):
-        raise ValueError("preds and labels differ in length")
-    if not preds:
-        raise ValueError("empty input")
+def _macro_f1(count: dict[str, int]) -> float:
     scores = []
-    for cls in (0, 1):
-        tp = sum(1 for p, y in zip(preds, labels) if p == cls and y == cls)
-        fp = sum(1 for p, y in zip(preds, labels) if p == cls and y != cls)
-        fn = sum(1 for p, y in zip(preds, labels) if p != cls and y == cls)
+    # each class's (tp, fp, fn): class 1's are class 0's tn, fn and fp
+    for cls, cells in enumerate((("tp", "fp", "fn"), ("tn", "fn", "fp"))):
+        tp, fp, fn = (count[c] for c in cells)
         if tp == fp == fn == 0:
             logger.info("class %d absent from preds and labels; F1 set to 0", cls)
             scores.append(0.0)
         else:
             scores.append(_f1(tp, fp, fn))
     return float(np.mean(scores))
+
+
+def macro_f1(preds: Sequence[int], labels: Sequence[int]) -> float:
+    return _macro_f1(_count(preds, labels))
 
 
 @dataclass
@@ -88,13 +106,13 @@ class EvalReport:
                 writer.writerow([name, b.n, b.n_true, b.n_fake, b.accuracy, b.macro_f1])
 
 
-def _metrics(preds, labels) -> BucketMetrics:
+def _metrics(count: dict[str, int]) -> BucketMetrics:
     return BucketMetrics(
-        n=len(preds),
-        n_true=sum(1 for y in labels if y == 1),
-        n_fake=sum(1 for y in labels if y == 0),
-        accuracy=accuracy(preds, labels),
-        macro_f1=macro_f1(preds, labels),
+        n=sum(count.values()),
+        n_true=count["fp"] + count["tn"],
+        n_fake=count["tp"] + count["fn"],
+        accuracy=_accuracy(count),
+        macro_f1=_macro_f1(count),
     )
 
 
@@ -113,15 +131,12 @@ def bucketed_report(
         ys.append(y)
     buckets = {}
     for b, (ps, ys) in groups.items():
-        buckets[b.value] = _metrics(ps, ys) if ps else BucketMetrics()
-    tp = sum(1 for p, y in zip(preds, labels) if p == 0 and y == 0)
-    fp = sum(1 for p, y in zip(preds, labels) if p == 0 and y == 1)
-    fn = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 0)
-    tn = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 1)
+        buckets[b.value] = _metrics(_count(ps, ys)) if ps else BucketMetrics()
+    confusion = _count(list(preds), list(labels))
     return EvalReport(
-        overall=_metrics(list(preds), list(labels)),
+        overall=_metrics(confusion),
         buckets=buckets,
-        confusion={"tp": tp, "fp": fp, "fn": fn, "tn": tn},
+        confusion=confusion,
         metadata=metadata or {},
     )
 

@@ -73,14 +73,14 @@ def cold_train_side(train_samples, texts: TextProvider, common_author,
 def variant_resolver(variant: str, users: EmbeddingTable | None, train_samples,
                      texts: TextProvider, common_author, coldmap: ColdMapConfig,
                      train_side: TrainSideData | None = None) -> UserResolver | None:
-    """The one user resolver of a variant: None for no-user, the table mean
-    for cold users under no-mapper, the cold mapper over `train_samples`
-    under full (reusing `train_side` when given, else building it on the
-    first cold occurrence)."""
+    """The one user resolver of a variant: None for no-user, else the cold
+    mapper over `train_samples`, with no heuristics under no-mapper, so that
+    every cold user gets the table mean. It reuses `train_side` when given,
+    else builds it on the first cold occurrence that needs retrieval."""
     if variant == "no-user":
         return None
     if variant == "no-mapper":
-        return make_resolver("mean-fallback", users)
+        coldmap = replace(coldmap, heuristics=frozenset())
     if train_side is None:
         train_side = partial(cold_train_side, train_samples, texts, common_author, coldmap)
     return make_resolver("cold-mapper", users, train_side=train_side, texts=texts,

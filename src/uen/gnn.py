@@ -74,9 +74,6 @@ class ModelParams:
     layers: int
     tensors: dict = field(default_factory=dict)  # name -> ndarray; all share the compute dtype
 
-    def zeros_like(self) -> "ModelParams":
-        return replace(self, tensors={k: np.zeros_like(v) for k, v in self.tensors.items()})
-
 
 def param_shapes(cfg: GnnConfig, in_dim: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every model tensor, in the order init_params draws them."""

@@ -27,9 +27,6 @@ class InteractionGraph:
     def neighbors(self, u: str) -> tuple[tuple[str, float], ...]:
         return self.adjacency.get(u, ())
 
-    def weight(self, u: str, v: str) -> int:
-        return self.edges.get(_key(u, v), 0)
-
 
 def build_interaction_graph(
     train: Iterable[Sample], common_author: Optional[str] = None, weighted: bool = True

@@ -61,34 +61,6 @@ class Node2VecConfig:
             raise ValueError("learning_rate must be finite and > 0")
 
 
-def next_step_distribution(
-    g: InteractionGraph, prev: str | None, cur: str, p: float, q: float
-) -> dict[str, float]:
-    """Normalized transition probabilities out of `cur` given the previous node.
-
-    Bias alpha: 1/p to return to prev, 1 to a common neighbor of prev,
-    1/q otherwise; the first step (prev=None) is weight-proportional.
-    """
-    nbrs = g.neighbors(cur)
-    if not nbrs:
-        return {}
-    if prev is None:
-        weights = {x: float(w) for x, w in nbrs}
-    else:
-        prev_adj = {x for x, _ in g.neighbors(prev)}
-        weights = {}
-        for x, w in nbrs:
-            if x == prev:
-                alpha = 1.0 / p
-            elif x in prev_adj:
-                alpha = 1.0
-            else:
-                alpha = 1.0 / q
-            weights[x] = float(w) * alpha
-    total = sum(weights.values())
-    return {x: w / total for x, w in weights.items()}
-
-
 @dataclass(frozen=True)
 class _Csr:
     """The graph's adjacency over its sorted node list, each row in the

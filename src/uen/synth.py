@@ -39,8 +39,14 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0,1]")
         if self.n_users < 1 or self.n_samples < 1 or self.n_communities < 2:
             raise ValueError("counts must be positive (communities >= 2)")
-        if self.comments_per_sample[0] < 1:
+        if self.n_users < self.n_communities:
+            raise ValueError(f"n_users ({self.n_users}) must be >= n_communities "
+                             f"({self.n_communities}): every community needs a user")
+        low, high = self.comments_per_sample
+        if low < 1:
             raise ValueError("samples need at least one comment")
+        if high < low:
+            raise ValueError(f"comments_per_sample max ({high}) must be >= its min ({low})")
 
 
 # Lexical signal is planted as topical clusters: each cluster owns a small

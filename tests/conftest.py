@@ -1,5 +1,7 @@
 """Shared builders and fixtures for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,63 @@ def layers_below_tensors(params):
 
 # In-place edits that leave a 3-layer gcn/gat ModelParams inconsistent.
 MODEL_DEFECTS = [nan_weight, renamed_tensor, unknown_arch, layers_below_tensors]
+
+
+# ---------------------------------------------------------------------------
+# reference implementations the library's fast paths are checked against
+
+
+def chain_prefix_representation(sample, comment_id, texts):
+    """Sum of text vectors from the first-level comment down to comment_id.
+
+    The post's own text vector is excluded; a top-level comment is just its
+    own vector. The sum runs from comment_id up to the root.
+    """
+    by_id = {c.id: c for c in sample.comments}
+    if comment_id not in by_id:
+        raise KeyError(f"comment {comment_id!r} not in sample {sample.post_id!r}")
+    total = None
+    cur = by_id[comment_id]
+    while True:
+        vec = np.asarray(texts(cur.text_key), dtype=np.float64)
+        total = vec if total is None else total + vec
+        if cur.parent == sample.post_id:
+            return total
+        cur = by_id[cur.parent]
+
+
+def next_step_distribution(g, prev, cur, p, q):
+    """Normalized node2vec transition probabilities out of `cur` given the
+    previous node.
+
+    Bias alpha: 1/p to return to prev, 1 to a common neighbor of prev,
+    1/q otherwise; the first step (prev=None) is weight-proportional.
+    """
+    nbrs = g.neighbors(cur)
+    if not nbrs:
+        return {}
+    if prev is None:
+        weights = {x: float(w) for x, w in nbrs}
+    else:
+        prev_adj = {x for x, _ in g.neighbors(prev)}
+        weights = {}
+        for x, w in nbrs:
+            if x == prev:
+                alpha = 1.0 / p
+            elif x in prev_adj:
+                alpha = 1.0
+            else:
+                alpha = 1.0 / q
+            weights[x] = float(w) * alpha
+    total = sum(weights.values())
+    return {x: w / total for x, w in weights.items()}
+
+
+def edge_weight(g, u, v):
+    """The interaction count between users u and v in graph g; 0 without an edge."""
+    return g.edges.get((u, v) if u <= v else (v, u), 0)
+
+
+def zeros_like(params):
+    """A copy of `params` with every tensor zeroed."""
+    return replace(params, tensors={k: np.zeros_like(v) for k, v in params.tensors.items()})

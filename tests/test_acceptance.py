@@ -18,11 +18,16 @@ from uen.evaluation import bucketed_report, mann_whitney_u
 from uen.experiment import PipelineConfig, run_ablation, run_variant
 from uen.gnn import GnnConfig, SampleGraph, forward, init_params, load_model, loss_and_grads, save_model
 from uen.graph import build_interaction_graph
-from uen.node2vec import Node2VecConfig, learn_user_embeddings, next_step_distribution, sample_walks
+from uen.node2vec import Node2VecConfig, learn_user_embeddings, sample_walks
 from uen.synth import SynthConfig, generate
 from uen.text import make_hash_provider
 
-from conftest import random_user_table, star_sample
+from conftest import (
+    chain_prefix_representation,
+    next_step_distribution,
+    random_user_table,
+    star_sample,
+)
 
 
 def _verdict(name, ok, detail):
@@ -88,8 +93,6 @@ def test_criterion_01_topk_matches_exhaustive_scan():
 
 
 def test_criterion_02_cold_mapper_matches_oracle():
-    from uen.assembly import chain_prefix_representation
-
     t0 = time.perf_counter()
     corpus = generate(SynthConfig(n_samples=80, n_users=40, seed=1))
     split = temporal_split(corpus)

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from uen.assembly import (
-    all_chain_representations,
-    assemble,
-    chain_prefix_representation,
-)
+from uen.assembly import all_chain_representations, assemble
 from uen.coldmap import ColdMapConfig, make_resolver
 
-from conftest import chain_sample, make_comment, make_sample, random_user_table, star_sample
+from conftest import (
+    chain_prefix_representation,
+    chain_sample,
+    make_comment,
+    make_sample,
+    random_user_table,
+    star_sample,
+)
 
 
 def test_smallest_sample_shapes(texts):

@@ -254,6 +254,27 @@ def test_bad_config_value_is_structured_error(pipeline, tmp_path, command, flag,
     assert err["message"].startswith(f"{field} must be")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["split", "--train-ratio", "-0.5", "--val-ratio", "1.0", "--test-ratio", "0.5"],
+     "train split ratio must be finite and >= 0, got -0.5"),
+    (["split", "--val-ratio", "nan"], "val split ratio must be finite and >= 0, got nan"),
+    (["synth", "--n-users", "3"], "n_users (3) must be >= n_communities (6)"),
+    (["synth", "--min-comments", "5", "--max-comments", "3"],
+     "comments_per_sample max (3) must be >= its min (5)"),
+])
+def test_bad_split_or_synth_value_is_structured_error(pipeline, tmp_path, argv, message):
+    """Values that numpy or `round` used to reject from deep inside the run."""
+    out = ["--out", str(tmp_path / "out")]
+    if argv[0] == "split":
+        out += ["--input", str(pipeline / "data" / "corpus.jsonl")]
+    rc, err = run_captured([*argv, *out])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(message)
+
+
 def test_divergence_is_structured_error(pipeline, tmp_path):
     rc, err = run_captured(["train", "--splits", str(pipeline / "splits"),
                             "--users", str(pipeline / "users" / "users.emb"),

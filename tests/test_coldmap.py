@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uen.assembly import all_chain_representations, chain_prefix_representation
+from uen.assembly import all_chain_representations
 from uen.coldmap import (
     ColdMapConfig,
     SimIndex,
@@ -20,7 +20,13 @@ from uen.coldmap import (
 )
 from uen.embedding import FormatError
 
-from conftest import make_comment, make_sample, random_user_table, star_sample
+from conftest import (
+    chain_prefix_representation,
+    make_comment,
+    make_sample,
+    random_user_table,
+    star_sample,
+)
 
 
 def brute_topk(index, query, k):
@@ -491,12 +497,52 @@ def test_resolver_reduces_the_table_once_for_mean_fallbacks(texts, monkeypatch, 
         assert sum("global mean" in r.getMessage() for r in caplog.records) == logged
 
 
-def test_make_resolver_validation():
+def test_make_resolver_validation(texts):
     users = all_users()
+    side = build_train_side(train_samples_fixture(), texts)
     with pytest.raises(ValueError, match="unknown resolver"):
         make_resolver("bogus", users)
-    with pytest.raises(ValueError, match="needs"):
+    with pytest.raises(ValueError, match="needs train_side, texts, and cfg"):
         make_resolver("cold-mapper", users)
+    for heuristics in ({"h1"}, {"h2"}, {"h3"}, {"h1", "h2", "h3"}):
+        cfg = ColdMapConfig(heuristics=frozenset(heuristics))
+        for kwargs in ({}, {"train_side": side}, {"texts": texts}):
+            with pytest.raises(ValueError, match="needs train_side, texts, and cfg"):
+                make_resolver("cold-mapper", users, cfg=cfg, **kwargs)
+    # with no heuristics nothing is retrieved, so nothing is needed for it
+    bare = make_resolver("cold-mapper", users, cfg=ColdMapConfig(heuristics=frozenset()))
+    cold = train_samples_fixture()[0]
+    assert bare("stranger", ("post", cold)).tobytes() == make_resolver(
+        "mean-fallback", users)("stranger", ("post", cold)).tobytes()
+
+
+def test_no_mapper_variant_is_the_mean_fallback_without_a_train_side(texts, monkeypatch):
+    """Under no-mapper every occurrence gets the table row of a known user and
+    the float64 table mean for a cold one, and no train side is built."""
+    from uen import experiment
+    from uen.assembly import occurrences
+    from uen.corpus import temporal_split
+    from uen.synth import SynthConfig, generate
+
+    corpus = generate(SynthConfig(n_samples=60, n_users=20, seed=5, cold_user_rate_test=0.5))
+    split = temporal_split(corpus)
+    users = random_user_table(sorted({u for s in split.train for u in s.users()}), d1=8)
+
+    def build_train_side(*args, **kwargs):
+        raise AssertionError("no-mapper built a train side")
+
+    monkeypatch.setattr(experiment, "build_train_side", build_train_side)
+    resolver = experiment.variant_resolver("no-mapper", users, split.train, texts, None,
+                                           ColdMapConfig(k1=3, k2=4))
+    mean = users.mean_vector().astype(np.float64)
+    n_cold = 0
+    for s in split.train + split.val + split.test:
+        for user_id, context in occurrences(s):
+            want = users.vector(user_id).astype(np.float64) if user_id in users else mean
+            n_cold += user_id not in users
+            got = resolver(user_id, context)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert n_cold >= 20
 
 
 def test_coldmap_config_validation():

@@ -189,6 +189,18 @@ def test_temporal_split_partition_and_monotonicity():
     assert max(s.timestamp for s in split.val) <= min(s.timestamp for s in split.test)
 
 
+@pytest.mark.parametrize("ratios, name", [
+    ((-0.5, 1.0, 0.5), "train"),
+    ((0.7, float("nan"), 0.2), "val"),
+    ((0.5, 0.5, float("inf")), "test"),
+    ((0.5, 0.5, -0.0 - 1e-12), "test"),
+])
+def test_temporal_split_rejects_negative_and_non_finite_ratios(ratios, name):
+    corpus = Corpus(samples=tuple(star_sample(f"p{i}", timestamp=i) for i in range(50)))
+    with pytest.raises(ValueError, match=f"^{name} split ratio must be finite and >= 0"):
+        temporal_split(corpus, ratios)
+
+
 def test_temporal_split_rejects_small_and_unlabeled():
     with pytest.raises(CorpusError, match="too small"):
         temporal_split(Corpus(samples=tuple([star_sample("p1")])))

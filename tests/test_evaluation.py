@@ -127,6 +127,17 @@ def test_bucketed_report_length_mismatch():
         bucketed_report([0], [0, 1], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("metric", [
+    accuracy, macro_f1, lambda p, y: bucketed_report(p, y, [1.0] * len(p))],
+    ids=["accuracy", "macro_f1", "bucketed_report"])
+@pytest.mark.parametrize("preds, labels", [([2], [2]), ([0, 1], [1, -1]), ([0.5], [0])])
+def test_metrics_reject_values_outside_0_1(metric, preds, labels):
+    """A class outside {0, 1} fits no confusion cell, so it is an error: it
+    used to count as a hit of an accuracy of 1.0 over n=1 with zero cells."""
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        metric(preds, labels)
+
+
 # ---------------------------------------------------------------------------
 # Mann-Whitney U
 

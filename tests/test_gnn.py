@@ -26,7 +26,7 @@ from uen.gnn import (
     train,
 )
 
-from conftest import MODEL_DEFECTS
+from conftest import MODEL_DEFECTS, zeros_like
 
 
 def make_graph(features, edges, label=0, sample_id="s"):
@@ -136,7 +136,7 @@ def oracle_loss_and_grads(params, g):
     probs /= probs.sum()
     loss = -float(np.log(probs[g.label] + 1e-300))
 
-    grads = params.zeros_like()
+    grads = zeros_like(params)
     dlogits = probs.copy()
     dlogits[g.label] -= 1.0
     grads.tensors["cls.W"] = np.outer(dlogits, pooled)
@@ -525,7 +525,7 @@ def oracle_train(train_graphs, val_graphs, cfg, in_dim):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     params = init_params(cfg, in_dim, rng)
     params.tensors = {k: t.astype(np.float32) for k, t in params.tensors.items()}
-    m, v = params.zeros_like(), params.zeros_like()
+    m, v = zeros_like(params), zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     history, best, best_val, step = [], None, np.inf, 0
     for epoch in range(cfg.epochs):

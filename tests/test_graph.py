@@ -4,16 +4,16 @@ from uen.corpus import corpus_users, temporal_split
 from uen.graph import build_interaction_graph, graph_stats
 from uen.synth import SynthConfig, generate
 
-from conftest import make_comment, make_sample, star_sample
+from conftest import edge_weight, make_comment, make_sample, star_sample
 
 
 def test_star_comments_yield_post_author_edges():
     s = star_sample("p1", author="u1", commenters=("u2", "u3"))
     g = build_interaction_graph([s])
     assert g.nodes == frozenset({"u1", "u2", "u3"})
-    assert g.weight("u1", "u2") == 1
-    assert g.weight("u1", "u3") == 1
-    assert g.weight("u2", "u3") == 0
+    assert edge_weight(g, "u1", "u2") == 1
+    assert edge_weight(g, "u1", "u3") == 1
+    assert edge_weight(g, "u2", "u3") == 0
 
 
 def test_reply_accumulates_weight():
@@ -22,7 +22,7 @@ def test_reply_accumulates_weight():
         make_comment("c2", "u1", "c1"),  # u1 replies to u2's comment
     ])
     g = build_interaction_graph([s])
-    assert g.weight("u1", "u2") == 2
+    assert edge_weight(g, "u1", "u2") == 2
     assert len(g.edges) == 1
 
 
@@ -31,7 +31,7 @@ def test_self_reply_is_a_self_loop():
         make_comment("c1", "u1", "p1"),
     ])
     g = build_interaction_graph([s])
-    assert g.weight("u1", "u1") == 1
+    assert edge_weight(g, "u1", "u1") == 1
     assert len(g.neighbors("u1")) == 1
 
 
@@ -40,8 +40,8 @@ def test_unweighted_flag_collapses_counts():
         make_comment("c1", "u2", "p1"),
         make_comment("c2", "u2", "p1"),
     ])
-    assert build_interaction_graph([s]).weight("u1", "u2") == 2
-    assert build_interaction_graph([s], weighted=False).weight("u1", "u2") == 1
+    assert edge_weight(build_interaction_graph([s]), "u1", "u2") == 2
+    assert edge_weight(build_interaction_graph([s], weighted=False), "u1", "u2") == 1
 
 
 def test_node_count_matches_set_union_oracle():
@@ -102,5 +102,5 @@ def test_adjacency_symmetry():
 def test_common_author_becomes_hub_node():
     s = make_sample("p1", author=None, comments=[make_comment("c1", "u2", "p1")])
     g = build_interaction_graph([s], common_author="__common__")
-    assert g.weight("__common__", "u2") == 1
+    assert edge_weight(g, "__common__", "u2") == 1
 

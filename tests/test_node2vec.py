@@ -9,7 +9,6 @@ from uen.graph import build_interaction_graph
 from uen.node2vec import (
     Node2VecConfig,
     learn_user_embeddings,
-    next_step_distribution,
     sample_walks,
     sgns_step,
     train_skipgram,
@@ -17,7 +16,7 @@ from uen.node2vec import (
     window_pairs,
 )
 
-from conftest import star_sample
+from conftest import next_step_distribution, star_sample
 
 
 def graph_from_edges(edges):

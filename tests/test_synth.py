@@ -119,6 +119,11 @@ def test_config_validation():
         SynthConfig(n_communities=1)
     with pytest.raises(ValueError):
         SynthConfig(comments_per_sample=(0, 5))
+    with pytest.raises(ValueError, match=r"n_users \(3\) must be >= n_communities \(6\)"):
+        SynthConfig(n_users=3)
+    with pytest.raises(ValueError, match=r"comments_per_sample max \(3\) must be >= its min \(5\)"):
+        SynthConfig(comments_per_sample=(5, 3))
+    SynthConfig(n_users=6, comments_per_sample=(3, 3))  # both limits inclusive
 
 
 def test_null_signal_config_accepted():
