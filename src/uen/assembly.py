@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .corpus import Sample
-from .text import TextProvider
+from .text import TextProvider, embed_many
 
 # Resolver contract: (user_id, context) -> user vector. The context carries
 # the occurrence (post vs a specific comment) so one user can resolve to
@@ -42,6 +42,11 @@ def occurrences(sample: Sample, common_author: Optional[str] = None
         yield c.author, ("comment", sample, c.id)
 
 
+def text_keys(sample: Sample) -> list[str]:
+    """Each node's text key, in node order."""
+    return [sample.text_key, *(c.text_key for c in sample.comments)]
+
+
 def assemble(
     sample: Sample,
     texts: TextProvider,
@@ -50,11 +55,13 @@ def assemble(
 ) -> SampleGraph:
     """Build the node-feature matrix and tree adjacency for one sample.
 
-    resolver=None drops user features entirely (text-only node rows).
+    resolver=None drops user features entirely (text-only node rows). The
+    sample's texts are fetched in one batch (`embed_many`), so a caching
+    provider serves the resolver's later lookups from its cache.
     """
     node_order = (sample.post_id, *(c.id for c in sample.comments))
     pos = {nid: i for i, nid in enumerate(node_order)}
-    text = [texts(sample.text_key), *(texts(c.text_key) for c in sample.comments)]
+    text = embed_many(texts, text_keys(sample))
     user = (np.empty((len(text), 0)) if resolver is None else
             [resolver(*occ) for occ in occurrences(sample, common_author)])
     d2 = len(text[0])

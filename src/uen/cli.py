@@ -78,9 +78,9 @@ def _text_provider(args):
 
 
 def cmd_synth(args):
-    out = _out_dir(args)
     cfg = _config(args, SynthConfig, comments_per_sample=(args.min_comments, args.max_comments))
     corpus = generate(cfg)
+    out = _out_dir(args)
     save_corpus(corpus, out / "corpus.jsonl")
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(describe(corpus), fh, indent=2, sort_keys=True)
@@ -97,9 +97,9 @@ def cmd_ingest(args):
 
 
 def cmd_split(args):
-    out = _out_dir(args)
     corpus, _ = load_corpus(args.input, args.mode)
     split = temporal_split(corpus, (args.train_ratio, args.val_ratio, args.test_ratio))
+    out = _out_dir(args)
     for name, samples in (("train", split.train), ("val", split.val), ("test", split.test)):
         save_corpus(Corpus(samples=samples, common_author=corpus.common_author),
                     out / f"{name}.jsonl")

@@ -26,10 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import all_chain_representations
+from .assembly import all_chain_representations, text_keys
 from .corpus import Sample
 from .embedding import EmbeddingTable, FormatError
-from .text import TextProvider
+from .text import TextProvider, embed_many
 
 logger = logging.getLogger(__name__)
 
@@ -230,15 +230,20 @@ def build_train_side(
 ) -> TrainSideData:
     """Index train posts by text and each post's comments by their representation.
 
-    use_chains=False (H3 off) represents comments by raw text vectors.
+    use_chains=False (H3 off) represents comments by raw text vectors. Each
+    sample's texts are fetched in one batch.
     """
     comments_by_post: dict[str, SimIndex] = {}
+    post_vecs = []
     for s in train:
-        reps = comment_representations(s, texts, use_chains)
+        keys = text_keys(s)
+        vecs = dict(zip(keys, embed_many(texts, keys)))
+        post_vecs.append(vecs[s.text_key])
+        reps = comment_representations(s, vecs.__getitem__, use_chains)
         comments_by_post[s.post_id] = build_index(
             (c.id, reps[c.id], c.author) for c in s.comments)
     post_index = build_index(
-        (s.post_id, texts(s.text_key), s.resolved_author(common_author)) for s in train
+        (s.post_id, vec, s.resolved_author(common_author)) for s, vec in zip(train, post_vecs)
     )
     return TrainSideData(post_index=post_index, comments_by_post=comments_by_post,
                          chains=bool(use_chains))

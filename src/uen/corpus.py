@@ -238,6 +238,8 @@ def temporal_split(
     for name, ratio in zip(("train", "val", "test"), ratios):
         if not (math.isfinite(ratio) and ratio >= 0):
             raise ValueError(f"{name} split ratio must be finite and >= 0, got {ratio}")
+        if ratio == 0:
+            raise ValueError(f"{name} split ratio must be > 0: every part needs a sample")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("split ratios must sum to 1")
     if len(corpus.samples) < 10:

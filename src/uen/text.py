@@ -20,7 +20,9 @@ from .embedding import EmbeddingTable, FormatError
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
-# Provider contract: text string -> float32 vector of fixed dim.
+# Provider contract: text string -> float32 vector of fixed dim. A provider
+# may also have `many(keys) -> list of vectors`, a batch call `embed_many`
+# uses when present; plain callables without it work everywhere.
 TextProvider = Callable[[str], np.ndarray]
 
 
@@ -48,40 +50,93 @@ def _tokens(text: str) -> list[str]:
 def hash_embed(text: str, cfg: TextEmbedConfig = TextEmbedConfig()) -> np.ndarray:
     """Deterministic signed-bucket embedding; zero vector for empty text.
 
-    Each n-gram's 8-byte blake2b digest, keyed by the seed and read as a
-    little-endian u64 v, adds +1 (odd v) or -1 to bucket (v >> 1) % d2.
-    The keyed state is made once per call and copied per term. Each bucket
-    and the squared norm are sums of small integers, so they are exact
-    whatever order they are summed in.
+    The one-text case of `hash_embed_many`.
     """
-    toks = _tokens(text)
+    return hash_embed_many([text], cfg)[0]
+
+
+def _digest(keyed, term: str) -> bytes:
+    h = keyed.copy()
+    h.update(term.encode("utf-8"))
+    return h.digest()
+
+
+def hash_embed_many(texts, cfg: TextEmbedConfig = TextEmbedConfig(),
+                    words: dict | None = None) -> np.ndarray:
+    """`hash_embed` of each text, as the rows of one (len(texts), d2) float32 matrix.
+
+    Each n-gram's 8-byte blake2b digest, keyed by the seed and read as a
+    little-endian u64 v, adds +1 (odd v) or -1 to bucket (v >> 1) % d2 of
+    its text's row. The keyed state is made once per call and copied per
+    term hashed; one bincount over row * d2 + bucket fills every row. Each
+    bucket and each squared norm are sums of small integers, so they are
+    exact whatever order or batch they are summed in.
+
+    `words` maps unigrams to their digests under `cfg` and gains the new
+    ones, so a caller that passes one dict to many calls hashes each
+    distinct word once. Words recur across texts and bigrams mostly do not,
+    so bigrams are not kept.
+    """
     lo, hi = cfg.ngram_range
     keyed = hashlib.blake2b(digest_size=8, key=str(cfg.hash_seed).encode("utf-8"))
-    digests = []
-    for n in range(lo, hi + 1):
-        for i in range(len(toks) - n + 1):
-            h = keyed.copy()
-            h.update(" ".join(toks[i : i + n]).encode("utf-8"))
-            digests.append(h.digest())
+    words = {} if words is None else words
+    digests, counts = [], []
+    for text in texts:
+        toks = _tokens(text)
+        start = len(digests)
+        for n in range(lo, hi + 1):
+            if n == 1:
+                for t in toks:
+                    d = words.get(t)
+                    if d is None:
+                        d = words[t] = _digest(keyed, t)
+                    digests.append(d)
+            else:
+                digests += [_digest(keyed, " ".join(toks[i : i + n]))
+                            for i in range(len(toks) - n + 1)]
+        counts.append(len(digests) - start)
     v = np.frombuffer(b"".join(digests), dtype="<u8")
-    vec = np.bincount(((v >> 1) % cfg.d2).astype(np.intp),
-                      weights=(v & 1) * 2.0 - 1.0, minlength=cfg.d2)
-    norm = np.sqrt(vec @ vec)
-    if norm > 0:
-        vec /= norm
-    return vec.astype(np.float32)
+    cells = np.arange(len(counts) * cfg.d2, step=cfg.d2).repeat(counts)
+    cells += ((v >> 1) % cfg.d2).astype(np.intp)
+    # The result is allocated before the float64 block, so freeing that block
+    # leaves no hole under it: callers keep many results alive.
+    out = np.empty((len(counts), cfg.d2), dtype=np.float32)
+    mat = np.bincount(cells, weights=(v & 1) * 2.0 - 1.0, minlength=len(counts) * cfg.d2
+                      ).reshape(len(counts), cfg.d2)
+    norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
+    # a nonzero norm is at least 1, so this only lets a zero row divide by 1;
+    # the quotient is taken in float64 and rounded once into `out`
+    return np.divide(mat, np.maximum(norms, 1.0, out=norms)[:, None], out=out)
 
 
 def make_hash_provider(cfg: TextEmbedConfig = TextEmbedConfig()) -> TextProvider:
+    """A caching `hash_embed` provider with a batch call, `provider.many(texts)`."""
     cache: dict[str, np.ndarray] = {}
+    words: dict[str, bytes] = {}  # unigram digests, as long as the cache lives
 
     def provider(text: str) -> np.ndarray:
         hit = cache.get(text)
         if hit is None:
-            hit = cache[text] = hash_embed(text, cfg)
+            hit = cache[text] = hash_embed_many([text], cfg, words)[0]
         return hit
 
+    def many(texts) -> list[np.ndarray]:
+        """The vectors of `texts`, the uncached ones hashed in one call and
+        cached as rows of its matrix."""
+        missing = [t for t in dict.fromkeys(texts) if t not in cache]
+        if missing:
+            cache.update(zip(missing, hash_embed_many(missing, cfg, words)))
+        return [cache[t] for t in texts]
+
+    provider.many = many
     return provider
+
+
+def embed_many(texts: TextProvider, keys) -> list[np.ndarray]:
+    """The vectors of `keys`: one `texts.many` call when the provider has it,
+    else one call per key."""
+    many = getattr(texts, "many", None)
+    return many(keys) if many is not None else [texts(k) for k in keys]
 
 
 def build_text_table(
@@ -89,9 +144,9 @@ def build_text_table(
 ) -> EmbeddingTable:
     """Embed a text_key -> text map into a table keyed by text_key."""
     keys = sorted(texts)
-    matrix = np.stack([hash_embed(texts[k], cfg) for k in keys]) if keys else np.zeros(
-        (0, cfg.d2), dtype=np.float32
-    )
+    words: dict[str, bytes] = {}
+    matrix = np.stack([hash_embed_many([texts[k]], cfg, words)[0] for k in keys]
+                      ) if keys else np.zeros((0, cfg.d2), dtype=np.float32)
     return EmbeddingTable.from_rows(keys, matrix)
 
 

@@ -214,3 +214,60 @@ def test_assembled_features_are_float32_only(texts):
                                                        split.val, split.test) for g in part]
     nodes = sum(len(g.node_order) for g in graphs)
     assert sum(g.features.nbytes for g in graphs) == nodes * (256 + 8) * 4
+
+
+def _cold_serve_setup(texts):
+    """A full {h1, h2, h3} mapper over a small train split, and test cascades
+    that each have a cold post author and a cold commenter."""
+    from uen.coldmap import build_train_side
+    from uen.corpus import temporal_split
+    from uen.synth import SynthConfig, generate
+
+    split = temporal_split(generate(SynthConfig(n_samples=60, n_users=20, seed=5,
+                                                cold_user_rate_test=0.5)))
+    users = random_user_table(sorted({u for s in split.train for u in s.users()}), d1=8)
+    resolver = make_resolver("cold-mapper", users, build_train_side(list(split.train), texts),
+                             texts, ColdMapConfig(k1=3, k2=4))
+    cold = [s for s in split.test
+            if s.author not in users and any(c.author not in users for c in s.comments)]
+    assert cold
+    return resolver, split.test, cold
+
+
+def test_assemble_hashes_a_fresh_sample_in_one_batch(texts, monkeypatch):
+    from uen import text
+
+    resolver, _, cold = _cold_serve_setup(texts)
+    batches = []
+    hash_many = text.hash_embed_many
+
+    def counted_many(keys, *args):  # every hashing path, one text or many, ends here
+        batches.append(list(keys))
+        return hash_many(keys, *args)
+
+    monkeypatch.setattr(text, "hash_embed_many", counted_many)
+    s = cold[0]
+    assemble(s, texts, resolver)
+    assert len(batches) == 1
+    assert set(batches[0]) <= {s.text_key, *(c.text_key for c in s.comments)}
+    batches.clear()
+    assemble(s, texts, resolver)
+    assert not batches
+
+
+def test_plain_function_provider_gives_identical_features():
+    """A provider without `many`, as a wrapping closure is, takes the per-key path."""
+    from uen.text import make_hash_provider
+
+    batched = make_hash_provider()
+    inner = make_hash_provider()
+
+    def plain(key):
+        return inner(key)
+
+    graphs = []
+    for provider in (batched, plain):
+        resolver, test, _ = _cold_serve_setup(provider)
+        graphs.append([assemble(s, provider, resolver) for s in test])
+    for a, b in zip(*graphs):
+        assert a.features.tobytes() == b.features.tobytes()

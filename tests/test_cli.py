@@ -261,9 +261,12 @@ def test_bad_config_value_is_structured_error(pipeline, tmp_path, command, flag,
     (["synth", "--n-users", "3"], "n_users (3) must be >= n_communities (6)"),
     (["synth", "--min-comments", "5", "--max-comments", "3"],
      "comments_per_sample max (3) must be >= its min (5)"),
+    (["split", "--train-ratio", "0.9", "--val-ratio", "0", "--test-ratio", "0.1"],
+     "val split ratio must be > 0: every part needs a sample"),
 ])
 def test_bad_split_or_synth_value_is_structured_error(pipeline, tmp_path, argv, message):
-    """Values that numpy or `round` used to reject from deep inside the run."""
+    """Values that numpy or `round` used to reject from deep inside the run;
+    a rejected value leaves no `--out` directory behind."""
     out = ["--out", str(tmp_path / "out")]
     if argv[0] == "split":
         out += ["--input", str(pipeline / "data" / "corpus.jsonl")]
@@ -273,6 +276,7 @@ def test_bad_split_or_synth_value_is_structured_error(pipeline, tmp_path, argv, 
     err = json.loads(err)
     assert err["error"] == "ValueError"
     assert err["message"].startswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_divergence_is_structured_error(pipeline, tmp_path):

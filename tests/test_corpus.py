@@ -201,6 +201,20 @@ def test_temporal_split_rejects_negative_and_non_finite_ratios(ratios, name):
         temporal_split(corpus, ratios)
 
 
+@pytest.mark.parametrize("ratios, name", [
+    ((1.0, 0.0, 0.0), "val"),
+    ((0.0, 0.0, 1.0), "train"),
+    ((0.5, 0.5, 0.0), "test"),
+    ((0.7, -0.0, 0.3), "val"),
+])
+def test_temporal_split_rejects_zero_ratios(ratios, name):
+    """A zero part used to be clamped to one sample without a word."""
+    corpus = Corpus(samples=tuple(star_sample(f"p{i}", timestamp=i) for i in range(50)))
+    with pytest.raises(ValueError, match=f"^{name} split ratio must be > 0: every part "
+                                         "needs a sample$"):
+        temporal_split(corpus, ratios)
+
+
 def test_temporal_split_rejects_small_and_unlabeled():
     with pytest.raises(CorpusError, match="too small"):
         temporal_split(Corpus(samples=tuple([star_sample("p1")])))

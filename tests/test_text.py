@@ -14,6 +14,7 @@ from uen.text import (
     _tokens,
     build_text_table,
     hash_embed,
+    hash_embed_many,
     make_hash_provider,
     table_provider,
 )
@@ -65,6 +66,50 @@ def test_hash_embed_bytes_equal_per_term_oracle(text, seed, d2, ngram_range):
     got = hash_embed(text, cfg)
     assert got.dtype == np.float32 and got.shape == (d2,)
     assert got.tobytes() == oracle_hash_embed(text, cfg).tobytes()
+
+
+_TEXTS = st.one_of(st.text(max_size=40), st.lists(_TEXT_ALPHABET, max_size=30).map("".join),
+                  st.just(""))
+
+
+@settings(max_examples=300, deadline=None)
+# a batch of only empty texts: no digests at all
+@example(texts=["", "", ""], seed=0, d2=3, ngram_range=(1, 2))
+@example(texts=[], seed=0, d2=256, ngram_range=(1, 2))
+@example(texts=["a b", "", "a b", "x " * 50, ""], seed=-1, d2=1, ngram_range=(2, 3))
+@given(
+    # a pool of texts, then a batch drawn from it: duplicates are common
+    texts=st.lists(_TEXTS, max_size=12).flatmap(
+        lambda xs: st.lists(st.sampled_from(xs), max_size=12) if xs else st.just(xs)),
+    seed=st.one_of(st.integers(-10**62, 10**63), st.sampled_from([0, -1, 10**63, -10**62])),
+    d2=st.sampled_from([1, 3, 256, 1000]),
+    ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3)]),
+)
+def test_hash_embed_many_rows_bytes_equal_per_term_oracle(texts, seed, d2, ngram_range):
+    """Batches of 0-12 texts, with duplicates and empty texts, row by row;
+    again with a word memo filled by the first call, as a provider shares it."""
+    cfg = TextEmbedConfig(d2=d2, hash_seed=seed, ngram_range=ngram_range)
+    words = {}
+    first = hash_embed_many(texts, cfg, words)
+    for got in (first, hash_embed_many(texts[::-1], cfg, words)[::-1]):
+        assert got.dtype == np.float32 and got.shape == (len(texts), d2)
+        for text, row in zip(texts, got):
+            assert row.tobytes() == oracle_hash_embed(text, cfg).tobytes()
+
+
+@pytest.mark.parametrize("batch_first", [True, False])
+def test_provider_many_equals_single_calls_in_either_order(batch_first):
+    keys = ["alpha beta", "", "gamma", "alpha beta", "delta epsilon zeta"]
+    provider = make_hash_provider()
+    if batch_first:
+        batch = provider.many(keys)
+        single = [provider(k) for k in keys]
+    else:
+        single = [provider(k) for k in keys[:3]]
+        batch = provider.many(keys)
+        single += [provider(k) for k in keys[3:]]
+    for key, a, b in zip(keys, batch, single):
+        assert a.tobytes() == b.tobytes() == hash_embed(key).tobytes()
 
 
 def cosine(a, b):
