@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiment
-from .assembly import occurrences
+from .assembly import occurrences, text_keys
 from .coldmap import ColdMapConfig
 from .corpus import Corpus, CorpusError, load_corpus, save_corpus, temporal_split
 from .embedding import EmbeddingTable, FormatError, sha256_file
@@ -27,7 +27,8 @@ from .gnn import ARCHS, DivergenceError, GnnConfig, load_model, save_history, sa
 from .graph import build_interaction_graph
 from .node2vec import Node2VecConfig, learn_user_embeddings
 from .synth import SynthConfig, describe, generate
-from .text import TextEmbedConfig, build_text_table, make_hash_provider, table_provider
+from .text import (TextEmbedConfig, build_text_table, embed_many, make_hash_provider,
+                   table_provider)
 
 # CLI variant name -> experiment.VARIANTS; reports keep the CLI name.
 VARIANTS = {"uen": "full", "no-mapper": "no-mapper", "no-user": "no-user"}
@@ -109,12 +110,12 @@ def cmd_split(args):
 
 
 def cmd_embed_users(args):
-    out = _out_dir(args)
     corpus, _ = load_corpus(args.train, args.mode)
     g = build_interaction_graph(corpus.samples, corpus.common_author,
                                 weighted=not args.unweighted)
     cfg = _config(args, Node2VecConfig)
     table = learn_user_embeddings(g, cfg)
+    out = _out_dir(args)
     table.save(out / "users.emb")
     _write_provenance(out, args, [args.train], cfg)
     print(json.dumps({"rows": len(table), "dim": table.dim}))
@@ -208,11 +209,14 @@ def cmd_map_cold(args):
                                            train_corpus.common_author, coldmap)
     ids, rows = [], []
     for s in test_corpus.samples:
-        for user, context in occurrences(s, test_corpus.common_author):
-            if user not in users:
-                node = context[2] if context[0] == "comment" else "post"
-                ids.append(f"{s.post_id}/{node}/{user}")
-                rows.append(resolver(user, context))
+        cold = [(u, ctx) for u, ctx in occurrences(s, test_corpus.common_author)
+                if u not in users]
+        if cold:
+            embed_many(texts, text_keys(s))  # the sample's texts, hashed in one batch
+        for user, context in cold:
+            node = context[2] if context[0] == "comment" else "post"
+            ids.append(f"{s.post_id}/{node}/{user}")
+            rows.append(resolver(user, context))
     table = EmbeddingTable.from_rows(ids, np.reshape(rows, (len(rows), users.dim)))
     table.save(out / "cold.emb")
     _write_provenance(out, args, [args.train, args.test], coldmap, _config(args, TextEmbedConfig))

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import SampleGraph, UserResolver, assemble, occurrences
+from .assembly import SampleGraph, UserResolver, assemble, occurrences, text_keys
 from .coldmap import ColdMapConfig, TrainSideData, build_train_side, make_resolver
 from .corpus import Corpus, Sample, Split, corpus_users, overlap_ratio, temporal_split
 from .embedding import EmbeddingTable
@@ -27,7 +27,7 @@ from .evaluation import EvalReport, bucketed_report
 from .gnn import GnnConfig, ModelParams, predict, train
 from .graph import build_interaction_graph
 from .node2vec import Node2VecConfig, learn_user_embeddings
-from .text import TextEmbedConfig, TextProvider, make_hash_provider
+from .text import TextEmbedConfig, TextProvider, embed_many, make_hash_provider
 
 logger = logging.getLogger(__name__)
 
@@ -254,9 +254,14 @@ def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
     train = without_users(split.train, hidden, common)
     kept = learn_user_embeddings(build_interaction_graph(train, common), cfg.node2vec)
     rotation, alignment = _procrustes(kept, full)
-    targets = [(u, ctx) for s in split.test for u, ctx in occurrences(s, common) if u in hidden]
-    truth = np.stack([full.vector(u) for u, _ in targets]).astype(np.float64)
     texts = make_hash_provider(cfg.text)
+    targets = []
+    for s in split.test:
+        cold = [(u, ctx) for u, ctx in occurrences(s, common) if u in hidden]
+        if cold:
+            embed_many(texts, text_keys(s))  # the sample's texts, hashed in one batch
+        targets += cold
+    truth = np.stack([full.vector(u) for u, _ in targets]).astype(np.float64)
     rows, sides = {}, {}  # one train side per comment representation
     for heuristics in HEURISTIC_SETS:
         coldmap = replace(cfg.coldmap, heuristics=heuristics)

@@ -16,8 +16,11 @@ of k negatives from the unigram^3/4 law is shared by every pair of a batch,
 as in PyTorch-BigGraph (Lerer et al. 2019): each pair's negatives still
 follow that law, so the expected gradient is unchanged, and scoring them
 is one dense product. All gradients of a batch are taken at the pre-batch
-rows and summed per row. Everything is driven by explicit seeds: same
-graph + config => bit-identical table.
+rows and summed per row. The step's buffers are made once per
+`train_skipgram` and reused: made fresh, each step's 130-530 KB arrays
+go back to the OS when freed, so every step of a process's first run
+paid their page faults again. Everything is driven by explicit seeds:
+same graph + config => bit-identical table.
 """
 
 from __future__ import annotations
@@ -176,25 +179,59 @@ def window_pairs(seqs: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarr
     return np.stack([flat[centers], flat[centers + offsets[hits % len(offsets)]]], axis=1)
 
 
-def sgns_step(table: np.ndarray, centers, contexts, negatives, lr) -> None:
+class _SgnsWork:
+    """The arrays an SGNS step writes into, for batches of up to b pairs and
+    k negatives; `train_skipgram` makes one and every step reuses it. A
+    shorter batch uses the leading rows of each."""
+
+    def __init__(self, b: int, k: int, d: int, dtype):
+        n = 2 * b + k
+        self.vc = np.empty((b, d), dtype)  # center rows
+        self.uo = np.empty((b, d), dtype)  # context rows
+        self.un = np.empty((k, d), dtype)  # negative rows
+        self.grads = np.empty((n, d), dtype)  # gradient stack, one row per touched row
+        self.grads64 = np.empty((n, d), np.float64)  # its bincount weights
+        self.cells = np.empty((n, d), np.intp)  # each gradient entry's bincount cell
+
+
+def sgns_step(table: np.ndarray, centers, contexts, negatives, lr, work=None) -> None:
     """Apply one minibatch of SGNS gradients to `table`, in its dtype.
 
     `table` is (2V, d): center rows, then context rows. centers and
     contexts are (b,) vocabulary indices and lr (b,) the pairs' learning
     rates; negatives are (k,) indices shared by every pair of the batch.
-    Each pair's gradient is taken at the pre-batch rows and scaled by its
-    lr, and the gradients are summed per row.
+    Indices must lie in [0, V): the gathers clip instead of checking. Each
+    pair's gradient is taken at the pre-batch rows and scaled by its lr, and
+    the gradients are summed per row. `work` holds the step's buffers (a
+    `_SgnsWork` for at least b pairs and k negatives); without it the step
+    makes its own.
     """
+    b, k = len(centers), len(negatives)
     v, d = len(table) // 2, table.shape[1]
+    if work is None:
+        work = _SgnsWork(b, k, d, table.dtype)
+    n = 2 * b + k
     lr = lr.astype(table.dtype)
-    vc, uo, un = table[centers], table[v + contexts], table[v + negatives]
+    # mode="clip": with the default "raise", np.take stages `out` in a fresh copy
+    vc = np.take(table, centers, axis=0, out=work.vc[:b], mode="clip")
+    uo = np.take(table[v:], contexts, axis=0, out=work.uo[:b], mode="clip")
+    un = np.take(table[v:], negatives, axis=0, out=work.un[:k], mode="clip")
     go = (_sigmoid(np.einsum("bd,bd->b", vc, uo)) - 1.0) * lr  # (b,) context terms
     gn = _sigmoid(vc @ un.T) * lr[:, None]  # (b, k) negative terms
+    # Gradient rows: centers, contexts, negatives. The go * uo term is staged in
+    # the context block before that block is written (addition commutes).
+    grads = work.grads[:n]
+    np.multiply(go[:, None], uo, out=grads[b:2 * b])
+    np.matmul(gn, un, out=grads[:b])
+    grads[:b] += grads[b:2 * b]
+    np.multiply(go[:, None], vc, out=grads[b:2 * b])
+    np.matmul(gn.T, vc, out=grads[2 * b:])
     rows = np.concatenate([centers, v + contexts, v + negatives])
-    grads = np.concatenate([go[:, None] * uo + gn @ un, go[:, None] * vc, gn.T @ vc])
     uniq, inv = np.unique(rows, return_inverse=True)
-    cells = (inv * d)[:, None] + np.arange(d)
-    table[uniq] -= np.bincount(cells.ravel(), grads.ravel(), len(uniq) * d).reshape(-1, d)
+    cells = np.add((inv * d)[:, None], np.arange(d), out=work.cells[:n])
+    weights = work.grads64[:n]
+    np.copyto(weights, grads)  # float64, as bincount would cast it, without its copy
+    table[uniq] -= np.bincount(cells.ravel(), weights.ravel(), len(uniq) * d).reshape(-1, d)
 
 
 def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTable:
@@ -234,16 +271,23 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
     # uniforms, searched in the same cdf as choice's.
     cdf = neg_probs.cumsum()
     cdf /= cdf[-1]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_pairs)
-        for lo in range(0, n_pairs, MINIBATCH):
-            hi = min(lo + MINIBATCH, n_pairs)
-            negatives = cdf.searchsorted(rng.random(k), side="right")
-            step = np.arange(epoch * n_pairs + lo, epoch * n_pairs + hi)
-            lr = cfg.learning_rate * np.maximum(1.0 - step / total_steps, 1e-4)
-            chosen = pairs[order[lo:hi]]
-            sgns_step(table, chosen[:, 0], chosen[:, 1], negatives, lr)
-    return _centred_table(vocab, table[:v])
+    work = _SgnsWork(min(MINIBATCH, n_pairs), k, d, table.dtype)
+    # A learning rate too large for float32 overflows into inf and NaN,
+    # caught once per epoch.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n_pairs)
+            for lo in range(0, n_pairs, MINIBATCH):
+                hi = min(lo + MINIBATCH, n_pairs)
+                negatives = cdf.searchsorted(rng.random(k), side="right")
+                step = np.arange(epoch * n_pairs + lo, epoch * n_pairs + hi)
+                lr = cfg.learning_rate * np.maximum(1.0 - step / total_steps, 1e-4)
+                chosen = pairs[order[lo:hi]]
+                sgns_step(table, chosen[:, 0], chosen[:, 1], negatives, lr, work)
+            if not np.isfinite(table).all():
+                raise ValueError(f"SGNS diverged in epoch {epoch} at learning_rate "
+                                 f"{cfg.learning_rate:g}: the user table has non-finite entries")
+        return _centred_table(vocab, table[:v])
 
 
 def _centred_table(vocab: list[str], rows: np.ndarray) -> EmbeddingTable:

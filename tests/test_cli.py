@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uen import cli, experiment
+from uen.assembly import occurrences, text_keys
 from uen.cli import main
 from uen.coldmap import ColdMapConfig
 from uen.corpus import load_corpus
@@ -615,6 +616,56 @@ def test_tune_objective_uses_k1(pipeline, cold_val, tmp_path, monkeypatch):
             "--users", str(pipeline / "users" / "users.emb"),
             "--out", str(tmp_path / "tune"), "--epochs", "1", "--hidden", "8"])
     assert losses[1] != losses[3]
+
+
+def test_map_cold_hashes_each_fresh_test_sample_in_one_call(pipeline, tmp_path, monkeypatch):
+    """A test sample with a cold occurrence has its texts hashed in one batch
+    before any of them is resolved; only train samples' texts are hashed
+    apart from those batches."""
+    from uen import text
+
+    calls = []
+    hash_many = text.hash_embed_many
+
+    def counted_many(texts, *args):  # every hashing path, one text or many, ends here
+        calls.append(set(texts))
+        return hash_many(texts, *args)
+
+    monkeypatch.setattr(text, "hash_embed_many", counted_many)
+    run_ok(["map-cold", "--train", str(pipeline / "splits" / "train.jsonl"),
+            "--test", str(pipeline / "splits" / "test.jsonl"),
+            "--users", str(pipeline / "users" / "users.emb"),
+            "--out", str(tmp_path / "cold"), "--k1", "3", "--k2", "5"])
+    train = load_corpus(pipeline / "splits" / "train.jsonl")[0]
+    test = load_corpus(pipeline / "splits" / "test.jsonl")[0]
+    users = EmbeddingTable.load(pipeline / "users" / "users.emb")
+    seen = {k for s in train.samples for k in text_keys(s)}
+    fresh = []  # test samples with a cold occurrence and a text not hashed before
+    for s in test.samples:
+        if any(u not in users for u, _ in occurrences(s, test.common_author)):
+            if not set(text_keys(s)) <= seen:
+                fresh.append(set(text_keys(s)))
+            seen |= set(text_keys(s))
+    test_calls = [c for c in calls if not c <= {k for s in train.samples for k in text_keys(s)}]
+    assert fresh and len(test_calls) == len(fresh)
+    assert all(call <= keys for call, keys in zip(test_calls, fresh))
+
+
+def test_diverging_embed_users_is_one_error_and_no_output(pipeline, tmp_path):
+    """A learning rate that overflows float32 is one JSON line naming SGNS,
+    with no numpy warning and no --out directory left behind."""
+    out = tmp_path / "users"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = run_captured(["embed-users", "--train", str(pipeline / "splits" / "train.jsonl"),
+                                "--out", str(out), "--d1", "8", "--walk-length", "5",
+                                "--walks-per-node", "2", "--epochs", "1", "--lr", "1e30"])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("SGNS diverged in epoch 0 at learning_rate 1e+30: ")
+    assert not out.exists()
 
 
 JSON_VALUES = st.recursive(

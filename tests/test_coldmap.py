@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from uen.assembly import all_chain_representations
 from uen.coldmap import (
+    INDEX_BLOCK,
     ColdMapConfig,
     SimIndex,
     TrainSideData,
@@ -55,6 +56,53 @@ def test_build_index_keeps_zero_rows():
     hits = topk(idx, np.ones(4), 2)
     assert hits[0][0] == "b"
     assert hits[1][2] == pytest.approx(0.0)
+
+
+def row_by_row_index(rows):
+    """build_index's matrix, one row at a time: float64, np.linalg.norm,
+    divide unless zero, float32."""
+    out = []
+    for row in rows:
+        row = np.asarray(row, dtype=np.float64)
+        norm = np.linalg.norm(row)
+        out.append((row / norm if norm > 0 else row).astype(np.float32))
+    return np.stack(out) if out else np.zeros((0, 0), dtype=np.float32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, INDEX_BLOCK - 1, INDEX_BLOCK, INDEX_BLOCK + 1, 600]),
+    d=st.integers(1, 40),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    zero_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_index_equals_row_by_row_normalization(n, d, dtype, zero_rate, seed):
+    """Blocks of rows normalize to the same bits as each row on its own, at
+    and around the block size, with zero rows and over magnitudes from 1e-30
+    to 1e30."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scale = 10.0 ** rng.integers(-30, 31, size=(n, 1))
+    rows = (rng.normal(size=(n, d)) * scale * (rng.random((n, 1)) >= zero_rate)).astype(dtype)
+    idx = build_index((f"k{i}", row, f"u{i}") for i, row in enumerate(rows))
+    assert idx.vectors.dtype == np.float32
+    assert idx.vectors.tobytes() == row_by_row_index(rows).tobytes()
+    assert idx.keys == tuple(f"k{i}" for i in range(n))
+
+
+@pytest.mark.parametrize("nan_at, short_at, bad", [
+    (INDEX_BLOCK + 44, INDEX_BLOCK + 144, "non-finite"),
+    (2 * INDEX_BLOCK + 10, INDEX_BLOCK + 14, "dimension"),
+    (None, 2 * INDEX_BLOCK, "dimension"),
+])
+def test_build_index_names_first_bad_entry_in_a_later_block(nan_at, short_at, bad):
+    rows = [np.ones(4) for _ in range(3 * INDEX_BLOCK)]
+    if nan_at is not None:
+        rows[nan_at] = np.array([1.0, np.nan, 0.0, 0.0])
+    rows[short_at] = np.ones(3)
+    first = min(i for i in (nan_at, short_at) if i is not None)
+    with pytest.raises(FormatError, match=f"^index entry 'k{first}': {bad}"):
+        build_index((f"k{i}", row, "u") for i, row in enumerate(rows))
 
 
 def test_build_index_rejects_mixed_dims():

@@ -1,5 +1,8 @@
 """Biased walks and skip-gram training for user embeddings."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,10 @@ from hypothesis import strategies as st
 
 from uen.graph import build_interaction_graph
 from uen.node2vec import (
+    MINIBATCH,
     Node2VecConfig,
+    _SgnsWork,
+    _sigmoid,
     learn_user_embeddings,
     sample_walks,
     sgns_step,
@@ -282,6 +288,64 @@ def test_minibatch_step_sums_per_pair_gradients():
     sgns_step(table32, centers, contexts, negatives, lr)
     assert table32.dtype == np.float32
     np.testing.assert_allclose(table32, want, rtol=1e-6, atol=1e-6)
+
+
+def allocating_step(table, centers, contexts, negatives, lr):
+    """One SGNS step with every array made fresh: the reference that
+    `sgns_step` on reused buffers must match bit for bit."""
+    v, d = len(table) // 2, table.shape[1]
+    lr = lr.astype(table.dtype)
+    vc, uo, un = table[centers], table[v + contexts], table[v + negatives]
+    go = (_sigmoid(np.einsum("bd,bd->b", vc, uo)) - 1.0) * lr
+    gn = _sigmoid(vc @ un.T) * lr[:, None]
+    rows = np.concatenate([centers, v + contexts, v + negatives])
+    grads = np.concatenate([go[:, None] * uo + gn @ un, go[:, None] * vc, gn.T @ vc])
+    uniq, inv = np.unique(rows, return_inverse=True)
+    cells = (inv * d)[:, None] + np.arange(d)
+    table[uniq] -= np.bincount(cells.ravel(), grads.ravel(), len(uniq) * d).reshape(-1, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    v=st.integers(1, 40),
+    d=st.integers(1, 130),
+    k=st.integers(1, 6),
+    sizes=st.lists(st.integers(1, MINIBATCH), min_size=1, max_size=4),
+    tail=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_buffered_steps_equal_allocating_steps(v, d, k, sizes, tail, dtype, seed):
+    """A run of batches through one shared `_SgnsWork`, with a short batch
+    after a full one when `tail` is set, so the buffers hold stale rows past
+    the batch; small vocabularies repeat centers, contexts and negatives."""
+    if tail:
+        sizes = [MINIBATCH, *sizes[:-1], min(sizes[-1], MINIBATCH - 1)]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    table = rng.normal(size=(2 * v, d)).astype(dtype)
+    want = table.copy()
+    work = _SgnsWork(max(sizes), k, d, table.dtype)
+    for b in sizes:
+        centers, contexts = rng.integers(v, size=b), rng.integers(v, size=b)
+        negatives = rng.integers(v, size=k)
+        lr = rng.uniform(1e-3, 0.5, size=b)
+        allocating_step(want, centers, contexts, negatives, lr)
+        sgns_step(table, centers, contexts, negatives, lr, work)
+        assert table.tobytes() == want.tobytes()
+
+
+def test_diverging_sgns_is_one_value_error():
+    """Every learning rate too large for float32 ends in one error that names
+    SGNS, with no numpy warning on the way."""
+    g = graph_from_edges([("a", "b", 1), ("b", "c", 2), ("a", "c", 1), ("c", "d", 1)])
+    for lr in (1e30, 1e38, 1e300):
+        cfg = Node2VecConfig(d1=8, walk_length=6, walks_per_node=2, epochs=2,
+                             learning_rate=lr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^SGNS diverged in epoch \d at learning_rate "
+                                                 + re.escape(f"{lr:g}: ")):
+                learn_user_embeddings(g, cfg)
 
 
 def test_batched_negative_draws_equal_one_choice_call():
