@@ -56,8 +56,7 @@ def assemble(
     """Build the node-feature matrix and tree adjacency for one sample.
 
     resolver=None drops user features entirely (text-only node rows). The
-    sample's texts are fetched in one batch (`embed_many`), so a caching
-    provider serves the resolver's later lookups from its cache.
+    sample's texts are fetched in one batch (`embed_many`).
     """
     node_order = (sample.post_id, *(c.id for c in sample.comments))
     pos = {nid: i for i, nid in enumerate(node_order)}

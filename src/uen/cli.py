@@ -27,8 +27,7 @@ from .gnn import ARCHS, DivergenceError, GnnConfig, load_model, save_history, sa
 from .graph import build_interaction_graph
 from .node2vec import Node2VecConfig, learn_user_embeddings
 from .synth import SynthConfig, describe, generate
-from .text import (TextEmbedConfig, build_text_table, embed_many, make_hash_provider,
-                   table_provider)
+from .text import TextEmbedConfig, build_text_table, make_hash_provider, table_provider
 
 # CLI variant name -> experiment.VARIANTS; reports keep the CLI name.
 VARIANTS = {"uen": "full", "no-mapper": "no-mapper", "no-user": "no-user"}
@@ -72,6 +71,14 @@ def _text_provider(args):
         table = EmbeddingTable.load(args.texts, expect_dim=args.d2)
         return table_provider(table)
     return make_hash_provider(_config(args, TextEmbedConfig))
+
+
+def _resolver(args, variant: str, train_corpus: Corpus, texts, coldmap: ColdMapConfig):
+    """The `--users` table (None under no-user) and the one resolver of
+    `variant`, a CLI variant name, over the training split."""
+    users = None if variant == "no-user" else EmbeddingTable.load(args.users)
+    return users, experiment.variant_resolver(VARIANTS[variant], users, train_corpus.samples,
+                                              texts, train_corpus.common_author, coldmap)
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +132,7 @@ def cmd_embed_text(args):
     cfg = _config(args, TextEmbedConfig)
     out = _out_dir(args)
     corpus, _ = load_corpus(args.corpus, args.mode)
-    texts = {}
-    for s in corpus.samples:
-        texts[s.text_key] = s.text_key
-        for c in s.comments:
-            texts[c.text_key] = c.text_key
-    table = build_text_table(texts, cfg)
+    table = build_text_table({k: k for s in corpus.samples for k in text_keys(s)}, cfg)
     table.save(out / "texts.emb")
     _write_provenance(out, args, [args.corpus], cfg)
     print(json.dumps({"rows": len(table), "dim": table.dim}))
@@ -144,13 +146,10 @@ def _train_val_graphs(args, coldmap: ColdMapConfig):
     training starts.
     """
     train_corpus, val_corpus = _load_split_dir(args, "train", "val")
-    common = train_corpus.common_author
     texts = _text_provider(args)
-    users = None if args.variant == "no-user" else EmbeddingTable.load(args.users)
-    resolver = experiment.variant_resolver(VARIANTS[args.variant], users,
-                                           train_corpus.samples, texts, common, coldmap)
-    graphs = experiment.assemble_splits(texts, resolver, common, train_corpus.samples,
-                                        val_corpus.samples)
+    users, resolver = _resolver(args, args.variant, train_corpus, texts, coldmap)
+    graphs = experiment.assemble_splits(texts, resolver, train_corpus.common_author,
+                                        train_corpus.samples, val_corpus.samples)
     return graphs, args.d2 + (0 if users is None else users.dim)
 
 
@@ -202,18 +201,13 @@ def cmd_map_cold(args):
     out = _out_dir(args)
     train_corpus, _ = load_corpus(args.train, args.mode)
     test_corpus, _ = load_corpus(args.test, args.mode)
-    texts = _text_provider(args)
-    users = EmbeddingTable.load(args.users)
     coldmap = _config(args, ColdMapConfig)
-    resolver = experiment.variant_resolver("full", users, train_corpus.samples, texts,
-                                           train_corpus.common_author, coldmap)
+    users, resolver = _resolver(args, "uen", train_corpus, _text_provider(args), coldmap)
     ids, rows = [], []
     for s in test_corpus.samples:
-        cold = [(u, ctx) for u, ctx in occurrences(s, test_corpus.common_author)
-                if u not in users]
-        if cold:
-            embed_many(texts, text_keys(s))  # the sample's texts, hashed in one batch
-        for user, context in cold:
+        for user, context in occurrences(s, test_corpus.common_author):
+            if user in users:
+                continue
             node = context[2] if context[0] == "comment" else "post"
             ids.append(f"{s.post_id}/{node}/{user}")
             rows.append(resolver(user, context))
@@ -230,10 +224,8 @@ def cmd_eval(args):
     common = train_corpus.common_author
     texts = _text_provider(args)
     model = load_model(args.model)
-    users = None if args.variant == "no-user" else EmbeddingTable.load(args.users)
     coldmap = _config(args, ColdMapConfig)
-    resolver = experiment.variant_resolver(VARIANTS[args.variant], users,
-                                           train_corpus.samples, texts, common, coldmap)
+    users, resolver = _resolver(args, args.variant, train_corpus, texts, coldmap)
     metadata = {
         "arch": model.arch,
         "variant": args.variant,

@@ -266,9 +266,10 @@ _REPS = {True: "reply-chain sums", False: "raw comment texts"}
 
 
 class _ColdSample:
-    """Retrieval state shared by every cold occurrence of one sample: H1 hits,
-    the author vector they give, the H2 candidate pool with its owners' table
-    rows and the sample's comment representations, each made on first use.
+    """Retrieval state shared by every cold occurrence of one sample: its
+    text vectors, H1 hits, the author vector they give, the H2 candidate pool
+    with its owners' table rows and the sample's comment representations,
+    each made on first use.
     """
 
     def __init__(self, mapper: _ColdMapper, sample: Sample):
@@ -277,9 +278,15 @@ class _ColdSample:
         self.mapper, self.sample, self.side = weakref.proxy(mapper), sample, mapper.side
 
     @cached_property
+    def vecs(self) -> dict:
+        """The sample's text vectors by key, fetched in one batch."""
+        keys = text_keys(self.sample)
+        return dict(zip(keys, embed_many(self.mapper.texts, keys)))
+
+    @cached_property
     def post_hits(self) -> np.ndarray:
         """H1: rows of the k1 training posts nearest this sample's post text."""
-        post_vec = np.asarray(self.mapper.texts(self.sample.text_key), dtype=np.float64)
+        post_vec = np.asarray(self.vecs[self.sample.text_key], dtype=np.float64)
         return topk_rows(self.side.post_index, post_vec, self.mapper.cfg.k1)[0]
 
     @cached_property
@@ -307,7 +314,7 @@ class _ColdSample:
 
     @cached_property
     def comment_reps(self) -> dict:
-        return comment_representations(self.sample, self.mapper.texts,
+        return comment_representations(self.sample, self.vecs.__getitem__,
                                        "h3" in self.mapper.cfg.heuristics)
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
@@ -401,10 +408,8 @@ def make_resolver(
     texts: TextProvider | None = None,
     cfg: ColdMapConfig | None = None,
 ) -> _ColdMapper:
-    """The resolver of mode cold-mapper, a `_ColdMapper` with `cfg`, or of mode
-    mean-fallback, the mapper with no heuristics, which needs no train side."""
-    if mode == "mean-fallback":
-        return _ColdMapper(users, ColdMapConfig(heuristics=frozenset()))
+    """The resolver of mode cold-mapper, a `_ColdMapper` with `cfg`; with no
+    heuristics it needs no train side or texts."""
     if mode != "cold-mapper":
         raise ValueError(f"unknown resolver mode {mode!r}")
     if cfg is None or cfg.heuristics and (train_side is None or texts is None):

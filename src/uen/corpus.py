@@ -128,6 +128,14 @@ def validate_sample(sample: Sample) -> None:
             visited.add(cur.id)
 
 
+def _json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; a float, string or bool is an error,
+    not a number to truncate."""
+    if type(value) is not int:  # bool is an int subclass, JSON true is not an integer
+        raise CorpusError(f"{what} {value!r} is not a JSON integer")
+    return value
+
+
 def sample_from_record(rec: dict) -> Sample:
     if not isinstance(rec, dict):
         raise CorpusError(f"record is a JSON {type(rec).__name__}, not an object")
@@ -138,7 +146,7 @@ def sample_from_record(rec: dict) -> Sample:
                 author=str(c["author"]),
                 parent=str(c["parent"]),
                 text_key=str(c["text_key"]),
-                timestamp=int(c["timestamp"]),
+                timestamp=_json_int(c["timestamp"], "comment timestamp"),
             )
             for c in rec.get("comments", [])
         )
@@ -147,34 +155,19 @@ def sample_from_record(rec: dict) -> Sample:
             post_id=str(rec["post_id"]),
             author=None if author is None else str(author),
             text_key=str(rec["text_key"]),
-            timestamp=int(rec["timestamp"]),
+            timestamp=_json_int(rec["timestamp"], "timestamp"),
             comments=comments,
-            label=None if rec.get("label") is None else int(rec["label"]),
+            label=None if rec.get("label") is None else _json_int(rec["label"], "label"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"malformed record: {exc}") from exc
 
 
 def sample_to_record(sample: Sample) -> dict:
-    rec: dict = {
-        "post_id": sample.post_id,
-        "text_key": sample.text_key,
-        "timestamp": sample.timestamp,
-        "comments": [
-            {
-                "id": c.id,
-                "author": c.author,
-                "parent": c.parent,
-                "text_key": c.text_key,
-                "timestamp": c.timestamp,
-            }
-            for c in sample.comments
-        ],
-    }
-    if sample.author is not None:
-        rec["author"] = sample.author
-    if sample.label is not None:
-        rec["label"] = sample.label
+    """The sample's fields, a None author or label left out, and each comment
+    as a dict of its own fields."""
+    rec = {k: v for k, v in vars(sample).items() if v is not None}
+    rec["comments"] = [vars(c).copy() for c in sample.comments]
     return rec
 
 

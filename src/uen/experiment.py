@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import SampleGraph, UserResolver, assemble, occurrences, text_keys
+from .assembly import SampleGraph, UserResolver, assemble, occurrences
 from .coldmap import ColdMapConfig, TrainSideData, build_train_side, make_resolver
 from .corpus import Corpus, Sample, Split, corpus_users, overlap_ratio, temporal_split
 from .embedding import EmbeddingTable
@@ -27,7 +27,7 @@ from .evaluation import EvalReport, bucketed_report
 from .gnn import GnnConfig, ModelParams, predict, train
 from .graph import build_interaction_graph
 from .node2vec import Node2VecConfig, learn_user_embeddings
-from .text import TextEmbedConfig, TextProvider, embed_many, make_hash_provider
+from .text import TextEmbedConfig, TextProvider, make_hash_provider
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +58,9 @@ class RunResult:
     ratios: list
 
 
-def prepare_user_embeddings(split: Split, cfg: PipelineConfig, common_author=None):
-    graph = build_interaction_graph(split.train, common_author)
+def prepare_user_embeddings(train_samples, cfg: PipelineConfig, common_author=None):
+    """The user table learned from the interaction graph of `train_samples`."""
+    graph = build_interaction_graph(train_samples, common_author)
     return learn_user_embeddings(graph, cfg.node2vec)
 
 
@@ -132,7 +133,7 @@ def run_variant(
     in_dim = cfg.text.d2
     if cfg.variant != "no-user":
         if users is None:
-            users = prepare_user_embeddings(split, cfg, common)
+            users = prepare_user_embeddings(split.train, cfg, common)
         in_dim += users.dim
     resolver = variant_resolver(cfg.variant, users, split.train, texts, common, cfg.coldmap)
     # the graphs die with the call, so evaluation reuses their memory
@@ -163,7 +164,7 @@ def run_ablation(
     for variant in variants:
         cfg = replace(base, variant=variant)
         if variant != "no-user" and users is None:
-            users = prepare_user_embeddings(split, cfg, corpus.common_author)
+            users = prepare_user_embeddings(split.train, cfg, corpus.common_author)
         logger.info("running variant %s", variant)
         results[variant] = run_variant(corpus, cfg, split=split, users=users)
     return results
@@ -244,7 +245,7 @@ def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
         raise ValueError("hide_fraction must lie in (0, 1)")
     common = corpus.common_author
     split = temporal_split(corpus)
-    full = prepare_user_embeddings(split, cfg, common)
+    full = prepare_user_embeddings(split.train, cfg, common)
     warm = sorted(u for u in corpus_users(split.test, common) if u in full and u != common)
     if not warm:
         raise ValueError("no training user occurs in the test split")
@@ -252,15 +253,11 @@ def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
     hidden = set(rng.choice(warm, size=max(1, round(hide_fraction * len(warm))),
                             replace=False).tolist())
     train = without_users(split.train, hidden, common)
-    kept = learn_user_embeddings(build_interaction_graph(train, common), cfg.node2vec)
+    kept = prepare_user_embeddings(train, cfg, common)
     rotation, alignment = _procrustes(kept, full)
     texts = make_hash_provider(cfg.text)
-    targets = []
-    for s in split.test:
-        cold = [(u, ctx) for u, ctx in occurrences(s, common) if u in hidden]
-        if cold:
-            embed_many(texts, text_keys(s))  # the sample's texts, hashed in one batch
-        targets += cold
+    targets = [(u, ctx) for s in split.test for u, ctx in occurrences(s, common)
+               if u in hidden]
     truth = np.stack([full.vector(u) for u, _ in targets]).astype(np.float64)
     rows, sides = {}, {}  # one train side per comment representation
     for heuristics in HEURISTIC_SETS:

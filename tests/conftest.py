@@ -69,6 +69,13 @@ def texts():
     return make_hash_provider(TextEmbedConfig())
 
 
+def table_mean_resolver(users):
+    """The cold mapper with no heuristics: a cold user gets the table mean."""
+    from uen.coldmap import ColdMapConfig, make_resolver
+
+    return make_resolver("cold-mapper", users, cfg=ColdMapConfig(heuristics=frozenset()))
+
+
 def random_user_table(users, d1=8, seed=0):
     from uen.embedding import EmbeddingTable
 

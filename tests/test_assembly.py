@@ -13,13 +13,14 @@ from conftest import (
     make_sample,
     random_user_table,
     star_sample,
+    table_mean_resolver,
 )
 
 
 def test_smallest_sample_shapes(texts):
     s = star_sample("p1", author="u1", commenters=("u2",))
     users = random_user_table(["u1", "u2"], d1=128)
-    g = assemble(s, texts, make_resolver("mean-fallback", users))
+    g = assemble(s, texts, table_mean_resolver(users))
     assert g.features.shape == (2, 384)
     assert g.edges == ((0, 1),)
     assert g.node_order == ("p1", "p1c0")
@@ -30,7 +31,7 @@ def test_smallest_sample_shapes(texts):
 def test_known_author_suffix_is_direct_lookup(texts):
     s = star_sample("p1", author="u1", commenters=("u2",))
     users = random_user_table(["u1", "u2"], d1=8)
-    g = assemble(s, texts, make_resolver("mean-fallback", users))
+    g = assemble(s, texts, table_mean_resolver(users))
     assert np.allclose(g.features[0, 256:], users.vector("u1"))
     assert np.allclose(g.features[1, 256:], users.vector("u2"))
 
@@ -38,7 +39,7 @@ def test_known_author_suffix_is_direct_lookup(texts):
 def test_cold_author_mean_fallback_suffix(texts):
     s = star_sample("p1", author="stranger", commenters=("u2",))
     users = random_user_table(["u1", "u2"], d1=8)
-    g = assemble(s, texts, make_resolver("mean-fallback", users))
+    g = assemble(s, texts, table_mean_resolver(users))
     assert np.allclose(g.features[0, 256:], users.mean_vector())
 
 
@@ -59,7 +60,7 @@ def test_concatenation_order_with_sentinels(texts):
     # byte: resolved post author first, then each comment in input order
     s = chain_sample("p1", depth=4)  # poster, then u0..u3
     users = random_user_table(["poster", "u1", "u3"], d1=8)  # u0 and u2 are cold
-    inner = make_resolver("mean-fallback", users)
+    inner = table_mean_resolver(users)
     calls = []
 
     def resolver(user_id, context):
@@ -190,7 +191,7 @@ def test_chain_missing_comment_raises(texts):
 def test_assemble_deterministic(texts):
     s = star_sample("p1", author="u1", commenters=("u2", "u3"))
     users = random_user_table(["u1", "u2", "u3"], d1=8)
-    resolver = make_resolver("mean-fallback", users)
+    resolver = table_mean_resolver(users)
     g1 = assemble(s, texts, resolver)
     g2 = assemble(s, texts, resolver)
     assert np.array_equal(g1.features, g2.features)
@@ -231,7 +232,7 @@ def _cold_serve_setup(texts):
     cold = [s for s in split.test
             if s.author not in users and any(c.author not in users for c in s.comments)]
     assert cold
-    return resolver, split.test, cold
+    return resolver, split, cold
 
 
 def test_assemble_hashes_a_fresh_sample_in_one_batch(texts, monkeypatch):
@@ -255,6 +256,35 @@ def test_assemble_hashes_a_fresh_sample_in_one_batch(texts, monkeypatch):
     assert not batches
 
 
+def test_resolver_hashes_a_fresh_cold_sample_in_one_batch(monkeypatch):
+    """Called on its own, with no `assemble` or pre-fetch before it, the cold
+    mapper hashes each cold cascade's fresh texts in one call."""
+    from uen import text
+    from uen.assembly import occurrences, text_keys
+
+    texts = text.make_hash_provider()
+    resolver, split, cold = _cold_serve_setup(texts)
+    seen = {k for s in split.train for k in text_keys(s)}
+    batches = []
+    hash_many = text.hash_embed_many
+
+    def counted_many(keys, *args):  # every hashing path, one text or many, ends here
+        batches.append(set(keys))
+        return hash_many(keys, *args)
+
+    monkeypatch.setattr(text, "hash_embed_many", counted_many)
+    largest = 0
+    for s in cold:
+        fresh = set(text_keys(s)) - seen
+        batches.clear()
+        for occurrence in occurrences(s):
+            resolver(*occurrence)
+        assert batches == ([fresh] if fresh else [])
+        seen |= fresh
+        largest = max(largest, len(fresh))
+    assert largest > 1  # a per-key fetch would make several calls
+
+
 def test_plain_function_provider_gives_identical_features():
     """A provider without `many`, as a wrapping closure is, takes the per-key path."""
     from uen.text import make_hash_provider
@@ -267,7 +297,7 @@ def test_plain_function_provider_gives_identical_features():
 
     graphs = []
     for provider in (batched, plain):
-        resolver, test, _ = _cold_serve_setup(provider)
-        graphs.append([assemble(s, provider, resolver) for s in test])
+        resolver, split, _ = _cold_serve_setup(provider)
+        graphs.append([assemble(s, provider, resolver) for s in split.test])
     for a, b in zip(*graphs):
         assert a.features.tobytes() == b.features.tobytes()

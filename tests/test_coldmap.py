@@ -27,6 +27,7 @@ from conftest import (
     make_sample,
     random_user_table,
     star_sample,
+    table_mean_resolver,
 )
 
 
@@ -478,7 +479,7 @@ def test_known_user_always_direct_lookup(texts):
     cfg = ColdMapConfig(k1=1, k2=1)
     sample = train[0]
     for resolver in (
-        make_resolver("mean-fallback", users),
+        table_mean_resolver(users),
         make_resolver("cold-mapper", users, train_side=side, texts=texts, cfg=cfg),
     ):
         assert np.allclose(resolver("a1", ("post", sample)), users.vector("a1"))
@@ -486,7 +487,7 @@ def test_known_user_always_direct_lookup(texts):
 
 def test_mean_fallback_for_cold_user(texts):
     users = all_users()
-    resolver = make_resolver("mean-fallback", users)
+    resolver = table_mean_resolver(users)
     sample = train_samples_fixture()[0]
     assert np.allclose(resolver("stranger", ("post", sample)), users.mean_vector())
 
@@ -560,8 +561,8 @@ def test_make_resolver_validation(texts):
     # with no heuristics nothing is retrieved, so nothing is needed for it
     bare = make_resolver("cold-mapper", users, cfg=ColdMapConfig(heuristics=frozenset()))
     cold = train_samples_fixture()[0]
-    assert bare("stranger", ("post", cold)).tobytes() == make_resolver(
-        "mean-fallback", users)("stranger", ("post", cold)).tobytes()
+    assert bare("stranger", ("post", cold)).tobytes() == (
+        users.mean_vector().astype(np.float64).tobytes())
 
 
 def test_no_mapper_variant_is_the_mean_fallback_without_a_train_side(texts, monkeypatch):

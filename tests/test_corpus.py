@@ -103,8 +103,12 @@ def test_load_rejects_json_that_is_not_an_object(tmp_path, line):
 
 
 @pytest.mark.parametrize("field,value", [("label", 2), ("label", -1), ("label", 7.5),
-                                         ("timestamp", float("inf")), ("label", float("-inf"))])
+                                         ("timestamp", float("inf")), ("label", float("-inf")),
+                                         ("label", 0.7), ("label", True), ("label", "1"),
+                                         ("timestamp", 1.5)])
 def test_load_rejects_bad_label_or_timestamp(tmp_path, field, value):
+    """A label or timestamp must be a JSON integer: no float, bool or string
+    is truncated or parsed into one."""
     rec = record("p1", [comment_rec("c1", "p1")])
     rec[field] = value
     path = tmp_path / "corpus.jsonl"
@@ -263,10 +267,23 @@ def test_corpus_users_union_oracle():
 
 
 def test_sample_to_record_omits_optional_fields():
+    comment = {"id": "c1", "author": "a", "parent": "p1", "text_key": "text c1",
+               "timestamp": 100}
     s = make_sample("p1", comments=[make_comment("c1", "a", "p1")])
-    rec = sample_to_record(s)
-    assert "author" in rec and "label" in rec
+    assert sample_to_record(s) == {"post_id": "p1", "author": "poster", "text_key": "text p1",
+                                   "timestamp": 10, "label": 0, "comments": [comment]}
     bare = make_sample("p1", author=None, label=None,
                        comments=[make_comment("c1", "a", "p1")])
-    rec = sample_to_record(bare)
-    assert "author" not in rec and "label" not in rec
+    assert sample_to_record(bare) == {"post_id": "p1", "text_key": "text p1",
+                                      "timestamp": 10, "comments": [comment]}
+
+
+def test_save_load_roundtrip_tweet_style_without_author_or_label(tmp_path):
+    samples = (make_sample("p1", author=None, label=None,
+                           comments=[make_comment("c1", "a", "p1"),
+                                     make_comment("c2", "b", "c1", timestamp=101)]),
+               make_sample("p2", author=None, label=None, timestamp=11,
+                           comments=[make_comment("c3", "a", "p2")]))
+    save_corpus(Corpus(samples=samples), tmp_path / "corpus.jsonl")
+    loaded, report = load_corpus(tmp_path / "corpus.jsonl", mode="tweet-style")
+    assert loaded.samples == samples and report.loaded == 2
