@@ -11,14 +11,8 @@ sums instead of raw comment text (H3).
 
 import numpy as np
 
-from uen.coldmap import (
-    ColdMapConfig,
-    build_train_side,
-    map_cold_author,
-    map_cold_commenter,
-    topk,
-)
-from uen.corpus import corpus_users, temporal_split
+from uen.coldmap import ColdMapConfig, build_train_side, make_resolver, topk_rows
+from uen.corpus import temporal_split
 from uen.graph import build_interaction_graph
 from uen.node2vec import Node2VecConfig, learn_user_embeddings
 from uen.synth import SynthConfig, generate
@@ -34,25 +28,29 @@ users = learn_user_embeddings(
 texts = make_hash_provider()
 side = build_train_side(list(split.train), texts, corpus.common_author)
 
-# 2. Find a test cascade authored by a user the table has never seen.
-known = corpus_users(split.train, corpus.common_author)
+# 2. Find a test cascade whose author and one of whose commenters the table
+#    has never seen.
 cold_sample = next(
     s for s in split.test
-    if s.resolved_author(corpus.common_author) not in users)
+    if s.resolved_author(corpus.common_author) not in users
+    and any(c.author not in users for c in s.comments))
 cold_author = cold_sample.resolved_author(corpus.common_author)
 print("cold author:", cold_author)
 print("post text:  ", cold_sample.text_key[:60], "...")
 
 # 3. H1: which training posts look like this one?
 post_vec = np.asarray(texts(cold_sample.text_key), dtype=np.float64)
-hits = topk(side.post_index, post_vec, 5)
+rows, scores = topk_rows(side.post_index, post_vec, 5)
 print("\nnearest training posts (key, author, cosine):")
-for key, owner, score in hits:
-    print("  %-8s %-10s %.3f" % (key, owner, score))
+for row, score in zip(rows, scores):
+    print("  %-8s %-10s %.3f"
+          % (side.post_index.keys[row], side.post_index.owners[row], score))
 
-# 4. The mapped author vector is the mean of those authors' embeddings.
-mapped = map_cold_author(post_vec, side.post_index, users, k1=5)
-nearest_owner = hits[0][1]
+# 4. The resolver maps the cold author to the mean of those authors'
+#    embeddings (H1 with k1=5).
+resolver = make_resolver("cold-mapper", users, side, texts, ColdMapConfig(k1=5, k2=8))
+mapped = resolver(cold_author, ("post", cold_sample))
+nearest_owner = side.post_index.owners[rows[0]]
 print("\nmapped vector norm %.3f; cosine to top hit's author %.3f"
       % (np.linalg.norm(mapped),
          float(mapped @ users.vector(nearest_owner)
@@ -62,19 +60,19 @@ print("\nmapped vector norm %.3f; cosine to top hit's author %.3f"
 # 5. H2+H3 for a cold commenter: candidate comments come from the k1
 #    most similar posts and are compared by chain prefix sums, so a
 #    deep reply inherits the context it was written under.
-cold_comment = cold_sample.comments[0]
-cfg = ColdMapConfig(k1=5, k2=8)
-commenter_vec = map_cold_commenter(cold_sample, cold_comment.id, side,
-                                   texts, users, cfg)
+cold_comment = next(c for c in cold_sample.comments if c.author not in users)
+occurrence = ("comment", cold_sample, cold_comment.id)
+commenter_vec = resolver(cold_comment.author, occurrence)
 print("\ncold commenter %s mapped; norm %.3f"
       % (cold_comment.author, np.linalg.norm(commenter_vec)))
 
 # 6. H3 off for contrast: raw comment text instead of chain sums.
 side_flat = build_train_side(list(split.train), texts, corpus.common_author,
                              use_chains=False)
-flat_vec = map_cold_commenter(
-    cold_sample, cold_comment.id, side_flat, texts, users,
+flat_resolver = make_resolver(
+    "cold-mapper", users, side_flat, texts,
     ColdMapConfig(k1=5, k2=8, heuristics=frozenset({"h1", "h2"})))
+flat_vec = flat_resolver(cold_comment.author, occurrence)
 delta = np.linalg.norm(commenter_vec - flat_vec)
 print("difference between chain-sum and raw-text mapping: %.4f" % delta)
 

@@ -3,8 +3,7 @@
 Each node row is text vector || user vector (text first), stored in float32,
 the GNN's compute dtype: a float64 user vector is rounded once, here. The
 post is node 0, comments follow in input order, and edges mirror the
-sample's reply tree. Comment-chain prefix sums (used by the cold mapper's
-history heuristic) also live here.
+sample's reply tree.
 """
 
 from __future__ import annotations
@@ -73,27 +72,3 @@ def assemble(
         label=sample.label,
         sample_id=sample.post_id,
     )
-
-
-def all_chain_representations(sample: Sample, texts: TextProvider) -> dict[str, np.ndarray]:
-    """Chain prefix sums for every comment, via the prefix recurrence."""
-    out: dict[str, np.ndarray] = {}
-    by_id = {c.id: c for c in sample.comments}
-
-    def rep(cid: str) -> np.ndarray:
-        if cid in out:
-            return out[cid]
-        c = by_id[cid]
-        vec = np.asarray(texts(c.text_key), dtype=np.float64)
-        if c.parent != sample.post_id:
-            vec = vec + rep(c.parent)
-        out[cid] = vec
-        return vec
-
-    for c in sample.comments:
-        rep(c.id)
-    # rep holds itself through its closure; clearing the name breaks that
-    # cycle, so `out` and `texts` are freed by refcount, not left to the
-    # cycle collector.
-    del rep
-    return out

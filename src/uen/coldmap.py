@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import all_chain_representations, text_keys
+from .assembly import text_keys
 from .corpus import Sample
 from .embedding import EmbeddingTable, FormatError
 from .text import TextProvider, embed_many
@@ -146,13 +146,6 @@ def topk_rows(index: SimIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, n
     return rows, scores[rows]
 
 
-def topk(index: SimIndex, query: np.ndarray, k: int) -> list[tuple[str, str, float]]:
-    """`topk_rows` as (key, owner, score) triples."""
-    rows, scores = topk_rows(index, query, k)
-    return [(index.keys[i], index.owners[i], s)
-            for i, s in zip(rows.tolist(), scores.tolist())]
-
-
 def _owner_rows(index: SimIndex, users: EmbeddingTable) -> np.ndarray:
     """Each index row's owner's row in `users`, -1 for an owner it lacks."""
     where = users.index
@@ -180,16 +173,6 @@ def _mean_user(users: EmbeddingTable, index: SimIndex, owner_rows: np.ndarray,
 def _global_mean(mean: np.ndarray, why: str) -> np.ndarray:
     logger.warning("%s; falling back to global mean user vector", why)
     return mean
-
-
-def map_cold_author(
-    post_vec: np.ndarray, post_index: SimIndex, users: EmbeddingTable, k1: int
-) -> np.ndarray:
-    """Mean user vector of the k1 most text-similar training posts' authors."""
-    if len(post_index) == 0:
-        return _global_mean(users.mean_vector().astype(np.float64), "empty post index")
-    return _mean_user(users, post_index, _owner_rows(post_index, users),
-                      topk_rows(post_index, post_vec, k1)[0])
 
 
 def _concat(blocks) -> SimIndex:
@@ -228,11 +211,26 @@ class TrainSideData:
 
 def comment_representations(sample: Sample, texts: TextProvider,
                             use_chains: bool) -> dict[str, np.ndarray]:
-    """How H2 represents each comment of `sample`, by comment id: its reply-chain
-    prefix sum when H3 is on (`use_chains`), its raw text vector otherwise."""
-    if use_chains:
-        return all_chain_representations(sample, texts)
-    return {c.id: texts(c.text_key) for c in sample.comments}
+    """How H2 represents each comment of `sample`, by comment id: its raw text
+    vector, or with H3 on (`use_chains`) its reply-chain prefix sum in float64,
+    its text vector plus its parent comment's sum, a reply listed before its
+    parent being summed in a later pass."""
+    if not use_chains:
+        return {c.id: texts(c.text_key) for c in sample.comments}
+    sums: dict[str, np.ndarray] = {}
+    pending = sample.comments
+    while pending:
+        later = []
+        for c in pending:
+            if c.parent != sample.post_id and c.parent not in sums:
+                later.append(c)
+            else:
+                vec = np.asarray(texts(c.text_key), dtype=np.float64)
+                sums[c.id] = vec + sums[c.parent] if c.parent in sums else vec
+        if len(later) == len(pending):
+            raise ValueError(f"sample {sample.post_id!r}: a reply chain never reaches the post")
+        pending = later
+    return sums
 
 
 def build_train_side(
@@ -386,21 +384,6 @@ class _ColdMapper:
         return _owner_rows(self.side.post_index, self.users)
 
 
-def map_cold_commenter(
-    sample: Sample,
-    comment_id: str,
-    train_side: TrainSideData,
-    texts: TextProvider,
-    users: EmbeddingTable,
-    cfg: ColdMapConfig,
-) -> np.ndarray:
-    """H1 narrows to similar posts, H3 transforms comments to chain sums,
-    H2 retrieves the k2 nearest comments and averages their authors. Without
-    H2 the commenter is mapped as the cold-mapper resolver maps them: by H1's
-    author mapping, or to the table mean without H1 either."""
-    return _ColdMapper(users, cfg, train_side, texts).cold(("comment", sample, comment_id))
-
-
 def make_resolver(
     mode: str,
     users: EmbeddingTable,
@@ -408,8 +391,8 @@ def make_resolver(
     texts: TextProvider | None = None,
     cfg: ColdMapConfig | None = None,
 ) -> _ColdMapper:
-    """The resolver of mode cold-mapper, a `_ColdMapper` with `cfg`; with no
-    heuristics it needs no train side or texts."""
+    """The resolver of mode cold-mapper, a `_ColdMapper` with `cfg`: the one
+    way to map a cold user. With no heuristics it needs no train side or texts."""
     if mode != "cold-mapper":
         raise ValueError(f"unknown resolver mode {mode!r}")
     if cfg is None or cfg.heuristics and (train_side is None or texts is None):

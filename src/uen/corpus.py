@@ -128,11 +128,14 @@ def validate_sample(sample: Sample) -> None:
             visited.add(cur.id)
 
 
-def _json_int(value, what: str) -> int:
-    """`value` if it is a JSON integer; a float, string or bool is an error,
-    not a number to truncate."""
-    if type(value) is not int:  # bool is an int subclass, JSON true is not an integer
-        raise CorpusError(f"{what} {value!r} is not a JSON integer")
+_JSON_NAMES = {int: "integer", str: "string"}
+
+
+def _json(value, kind: type, what: str):
+    """`value` if it is a JSON value of `kind` (int or str); a float, bool,
+    null, list or object is an error, not a value to convert."""
+    if type(value) is not kind:  # bool is an int subclass, JSON true is not an integer
+        raise CorpusError(f"{what} {value!r} is not a JSON {_JSON_NAMES[kind]}")
     return value
 
 
@@ -142,22 +145,22 @@ def sample_from_record(rec: dict) -> Sample:
     try:
         comments = tuple(
             Comment(
-                id=str(c["id"]),
-                author=str(c["author"]),
-                parent=str(c["parent"]),
-                text_key=str(c["text_key"]),
-                timestamp=_json_int(c["timestamp"], "comment timestamp"),
+                id=_json(c["id"], str, "comment id"),
+                author=_json(c["author"], str, "comment author"),
+                parent=_json(c["parent"], str, "comment parent"),
+                text_key=_json(c["text_key"], str, "comment text_key"),
+                timestamp=_json(c["timestamp"], int, "comment timestamp"),
             )
             for c in rec.get("comments", [])
         )
         author = rec.get("author")
         return Sample(
-            post_id=str(rec["post_id"]),
-            author=None if author is None else str(author),
-            text_key=str(rec["text_key"]),
-            timestamp=_json_int(rec["timestamp"], "timestamp"),
+            post_id=_json(rec["post_id"], str, "post_id"),
+            author=None if author is None else _json(author, str, "author"),
+            text_key=_json(rec["text_key"], str, "text_key"),
+            timestamp=_json(rec["timestamp"], int, "timestamp"),
             comments=comments,
-            label=None if rec.get("label") is None else _json_int(rec["label"], "label"),
+            label=None if rec.get("label") is None else _json(rec["label"], int, "label"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"malformed record: {exc}") from exc

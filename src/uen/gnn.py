@@ -295,12 +295,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample cross-entropy (float64) and its gradient with respect to
-    the logits (in their dtype)."""
-    rows = np.arange(len(labels))
-    probs = _softmax(logits)
-    dlogits = probs.copy()
+    the logits (in their dtype). The loss is softplus(other logit - label's
+    logit), which stays above 0 where -log(softmax) rounds to 0."""
+    rows, z = np.arange(len(labels)), np.asarray(logits, dtype=np.float64)
+    dlogits = _softmax(z)
     dlogits[rows, labels] -= 1.0
-    return -np.log(probs[rows, labels] + 1e-300), dlogits.astype(logits.dtype)
+    return np.logaddexp(0.0, z[rows, 1 - labels] - z[rows, labels]), dlogits.astype(logits.dtype)
 
 
 def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):

@@ -116,9 +116,7 @@ def make_hash_provider(cfg: TextEmbedConfig = TextEmbedConfig()) -> TextProvider
 
     def provider(text: str) -> np.ndarray:
         hit = cache.get(text)
-        if hit is None:
-            hit = cache[text] = hash_embed_many([text], cfg, words)[0]
-        return hit
+        return many([text])[0] if hit is None else hit
 
     def many(texts) -> list[np.ndarray]:
         """The vectors of `texts`, the uncached ones hashed in one call and
@@ -144,10 +142,7 @@ def build_text_table(
 ) -> EmbeddingTable:
     """Embed a text_key -> text map into a table keyed by text_key."""
     keys = sorted(texts)
-    words: dict[str, bytes] = {}
-    matrix = np.stack([hash_embed_many([texts[k]], cfg, words)[0] for k in keys]
-                      ) if keys else np.zeros((0, cfg.d2), dtype=np.float32)
-    return EmbeddingTable.from_rows(keys, matrix)
+    return EmbeddingTable.from_rows(keys, hash_embed_many([texts[k] for k in keys], cfg))
 
 
 def table_provider(table: EmbeddingTable) -> TextProvider:

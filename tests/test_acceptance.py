@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uen.cli import main as cli_main
-from uen.coldmap import ColdMapConfig, build_index, build_train_side, map_cold_commenter, topk
+from uen.coldmap import ColdMapConfig, build_index, build_train_side, make_resolver, topk_rows
 from uen.corpus import temporal_split
 from uen.embedding import EmbeddingTable
 from uen.evaluation import bucketed_report, mann_whitney_u
@@ -69,7 +69,7 @@ def test_criterion_01_topk_matches_exhaustive_scan():
         matrix = rng.normal(size=(n, d))
         idx = build_index((f"k{i:05d}", matrix[i], f"u{i % 97}") for i in range(n))
         query = rng.normal(size=d)
-        got = topk(idx, query, k)
+        rows, scores = topk_rows(idx, query, k)
         # exhaustive scan computed row by row, fully independently
         qn = query / np.linalg.norm(query)
         scored = []
@@ -77,11 +77,10 @@ def test_criterion_01_topk_matches_exhaustive_scan():
             scored.append((float(np.dot(idx.vectors[i].astype(np.float64), qn)),
                            idx.keys[i], idx.owners[i]))
         scored.sort(key=lambda t: (-t[0], t[1]))
-        want = [(key, owner, score) for score, key, owner in scored[:k]]
-        if [(a, b) for a, b, _ in got] != [(a, b) for a, b, _ in want]:
+        want = scored[:k]
+        if [(idx.keys[r], idx.owners[r]) for r in rows] != [(a, b) for _, a, b in want]:
             mismatches += 1
-        elif not np.allclose([s for _, _, s in got], [s for _, _, s in want],
-                             atol=1e-9):
+        elif not np.allclose(scores, [s for s, _, _ in want], atol=1e-9):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 10.0
@@ -102,6 +101,7 @@ def test_criterion_02_cold_mapper_matches_oracle():
         sorted({u for s in train for u in s.users()}), d1=16, seed=2)
     side = build_train_side(train, texts)
     cfg = ColdMapConfig(k1=3, k2=4)
+    resolver = make_resolver("cold-mapper", users, side, texts, cfg)
 
     def norm(v):
         n = np.linalg.norm(v)
@@ -136,7 +136,7 @@ def test_criterion_02_cold_mapper_matches_oracle():
         for c in s.comments:
             if checked == 20:
                 break
-            got = map_cold_commenter(s, c.id, side, texts, users, cfg)
+            got = resolver("<cold>", ("comment", s, c.id))
             worst = max(worst, float(np.max(np.abs(got - oracle(s, c.id)))))
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uen.assembly import all_chain_representations, assemble
+from uen.assembly import assemble
 from uen.coldmap import ColdMapConfig, make_resolver
 
 from conftest import (
@@ -167,19 +167,6 @@ def test_chain_prefix_recurrence(texts):
             assert np.allclose(rep, parent_rep + np.asarray(texts(c.text_key),
                                                             dtype=np.float64))
     assert by_id  # silence unused warning
-
-
-def test_all_chain_representations_match_single_calls(texts):
-    s = make_sample("p1", comments=[
-        make_comment("c1", "a", "p1"),
-        make_comment("c2", "b", "c1"),
-        make_comment("c3", "c", "c2"),
-        make_comment("c4", "d", "p1"),
-    ])
-    reps = all_chain_representations(s, texts)
-    assert set(reps) == {"c1", "c2", "c3", "c4"}
-    for cid, rep in reps.items():
-        assert np.allclose(rep, chain_prefix_representation(s, cid, texts))
 
 
 def test_chain_missing_comment_raises(texts):

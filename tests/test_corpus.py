@@ -65,13 +65,14 @@ def test_load_dangling_parent_names_comment(tmp_path):
 
 def test_tweet_style_assigns_common_author(tmp_path):
     recs = [record(f"p{i}", [comment_rec(f"p{i}c0", f"p{i}")]) for i in range(2)]
-    for rec in recs:
-        del rec["author"]
+    del recs[0]["author"]
+    recs[1]["author"] = None  # a JSON null author counts as absent
     path = tmp_path / "corpus.jsonl"
     write_jsonl(path, recs)
     corpus, _ = load_corpus(path, mode="tweet-style")
     assert corpus.common_author == "__common__"
     for s in corpus.samples:
+        assert s.author is None
         assert s.resolved_author(corpus.common_author) == "__common__"
 
 
@@ -114,6 +115,24 @@ def test_load_rejects_bad_label_or_timestamp(tmp_path, field, value):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(path, [rec])
     with pytest.raises(CorpusError, match="corpus.jsonl:1: "):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("where,field,value", [
+    ("post", "post_id", 7), ("post", "text_key", None), ("post", "text_key", ["a"]),
+    ("post", "author", {"k": 1}), ("post", "author", 3), ("comment", "id", 1),
+    ("comment", "author", None), ("comment", "author", {"k": 1}),
+    ("comment", "parent", ["p1"]), ("comment", "text_key", None),
+    ("comment", "text_key", ["a"]),
+])
+def test_load_rejects_ids_and_keys_that_are_not_strings(tmp_path, where, field, value):
+    """Ids, authors, parents and text keys must be JSON strings: a null, number,
+    list or object is not turned into the user or key "None", "3" or "['a']"."""
+    rec = record("p1", [comment_rec("c1", "p1")])
+    (rec if where == "post" else rec["comments"][0])[field] = value
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [rec])
+    with pytest.raises(CorpusError, match=rf"corpus.jsonl:1: .*{field} .* is not a JSON string"):
         load_corpus(path)
 
 

@@ -375,6 +375,24 @@ def test_uniform_logits_loss_is_ln2():
     assert loss == pytest.approx(np.log(2.0))
 
 
+def test_confident_samples_keep_their_loss():
+    """At a logit gap of 40 the softmax of the label rounds to 1 in float64;
+    the loss of a confident correct sample is still exp(-40), not 0, and a
+    confident wrong one costs the gap. The gradient is softmax - one-hot."""
+    from uen.gnn import _nll
+
+    logits = np.array([[40.0, 0.0], [0.0, 40.0], [40.0, 0.0]], dtype=np.float32)
+    losses, grad = _nll(logits, np.array([0, 1, 1]))
+    assert losses.dtype == np.float64
+    assert losses[0] > 0 and losses[1] > 0
+    assert losses[:2] == pytest.approx([np.exp(-40.0)] * 2, rel=1e-12)
+    assert losses[2] == pytest.approx(40.0, rel=1e-12)
+    p = np.exp(-40.0) / (1 + np.exp(-40.0))
+    want = np.array([[1 - p, p], [p, 1 - p], [1 - p, p]]) - np.eye(2)[[0, 1, 1]]
+    assert grad.dtype == np.float32
+    np.testing.assert_allclose(grad, want.astype(np.float32), rtol=1e-6, atol=0)
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_gradients_match_finite_differences(arch):
     rng = np.random.Generator(np.random.PCG64(7))

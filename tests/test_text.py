@@ -181,6 +181,16 @@ def test_pairwise_collision_rate_is_small():
     assert colliding_pairs / total_pairs < 0.05
 
 
+@pytest.mark.parametrize("texts", [{}, {"k2": "weather", "k1": "breaking news", "k3": ""}])
+def test_build_text_table_rows_are_hash_embed_of_sorted_keys(texts):
+    cfg = TextEmbedConfig(d2=64)
+    table = build_text_table(texts, cfg)
+    assert list(table.ids) == sorted(texts)
+    assert table.matrix.dtype == np.float32 and table.matrix.shape == (len(texts), 64)
+    for key in texts:
+        assert table.vector(key).tobytes() == hash_embed(texts[key], cfg).tobytes()
+
+
 def test_table_save_load_round_trip(tmp_path):
     table = build_text_table({"k1": "breaking news", "k2": "weather"}, TextEmbedConfig())
     path = tmp_path / "texts.emb"
