@@ -23,9 +23,8 @@ from .coldmap import ColdMapConfig
 from .corpus import Corpus, CorpusError, load_corpus, save_corpus, temporal_split
 from .embedding import EmbeddingTable, FormatError, sha256_file
 from .evaluation import SearchSpace, TuneError, save_trials, tune
-from .gnn import ARCHS, DivergenceError, GnnConfig, load_model, save_history, save_model, train
-from .graph import build_interaction_graph
-from .node2vec import Node2VecConfig, learn_user_embeddings
+from .gnn import ARCHS, DivergenceError, GnnConfig, load_model, save_history, save_model
+from .node2vec import Node2VecConfig
 from .synth import SynthConfig, describe, generate
 from .text import TextEmbedConfig, build_text_table, make_hash_provider, table_provider
 
@@ -73,12 +72,9 @@ def _text_provider(args):
     return make_hash_provider(_config(args, TextEmbedConfig))
 
 
-def _resolver(args, variant: str, train_corpus: Corpus, texts, coldmap: ColdMapConfig):
-    """The `--users` table (None under no-user) and the one resolver of
-    `variant`, a CLI variant name, over the training split."""
-    users = None if variant == "no-user" else EmbeddingTable.load(args.users)
-    return users, experiment.variant_resolver(VARIANTS[variant], users, train_corpus.samples,
-                                              texts, train_corpus.common_author, coldmap)
+def _users(args) -> EmbeddingTable | None:
+    """The `--users` table, None when it is not given (the no-user variant)."""
+    return EmbeddingTable.load(args.users) if args.users else None
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +93,8 @@ def cmd_synth(args):
 
 
 def cmd_ingest(args):
-    out = _out_dir(args)
     corpus, report = load_corpus(args.input, args.mode)
+    out = _out_dir(args)
     save_corpus(corpus, out / "corpus.jsonl")
     _write_provenance(out, args, [args.input])
     print(report.to_json())
@@ -118,10 +114,9 @@ def cmd_split(args):
 
 def cmd_embed_users(args):
     corpus, _ = load_corpus(args.train, args.mode)
-    g = build_interaction_graph(corpus.samples, corpus.common_author,
-                                weighted=not args.unweighted)
     cfg = _config(args, Node2VecConfig)
-    table = learn_user_embeddings(g, cfg)
+    table = experiment.prepare_user_embeddings(corpus.samples, cfg, corpus.common_author,
+                                               weighted=not args.unweighted)
     out = _out_dir(args)
     table.save(out / "users.emb")
     _write_provenance(out, args, [args.train], cfg)
@@ -130,35 +125,23 @@ def cmd_embed_users(args):
 
 def cmd_embed_text(args):
     cfg = _config(args, TextEmbedConfig)
-    out = _out_dir(args)
     corpus, _ = load_corpus(args.corpus, args.mode)
+    out = _out_dir(args)
     table = build_text_table({k: k for s in corpus.samples for k in text_keys(s)}, cfg)
     table.save(out / "texts.emb")
     _write_provenance(out, args, [args.corpus], cfg)
     print(json.dumps({"rows": len(table), "dim": table.dim}))
 
 
-def _train_val_graphs(args, coldmap: ColdMapConfig):
-    """The train and val graphs and their feature width.
-
-    Only the graphs leave this scope, so the parsed splits, the text
-    provider, the resolver and its train-side index are freed before
-    training starts.
-    """
-    train_corpus, val_corpus = _load_split_dir(args, "train", "val")
-    texts = _text_provider(args)
-    users, resolver = _resolver(args, args.variant, train_corpus, texts, coldmap)
-    graphs = experiment.assemble_splits(texts, resolver, train_corpus.common_author,
-                                        train_corpus.samples, val_corpus.samples)
-    return graphs, args.d2 + (0 if users is None else users.dim)
-
-
 def cmd_train(args):
     _check_variant_conflicts(args)
-    out = _out_dir(args)
     cfg, coldmap = _config(args, GnnConfig), _config(args, ColdMapConfig)
-    (train_graphs, val_graphs), in_dim = _train_val_graphs(args, coldmap)
-    model, history = train(train_graphs, val_graphs, cfg, in_dim)
+    train_corpus, val_corpus = _load_split_dir(args, "train", "val")
+    texts, users = _text_provider(args), _users(args)
+    out = _out_dir(args)
+    _, model, history = experiment.fit(VARIANTS[args.variant], users, texts,
+                                       train_corpus.common_author, train_corpus.samples,
+                                       val_corpus.samples, cfg, coldmap)
     save_model(model, out / "model.mdl")
     save_history(history, out / "history.csv")
     _write_provenance(out, args, _split_paths(args, "train", "val"), cfg, coldmap,
@@ -168,21 +151,19 @@ def cmd_train(args):
 
 
 def cmd_tune(args):
-    out = _out_dir(args)
     cfg = _config(args, GnnConfig)  # validated here; each trial sets its own lambda
     train_corpus, val_corpus = _load_split_dir(args, "train", "val")
     train_samples, val_samples = train_corpus.samples, val_corpus.samples
     common = train_corpus.common_author
-    texts = _text_provider(args)
-    users = EmbeddingTable.load(args.users)
+    texts, users = _text_provider(args), EmbeddingTable.load(args.users)
+    out = _out_dir(args)
     side = experiment.cold_train_side(train_samples, texts, common, ColdMapConfig())
 
     def objective(params):
-        coldmap = ColdMapConfig(k1=params["k1"], k2=params["k2"])
-        resolver = experiment.variant_resolver("full", users, train_samples, texts, common,
-                                               coldmap, train_side=side)
-        graphs = experiment.assemble_splits(texts, resolver, common, train_samples, val_samples)
-        _, history = train(*graphs, replace(cfg, lam=params["lam"]), args.d2 + users.dim)
+        _, _, history = experiment.fit("full", users, texts, common, train_samples, val_samples,
+                                       replace(cfg, lam=params["lam"]),
+                                       ColdMapConfig(k1=params["k1"], k2=params["k2"]),
+                                       train_side=side)
         return min(h["val_loss"] for h in history)
 
     space = SearchSpace(k1=(1, max(2, len(train_samples))),
@@ -198,11 +179,13 @@ def cmd_tune(args):
 
 
 def cmd_map_cold(args):
-    out = _out_dir(args)
     train_corpus, _ = load_corpus(args.train, args.mode)
     test_corpus, _ = load_corpus(args.test, args.mode)
     coldmap = _config(args, ColdMapConfig)
-    users, resolver = _resolver(args, "uen", train_corpus, _text_provider(args), coldmap)
+    texts, users = _text_provider(args), EmbeddingTable.load(args.users)
+    out = _out_dir(args)
+    resolver = experiment.variant_resolver("full", users, train_corpus.samples, texts,
+                                           train_corpus.common_author, coldmap)
     ids, rows = [], []
     for s in test_corpus.samples:
         for user, context in occurrences(s, test_corpus.common_author):
@@ -219,20 +202,15 @@ def cmd_map_cold(args):
 
 def cmd_eval(args):
     _check_variant_conflicts(args)
-    out = _out_dir(args)
     train_corpus, test_corpus = _load_split_dir(args, "train", "test")
     common = train_corpus.common_author
-    texts = _text_provider(args)
-    model = load_model(args.model)
+    texts, users, model = _text_provider(args), _users(args), load_model(args.model)
     coldmap = _config(args, ColdMapConfig)
-    users, resolver = _resolver(args, args.variant, train_corpus, texts, coldmap)
-    metadata = {
-        "arch": model.arch,
-        "variant": args.variant,
-        "feature_dim": model.in_dim,
-        "user_features": users is not None,
-        "user_feature_width": 0 if users is None else users.dim,
-    }
+    out = _out_dir(args)
+    resolver = experiment.variant_resolver(VARIANTS[args.variant], users, train_corpus.samples,
+                                           texts, common, coldmap)
+    metadata = {"variant": args.variant,
+                "user_feature_width": 0 if users is None else users.dim}
     report, *_ = experiment.evaluate(model, train_corpus.samples, test_corpus.samples,
                                      texts, resolver, common, metadata)
     report.save_json(out / "report.json")

@@ -78,7 +78,6 @@ class Split:
 class LoadReport:
     loaded: int = 0
     dropped_zero_comment: int = 0
-    errors: int = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

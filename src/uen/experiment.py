@@ -1,8 +1,8 @@
 """End-to-end variant runs: split, embed, train, resolve cold users, report.
 
 This module is the only place the pipeline is wired: `run_variant` (which
-the demos and the ablation harness call) and the CLI's train, tune,
-map-cold and eval commands compose the same stages. One resolver per
+the demos and the ablation harness call) and the CLI's commands call its
+stages `prepare_user_embeddings`, `fit` and `evaluate`. One resolver per
 variant maps the users of the train, val and test graphs alike. Variants:
   full      - cold users resolved by the mapper heuristics
   no-mapper - cold users get the global mean user vector
@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import SampleGraph, UserResolver, assemble, occurrences
+from .assembly import UserResolver, assemble, occurrences
 from .coldmap import ColdMapConfig, TrainSideData, build_train_side, make_resolver
 from .corpus import Corpus, Sample, Split, corpus_users, overlap_ratio, temporal_split
 from .embedding import EmbeddingTable
@@ -58,10 +58,11 @@ class RunResult:
     ratios: list
 
 
-def prepare_user_embeddings(train_samples, cfg: PipelineConfig, common_author=None):
+def prepare_user_embeddings(train_samples, cfg: Node2VecConfig, common_author=None,
+                            weighted: bool = True) -> EmbeddingTable:
     """The user table learned from the interaction graph of `train_samples`."""
-    graph = build_interaction_graph(train_samples, common_author)
-    return learn_user_embeddings(graph, cfg.node2vec)
+    graph = build_interaction_graph(train_samples, common_author, weighted=weighted)
+    return learn_user_embeddings(graph, cfg)
 
 
 def cold_train_side(train_samples, texts: TextProvider, common_author,
@@ -88,11 +89,19 @@ def variant_resolver(variant: str, users: EmbeddingTable | None, train_samples,
                          cfg=coldmap)
 
 
-def assemble_splits(texts: TextProvider, resolver: UserResolver | None, common_author,
-                    *parts) -> tuple[list[SampleGraph], ...]:
-    """The graphs of each list of samples, every user mapped by `resolver`."""
-    return tuple([assemble(s, texts, resolver, common_author) for s in samples]
-                 for samples in parts)
+def fit(variant: str, users: EmbeddingTable | None, texts: TextProvider, common_author,
+        train_samples, val_samples, gnn: GnnConfig, coldmap: ColdMapConfig,
+        train_side: TrainSideData | None = None) -> tuple[UserResolver | None, ModelParams, list]:
+    """Train `variant`'s classifier on graphs whose users its resolver maps; the
+    model is as wide as their node rows. Returns (resolver, model, history)."""
+    resolver = variant_resolver(variant, users, train_samples, texts, common_author,
+                                coldmap, train_side)
+    # the graphs die with the call, so evaluation reuses their memory
+    train_graphs = [assemble(s, texts, resolver, common_author) for s in train_samples]
+    val_graphs = [assemble(s, texts, resolver, common_author) for s in val_samples]
+    in_dim = train_graphs[0].features.shape[1] if train_graphs else 0  # train rejects empty
+    model, history = train(train_graphs, val_graphs, gnn, in_dim)
+    return resolver, model, history
 
 
 def evaluate(model: ModelParams, train_samples, test_samples, texts: TextProvider,
@@ -100,7 +109,9 @@ def evaluate(model: ModelParams, train_samples, test_samples, texts: TextProvide
              metadata: dict) -> tuple[EvalReport, list, list, list]:
     """Classify each test sample and bucket the results by train-user overlap.
 
-    Returns the report and the per-sample predictions, labels and ratios.
+    Returns the report, whose metadata adds the model's `arch`, `feature_dim`
+    and `user_features` (a resolver is given) to `metadata`, and the
+    per-sample predictions, labels and ratios.
     """
     known = corpus_users(train_samples, common_author)
     preds, labels, ratios = [], [], []
@@ -111,6 +122,8 @@ def evaluate(model: ModelParams, train_samples, test_samples, texts: TextProvide
         preds.append(label)
         labels.append(s.label)
         ratios.append(overlap_ratio(s, known, common_author))
+    metadata = {"arch": model.arch, "feature_dim": model.in_dim,
+                "user_features": resolver is not None, **metadata}
     report = bucketed_report(preds, labels, ratios, metadata=metadata)
     return report, preds, labels, ratios
 
@@ -130,24 +143,13 @@ def run_variant(
     if split is None:
         split = temporal_split(corpus)
     texts = make_hash_provider(cfg.text)
-    in_dim = cfg.text.d2
-    if cfg.variant != "no-user":
-        if users is None:
-            users = prepare_user_embeddings(split.train, cfg, common)
-        in_dim += users.dim
-    resolver = variant_resolver(cfg.variant, users, split.train, texts, common, cfg.coldmap)
-    # the graphs die with the call, so evaluation reuses their memory
-    model, history = train(*assemble_splits(texts, resolver, common, split.train, split.val),
-                           cfg.gnn, in_dim)
-    metadata = {
-        "arch": cfg.gnn.arch,
-        "variant": cfg.variant,
-        "seed": cfg.gnn.seed,
-        "feature_dim": in_dim,
-        "user_features": cfg.variant != "no-user",
-    }
-    report, preds, labels, ratios = evaluate(model, split.train, split.test, texts,
-                                             resolver, common, metadata)
+    if cfg.variant != "no-user" and users is None:
+        users = prepare_user_embeddings(split.train, cfg.node2vec, common)
+    resolver, model, history = fit(cfg.variant, users, texts, common, split.train, split.val,
+                                   cfg.gnn, cfg.coldmap)
+    metadata = {"variant": cfg.variant, "seed": cfg.gnn.seed}
+    report, preds, labels, ratios = evaluate(model, split.train, split.test, texts, resolver,
+                                             common, metadata)
     return RunResult(
         report=report, model=model, history=history, users=users,
         preds=preds, labels=labels, ratios=ratios,
@@ -162,11 +164,10 @@ def run_ablation(
     users = None
     results: dict[str, RunResult] = {}
     for variant in variants:
-        cfg = replace(base, variant=variant)
-        if variant != "no-user" and users is None:
-            users = prepare_user_embeddings(split.train, cfg, corpus.common_author)
         logger.info("running variant %s", variant)
-        results[variant] = run_variant(corpus, cfg, split=split, users=users)
+        results[variant] = run_variant(corpus, replace(base, variant=variant), split=split,
+                                       users=users)
+        users = results[variant].users
     return results
 
 
@@ -245,7 +246,7 @@ def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
         raise ValueError("hide_fraction must lie in (0, 1)")
     common = corpus.common_author
     split = temporal_split(corpus)
-    full = prepare_user_embeddings(split.train, cfg, common)
+    full = prepare_user_embeddings(split.train, cfg.node2vec, common)
     warm = sorted(u for u in corpus_users(split.test, common) if u in full and u != common)
     if not warm:
         raise ValueError("no training user occurs in the test split")
@@ -253,7 +254,7 @@ def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
     hidden = set(rng.choice(warm, size=max(1, round(hide_fraction * len(warm))),
                             replace=False).tolist())
     train = without_users(split.train, hidden, common)
-    kept = prepare_user_embeddings(train, cfg, common)
+    kept = prepare_user_embeddings(train, cfg.node2vec, common)
     rotation, alignment = _procrustes(kept, full)
     texts = make_hash_provider(cfg.text)
     targets = [(u, ctx) for s in split.test for u, ctx in occurrences(s, common)

@@ -198,8 +198,7 @@ def test_assembled_features_are_float32_only(texts):
     users = random_user_table(sorted({u for s in split.train for u in s.users()}), d1=8)
     resolver = experiment.variant_resolver("full", users, split.train, texts, None,
                                            ColdMapConfig(k1=3, k2=4))
-    graphs = [g for part in experiment.assemble_splits(texts, resolver, None, split.train,
-                                                       split.val, split.test) for g in part]
+    graphs = [assemble(s, texts, resolver) for s in split.train + split.val + split.test]
     nodes = sum(len(g.node_order) for g in graphs)
     assert sum(g.features.nbytes for g in graphs) == nodes * (256 + 8) * 4
 

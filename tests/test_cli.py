@@ -18,9 +18,9 @@ from uen import cli, experiment
 from uen.assembly import occurrences, text_keys
 from uen.cli import main
 from uen.coldmap import ColdMapConfig
-from uen.corpus import load_corpus
+from uen.corpus import Split, load_corpus
 from uen.embedding import EmbeddingTable
-from uen.gnn import GnnConfig, load_model, save_history, save_model, train
+from uen.gnn import GnnConfig, load_model, save_history, save_model
 from uen.text import make_hash_provider
 
 from conftest import MODEL_DEFECTS
@@ -349,6 +349,28 @@ def test_os_errors_are_structured_errors(pipeline, tmp_path, case):
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "tune", "map-cold", "embed-text",
+                                     "ingest"])
+def test_missing_input_leaves_no_out_dir(pipeline, tmp_path, command):
+    """The last input each command reads is missing: one JSON line, and
+    --out is not created, since it is made only once every input has loaded."""
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    splits, users = str(pipeline / "splits"), str(pipeline / "users" / "users.emb")
+    argv = {
+        "train": ["train", "--splits", splits, "--users", missing],
+        "eval": ["eval", "--splits", splits, "--users", users, "--model", missing],
+        "tune": ["tune", "--splits", splits, "--users", missing],
+        "map-cold": ["map-cold", "--train", str(pipeline / "splits" / "train.jsonl"),
+                     "--test", str(pipeline / "splits" / "test.jsonl"), "--users", missing],
+        "embed-text": ["embed-text", "--corpus", missing],
+        "ingest": ["ingest", "--input", missing],
+    }[command]
+    rc, err = run_captured([*argv, "--out", str(out)])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    assert not out.exists()
+
+
 def test_embed_text_unusable_hash_seed_fails_before_any_work(pipeline, tmp_path):
     """A 71-digit seed cannot key blake2b: one JSON line, no output directory."""
     out = tmp_path / "texts"
@@ -523,8 +545,7 @@ def test_ingest_round_trip(pipeline, tmp_path, capsys):
     run_ok(["ingest", "--input", str(pipeline / "data" / "corpus.jsonl"),
             "--out", str(tmp_path / "ingested")])
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert report["loaded"] == 60
-    assert report["errors"] == 0
+    assert report == {"loaded": 60, "dropped_zero_comment": 0}
     assert (pipeline / "data" / "corpus.jsonl").read_bytes() == (
         tmp_path / "ingested" / "corpus.jsonl").read_bytes()
 
@@ -568,27 +589,24 @@ def test_eval_truncated_users_is_structured_error(pipeline, tmp_path, capsys):
 
 
 def test_train_equals_experiment_stages(pipeline, cold_val, tmp_path):
+    """`uen train` trains what `run_variant` trains on the same split and table."""
     users_path = pipeline / "users" / "users.emb"
     run_ok(["train", "--splits", str(cold_val), "--users", str(users_path),
             "--out", str(tmp_path / "cli"), "--epochs", "3", "--hidden", "8",
             "--seed", "0", "--k1", "3", "--k2", "5"])
-    train_corpus, _ = load_corpus(cold_val / "train.jsonl")
-    val_corpus, _ = load_corpus(cold_val / "val.jsonl")
-    users = EmbeddingTable.load(users_path)
-    texts = make_hash_provider()
-    common = train_corpus.common_author
-    resolver = experiment.variant_resolver("full", users, train_corpus.samples, texts,
-                                           common, ColdMapConfig(k1=3, k2=5))
-    graphs = experiment.assemble_splits(texts, resolver, common, train_corpus.samples,
-                                        val_corpus.samples)
-    cfg = GnnConfig(arch="gcn", lam=0.5, lr=0.01, epochs=3, batch_size=32, hidden=8, seed=0)
-    model, history = train(*graphs, cfg, 256 + users.dim)
-    save_model(model, tmp_path / "stages.mdl")
-    save_history(history, tmp_path / "stages.csv")
+    train, val, test = (load_corpus(cold_val / f"{name}.jsonl")[0]
+                        for name in ("train", "val", "test"))
+    cfg = experiment.PipelineConfig(gnn=GnnConfig(epochs=3, hidden=8, seed=0),
+                                    coldmap=ColdMapConfig(k1=3, k2=5))
+    run = experiment.run_variant(train, cfg, split=Split(train.samples, val.samples,
+                                                         test.samples),
+                                 users=EmbeddingTable.load(users_path))
+    save_model(run.model, tmp_path / "library.mdl")
+    save_history(run.history, tmp_path / "library.csv")
     assert (tmp_path / "cli" / "model.mdl").read_bytes() == (
-        tmp_path / "stages.mdl").read_bytes()
+        tmp_path / "library.mdl").read_bytes()
     assert (tmp_path / "cli" / "history.csv").read_bytes() == (
-        tmp_path / "stages.csv").read_bytes()
+        tmp_path / "library.csv").read_bytes()
 
 
 def test_train_k1_shapes_cold_val(pipeline, cold_val, tmp_path):
