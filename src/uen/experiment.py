@@ -133,16 +133,19 @@ def run_variant(
     cfg: PipelineConfig,
     split: Split | None = None,
     users: EmbeddingTable | None = None,
+    texts: TextProvider | None = None,
 ) -> RunResult:
     """Train and evaluate one variant on a labeled corpus.
 
-    `split` and `users` can be passed in to share work across variants of
-    the same seed (the embeddings do not depend on the variant).
+    `split`, `users` and `texts` can be passed in to share work across
+    variants of the same seed (none of them depends on the variant); `texts`
+    defaults to a hash provider under `cfg.text`.
     """
     common = corpus.common_author
     if split is None:
         split = temporal_split(corpus)
-    texts = make_hash_provider(cfg.text)
+    if texts is None:
+        texts = make_hash_provider(cfg.text)
     if cfg.variant != "no-user" and users is None:
         users = prepare_user_embeddings(split.train, cfg.node2vec, common)
     resolver, model, history = fit(cfg.variant, users, texts, common, split.train, split.val,
@@ -159,14 +162,16 @@ def run_variant(
 def run_ablation(
     corpus: Corpus, base: PipelineConfig, variants=VARIANTS
 ) -> dict[str, RunResult]:
-    """Run several variants on one corpus, reusing the split and embeddings."""
+    """Run several variants on one corpus, reusing the split, the user
+    embeddings and one text provider, so each text is hashed once."""
     split = temporal_split(corpus)
+    texts = make_hash_provider(base.text)
     users = None
     results: dict[str, RunResult] = {}
     for variant in variants:
         logger.info("running variant %s", variant)
         results[variant] = run_variant(corpus, replace(base, variant=variant), split=split,
-                                       users=users)
+                                       users=users, texts=texts)
         users = results[variant].users
     return results
 

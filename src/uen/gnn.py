@@ -364,12 +364,6 @@ def _evaluate(params: ModelParams, split: _Split, batches) -> tuple[float, float
     return float(np.mean(np.concatenate(losses))), correct / len(split.counts)
 
 
-def evaluate_loss(params: ModelParams, samples: list[SampleGraph],
-                  batch_size: int = GnnConfig.batch_size) -> tuple[float, float]:
-    """(mean loss, accuracy) over labeled samples, `batch_size` at a time."""
-    return _evaluate(params, *_eval_batches(params, samples, batch_size))
-
-
 def train(
     train_graphs: list[SampleGraph],
     val_graphs: list[SampleGraph],

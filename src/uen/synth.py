@@ -7,6 +7,16 @@ topical-cluster tokens appear in each text, where every cluster belongs to
 one label. Test samples can draw from reserved cold-user pools that mimic
 an existing community, so the cold mapper has signal to recover.
 Everything is a pure function of the seed.
+
+Every draw after the label shuffle comes from `_Draws`, which serves
+`random()` and `integers()` from blocks of the PCG64 bit generator's raw
+64-bit words with numpy 2.x `Generator`'s own rules: `random()` is the top
+53 bits of a word over 2**53, and `integers(n)` is Lemire's bounded map on
+32-bit halves (the low half of a fresh word first, the high half kept for
+the next call, as PCG64's 32-bit buffer does). The corpora are byte-equal
+to what the scalar `Generator` methods give, at a fraction of their per-call
+cost, and they depend only on the raw stream, which numpy's RNG policy
+(NEP 19) keeps stable, not on the internals of `Generator`.
 """
 
 from __future__ import annotations
@@ -47,6 +57,8 @@ class SynthConfig:
             raise ValueError("samples need at least one comment")
         if high < low:
             raise ValueError(f"comments_per_sample max ({high}) must be >= its min ({low})")
+        if self.max_chain_depth < 1:
+            raise ValueError(f"max_chain_depth must be >= 1, got {self.max_chain_depth}")
 
 
 # Lexical signal is planted as topical clusters: each cluster owns a small
@@ -72,7 +84,64 @@ _POST_TOKENS = 16
 _COMMENT_TOKENS = 5
 
 
-def _text(rng, label: int, cluster: int, n_tokens: int, p_label: float) -> str:
+class _Draws:
+    """`random()` and `integers()` of a PCG64 `Generator`, bit for bit as
+    numpy 2.x gives them, served from blocks of the raw words of its bit
+    generator. It takes over from `rng` where `rng` stands, pending 32-bit
+    half included; `rng` must not be drawn from afterwards."""
+
+    _BLOCK = 4096
+
+    def __init__(self, rng: np.random.Generator):
+        self._bits = rng.bit_generator
+        state = self._bits.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words: list[int] = []
+        self._pos = 0
+
+    def _word(self) -> int:
+        i = self._pos
+        if i == len(self._words):
+            self._words = self._bits.random_raw(self._BLOCK).tolist()
+            i = 0
+        self._pos = i + 1
+        return self._words[i]
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """A uniform int in [low, high), or in [0, low) when `high` is None."""
+        if high is None:
+            low, high = 0, low
+            if high <= 0:
+                raise ValueError("high <= 0")
+        elif low >= high:
+            raise ValueError("low >= high")
+        n = high - low
+        if n > 2**32:
+            raise ValueError("the range must span at most 2**32 values")
+        if n == 1:
+            return low
+        # Lemire: the top 32 bits of half * n, rejecting the biased low ends
+        m = self._uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (2**32 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return low + (m >> 32)
+
+
+def _text(rng: _Draws, label: int, cluster: int, n_tokens: int, p_label: float) -> str:
     pool = _CLUSTER_POOLS[label][cluster]
     toks = []
     for _ in range(n_tokens):
@@ -101,6 +170,7 @@ def generate(cfg: SynthConfig) -> Corpus:
     n_fake = round(cfg.fake_fraction * cfg.n_samples)
     labels = np.array([0] * n_fake + [1] * (cfg.n_samples - n_fake))
     rng.shuffle(labels)
+    rng = _Draws(rng)
 
     n_train = round(cfg.n_samples * 0.7)
     n_val = round(cfg.n_samples * 0.1)
@@ -109,6 +179,8 @@ def generate(cfg: SynthConfig) -> Corpus:
         raise ValueError("cold users requested but the corpus has no test range")
 
     train_seen: set[str] = set()
+    # warm val/test users per community, fixed once the train region is done
+    warm: list[list[str]] = []
 
     def pick_community(label: int) -> int:
         aligned = fake_side if label == 0 else true_side
@@ -128,9 +200,10 @@ def generate(cfg: SynthConfig) -> Corpus:
             train_seen.add(u)
             return u
         # warm val/test slots reuse users that actually appeared in training
-        candidates = [u for u in communities[comm] if u in train_seen]
-        if not candidates:
-            candidates = sorted(train_seen)
+        if not warm:
+            warm.extend([u for u in members if u in train_seen] or sorted(train_seen)
+                        for members in communities)
+        candidates = warm[comm]
         return candidates[rng.integers(len(candidates))]
 
     samples = []
@@ -164,12 +237,14 @@ def generate(cfg: SynthConfig) -> Corpus:
         ts = 1_000_000 + i * 60
         comments = []
         depths = {post_id: 0}
+        shallow = [post_id]  # the nodes a reply may hang from, in creation order
         for j in range(n_comments):
             cid = f"{post_id}c{j:03d}"
             # deeper chains are allowed up to max_chain_depth
-            shallow = [nid for nid, d in depths.items() if d < cfg.max_chain_depth]
             parent = shallow[rng.integers(len(shallow))] if rng.random() < 0.5 else post_id
             depths[cid] = depths[parent] + 1
+            if depths[cid] < cfg.max_chain_depth:
+                shallow.append(cid)
             comments.append(
                 Comment(
                     id=cid,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uen.corpus import Comment, Corpus, Sample
+from uen.gnn import GnnConfig, _eval_batches, _evaluate
 from uen.text import TextEmbedConfig, make_hash_provider
 
 
@@ -158,6 +159,12 @@ def next_step_distribution(g, prev, cur, p, q):
 def edge_weight(g, u, v):
     """The interaction count between users u and v in graph g; 0 without an edge."""
     return g.edges.get((u, v) if u <= v else (v, u), 0)
+
+
+def evaluate_loss(params, samples, batch_size=GnnConfig.batch_size):
+    """(mean loss, accuracy) over labeled samples, `batch_size` at a time:
+    the validation pass of `gnn.train`, run on any model and graphs."""
+    return _evaluate(params, *_eval_batches(params, samples, batch_size))
 
 
 def zeros_like(params):

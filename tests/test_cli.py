@@ -264,6 +264,7 @@ def test_bad_config_value_is_structured_error(pipeline, tmp_path, command, flag,
      "comments_per_sample max (3) must be >= its min (5)"),
     (["split", "--train-ratio", "0.9", "--val-ratio", "0", "--test-ratio", "0.1"],
      "val split ratio must be > 0: every part needs a sample"),
+    (["synth", "--max-chain-depth", "0"], "max_chain_depth must be >= 1, got 0"),
 ])
 def test_bad_split_or_synth_value_is_structured_error(pipeline, tmp_path, argv, message):
     """Values that numpy or `round` used to reject from deep inside the run;

@@ -15,7 +15,6 @@ from uen.gnn import (
     DivergenceError,
     GnnConfig,
     ModelParams,
-    evaluate_loss,
     forward,
     init_params,
     load_model,
@@ -26,7 +25,7 @@ from uen.gnn import (
     train,
 )
 
-from conftest import MODEL_DEFECTS, zeros_like
+from conftest import MODEL_DEFECTS, evaluate_loss, zeros_like
 
 
 def make_graph(features, edges, label=0, sample_id="s"):

@@ -1,5 +1,7 @@
 """Synthetic corpus generator invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from uen.corpus import (
     temporal_split,
     validate_sample,
 )
-from uen.synth import SynthConfig, describe, generate
+from uen.synth import SynthConfig, _Draws, describe, generate
 
 
 def test_generation_is_bit_identical(tmp_path):
@@ -123,7 +125,10 @@ def test_config_validation():
         SynthConfig(n_users=3)
     with pytest.raises(ValueError, match=r"comments_per_sample max \(3\) must be >= its min \(5\)"):
         SynthConfig(comments_per_sample=(5, 3))
+    with pytest.raises(ValueError, match=r"max_chain_depth must be >= 1, got 0"):
+        SynthConfig(max_chain_depth=0)
     SynthConfig(n_users=6, comments_per_sample=(3, 3))  # both limits inclusive
+    SynthConfig(max_chain_depth=1)  # replies to the post only
 
 
 def test_null_signal_config_accepted():
@@ -144,3 +149,88 @@ def test_cold_rate_scales_cold_population():
                   for s in split.test]
         rates[rate] = float(np.mean(ratios))
     assert rates[0.6] < rates[0.1]
+
+
+# sha256 of the saved corpus, taken when every draw came from the scalar
+# numpy Generator methods; the raw-word draws must keep these bytes
+@pytest.mark.parametrize("cfg, digest", [
+    (SynthConfig(seed=0),
+     "cd3a1b218b9f3dd4fc6ef3ece2ae3dc084b034637d5732c17a0f313a40096384"),
+    (SynthConfig(seed=0, n_samples=200, n_users=40, cold_user_rate_test=0.5,
+                 comments_per_sample=(2, 30), max_chain_depth=5),
+     "f8eb96d94f289f939f630bed2e504806b2555d781da1e15fc9dcc7ea177dd7f3"),
+    # a community with no training user: its warm slots draw from all of them
+    (SynthConfig(seed=0, n_samples=10, n_users=60, n_communities=12,
+                 comments_per_sample=(1, 2), cold_user_rate_test=0.0),
+     "41b396c423ba8d6a62e1b9f87bfe4bd7ff6df98f786d096d1f2cfbeaaf3f6f77"),
+])
+def test_corpus_bytes_are_pinned(tmp_path, cfg, digest):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate(cfg), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _shuffled_pcg64(seed=3):
+    """A Generator right after shuffling ten items; at seed 3 that leaves a
+    32-bit half pending, at seed 0 it does not."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng.shuffle(np.arange(10))
+    return rng
+
+
+def test_shuffled_start_has_a_pending_half():
+    assert _shuffled_pcg64().bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_draws_equal_generator(seed):
+    """About 10k interleaved draws, across several raw-word blocks, equal
+    numpy's own; seed 3 starts with a pending 32-bit half, seed 0 without."""
+    want = _shuffled_pcg64(seed)
+    got = _Draws(_shuffled_pcg64(seed))
+    script = np.random.default_rng(99)
+    sizes = [1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 1, 2**32]
+    for _ in range(10_000):
+        kind = script.integers(3)
+        if kind == 0:
+            assert got.random() == want.random()
+        elif kind == 1:
+            n = sizes[script.integers(len(sizes))]
+            assert got.integers(n) == want.integers(n)
+        else:
+            low = int(script.integers(-50, 50))
+            high = low + int(script.integers(1, 40))
+            assert got.integers(low, high) == want.integers(low, high)
+
+
+def test_draws_single_value_takes_no_draw():
+    want, got = _shuffled_pcg64(), _Draws(_shuffled_pcg64())
+    assert got.integers(1) == 0
+    assert got.integers(5, 6) == 5
+    assert [got.integers(10) for _ in range(3)] == [want.integers(10) for _ in range(3)]
+
+
+def test_draws_rejection_heavy_range():
+    """n = 2**31 + 1 rejects about half of all 32-bit draws."""
+    want, got = _shuffled_pcg64(), _Draws(_shuffled_pcg64())
+    n = 2**31 + 1
+    assert [got.integers(n) for _ in range(2000)] == [want.integers(n) for _ in range(2000)]
+    assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0,), "high <= 0"),
+    ((-3,), "high <= 0"),
+    ((4, 4), "low >= high"),
+    ((4, 2), "low >= high"),
+])
+def test_draws_reject_empty_ranges_as_numpy_does(args, message):
+    with pytest.raises(ValueError, match=message):
+        np.random.default_rng(0).integers(*args)
+    with pytest.raises(ValueError, match=message):
+        _Draws(np.random.default_rng(0)).integers(*args)
+
+
+def test_draws_reject_ranges_beyond_32_bits():
+    with pytest.raises(ValueError, match="at most 2"):
+        _Draws(np.random.default_rng(0)).integers(2**32 + 1)
