@@ -1,15 +1,21 @@
 """Three-layer GCN / GraphSAGE / GAT with hand-written backward passes.
 
 Per-sample graphs are tiny trees. Each call lays its graphs out once, as a
-split: checked, with node counts, labels and every edge in one int array,
-each graph's feature array referenced rather than copied. A batch of a
-split's graphs is packed by index arithmetic into dense (B, n_max, ·)
-arrays, its propagation operators built from its edges: each layer is a
-weight product over the batch's nodes and one batched matmul for
+split: checked, with node counts and labels, each graph's feature array
+referenced rather than copied, and each graph's propagation operator kept
+as its nonzero entries (one per node, two per edge), whose values are
+computed once per split and arch. A batch of a split's graphs is packed by
+index arithmetic into dense (B, n_max, ·) arrays: its operators are one
+scatter of its graphs' entries, its rows one concatenation. Each layer is
+a weight product over the batch's nodes and one batched matmul for
 propagation or attention. A single graph takes the same path, as a split
 and batch of one. Readout blends the post node with the comment mean
 through lambda, then a dense head produces two logits. Training is Adam on
-mean cross-entropy with min-validation-loss model selection.
+mean cross-entropy with min-validation-loss model selection. A training
+step gathers its rows into one reused buffer, writes every gradient into
+one flat buffer laid out as the parameters, and updates Adam's moments and
+the parameters in place; attention's mask, softmax and gradient also work
+in place, as the same numpy operations on the same operands.
 
 Every pass computes in the dtype of the model's tensors. `train` casts the
 float64 draws of `init_params` to float32 once, so training, checkpoints
@@ -52,6 +58,10 @@ class GnnConfig:
             raise ValueError(f"unknown arch {self.arch!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be in [0,1]")
+        for name in ("layers", "hidden", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         for name in ("layers", "hidden", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -118,66 +128,109 @@ def init_params(cfg: GnnConfig, in_dim: int, rng: np.random.Generator) -> ModelP
 @dataclass
 class _Split:
     """Graphs checked and laid out once, so that any batch of them packs by
-    index arithmetic. Each graph's feature array is referenced, not copied."""
+    index arithmetic. Each graph's feature array is referenced, not copied,
+    and its operator is kept as its nonzero entries, one per node and two
+    per edge. Node ids are split-wide: graph k's are node_start[k] on."""
 
     features: list  # each graph's (n, in_dim) array
     counts: list  # node counts
-    edge_start: list  # graph k's edges are edge_start[k]:edge_start[k + 1]
-    ends: np.ndarray  # every edge as flat (i, j) pairs: graph k's are ends[2 * edge_start[k]:...]
+    node_start: np.ndarray
+    entry_start: np.ndarray  # graph k's operator entries are entries[entry_start[k]:...[k + 1]]
+    entries: np.ndarray  # (M, 2) row and column ids: each node's diagonal, each edge both ways
     labels: np.ndarray | None  # kept when the caller needs them
+    values: dict = field(default_factory=dict)  # (arch, dtype) -> the entries' values
 
 
 def _split(graphs, in_dim: int, labeled: bool) -> _Split:
     """Check `graphs` against a model of width `in_dim` and lay them out;
-    `labeled` also requires every graph's label."""
-    features, counts, edge_start = [], [], [0]
+    `labeled` also requires every graph's label. Each edge must join two
+    distinct nodes of its graph, and no other edge of it the same two."""
+    features, counts, node_start, entry_start, rows, cols = [], [], [], [0], [], []
+    s = 0  # the split-wide id of the graph's first node
     for g in graphs:
-        if g.features.shape[0] < 2:
+        n = g.features.shape[0]
+        if n < 2:
             raise FormatError(f"sample {g.sample_id}: no comment nodes, so the readout's "
                               "comment mean is undefined")
         if g.features.shape[1] != in_dim:
             raise FormatError(f"sample {g.sample_id}: feature dim "
                               f"{g.features.shape[1]} != model dim {in_dim}")
+        rows += range(s, s + n)
+        cols += range(s, s + n)
+        for i, j in g.edges:
+            if not (0 <= i < n and 0 <= j < n and i != j):
+                raise FormatError(f"sample {g.sample_id}: edge ({i}, {j}) does not join two "
+                                  f"of its {n} nodes")
+            rows += (s + i, s + j)
+            cols += (s + j, s + i)
+        if len({(i, j) if i < j else (j, i) for i, j in g.edges}) < len(g.edges):
+            raise FormatError(f"sample {g.sample_id}: an edge is repeated")
         features.append(g.features)
-        counts.append(len(g.features))
-        edge_start.append(edge_start[-1] + len(g.edges))
+        counts.append(n)
+        node_start.append(s)
+        entry_start.append(len(rows))
+        s += n
     labels = None
     if labeled:
         labels = [g.label for g in graphs]
         if None in labels:
             raise ValueError(f"sample {graphs[labels.index(None)].sample_id} is unlabeled")
         labels = np.array(labels)
-    ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-                       dtype=np.intp, count=2 * edge_start[-1])
-    return _Split(features, counts, edge_start, ends, labels)
+    entries = np.fromiter(chain(rows, cols), np.intp, 2 * len(rows)).reshape(2, -1).T
+    return _Split(features, counts, np.array(node_start), np.array(entry_start), entries, labels)
 
 
-def _operators(arch: str, split: _Split, idx, n_max: int, dtype) -> np.ndarray:
-    """The (B, n_max, n_max) propagation operators in `dtype` of the graphs
-    `idx` of `split`: GCN's normalized Â, SAGE's neighbour mean (an isolated
-    node aggregates itself) or GAT's mask of neighbours plus self. A pad slot
-    is an isolated node, so its operator row is self-only in every arch."""
-    start = split.edge_start
-    ends = np.concatenate([split.ends[2 * start[k] : 2 * start[k + 1]] for k in idx])
-    b, i, j = (np.arange(len(idx)).repeat([start[k + 1] - start[k] for k in idx]),
-               ends[0::2], ends[1::2])
-    a = np.zeros((len(idx), n_max, n_max), dtype=dtype)
-    a[b, i, j] = a[b, j, i] = 1.0
-    if arch == "sage":
-        deg = a.sum(axis=2)[:, :, None]
-        return np.where(deg > 0, a / np.maximum(deg, 1.0), np.eye(n_max, dtype=dtype))
-    a.reshape(len(idx), -1)[:, :: n_max + 1] += 1.0  # Â = A + I
-    if arch == "gat":
-        return a > 0
-    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=2))
-    return a * d_inv_sqrt[:, :, None] * d_inv_sqrt[:, None, :]
+def _entry_values(arch: str, split: _Split, dtype) -> np.ndarray | None:
+    """The values in `dtype` of the operator entries of `split`, computed on
+    first use: GCN's normalized Â, SAGE's neighbour mean (an isolated node
+    aggregates itself) or, as None, GAT's mask of neighbours plus self,
+    whose every entry is True."""
+    key = (arch, np.dtype(dtype))
+    if arch != "gat" and key not in split.values:
+        rows, cols = split.entries.T
+        a_hat_deg = np.bincount(rows).astype(dtype)  # neighbours + self
+        if arch == "gcn":  # D^-½ Â D^-½, where Â = A + I is 1 at every entry
+            d_inv_sqrt = 1.0 / np.sqrt(a_hat_deg)
+            split.values[key] = d_inv_sqrt[rows] * d_inv_sqrt[cols]
+        else:  # an edge's entry is 1 / degree; a diagonal one 1 when the node is isolated
+            deg = a_hat_deg - 1.0
+            split.values[key] = np.where(rows == cols, deg[rows] == 0,
+                                         (1.0 / np.maximum(deg, 1.0))[rows])
+    return split.values.get(key)
 
 
-def _rows(params: ModelParams, split: _Split, idx) -> np.ndarray:
+def _operators(arch: str, split: _Split, idx, real: np.ndarray, dtype) -> np.ndarray:
+    """The (B, n_max, n_max) propagation operators in `dtype` (GAT's mask
+    is bool) of the graphs `idx` of `split`, whose real slots are `real`:
+    one scatter of their entries. A pad slot is an isolated node, so its
+    operator row is self-only in every arch."""
+    values = _entry_values(arch, split, dtype)
+    b, n_max = real.shape
+    start = split.entry_start
+    op = np.zeros((b, n_max, n_max), dtype=bool if values is None else dtype)
+    # entry (i, j) of graph k, in batch slot b, lands at b n_max² + (i - s_k) n_max + j - s_k
+    if b == 1:  # one graph: one slice of entries, no pad slot
+        sel = slice(start[idx[0]], start[idx[0] + 1])
+        pos = split.entries[sel] @ (n_max, 1) - split.node_start[idx[0]] * (n_max + 1)
+    else:  # one gather: each graph's run, padded to the longest by repeating its last entry
+        idx = np.asarray(idx)
+        first, last = start[idx], start[idx + 1] - 1
+        sel = np.minimum(first[:, None] + np.arange((last - first).max() + 1), last[:, None])
+        pos = split.entries[sel] @ (n_max, 1)
+        pos += (np.arange(b) * n_max * n_max - split.node_start[idx] * (n_max + 1))[:, None]
+        op.reshape(b, -1)[:, :: n_max + 1] = ~real
+    op.reshape(-1)[pos] = True if values is None else values[sel]  # a repeat rewrites its value
+    return op
+
+
+def _rows(params: ModelParams, split: _Split, idx, out=None) -> np.ndarray:
     """The real node rows (R, in_dim) of the graphs `idx` of `split`, in
-    batch order and in the model's dtype."""
-    dtype = params.tensors["cls.W"].dtype
-    return np.concatenate([split.features[k] for k in idx], dtype=dtype)
+    batch order and in the model's dtype; written into the head of `out`,
+    which must hold that many rows, when it is given."""
+    rows = [split.features[k] for k in idx]
+    if out is None:
+        return np.concatenate(rows, dtype=params.tensors["cls.W"].dtype)
+    return np.concatenate(rows, out=out[: sum(split.counts[k] for k in idx)])
 
 
 def _layout(params: ModelParams, split: _Split, idx) -> dict:
@@ -187,20 +240,19 @@ def _layout(params: ModelParams, split: _Split, idx) -> dict:
     isolated zero-feature node: its self-only operator row gives it exactly
     zero output and gradient in every arch, and its readout weight is zero."""
     counts = [split.counts[k] for k in idx]
-    n_max = max(counts)
-    real = np.greater.outer(counts, np.arange(n_max))
+    real = np.greater.outer(counts, np.arange(max(counts)))
     dtype = params.tensors["cls.W"].dtype
     readout = real * np.array([(1.0 - params.lam) / (n - 1) for n in counts], dtype)[:, None]
     readout[:, 0] = params.lam
-    return {"real": real, "op": _operators(params.arch, split, idx, n_max, dtype),
+    return {"real": real, "op": _operators(params.arch, split, idx, real, dtype),
             "readout": readout}
 
 
-def _pack(params: ModelParams, split: _Split, idx) -> tuple[np.ndarray, dict]:
+def _pack(params: ModelParams, split: _Split, idx, rows=None) -> tuple[np.ndarray, dict]:
     """The graphs `idx` (a sequence of ints) of `split` as a batch: its rows
-    and a cache holding its layout. One graph is a batch of one, with no pad
-    slots."""
-    return _rows(params, split, idx), _layout(params, split, idx)
+    (in `rows` when given, as in `_rows`) and a cache holding its layout.
+    One graph is a batch of one, with no pad slots."""
+    return _rows(params, split, idx, rows), _layout(params, split, idx)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in the DivergenceError below
@@ -209,6 +261,7 @@ def _forward(params: ModelParams, x, cache: dict):
     and cache of a packed batch; the cache also keeps what backward needs."""
     t = params.tensors
     real, op = cache["real"], cache["op"]
+    masked = ~op if params.arch == "gat" else None  # attention's non-neighbours
     h = None
 
     def product(w):  # h @ w; layer 0 multiplies only the real rows, its input is the widest
@@ -230,60 +283,81 @@ def _forward(params: ModelParams, x, cache: dict):
         else:
             p = product(t[f"layer{l}.W"])
             pre = (p @ t[f"layer{l}.a_src"])[:, :, None] + (p @ t[f"layer{l}.a_dst"])[:, None, :]
-            e = np.where(op, np.where(pre > 0, pre, 0.2 * pre), -np.inf)  # leaky ReLU
-            ex = np.exp(e - e.max(axis=2, keepdims=True))
-            alpha = ex / ex.sum(axis=2, keepdims=True)
+            alpha = np.multiply(pre, 0.2)
+            np.maximum(pre, alpha, out=alpha)  # leaky ReLU
+            np.putmask(alpha, masked, -np.inf)
+            # the row max, exact in any order, as a max over axis 1 of a transposed
+            # copy, elementwise over whole rows; reducing each short row is slower
+            alpha -= np.ascontiguousarray(alpha.transpose(0, 2, 1)).max(axis=1)[:, :, None]
+            np.exp(alpha, out=alpha)
+            alpha /= alpha.sum(axis=2, keepdims=True)
             z = alpha @ p
             cache[f"p{l}"], cache[f"pre{l}"], cache[f"alpha{l}"] = p, pre, alpha
-        if not np.isfinite(z).all():
+        if not _all_finite(z):
             raise DivergenceError(f"NaN in forward at layer {l}", None)
-        h = cache[f"h{l + 1}"] = np.maximum(z, 0.0)
+        h = cache[f"h{l + 1}"] = np.maximum(z, 0.0, out=z)
     pooled = cache["pooled"] = (cache["readout"][:, None, :] @ h)[:, 0]
     logits = pooled @ t["cls.W"].T + t["cls.b"]
-    if not np.isfinite(logits).all():
+    if not _all_finite(logits):
         raise DivergenceError("NaN in forward at the classifier head", None)
     return h, logits
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), without the Python layer of ndarray.all."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 @np.errstate(over="ignore", invalid="ignore")  # train checks the Adam state it feeds
-def _backward(params: ModelParams, x, cache: dict, dlogits: np.ndarray) -> dict:
-    """Gradient of sum(dlogits * logits) for every tensor, given the packed
-    rows `x` and the cache of their forward pass; layer 0 computes no input
+def _backward(params: ModelParams, x, cache: dict, dlogits: np.ndarray, grads: dict) -> None:
+    """Write the gradient of sum(dlogits * logits) for every tensor into
+    `grads` (name -> array of the tensor's shape), given the packed rows `x`
+    and the cache of their forward pass; layer 0 computes no input
     gradient."""
     t = params.tensors
     real = cache["real"]
     op_t = cache["op"].transpose(0, 2, 1)
-    grads = {"cls.W": dlogits.T @ cache["pooled"], "cls.b": dlogits.sum(axis=0)}
+    np.matmul(dlogits.T, cache["pooled"], out=grads["cls.W"])
+    np.sum(dlogits, axis=0, out=grads["cls.b"])
     dh = cache["readout"][:, :, None] * (dlogits @ t["cls.W"])[:, None, :]
 
-    def w_grad(l, d):  # (layer l's input)ᵀ @ d; pad rows of the input are zero
+    def w_grad(l, d, name):  # (layer l's input)ᵀ @ d; pad rows of the input are zero
         if l == 0:
-            return x.T @ d[real]
-        h_in = cache[f"h{l}"]
-        return h_in.reshape(-1, h_in.shape[2]).T @ d.reshape(-1, d.shape[2])
+            np.matmul(x.T, d[real], out=grads[name])
+        else:
+            h_in = cache[f"h{l}"]
+            np.matmul(h_in.reshape(-1, h_in.shape[2]).T, d.reshape(-1, d.shape[2]),
+                      out=grads[name])
+
+    def v_grad(d, p, name):  # np.tensordot(d, p, 2), the dot of the views it takes
+        np.dot(d.reshape(1, -1), p.reshape(-1, p.shape[2]), out=grads[name].reshape(1, -1))
 
     for l in reversed(range(params.layers)):
-        dz = dh * (cache[f"h{l + 1}"] > 0)  # ReLU: h > 0 exactly where z > 0
+        dz = np.multiply(dh, cache[f"h{l + 1}"] > 0, out=dh)  # ReLU: h > 0 exactly where z > 0
         if params.arch != "gat":
             dp = op_t @ dz
         else:
             p, alpha = cache[f"p{l}"], cache[f"alpha{l}"]
-            d_alpha = dz @ p.transpose(0, 2, 1)
-            de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=2, keepdims=True))
-            dpre = np.where(cache[f"pre{l}"] > 0, de, 0.2 * de)
+            de = dz @ p.transpose(0, 2, 1)  # d alpha, then de in place
+            dpre = alpha * de
+            de -= dpre.sum(axis=2, keepdims=True)
+            np.multiply(alpha, de, out=de)
+            np.multiply(de, 0.2, out=dpre)
+            np.putmask(dpre, cache[f"pre{l}"] > 0, de)
             ds, dt = dpre.sum(axis=2), dpre.sum(axis=1)
-            grads[f"layer{l}.a_src"] = np.tensordot(ds, p, 2)
-            grads[f"layer{l}.a_dst"] = np.tensordot(dt, p, 2)
-            dp = (alpha.transpose(0, 2, 1) @ dz + ds[..., None] * t[f"layer{l}.a_src"]
-                  + dt[..., None] * t[f"layer{l}.a_dst"])
+            v_grad(ds, p, f"layer{l}.a_src")
+            v_grad(dt, p, f"layer{l}.a_dst")
+            dp = alpha.transpose(0, 2, 1) @ dz
+            term = np.multiply(t[f"layer{l}.a_src"], ds[..., None])
+            dp += term
+            dp += np.multiply(t[f"layer{l}.a_dst"], dt[..., None], out=term)
         if params.arch == "sage":  # dp is the gradient of the neighbour product
-            grads[f"layer{l}.W_self"] = w_grad(l, dz)
-            grads[f"layer{l}.W_neigh"] = w_grad(l, dp)
+            w_grad(l, dz, f"layer{l}.W_self")
+            w_grad(l, dp, f"layer{l}.W_neigh")
             dh = dz @ t[f"layer{l}.W_self"].T + dp @ t[f"layer{l}.W_neigh"].T if l else None
         else:
-            grads[f"layer{l}.W"] = w_grad(l, dp)
+            w_grad(l, dp, f"layer{l}.W")
             dh = dp @ t[f"layer{l}.W"].T if l else None
-    return grads
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -315,22 +389,26 @@ def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
     return h[0], logits[0]
 
 
-def _loss_and_grads(params: ModelParams, split: _Split, idx) -> tuple[float, dict]:
-    """Mean cross-entropy over the graphs `idx` of a labeled split and its
-    gradients, by tensor name, from one padded pass."""
-    x, cache = _pack(params, split, idx)
+def _loss_and_grads(params: ModelParams, split: _Split, idx, grads: dict, rows=None) -> float:
+    """Mean cross-entropy over the graphs `idx` of a labeled split, from one
+    padded pass; its gradients go into `grads` (see `_backward`) and its rows
+    into `rows` when given (see `_rows`)."""
+    x, cache = _pack(params, split, idx, rows)
     _, logits = _forward(params, x, cache)
     losses, dlogits = _nll(logits, split.labels[idx])
-    return float(losses.mean()), _backward(params, x, cache, dlogits * (1.0 / len(idx)))
+    _backward(params, x, cache, dlogits * (1.0 / len(idx)), grads)
+    return float(losses.mean())
 
 
 def loss_and_grads(params: ModelParams, batch: list[SampleGraph]):
     """Mean cross-entropy over a batch and its gradients, from one padded pass."""
     if not batch:
         raise ValueError("empty batch")
-    loss, grads = _loss_and_grads(params, _split(batch, params.in_dim, labeled=True),
-                                  range(len(batch)))
-    return loss, replace(params, tensors={k: grads[k] for k in params.tensors})
+    flat = np.empty(sum(t.size for t in params.tensors.values()), params.tensors["cls.W"].dtype)
+    grads = _views(params.tensors, flat)
+    loss = _loss_and_grads(params, _split(batch, params.in_dim, labeled=True),
+                           range(len(batch)), grads)
+    return loss, replace(params, tensors=grads)
 
 
 def predict(params: ModelParams, g: SampleGraph) -> tuple[int, float]:
@@ -353,11 +431,12 @@ def _eval_batches(params: ModelParams, samples: list[SampleGraph], batch_size: i
     return split, [(idx, _layout(params, split, idx)) for idx in runs]
 
 
-def _evaluate(params: ModelParams, split: _Split, batches) -> tuple[float, float]:
-    """(mean loss, accuracy) over the batches of `_eval_batches`."""
+def _evaluate(params: ModelParams, split: _Split, batches, rows=None) -> tuple[float, float]:
+    """(mean loss, accuracy) over the batches of `_eval_batches`; their rows
+    go into `rows` when given (see `_rows`)."""
     losses, correct = [], 0
     for idx, layout in batches:
-        _, logits = _forward(params, _rows(params, split, idx), dict(layout))
+        _, logits = _forward(params, _rows(params, split, idx, rows), dict(layout))
         labels = split.labels[idx]
         losses.append(_nll(logits, labels)[0])
         correct += int(np.sum((logits[:, 1] >= logits[:, 0]) == labels))
@@ -372,7 +451,10 @@ def train(
 ) -> tuple[ModelParams, list[dict]]:
     """Adam training in float32 with per-epoch shuffles; returns the
     min-val-loss params. Both splits are checked and laid out once, and the
-    validation batches' layouts are built once, not every epoch."""
+    validation batches' layouts are built once, not every epoch. A step
+    packs its rows into one reused buffer and its gradients into one flat
+    buffer laid out as the parameters, and Adam updates its moments and the
+    parameters in place."""
     if not train_graphs or not val_graphs:
         raise ValueError("train and val splits must be non-empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
@@ -380,8 +462,10 @@ def train(
     flat = _flatten(params, np.float32)
     split = _split(train_graphs, in_dim, labeled=True)
     val = _eval_batches(params, val_graphs, cfg.batch_size)
-    m = np.zeros_like(flat)
-    v = np.zeros_like(flat)
+    most = max(sum(sorted(s.counts)[-cfg.batch_size:]) for s in (split, val[0]))
+    rows = np.empty((most, in_dim), flat.dtype)  # the most node rows a batch can hold
+    g, m, v, s1, s2 = (np.zeros_like(flat) for _ in range(5))  # s1, s2: Adam's scratch
+    grads = _views(params.tensors, g)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     history: list[dict] = []
@@ -392,26 +476,31 @@ def train(
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             try:
-                loss, grads = _loss_and_grads(params, split,
-                                              order[start : start + cfg.batch_size])
+                loss = _loss_and_grads(params, split, order[start : start + cfg.batch_size],
+                                       grads, rows)
             except DivergenceError as exc:
                 raise DivergenceError(str(exc), history) from exc
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss diverged at epoch {epoch}", history)
             epoch_losses.append(loss)
             step += 1
-            g = np.concatenate([grads[k].ravel() for k in params.tensors])
+            # m = β1 m + (1 - β1) g, v = β2 v + (1 - β2) g g, flat -= lr m̂ / (√v̂ + ε),
+            # each operation rounded in the order written, in place
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below
                 m *= beta1
-                m += (1 - beta1) * g
+                m += np.multiply(g, 1 - beta1, out=s1)
                 v *= beta2
-                v += (1 - beta2) * g * g
-                m_hat = m / (1 - beta1**step)
-                v_hat = v / (1 - beta2**step)
-                flat -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
-            if not (np.isfinite(v).all() and np.isfinite(flat).all()):
+                np.multiply(g, 1 - beta2, out=s1)
+                v += np.multiply(s1, g, out=s1)
+                np.divide(m, 1 - beta1**step, out=s1)  # m_hat
+                np.divide(v, 1 - beta2**step, out=s2)  # v_hat
+                s1 *= cfg.lr
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                flat -= np.divide(s1, s2, out=s1)  # lr * m_hat / (sqrt(v_hat) + eps)
+            if not (_all_finite(v) and _all_finite(flat)):
                 raise DivergenceError(f"Adam update diverged at epoch {epoch}", history)
-        val_loss, val_acc = _evaluate(params, *val)
+        val_loss, val_acc = _evaluate(params, *val, rows)
         history.append(
             {
                 "epoch": epoch,
@@ -426,15 +515,22 @@ def train(
     return best, history
 
 
+def _views(tensors: dict, flat: np.ndarray) -> dict:
+    """Name -> view of `flat` with the shape of each of `tensors`, laid out
+    back to back in their order."""
+    views, start = {}, 0
+    for k, t in tensors.items():
+        views[k] = flat[start : start + t.size].reshape(t.shape)
+        start += t.size
+    return views
+
+
 def _flatten(params: ModelParams, dtype) -> np.ndarray:
     """Move the tensors into one flat buffer of `dtype` and leave views of it
     in params.tensors, so an elementwise update of the buffer updates them
     all."""
     flat = np.concatenate([t.ravel() for t in params.tensors.values()], dtype=dtype)
-    start = 0
-    for k, t in params.tensors.items():
-        params.tensors[k] = flat[start : start + t.size].reshape(t.shape)
-        start += t.size
+    params.tensors = _views(params.tensors, flat)
     return flat
 
 

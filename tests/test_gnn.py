@@ -634,6 +634,83 @@ def test_model_save_load_round_trip(tmp_path):
     assert (tmp_path / "model2.mdl").read_bytes() == (tmp_path / "model3.mdl").read_bytes()
 
 
+# sha256 of model.mdl and history.csv that `train_pinned` writes, as the
+# allocating forms of the forward, backward and Adam steps produced them:
+# any change to the rounding of a step changes them. They hold for numpy's
+# bundled OpenBLAS; another BLAS may round its products differently.
+PINNED_TRAINING_SHA256 = {
+    "gcn": ("3d9926853c4792bbdffaf21d5c6adbfd925457ae8aca8f01a70313556e7f78ea",
+            "fd4345281f173588063611b4d2b855bfbf7be847ee78446e32871fc0263e40e2"),
+    "sage": ("0b62fe66122a2781b9dcd580b731754e20b70a87490fa23c2579cbc3d0f46929",
+             "94cd98f0ad4f6fae2deb760ddb58adcdf2d96523a7d45245a10cfca53577f599"),
+    "gat": ("eae6655b7a95fcb46416b863a56d4bb1175f8109939254759c2e30910032d50f",
+            "43804dfb59db82d3d966335f7108afb3a298899c24ab1b76a3ea98a61345de95"),
+}
+
+
+def train_pinned(arch, out):
+    """Train a small model on fixed graphs, with padded batches of 8, and
+    write its model.mdl and history.csv into `out`. At this width the
+    products round as at full size: e.g. `dp @ W.T` taken as one 2-D
+    product changes the gcn and gat digests."""
+    rng = np.random.Generator(np.random.PCG64(79))
+    graphs = [random_graph(rng, int(rng.integers(2, 10)), 6) for _ in range(48)]
+    cfg = GnnConfig(arch=arch, hidden=32, lam=0.62, epochs=3, batch_size=8, seed=4)
+    model, history = train(graphs[:40], graphs[40:], cfg, in_dim=6)
+    save_model(model, out / "model.mdl")
+    save_history(history, out / "history.csv")
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_trained_model_bytes_are_pinned(arch, tmp_path):
+    import hashlib
+
+    train_pinned(arch, tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("model.mdl", "history.csv"))
+    assert digests == PINNED_TRAINING_SHA256[arch]
+
+
+def test_training_leaves_validation_layouts_as_built(monkeypatch):
+    """train's in-place work never writes into the validation layouts it
+    built once: after training they equal freshly built ones."""
+    import uen.gnn as gnn
+
+    eval_batches, built = gnn._eval_batches, []
+    monkeypatch.setattr(gnn, "_eval_batches",
+                        lambda *args: built.append(eval_batches(*args)) or built[-1])
+    rng = np.random.Generator(np.random.PCG64(83))
+    graphs = [random_graph(rng, int(rng.integers(2, 9)), 6) for _ in range(40)]
+    for arch in ARCHS:
+        cfg = GnnConfig(arch=arch, hidden=5, epochs=2, batch_size=8)
+        model, _ = train(graphs[:30], graphs[30:], cfg, in_dim=6)
+        (_, kept), (_, fresh) = built[-1], eval_batches(model, graphs[30:], 8)
+        assert len(kept) == len(fresh)
+        for (idx, layout), (fresh_idx, fresh_layout) in zip(kept, fresh):
+            assert list(idx) == list(fresh_idx) and layout.keys() == fresh_layout.keys()
+            for k, v in layout.items():
+                assert np.array_equal(v, fresh_layout[k]) and v.dtype == fresh_layout[k].dtype, k
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_loss_and_grads_leaves_captured_forward_arrays(arch):
+    """The arrays forward() captured for a graph do not change when
+    loss_and_grads later runs on the same graph and model."""
+    rng = np.random.Generator(np.random.PCG64(89))
+    params = make_params(arch, hidden=5, layers=3, lam=0.62)
+    g = random_graph(rng, 7, 6, label=1)
+    cache = {}
+    forward(params, g, cache)
+    names = [f"h{l + 1}" for l in range(3)]
+    if arch == "gat":
+        names += [f"{k}{l}" for k in ("p", "pre", "alpha") for l in range(3)]
+    before = {k: cache[k].copy() for k in names}
+    loss_and_grads(params, [g])
+    loss_and_grads(params, [g, g])
+    for k in names:
+        assert np.array_equal(cache[k], before[k]), k
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_trained_model_round_trips_bit_for_bit(arch, tmp_path):
     """train's float32 tensors are what the checkpoint holds, so a loaded
@@ -780,6 +857,19 @@ def test_zero_comment_sample_rejected(texts):
         predict(params, g)
 
 
+@pytest.mark.parametrize("edges", [[(0, 0)], [(0, 3)], [(-1, 1)], [(0, 1), (1, 0)],
+                                   [(0, 1), (0, 2), (0, 1)]])
+def test_bad_edges_rejected_by_name(edges):
+    """An edge must join two distinct nodes of its graph, once: a self-loop,
+    an end outside the graph or a repeated edge fails naming the sample."""
+    from uen.embedding import FormatError
+
+    params = make_params("gcn")
+    g = make_graph(np.ones((3, 6)), edges, sample_id="knotted")
+    with pytest.raises(FormatError, match="sample knotted: .*edge"):
+        predict(params, g)
+
+
 def test_history_csv(tmp_path):
     history = [{"epoch": 0, "train_loss": 0.5, "val_loss": 0.6, "val_acc": 0.7}]
     path = tmp_path / "history.csv"
@@ -800,3 +890,13 @@ def test_config_validation():
     for lr in (0.0, -0.01, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             GnnConfig(lr=lr)
+
+
+@pytest.mark.parametrize("name", ["layers", "hidden", "epochs", "batch_size", "seed"])
+def test_config_rejects_non_integer_sizes_by_name(name):
+    """A size that is not an integer fails when the config is made, before
+    any stage runs, not inside train; a bool is not an integer here."""
+    for bad in (2.5, 8.0, True, "3", None):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GnnConfig(**{name: bad})
+    assert getattr(GnnConfig(**{name: np.int64(3)}), name) == 3
