@@ -13,18 +13,17 @@ import numpy as np
 
 from uen.coldmap import ColdMapConfig, build_train_side, make_resolver, topk_rows
 from uen.corpus import temporal_split
-from uen.graph import build_interaction_graph
-from uen.node2vec import Node2VecConfig, learn_user_embeddings
+from uen.experiment import prepare_user_embeddings
+from uen.node2vec import Node2VecConfig
 from uen.synth import SynthConfig, generate
 from uen.text import make_hash_provider
 
 # 1. Corpus, split, and real user embeddings learned from the train graph.
 corpus = generate(SynthConfig(n_samples=200, n_users=60, seed=3))
 split = temporal_split(corpus)
-graph = build_interaction_graph(split.train, corpus.common_author)
-users = learn_user_embeddings(
-    graph, Node2VecConfig(d1=16, walk_length=10, walks_per_node=4, window=4,
-                          epochs=2, seed=0))
+users = prepare_user_embeddings(
+    split.train, Node2VecConfig(d1=16, walk_length=10, walks_per_node=4, window=4,
+                                epochs=2, seed=0), corpus.common_author)
 texts = make_hash_provider()
 side = build_train_side(list(split.train), texts, corpus.common_author)
 

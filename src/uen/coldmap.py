@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .assembly import text_keys
-from .corpus import Sample
+from .corpus import Sample, require_int_fields
 from .embedding import EmbeddingTable, FormatError
 from .text import TextProvider, embed_many
 
@@ -41,6 +41,7 @@ class ColdMapConfig:
     heuristics: frozenset = frozenset({"h1", "h2", "h3"})
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.k1 < 1:
             raise ValueError("k1 must be >= 1")
         if "h2" in self.heuristics and self.k2 < 1:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -136,6 +137,16 @@ def _json(value, kind: type, what: str):
     if type(value) is not kind:  # bool is an int subclass, JSON true is not an integer
         raise CorpusError(f"{what} {value!r} is not a JSON {_JSON_NAMES[kind]}")
     return value
+
+
+def require_int_fields(cfg) -> None:
+    """Reject, by name, a value of dataclass `cfg` in a field annotated `int`
+    that is not an integer; a bool is not one here."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in (int, "int") and (isinstance(value, bool)
+                                       or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
 
 
 def sample_from_record(rec: dict) -> Sample:

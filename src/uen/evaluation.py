@@ -234,7 +234,7 @@ def tune(
     """Seeded random search: uniform lambda, log-uniform integer k1/k2."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     trials: list[Trial] = []
     best_params: dict | None = None
     best_loss = np.inf

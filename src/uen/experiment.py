@@ -26,7 +26,7 @@ from .embedding import EmbeddingTable
 from .evaluation import EvalReport, bucketed_report
 from .gnn import GnnConfig, ModelParams, predict, train
 from .graph import build_interaction_graph
-from .node2vec import Node2VecConfig, learn_user_embeddings
+from .node2vec import Node2VecConfig, sample_walks, train_skipgram
 from .text import TextEmbedConfig, TextProvider, make_hash_provider
 
 logger = logging.getLogger(__name__)
@@ -60,9 +60,10 @@ class RunResult:
 
 def prepare_user_embeddings(train_samples, cfg: Node2VecConfig, common_author=None,
                             weighted: bool = True) -> EmbeddingTable:
-    """The user table learned from the interaction graph of `train_samples`."""
+    """The user table learned from the interaction graph of `train_samples`:
+    node2vec walks over it, then SGNS over the walks."""
     graph = build_interaction_graph(train_samples, common_author, weighted=weighted)
-    return learn_user_embeddings(graph, cfg)
+    return train_skipgram(sample_walks(graph, cfg), cfg)
 
 
 def cold_train_side(train_samples, texts: TextProvider, common_author,
@@ -255,7 +256,7 @@ def mapper_fidelity(corpus: Corpus, cfg: PipelineConfig, hide_fraction: float,
     warm = sorted(u for u in corpus_users(split.test, common) if u in full and u != common)
     if not warm:
         raise ValueError("no training user occurs in the test split")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     hidden = set(rng.choice(warm, size=max(1, round(hide_fraction * len(warm))),
                             replace=False).tolist())
     train = without_users(split.train, hidden, common)

@@ -35,6 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .assembly import SampleGraph
+from .corpus import require_int_fields
 from .embedding import FormatError, read_artifact, write_artifact
 
 MODEL_MAGIC = b"UENMDL1"
@@ -58,10 +59,7 @@ class GnnConfig:
             raise ValueError(f"unknown arch {self.arch!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be in [0,1]")
-        for name in ("layers", "hidden", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        require_int_fields(self)
         for name in ("layers", "hidden", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -457,7 +455,7 @@ def train(
     parameters in place."""
     if not train_graphs or not val_graphs:
         raise ValueError("train and val splits must be non-empty")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, in_dim, rng)
     flat = _flatten(params, np.float32)
     split = _split(train_graphs, in_dim, labeled=True)

@@ -3,6 +3,7 @@
 Undirected, weighted by interaction multiplicity: each comment contributes
 one event between its author and the author of whatever it replies to
 (the post author for top-level comments). Self-replies stay as self-loops.
+The adjacency is built once, as the CSR the node2vec walker reads.
 """
 
 from __future__ import annotations
@@ -11,21 +12,20 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .corpus import Sample
-
-
-def _key(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    nodes: frozenset[str]
+    nodes: tuple[str, ...]  # sorted
     edges: dict  # (u, v) sorted pair -> int weight
-    adjacency: dict  # node -> tuple of (neighbor, weight)
-
-    def neighbors(self, u: str) -> tuple[tuple[str, float], ...]:
-        return self.adjacency.get(u, ())
+    # The adjacency as a CSR over `nodes`: row i lists the indices of node i's
+    # neighbours in node order (a self-loop once) and their float64 weights.
+    indptr: np.ndarray
+    nbr: np.ndarray
+    weight: np.ndarray
 
 
 def build_interaction_graph(
@@ -35,26 +35,27 @@ def build_interaction_graph(
     nodes: set[str] = set()
     counts: Counter = Counter()
     for sample in train:
-        post_author = sample.resolved_author(common_author)
-        nodes.add(post_author)
-        authors = {sample.post_id: post_author}
+        authors = {sample.post_id: sample.resolved_author(common_author),
+                   **{c.id: c.author for c in sample.comments}}
+        nodes.update(authors.values())
         for c in sample.comments:
-            authors[c.id] = c.author
-        for c in sample.comments:
-            nodes.add(c.author)
-            counts[_key(c.author, authors[c.parent])] += 1
+            a, b = c.author, authors[c.parent]
+            counts[(a, b) if a <= b else (b, a)] += 1
     edges = {k: (v if weighted else 1) for k, v in counts.items()}
-    adj: dict[str, list[tuple[str, int]]] = {u: [] for u in nodes}
-    for (u, v), w in edges.items():
-        adj[u].append((v, w))
-        if v != u:
-            adj[v].append((u, w))
-    adjacency = {u: tuple(sorted(nbrs)) for u, nbrs in adj.items()}
-    return InteractionGraph(nodes=frozenset(nodes), edges=edges, adjacency=adjacency)
+    order = sorted(nodes)
+    index = {n: i for i, n in enumerate(order)}
+    u, v = np.array([(index[a], index[b]) for a, b in edges], np.int64).reshape(-1, 2).T
+    w = np.fromiter(edges.values(), np.float64, len(edges))
+    both = u != v  # a self-loop is listed once
+    src, dst = np.concatenate([u, v[both]]), np.concatenate([v, u[both]])
+    w = np.concatenate([w, w[both]])
+    rank = np.argsort(src * len(order) + dst)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=len(order)))])
+    return InteractionGraph(tuple(order), edges, indptr, dst[rank], w[rank])
 
 
 def graph_stats(g: InteractionGraph) -> dict:
-    degree_hist: Counter = Counter(len(g.adjacency[u]) for u in g.nodes)
+    degree_hist: Counter = Counter(np.diff(g.indptr).tolist())
     return {
         "node_count": len(g.nodes),
         "edge_count": len(g.edges),
@@ -62,4 +63,3 @@ def graph_stats(g: InteractionGraph) -> dict:
         "isolated_count": degree_hist.get(0, 0),
         "degree_histogram": dict(sorted(degree_hist.items())),
     }
-

@@ -1,8 +1,9 @@
 """User vectors from biased second-order random walks + skip-gram (SGNS).
 
 Walks follow the p/q-biased transition rule over the weighted interaction
-graph. They run on a CSR adjacency over the sorted node list: the walks
-of a chunk of start nodes advance together, one step at a time. Each
+graph. They read the CSR adjacency that `graph.build_interaction_graph`
+builds over the sorted node list: the walks of a chunk of start nodes
+advance together, one step at a time. Each
 start node draws its walks' uniforms up front from its own seeded stream,
 and a step searches its row's cumulative weights the way
 `Generator.choice` does, so every walk is the one a `choice` call per
@@ -28,10 +29,10 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from .corpus import require_int_fields
 from .embedding import EmbeddingTable
 from .graph import InteractionGraph
 
@@ -53,6 +54,7 @@ class Node2VecConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.d1 <= 0 or self.p <= 0 or self.q <= 0:
             raise ValueError("d1, p, q must be positive")
         if self.walk_length < 2:
@@ -64,54 +66,28 @@ class Node2VecConfig:
             raise ValueError("learning_rate must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class _Csr:
-    """The graph's adjacency over its sorted node list, each row in the
-    graph's neighbour order, plus every edge as a sorted `row * V + nbr` key."""
-
-    nodes: list
-    indptr: np.ndarray
-    nbr: np.ndarray
-    weight: np.ndarray
-    keys: np.ndarray
-
-
-def _csr(g: InteractionGraph) -> _Csr:
-    nodes = sorted(g.nodes)
-    index = {n: i for i, n in enumerate(nodes)}
-    rows = [g.neighbors(n) for n in nodes]
-    deg = np.fromiter(map(len, rows), np.int64, len(nodes))
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    flat = list(chain.from_iterable(rows))
-    nbr = np.fromiter((index[x] for x, _ in flat), np.int64, len(flat))
-    weight = np.fromiter((float(w) for _, w in flat), np.float64, len(flat))
-    src = np.repeat(np.arange(len(nodes)), deg)
-    keys = np.sort(src * len(nodes) + nbr)
-    if not np.array_equal(keys, np.sort(nbr * len(nodes) + src)):
-        raise ValueError("interaction graph adjacency is not symmetric")
-    return _Csr(nodes, indptr, nbr, weight, keys)
-
-
-def _advance(csr: _Csr, path: np.ndarray, uniforms: np.ndarray, p: float, q: float) -> None:
+def _advance(g: InteractionGraph, keys: np.ndarray, path: np.ndarray, uniforms: np.ndarray,
+             p: float, q: float) -> None:
     """Fill path[:, 1:] from the start nodes in path[:, 0], one step for all
-    rows at a time; step t of row r uses uniforms[r, t - 1]. Every start
-    node must have a neighbour, so (the graph being undirected) no walk
-    meets a dead end."""
+    rows at a time; step t of row r uses uniforms[r, t - 1]. `keys` holds
+    each edge of g as `row * V + nbr`, in CSR order and so sorted. Every
+    start node must have a neighbour, so (the graph being undirected) no
+    walk meets a dead end."""
     n_rows, length = path.shape
-    v, last = len(csr.nodes), len(csr.nbr) - 1
+    v, last = len(g.nodes), len(g.nbr) - 1
     rows = np.arange(n_rows)
     for t in range(1, length):
         cur = path[:, t - 1]
-        start = csr.indptr[cur]
-        deg = csr.indptr[cur + 1] - start
+        start = g.indptr[cur]
+        deg = g.indptr[cur + 1] - start
         cols = np.arange(deg.max())
         slot = np.minimum(start[:, None] + cols, last)
-        x = csr.nbr[slot]
-        w = np.where(cols < deg[:, None], csr.weight[slot], 0.0)
+        x = g.nbr[slot]
+        w = np.where(cols < deg[:, None], g.weight[slot], 0.0)
         if t > 1:
             prev = path[:, t - 2, None]
             key = prev * v + x
-            common = csr.keys[np.minimum(np.searchsorted(csr.keys, key), len(csr.keys) - 1)] == key
+            common = keys[np.minimum(np.searchsorted(keys, key), last)] == key
             w *= np.where(x == prev, 1.0 / p, np.where(common, 1.0, 1.0 / q))
         # Generator.choice(p=w / sum(w)): cdf = cumsum(p) / cdf[-1], then a
         # right-sided search of one uniform. Pad columns repeat the final
@@ -128,23 +104,23 @@ def sample_walks(g: InteractionGraph, cfg: Node2VecConfig) -> list[list[str]]:
     chunking of the start nodes gives the same walks. A walk from an
     isolated node is the node alone.
     """
-    csr = _csr(g)
-    deg = np.diff(csr.indptr)
+    deg = np.diff(g.indptr)
+    keys = np.repeat(np.arange(len(g.nodes)), deg) * len(g.nodes) + g.nbr
     n, steps = cfg.walks_per_node, cfg.walk_length - 1
     per_chunk = max(1, WALK_CELLS // (n * max(1, int(deg.max(initial=0)))))
     walks = []
-    for lo in range(0, len(csr.nodes), per_chunk):
-        starts = np.arange(lo, min(lo + per_chunk, len(csr.nodes)))
+    for lo in range(0, len(g.nodes), per_chunk):
+        starts = np.arange(lo, min(lo + per_chunk, len(g.nodes)))
         moving = starts[deg[starts] > 0]
         path = np.empty((len(moving) * n, cfg.walk_length), dtype=np.int64)
         path[:, 0] = np.repeat(moving, n)
         if len(moving):
-            uniforms = [walk_rng(csr.nodes[s], cfg.seed).random((n, steps)) for s in moving]
-            _advance(csr, path, np.concatenate(uniforms), cfg.p, cfg.q)
+            uniforms = [walk_rng(g.nodes[s], cfg.seed).random((n, steps)) for s in moving]
+            _advance(g, keys, path, np.concatenate(uniforms), cfg.p, cfg.q)
         rows = iter(path.tolist())
         for s in starts:
             for _ in range(n):
-                walks.append([csr.nodes[i] for i in next(rows)] if deg[s] else [csr.nodes[s]])
+                walks.append([g.nodes[i] for i in next(rows)] if deg[s] else [g.nodes[s]])
     return walks
 
 
@@ -153,8 +129,7 @@ def walk_rng(node: str, seed: int) -> np.random.Generator:
     key is a 128-bit hash of the node id, so no two nodes of any realistic
     graph share a stream."""
     key = struct.unpack("<4I", hashlib.blake2b(node.encode("utf-8"), digest_size=16).digest())
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -244,7 +219,7 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
     every user vector.
     """
     if not walks:
-        raise ValueError("empty walk corpus")
+        raise ValueError("empty walk corpus: the interaction graph has no nodes")
     vocab = sorted({n for w in walks for n in w})
     idx = {n: i for i, n in enumerate(vocab)}
     v, d = len(vocab), cfg.d1
@@ -255,7 +230,7 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
     neg_probs = np.bincount(flat, minlength=v).astype(np.float64) ** 0.75
     neg_probs /= neg_probs.sum()
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.default_rng(cfg.seed)
     table = np.zeros((2 * v, d), dtype=np.float32)
     table[:v] = (rng.random((v, d)) - 0.5) / d
 
@@ -294,9 +269,3 @@ def _centred_table(vocab: list[str], rows: np.ndarray) -> EmbeddingTable:
     rows = rows.astype(np.float64)
     return EmbeddingTable.from_rows(vocab, (rows - rows.mean(axis=0)).astype(np.float32))
 
-
-def learn_user_embeddings(g: InteractionGraph, cfg: Node2VecConfig) -> EmbeddingTable:
-    walks = sample_walks(g, cfg)
-    if not walks:
-        raise ValueError("interaction graph has no nodes")
-    return train_skipgram(walks, cfg)

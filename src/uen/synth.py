@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sample, Comment, corpus_users, temporal_split
+from .corpus import Corpus, Sample, Comment, corpus_users, require_int_fields, temporal_split
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         for name in ("fake_fraction", "text_signal_strength",
                      "user_signal_strength", "cold_user_rate_test"):
             v = getattr(self, name)
@@ -153,7 +154,7 @@ def _text(rng: _Draws, label: int, cluster: int, n_tokens: int, p_label: float) 
 
 
 def generate(cfg: SynthConfig) -> Corpus:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.default_rng(cfg.seed)
     n_comm = cfg.n_communities
     communities = [
         [f"u{c:02d}_{i:04d}" for i in range(i_start, cfg.n_users, n_comm)]

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .corpus import require_int_fields
 from .embedding import EmbeddingTable, FormatError
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
@@ -33,6 +34,7 @@ class TextEmbedConfig:
     ngram_range: tuple[int, int] = (1, 2)
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.d2 <= 0:
             raise ValueError("d2 must be positive")
         if len(str(self.hash_seed).encode("utf-8")) > 64:

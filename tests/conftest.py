@@ -129,6 +129,12 @@ def chain_prefix_representation(sample, comment_id, texts):
         cur = by_id[cur.parent]
 
 
+def neighbours(g, u):
+    """{neighbour: weight} of user u in g, in node order, read from g.edges
+    (not from the adjacency the walker reads)."""
+    return dict(sorted((b if a == u else a, w) for (a, b), w in g.edges.items() if u in (a, b)))
+
+
 def next_step_distribution(g, prev, cur, p, q):
     """Normalized node2vec transition probabilities out of `cur` given the
     previous node.
@@ -136,15 +142,15 @@ def next_step_distribution(g, prev, cur, p, q):
     Bias alpha: 1/p to return to prev, 1 to a common neighbor of prev,
     1/q otherwise; the first step (prev=None) is weight-proportional.
     """
-    nbrs = g.neighbors(cur)
+    nbrs = neighbours(g, cur)
     if not nbrs:
         return {}
     if prev is None:
-        weights = {x: float(w) for x, w in nbrs}
+        weights = {x: float(w) for x, w in nbrs.items()}
     else:
-        prev_adj = {x for x, _ in g.neighbors(prev)}
+        prev_adj = neighbours(g, prev)
         weights = {}
-        for x, w in nbrs:
+        for x, w in nbrs.items():
             if x == prev:
                 alpha = 1.0 / p
             elif x in prev_adj:

@@ -15,10 +15,10 @@ from uen.coldmap import ColdMapConfig, build_index, build_train_side, make_resol
 from uen.corpus import temporal_split
 from uen.embedding import EmbeddingTable
 from uen.evaluation import bucketed_report, mann_whitney_u
-from uen.experiment import PipelineConfig, run_ablation, run_variant
+from uen.experiment import PipelineConfig, prepare_user_embeddings, run_ablation, run_variant
 from uen.gnn import GnnConfig, SampleGraph, forward, init_params, load_model, loss_and_grads, save_model
 from uen.graph import build_interaction_graph
-from uen.node2vec import Node2VecConfig, learn_user_embeddings, sample_walks
+from uen.node2vec import Node2VecConfig, sample_walks
 from uen.synth import SynthConfig, generate
 from uen.text import make_hash_provider
 
@@ -281,12 +281,12 @@ def test_criterion_05_walk_law_and_clique_separation():
 
     left = [f"l{i}" for i in range(8)]
     right = [f"r{i}" for i in range(8)]
-    cg = build_interaction_graph(clique(left, "pl") + clique(right, "pr"))
+    cliques = clique(left, "pl") + clique(right, "pr")
     separations = 0
     for seed in (0, 1, 2):
-        table = learn_user_embeddings(
-            cg, Node2VecConfig(d1=8, walk_length=10, walks_per_node=5,
-                               window=3, epochs=2, seed=seed))
+        table = prepare_user_embeddings(
+            cliques, Node2VecConfig(d1=8, walk_length=10, walks_per_node=5,
+                                    window=3, epochs=2, seed=seed))
         m = table.matrix / np.linalg.norm(table.matrix, axis=1, keepdims=True)
         rows = {u: m[table.index[u]] for u in left + right}
         intra = [rows[u] @ rows[v] for i, u in enumerate(left)

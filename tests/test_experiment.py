@@ -4,10 +4,12 @@ import pytest
 
 from uen.coldmap import ColdMapConfig
 from uen.corpus import corpus_users, temporal_split
-from uen.experiment import PipelineConfig, mapper_fidelity, run_variant, without_users
+from uen.experiment import (PipelineConfig, mapper_fidelity, prepare_user_embeddings,
+                            run_variant, without_users)
 from uen.gnn import GnnConfig
 from uen.node2vec import Node2VecConfig
 from uen.synth import SynthConfig, generate
+from uen.text import TextEmbedConfig
 
 from conftest import make_comment, make_sample, random_user_table
 
@@ -66,3 +68,50 @@ def test_mapper_fidelity_rejects_bad_fraction():
     for fraction in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match="hide_fraction"):
             mapper_fidelity(corpus, PipelineConfig(), fraction, 0)
+
+
+# sha256 of the user table (ids, then the float32 matrix bytes) that
+# `prepare_user_embeddings` learns from `pinned_table`'s training split,
+# as the walker that converted the graph to a CSR per call produced it.
+PINNED_USER_TABLE_SHA256 = {
+    True: "abb156f557ac6c7c5f276ebda382f5596f0bf1e52ce79ce29a3cc9d1023d5bb8",
+    False: "078f70dbb7d588347287c085a5c2566cc64ace01b3ebd5e014c56cdcba1234c5",
+}
+
+
+def pinned_table(weighted):
+    corpus = generate(SynthConfig(n_users=40, n_samples=120, seed=3))
+    cfg = Node2VecConfig(d1=16, p=0.5, q=2.0, walk_length=8, walks_per_node=3, window=3,
+                         epochs=2, seed=5)
+    return prepare_user_embeddings(temporal_split(corpus).train, cfg, corpus.common_author,
+                                   weighted=weighted)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_user_table_bytes_are_pinned(weighted):
+    import hashlib
+
+    table = pinned_table(weighted)
+    digest = hashlib.sha256("\n".join(table.ids).encode("utf-8") + table.matrix.tobytes())
+    assert digest.hexdigest() == PINNED_USER_TABLE_SHA256[weighted]
+
+
+INT_FIELDS = [
+    *((GnnConfig, name) for name in ("layers", "hidden", "epochs", "batch_size", "seed")),
+    *((Node2VecConfig, name) for name in ("d1", "walk_length", "walks_per_node", "window",
+                                          "negatives_per_positive", "epochs", "seed")),
+    (ColdMapConfig, "k1"), (ColdMapConfig, "k2"),
+    (TextEmbedConfig, "d2"), (TextEmbedConfig, "hash_seed"),
+    *((SynthConfig, name) for name in ("n_users", "n_communities", "n_samples",
+                                       "max_chain_depth", "seed")),
+]
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+@pytest.mark.parametrize("cls, name", INT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in INT_FIELDS])
+def test_config_rejects_non_integer_fields_by_name(cls, name, bad):
+    """A non-integer count, size or seed fails when the config is made, not
+    in the stage that reads it; a bool is not an integer here."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {bad!r}$"):
+        cls(**{name: bad})

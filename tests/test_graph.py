@@ -1,5 +1,7 @@
 """Global interaction graph construction and statistics."""
 
+import numpy as np
+
 from uen.corpus import corpus_users, temporal_split
 from uen.graph import build_interaction_graph, graph_stats
 from uen.synth import SynthConfig, generate
@@ -10,7 +12,7 @@ from conftest import edge_weight, make_comment, make_sample, star_sample
 def test_star_comments_yield_post_author_edges():
     s = star_sample("p1", author="u1", commenters=("u2", "u3"))
     g = build_interaction_graph([s])
-    assert g.nodes == frozenset({"u1", "u2", "u3"})
+    assert g.nodes == ("u1", "u2", "u3")
     assert edge_weight(g, "u1", "u2") == 1
     assert edge_weight(g, "u1", "u3") == 1
     assert edge_weight(g, "u2", "u3") == 0
@@ -32,7 +34,8 @@ def test_self_reply_is_a_self_loop():
     ])
     g = build_interaction_graph([s])
     assert edge_weight(g, "u1", "u1") == 1
-    assert len(g.neighbors("u1")) == 1
+    assert g.nodes == ("u1",)
+    assert g.indptr.tolist() == [0, 1] and g.nbr.tolist() == [0]  # listed once
 
 
 def test_unweighted_flag_collapses_counts():
@@ -48,7 +51,7 @@ def test_node_count_matches_set_union_oracle():
     corpus = generate(SynthConfig(n_samples=300, n_users=50, seed=2))
     train = temporal_split(corpus).train
     g = build_interaction_graph(train)
-    assert g.nodes == frozenset(corpus_users(train))
+    assert g.nodes == tuple(sorted(corpus_users(train)))
 
 
 def test_edge_and_weight_oracle_recount():
@@ -92,11 +95,17 @@ def test_triangle_stats():
 
 
 def test_adjacency_symmetry():
+    """The CSR holds each edge of `g.edges` in both rows (a self-loop in its
+    one row), and its `row * V + nbr` keys rise strictly: each row lists its
+    neighbours once, in node order."""
     corpus = generate(SynthConfig(n_samples=120, n_users=30, seed=5))
     g = build_interaction_graph(corpus.samples)
-    for u in g.nodes:
-        for v, w in g.neighbors(u):
-            assert (u, w) in [(x, y) for x, y in g.neighbors(v)]
+    v = len(g.nodes)
+    rows = np.repeat(np.arange(v), np.diff(g.indptr))
+    entries = {(g.nodes[i], g.nodes[j]): w for i, j, w in zip(rows, g.nbr, g.weight)}
+    assert entries == {**g.edges, **{(b, a): w for (a, b), w in g.edges.items()}}
+    assert g.weight.dtype == np.float64
+    assert np.all(np.diff(rows * v + g.nbr) > 0)
 
 
 def test_common_author_becomes_hub_node():
