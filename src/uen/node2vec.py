@@ -7,7 +7,8 @@ advance together, one step at a time. Each
 start node draws its walks' uniforms up front from its own seeded stream,
 and a step searches its row's cumulative weights the way
 `Generator.choice` does, so every walk is the one a `choice` call per
-step would give.
+step would give. At p = q = 1 every bias factor is 1.0, and the walker
+skips the bias pass: the walk is first-order (DeepWalk's), unchanged.
 
 The walk corpus then trains skip-gram with negative sampling by minibatch
 SGD on a float32 table, as the word2vec code does (Mikolov et al. 2013).
@@ -17,7 +18,9 @@ of k negatives from the unigram^3/4 law is shared by every pair of a batch,
 as in PyTorch-BigGraph (Lerer et al. 2019): each pair's negatives still
 follow that law, so the expected gradient is unchanged, and scoring them
 is one dense product. All gradients of a batch are taken at the pre-batch
-rows and summed per row. The step's buffers are made once per
+rows and summed per row: one sort groups the touched rows, and each
+row's update is the one an `np.bincount` of the gradients gives, bit for
+bit (see `sgns_step`). The step's buffers are made once per
 `train_skipgram` and reused: made fresh, each step's 130-530 KB arrays
 go back to the OS when freed, so every step of a process's first run
 paid their page faults again. Everything is driven by explicit seeds:
@@ -38,6 +41,10 @@ from .graph import InteractionGraph
 
 MINIBATCH = 256  # SGNS pairs per update
 WALK_CELLS = 1 << 14  # walks x widest neighbour row that one walker chunk may hold
+# Largest |entry| an SGNS table may reach. Trained (2V, d) tables, context
+# rows included, stay below 2.4 on every test, CI, demo and benchmark config;
+# a learning rate past stability leaves entries in the thousands (or NaN).
+MAX_ENTRY = 30.0
 
 
 @dataclass(frozen=True)
@@ -66,13 +73,15 @@ class Node2VecConfig:
             raise ValueError("learning_rate must be finite and > 0")
 
 
-def _advance(g: InteractionGraph, keys: np.ndarray, path: np.ndarray, uniforms: np.ndarray,
-             p: float, q: float) -> None:
+def _advance(g: InteractionGraph, keys: np.ndarray | None, path: np.ndarray,
+             uniforms: np.ndarray, p: float, q: float) -> None:
     """Fill path[:, 1:] from the start nodes in path[:, 0], one step for all
     rows at a time; step t of row r uses uniforms[r, t - 1]. `keys` holds
-    each edge of g as `row * V + nbr`, in CSR order and so sorted. Every
-    start node must have a neighbour, so (the graph being undirected) no
-    walk meets a dead end."""
+    each edge of g as `row * V + nbr`, in CSR order and so sorted. It is
+    None at p = q = 1, where every bias factor is 1.0: the second-order
+    pass would multiply the weights by ones, so it is skipped. Every start
+    node must have a neighbour, so (the graph being undirected) no walk
+    meets a dead end."""
     n_rows, length = path.shape
     v, last = len(g.nodes), len(g.nbr) - 1
     rows = np.arange(n_rows)
@@ -84,7 +93,7 @@ def _advance(g: InteractionGraph, keys: np.ndarray, path: np.ndarray, uniforms: 
         slot = np.minimum(start[:, None] + cols, last)
         x = g.nbr[slot]
         w = np.where(cols < deg[:, None], g.weight[slot], 0.0)
-        if t > 1:
+        if t > 1 and keys is not None:
             prev = path[:, t - 2, None]
             key = prev * v + x
             common = keys[np.minimum(np.searchsorted(keys, key), last)] == key
@@ -105,7 +114,9 @@ def sample_walks(g: InteractionGraph, cfg: Node2VecConfig) -> list[list[str]]:
     isolated node is the node alone.
     """
     deg = np.diff(g.indptr)
-    keys = np.repeat(np.arange(len(g.nodes)), deg) * len(g.nodes) + g.nbr
+    keys = None  # at p = q = 1 the walk is first-order (DeepWalk's)
+    if cfg.p != 1.0 or cfg.q != 1.0:
+        keys = np.repeat(np.arange(len(g.nodes)), deg) * len(g.nodes) + g.nbr
     n, steps = cfg.walks_per_node, cfg.walk_length - 1
     per_chunk = max(1, WALK_CELLS // (n * max(1, int(deg.max(initial=0)))))
     walks = []
@@ -165,8 +176,9 @@ class _SgnsWork:
         self.uo = np.empty((b, d), dtype)  # context rows
         self.un = np.empty((k, d), dtype)  # negative rows
         self.grads = np.empty((n, d), dtype)  # gradient stack, one row per touched row
-        self.grads64 = np.empty((n, d), np.float64)  # its bincount weights
-        self.cells = np.empty((n, d), np.intp)  # each gradient entry's bincount cell
+        self.picked = np.empty((n, d), dtype)  # gradient rows gathered for one round of sums
+        self.sums = np.empty((n // 2, d), np.float64)  # sums of the rows touched more than once
+        self.touched = np.empty((n, d), dtype)  # the touched table rows, updated in place
 
 
 def sgns_step(table: np.ndarray, centers, contexts, negatives, lr, work=None) -> None:
@@ -180,6 +192,13 @@ def sgns_step(table: np.ndarray, centers, contexts, negatives, lr, work=None) ->
     the gradients are summed per row. `work` holds the step's buffers (a
     `_SgnsWork` for at least b pairs and k negatives); without it the step
     makes its own.
+
+    Every touched row ends as the float64 sum of its gradients, from 0.0 in
+    input order, subtracted from the row and rounded once to the table's
+    dtype (what `np.bincount` into the unique rows gives). A row touched
+    once takes `row - (g + 0.0)` in the table's dtype: a float32 difference
+    rounded through float64 first rounds to the same float32 (53 >= 2*24 + 2
+    bits), and `+ 0.0` makes a -0.0 gradient +0.0, as the 0.0 start does.
     """
     b, k = len(centers), len(negatives)
     v, d = len(table) // 2, table.shape[1]
@@ -201,12 +220,33 @@ def sgns_step(table: np.ndarray, centers, contexts, negatives, lr, work=None) ->
     grads[:b] += grads[b:2 * b]
     np.multiply(go[:, None], vc, out=grads[b:2 * b])
     np.matmul(gn.T, vc, out=grads[2 * b:])
+    # Group the gradient rows by table row, each group in input order: the
+    # keys row * n + position are distinct, so a plain sort of them is the
+    # stable argsort of the rows. Then order the groups by size, largest
+    # first: the m groups of more than one row lead, and round r of their
+    # sums adds each group's r-th gradient.
     rows = np.concatenate([centers, v + contexts, v + negatives])
-    uniq, inv = np.unique(rows, return_inverse=True)
-    cells = np.add((inv * d)[:, None], np.arange(d), out=work.cells[:n])
-    weights = work.grads64[:n]
-    np.copyto(weights, grads)  # float64, as bincount would cast it, without its copy
-    table[uniq] -= np.bincount(cells.ravel(), weights.ravel(), len(uniq) * d).reshape(-1, d)
+    keys = np.sort(rows * n + np.arange(n))
+    order, ranked = keys % n, keys // n
+    bounds = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1], [True]]))
+    first, size = bounds[:-1], np.diff(bounds)
+    by_size = np.argsort(-size)
+    first, size = first[by_size], size[by_size]
+    u, m = len(first), int(np.count_nonzero(size > 1))
+    picked = np.take(grads, order[first], axis=0, out=work.picked[:u], mode="clip")
+    picked += 0.0  # -0.0 becomes +0.0, as from bincount's 0.0 start
+    sums = work.sums[:m]
+    np.copyto(sums, picked[:m])
+    # live[r - 1] groups have more than r rows: a prefix, as sizes descend
+    live = np.searchsorted(-size[:m], -np.arange(1, size[0]), side="left")
+    for r, g in enumerate(live.tolist(), start=1):
+        np.take(grads, order[first[:g] + r], axis=0, out=picked[:g], mode="clip")
+        sums[:g] += picked[:g]
+    target = ranked[first]
+    touched = np.take(table, target, axis=0, out=work.touched[:u], mode="clip")
+    np.subtract(touched[:m], sums, out=touched[:m])  # in float64, rounded once
+    touched[m:] -= picked[m:u]
+    table[target] = touched
 
 
 def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTable:
@@ -242,26 +282,34 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
 
     k = cfg.negatives_per_positive
     total_steps = cfg.epochs * n_pairs
+    steps = -(-n_pairs // MINIBATCH)  # batches per epoch
     # Each batch's negatives are rng.choice(v, size=k, p=neg_probs): the same
     # uniforms, searched in the same cdf as choice's.
     cdf = neg_probs.cumsum()
     cdf /= cdf[-1]
     work = _SgnsWork(min(MINIBATCH, n_pairs), k, d, table.dtype)
-    # A learning rate too large for float32 overflows into inf and NaN,
-    # caught once per epoch.
+    # A learning rate too large sends the table far past any trained scale,
+    # or overflows float32 into inf and NaN: checked once per epoch.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_pairs)
-            for lo in range(0, n_pairs, MINIBATCH):
-                hi = min(lo + MINIBATCH, n_pairs)
-                negatives = cdf.searchsorted(rng.random(k), side="right")
-                step = np.arange(epoch * n_pairs + lo, epoch * n_pairs + hi)
-                lr = cfg.learning_rate * np.maximum(1.0 - step / total_steps, 1e-4)
-                chosen = pairs[order[lo:hi]]
-                sgns_step(table, chosen[:, 0], chosen[:, 1], negatives, lr, work)
-            if not np.isfinite(table).all():
+            # The epoch's batches in one draw: the stream of a draw per batch.
+            negatives = cdf.searchsorted(rng.random(k * steps), side="right").reshape(steps, k)
+            # Each pair's rate decays linearly in its step; computed in place.
+            lr = np.arange(epoch * n_pairs, (epoch + 1) * n_pairs, dtype=np.float64)
+            lr /= total_steps
+            np.subtract(1.0, lr, out=lr)
+            np.maximum(lr, 1e-4, out=lr)
+            lr *= cfg.learning_rate
+            for i in range(steps):
+                batch = slice(i * MINIBATCH, (i + 1) * MINIBATCH)
+                chosen = pairs[order[batch]]
+                sgns_step(table, chosen[:, 0], chosen[:, 1], negatives[i], lr[batch], work)
+            largest = np.abs(table).max()
+            if not largest <= MAX_ENTRY:  # NaN fails this too
                 raise ValueError(f"SGNS diverged in epoch {epoch} at learning_rate "
-                                 f"{cfg.learning_rate:g}: the user table has non-finite entries")
+                                 f"{cfg.learning_rate:g}: the table's largest entry is "
+                                 f"{largest:g}, above {MAX_ENTRY:g}")
         return _centred_table(vocab, table[:v])
 
 

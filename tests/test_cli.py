@@ -4,7 +4,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uen.__main__ as entry
 from uen import cli, experiment
 from uen.assembly import occurrences, text_keys
 from uen.cli import main
@@ -749,3 +753,50 @@ def test_split_and_eval_on_damaged_corpus_keep_error_contract(pipeline, data):
                                     "--users", str(pipeline / "users" / "users.emb"),
                                     "--out", str(root / "eval"), "--k1", "3", "--k2", "5"])
             assert_ok_or_one_json_line(rc, err)
+
+
+ENTRY_PROBE = """
+import json, os, sys
+import uen.__main__ as entry
+
+names = entry.BLAS_THREAD_VARS
+at_numpy = []
+
+
+class NumpyImportSpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy:
+            at_numpy.append({n: os.environ.get(n) for n in names})
+
+
+before = {n: os.environ.get(n) for n in names}
+numpy_before = "numpy" in sys.modules
+sys.meta_path.insert(0, NumpyImportSpy())
+rc = entry.main(["report", sys.argv[1]])
+print(json.dumps({"before": before, "numpy_before": numpy_before, "at_numpy": at_numpy,
+                  "rc": rc}))
+"""
+
+
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "3"}])
+def test_entry_point_caps_blas_threads_before_numpy(tmp_path, preset):
+    """The console entry sets each unset BLAS thread variable to 1 before
+    numpy is imported, and keeps a value the caller set."""
+    env = {k: v for k, v in os.environ.items() if k not in entry.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(entry.__file__).resolve().parents[1])
+    env.update(preset)
+    done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, str(tmp_path / "missing.json")],
+                          env=env, capture_output=True, text=True, check=True)
+    out = json.loads(done.stdout)
+    assert out["before"] == {n: preset.get(n) for n in entry.BLAS_THREAD_VARS}
+    assert not out["numpy_before"]
+    assert out["at_numpy"] == [{n: preset.get(n, "1") for n in entry.BLAS_THREAD_VARS}]
+    assert out["rc"] == 1
+    assert json.loads(done.stderr)["error"] == "FileNotFoundError"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(entry.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "uen", "--help"], env=env,
+                          capture_output=True, text=True, check=True)
+    assert "embed-users" in done.stdout

@@ -71,17 +71,21 @@ def test_mapper_fidelity_rejects_bad_fraction():
 
 
 # sha256 of the user table (ids, then the float32 matrix bytes) that
-# `prepare_user_embeddings` learns from `pinned_table`'s training split,
-# as the walker that converted the graph to a CSR per call produced it.
+# `prepare_user_embeddings` learns from `pinned_table`'s training split, keyed
+# by (p, q, weighted), as the walker that converted the graph to a CSR per
+# call and the SGNS step that summed rows by `np.bincount` produced it. At
+# p = q = 1 the walker skips its bias pass.
 PINNED_USER_TABLE_SHA256 = {
-    True: "abb156f557ac6c7c5f276ebda382f5596f0bf1e52ce79ce29a3cc9d1023d5bb8",
-    False: "078f70dbb7d588347287c085a5c2566cc64ace01b3ebd5e014c56cdcba1234c5",
+    (0.5, 2.0, True): "abb156f557ac6c7c5f276ebda382f5596f0bf1e52ce79ce29a3cc9d1023d5bb8",
+    (0.5, 2.0, False): "078f70dbb7d588347287c085a5c2566cc64ace01b3ebd5e014c56cdcba1234c5",
+    (1.0, 1.0, True): "b7be34896ee96ec78a037e93d9b2c2d5a2b088d674b09608c805056eb3da3cba",
+    (1.0, 1.0, False): "b95b32bc2b77008959e65e0f579a5766d66af4a59535df718abc27265cd8a3fb",
 }
 
 
-def pinned_table(weighted):
+def pinned_table(p, q, weighted):
     corpus = generate(SynthConfig(n_users=40, n_samples=120, seed=3))
-    cfg = Node2VecConfig(d1=16, p=0.5, q=2.0, walk_length=8, walks_per_node=3, window=3,
+    cfg = Node2VecConfig(d1=16, p=p, q=q, walk_length=8, walks_per_node=3, window=3,
                          epochs=2, seed=5)
     return prepare_user_embeddings(temporal_split(corpus).train, cfg, corpus.common_author,
                                    weighted=weighted)
@@ -91,9 +95,20 @@ def pinned_table(weighted):
 def test_user_table_bytes_are_pinned(weighted):
     import hashlib
 
-    table = pinned_table(weighted)
-    digest = hashlib.sha256("\n".join(table.ids).encode("utf-8") + table.matrix.tobytes())
-    assert digest.hexdigest() == PINNED_USER_TABLE_SHA256[weighted]
+    for p, q in ((0.5, 2.0), (1.0, 1.0)):
+        table = pinned_table(p, q, weighted)
+        digest = hashlib.sha256("\n".join(table.ids).encode("utf-8") + table.matrix.tobytes())
+        assert digest.hexdigest() == PINNED_USER_TABLE_SHA256[p, q, weighted], (p, q)
+
+
+def test_acceptance_corpus_at_too_large_a_learning_rate_is_rejected():
+    """At learning rate 0.1 the acceptance corpus's table reaches entries in
+    the thousands while staying finite; trained at 0.025 it stays below 2."""
+    corpus = generate(SynthConfig(seed=0))
+    cfg = Node2VecConfig(walk_length=15, walks_per_node=4, epochs=2, window=4, seed=0,
+                         learning_rate=0.1)
+    with pytest.raises(ValueError, match=r"^SGNS diverged in epoch 0 at learning_rate 0\.1: "):
+        prepare_user_embeddings(temporal_split(corpus).train, cfg, corpus.common_author)
 
 
 INT_FIELDS = [

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uen.graph import build_interaction_graph
@@ -99,6 +99,11 @@ NAMES = st.sampled_from("abcdef")
 
 
 @settings(max_examples=60, deadline=None)
+@example(  # p = q = 1 skips the bias pass; the drawn floats almost never hit it
+    edges=[("a", "b", 3), ("b", "c", 1), ("a", "c", 2), ("c", "d", 1), ("d", "d", 2),
+           ("e", "a", 1)],
+    isolated={"x"}, p=1.0, q=1.0, walk_length=7, walks_per_node=3, seed=1,
+)
 @given(
     edges=st.lists(st.tuples(NAMES, NAMES, st.integers(1, 3)), max_size=10),
     isolated=st.sets(st.sampled_from("xyz"), max_size=2),
@@ -304,31 +309,59 @@ def allocating_step(table, centers, contexts, negatives, lr):
 
 
 @settings(max_examples=60, deadline=None)
+@example(v=1, d=1, k=5, sizes=[171], tail=False, draw="uniform", spread=False,
+         dtype=np.float32, seed=0)  # one context row takes the whole batch
 @given(
     v=st.integers(1, 40),
     d=st.integers(1, 130),
     k=st.integers(1, 6),
     sizes=st.lists(st.integers(1, MINIBATCH), min_size=1, max_size=4),
     tail=st.booleans(),
+    draw=st.sampled_from(["uniform", "skewed", "one-row"]),
+    spread=st.booleans(),
     dtype=st.sampled_from([np.float32, np.float64]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_buffered_steps_equal_allocating_steps(v, d, k, sizes, tail, dtype, seed):
+def test_buffered_steps_equal_allocating_steps(v, d, k, sizes, tail, draw, spread, dtype, seed):
     """A run of batches through one shared `_SgnsWork`, with a short batch
     after a full one when `tail` is set, so the buffers hold stale rows past
-    the batch; small vocabularies repeat centers, contexts and negatives."""
+    the batch; small vocabularies repeat centers, contexts and negatives.
+    `skewed` draws rows from a steep law and `one-row` sends every index to
+    row 0, so one context row takes a whole batch. A `spread` table holds
+    magnitudes from 1e-40 to 1e3 and -0.0 entries. The buffers start as NaN,
+    so a step that reads a row it did not write in that step fails."""
     if tail:
         sizes = [MINIBATCH, *sizes[:-1], min(sizes[-1], MINIBATCH - 1)]
     rng = np.random.Generator(np.random.PCG64(seed))
-    table = rng.normal(size=(2 * v, d)).astype(dtype)
+    table = rng.normal(size=(2 * v, d))
+    if spread:
+        table *= 10.0 ** rng.uniform(-40, 3, size=table.shape)
+        table[rng.random(table.shape) < 0.2] = -0.0
+    table = table.astype(dtype)
     want = table.copy()
     work = _SgnsWork(max(sizes), k, d, table.dtype)
+    for buf in vars(work).values():
+        buf.fill(np.nan)
+    law = rng.random(v) ** 8 + 1e-3
+    law /= law.sum()
+
+    def draw_rows(n):
+        if draw == "one-row":
+            return np.zeros(n, np.int64)
+        if draw == "skewed":
+            return rng.choice(v, size=n, p=law)
+        return rng.integers(v, size=n)
+
     for b in sizes:
-        centers, contexts = rng.integers(v, size=b), rng.integers(v, size=b)
-        negatives = rng.integers(v, size=k)
+        centers, contexts, negatives = draw_rows(b), draw_rows(b), draw_rows(k)
         lr = rng.uniform(1e-3, 0.5, size=b)
         allocating_step(want, centers, contexts, negatives, lr)
-        sgns_step(table, centers, contexts, negatives, lr, work)
+        # In 2 of about 360 runs, numpy reported an invalid value in the
+        # step's `matmul` into a NaN-filled output slice (not reproduced in
+        # isolation). The bytes are this test's check, and train_skipgram
+        # ignores that flag during its steps as well.
+        with np.errstate(invalid="ignore"):
+            sgns_step(table, centers, contexts, negatives, lr, work)
         assert table.tobytes() == want.tobytes()
 
 
@@ -342,6 +375,20 @@ def test_diverging_sgns_is_one_value_error():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^SGNS diverged in epoch \d at learning_rate "
+                                                 + re.escape(f"{lr:g}: ")):
+                embed(g, cfg)
+
+
+def test_degenerate_sgns_table_is_one_value_error():
+    """A learning rate that leaves the table finite but thousands of times
+    past any trained scale ends in the same error, with no numpy warning."""
+    g = graph_from_edges([("a", "b", 1), ("b", "c", 2), ("a", "c", 1), ("c", "d", 1)])
+    for lr in (10.0, 100.0, 1e5):
+        cfg = Node2VecConfig(d1=8, walk_length=6, walks_per_node=2, epochs=2,
+                             learning_rate=lr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^SGNS diverged in epoch 0 at learning_rate "
                                                  + re.escape(f"{lr:g}: ")):
                 embed(g, cfg)
 
