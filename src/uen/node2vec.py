@@ -177,8 +177,8 @@ class _SgnsWork:
         self.un = np.empty((k, d), dtype)  # negative rows
         self.grads = np.empty((n, d), dtype)  # gradient stack, one row per touched row
         self.picked = np.empty((n, d), dtype)  # gradient rows gathered for one round of sums
-        self.sums = np.empty((n // 2, d), np.float64)  # sums of the rows touched more than once
-        self.touched = np.empty((n, d), dtype)  # the touched table rows, updated in place
+        self.sums = np.empty((n, d), np.float64)  # each touched row's gradient sum, then new row
+        self.touched = np.empty((n, d), dtype)  # the touched table rows
 
 
 def sgns_step(table: np.ndarray, centers, contexts, negatives, lr, work=None) -> None:
@@ -195,10 +195,7 @@ def sgns_step(table: np.ndarray, centers, contexts, negatives, lr, work=None) ->
 
     Every touched row ends as the float64 sum of its gradients, from 0.0 in
     input order, subtracted from the row and rounded once to the table's
-    dtype (what `np.bincount` into the unique rows gives). A row touched
-    once takes `row - (g + 0.0)` in the table's dtype: a float32 difference
-    rounded through float64 first rounds to the same float32 (53 >= 2*24 + 2
-    bits), and `+ 0.0` makes a -0.0 gradient +0.0, as the 0.0 start does.
+    dtype: what `np.bincount` into the unique rows gives.
     """
     b, k = len(centers), len(negatives)
     v, d = len(table) // 2, table.shape[1]
@@ -223,8 +220,8 @@ def sgns_step(table: np.ndarray, centers, contexts, negatives, lr, work=None) ->
     # Group the gradient rows by table row, each group in input order: the
     # keys row * n + position are distinct, so a plain sort of them is the
     # stable argsort of the rows. Then order the groups by size, largest
-    # first: the m groups of more than one row lead, and round r of their
-    # sums adds each group's r-th gradient.
+    # first, so that round r of the sums, which adds each group's r-th
+    # gradient, runs on a prefix of them.
     rows = np.concatenate([centers, v + contexts, v + negatives])
     keys = np.sort(rows * n + np.arange(n))
     order, ranked = keys % n, keys // n
@@ -232,21 +229,18 @@ def sgns_step(table: np.ndarray, centers, contexts, negatives, lr, work=None) ->
     first, size = bounds[:-1], np.diff(bounds)
     by_size = np.argsort(-size)
     first, size = first[by_size], size[by_size]
-    u, m = len(first), int(np.count_nonzero(size > 1))
+    u = len(first)
     picked = np.take(grads, order[first], axis=0, out=work.picked[:u], mode="clip")
-    picked += 0.0  # -0.0 becomes +0.0, as from bincount's 0.0 start
-    sums = work.sums[:m]
-    np.copyto(sums, picked[:m])
+    sums = np.add(picked, 0.0, out=work.sums[:u])  # bincount's 0.0 start: -0.0 becomes +0.0
     # live[r - 1] groups have more than r rows: a prefix, as sizes descend
-    live = np.searchsorted(-size[:m], -np.arange(1, size[0]), side="left")
+    live = np.searchsorted(-size, -np.arange(1, size[0]), side="left")
     for r, g in enumerate(live.tolist(), start=1):
         np.take(grads, order[first[:g] + r], axis=0, out=picked[:g], mode="clip")
         sums[:g] += picked[:g]
     target = ranked[first]
     touched = np.take(table, target, axis=0, out=work.touched[:u], mode="clip")
-    np.subtract(touched[:m], sums, out=touched[:m])  # in float64, rounded once
-    touched[m:] -= picked[m:u]
-    table[target] = touched
+    # the new rows in float64, rounded once to the table's dtype as they are stored
+    table[target] = np.subtract(touched, sums, out=sums)
 
 
 def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTable:
