@@ -202,10 +202,10 @@ def cmd_map_cold(args):
 
 def cmd_eval(args):
     _check_variant_conflicts(args)
+    coldmap = _config(args, ColdMapConfig)
     train_corpus, test_corpus = _load_split_dir(args, "train", "test")
     common = train_corpus.common_author
     texts, users, model = _text_provider(args), _users(args), load_model(args.model)
-    coldmap = _config(args, ColdMapConfig)
     out = _out_dir(args)
     resolver = experiment.variant_resolver(VARIANTS[args.variant], users, train_corpus.samples,
                                            texts, common, coldmap)
@@ -257,6 +257,8 @@ def _check_variant_conflicts(args):
         for flag in ("k1", "k2", "heuristics"):
             if getattr(args, f"_{flag}_set", False):
                 raise FormatError(f"--variant {args.variant} conflicts with --{flag}")
+    elif not args.heuristics:
+        raise FormatError('--variant uen conflicts with --heuristics "" (use --variant no-mapper)')
 
 
 class _TrackK(argparse.Action):
@@ -289,7 +291,6 @@ _FLAG_EXTRAS = {
     "k1": {"action": _TrackK},
     "k2": {"action": _TrackK},
     "layers": None,
-    "ngram_range": None,
     "comments_per_sample": None,
 }
 

@@ -3,8 +3,9 @@
 Three heuristics approximate a missing user vector from training data:
 H1 finds authors of textually similar posts, H2 finds authors of similar
 comments under those posts, H3 compares comments by their reply-chain
-prefix sums instead of raw text. The index is a brute-force normalized
-matrix scan, exact by construction.
+prefix sums instead of raw text. Each needs the one before it, so the
+mapper runs at one of the four nested `HEURISTIC_LEVELS`. The index is a
+brute-force normalized matrix scan, exact by construction.
 
 Retrieval works on row numbers throughout. `topk_rows` keeps the rows that
 an `np.partition` puts at or above the k-th score and orders them with one
@@ -34,21 +35,27 @@ from .text import TextProvider, embed_many
 logger = logging.getLogger(__name__)
 
 
+# none, then each heuristic with every one it builds on: H2 searches the
+# comments under H1's posts, and H3 is how H2 represents those comments
+HEURISTIC_LEVELS = tuple(frozenset(("h1", "h2", "h3")[:n]) for n in range(4))
+
+
 @dataclass(frozen=True)
 class ColdMapConfig:
     k1: int = 19
     k2: int = 72
-    heuristics: frozenset = frozenset({"h1", "h2", "h3"})
+    heuristics: frozenset = HEURISTIC_LEVELS[-1]
 
     def __post_init__(self):
         require_int_fields(self)
         if self.k1 < 1:
             raise ValueError("k1 must be >= 1")
+        if self.heuristics not in HEURISTIC_LEVELS:
+            raise ValueError(f"heuristics {sorted(self.heuristics)} must be one of "
+                             f"{[sorted(h) for h in HEURISTIC_LEVELS]}: H2 searches the "
+                             "comments under H1's posts, and H3 is how H2 represents them")
         if "h2" in self.heuristics and self.k2 < 1:
             raise ValueError("k2 must be >= 1 when H2 is enabled")
-        unknown = set(self.heuristics) - {"h1", "h2", "h3"}
-        if unknown:
-            raise ValueError(f"unknown heuristics: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -204,11 +211,6 @@ class TrainSideData:
     comments_by_post: dict  # post_id -> SimIndex of that post's comments
     chains: bool  # comments are represented by chain sums (H3), not raw texts
 
-    @cached_property
-    def all_comments(self) -> SimIndex:
-        """Every training comment in one index: the H2 pool with H1 off."""
-        return _concat(self.comments_by_post.values())
-
 
 def comment_representations(sample: Sample, texts: TextProvider,
                             use_chains: bool) -> dict[str, np.ndarray]:
@@ -300,12 +302,9 @@ class _ColdSample:
 
     @cached_property
     def pool(self) -> SimIndex:
-        """H2 candidates: the comments under the H1 posts in hit order, or
-        every training comment with H1 off."""
-        if "h1" in self.mapper.cfg.heuristics:
-            by_post, keys = self.side.comments_by_post, self.side.post_index.keys
-            return _concat(by_post[keys[i]] for i in self.post_hits.tolist())
-        return self.side.all_comments
+        """H2 candidates: the comments under the H1 posts in hit order."""
+        by_post, keys = self.side.comments_by_post, self.side.post_index.keys
+        return _concat(by_post[keys[i]] for i in self.post_hits.tolist())
 
     @cached_property
     def pool_rows(self) -> np.ndarray:
@@ -318,13 +317,10 @@ class _ColdSample:
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
         """H2 (with H3 chain sums if enabled): mean author of the k2 nearest pool rows."""
-        h1 = "h1" in self.mapper.cfg.heuristics
-        if h1 and len(self.side.post_index) == 0:
+        if len(self.side.post_index) == 0:
             return _global_mean(self.mapper.table_mean, "empty post index")
-        if len(self.pool) == 0:
-            if h1:
-                return self.author_vector
-            return _global_mean(self.mapper.table_mean, "no training comments to match")
+        if len(self.pool) == 0:  # the H1 posts have no comments
+            return self.author_vector
         return _mean_user(self.mapper.users, self.pool, self.pool_rows,
                           topk_rows(self.pool, self.comment_reps[comment_id],
                                     self.mapper.cfg.k2)[0])
@@ -350,10 +346,9 @@ class _ColdMapper:
     def cold(self, context: tuple) -> np.ndarray:
         """The mapped vector of a cold user's occurrence: H2 for a comment when
         enabled, else H1's author mapping, else the table mean."""
-        heuristics = self.cfg.heuristics
-        if context[0] == "comment" and "h2" in heuristics:
+        if context[0] == "comment" and "h2" in self.cfg.heuristics:
             return self._sample(context[1]).commenter_vector(context[2])
-        if "h1" in heuristics:
+        if "h1" in self.cfg.heuristics:
             return self._sample(context[1]).author_vector
         return self.table_mean
 

@@ -16,6 +16,9 @@ from enum import Enum
 from typing import Iterable, Optional
 
 
+COMMON_AUTHOR = "__common__"  # the author a tweet-style corpus gives authorless posts
+
+
 class CorpusError(ValueError):
     """Raised on malformed corpus files or invalid samples."""
 
@@ -184,13 +187,11 @@ def sample_to_record(sample: Sample) -> dict:
     return rec
 
 
-def load_corpus(
-    path, mode: str = "reddit-style", common_author: str = "__common__"
-) -> tuple[Corpus, LoadReport]:
+def load_corpus(path, mode: str = "reddit-style") -> tuple[Corpus, LoadReport]:
     """Load and validate a JSONL corpus.
 
     mode "reddit-style" requires a per-post author; "tweet-style" assigns the
-    corpus-level common author to posts that lack one. Zero-comment samples
+    corpus-level common author, `COMMON_AUTHOR`, to posts that lack one. Zero-comment samples
     are dropped and counted in the report.
     """
     if mode not in ("reddit-style", "tweet-style"):
@@ -226,7 +227,7 @@ def load_corpus(
             report.loaded += 1
     corpus = Corpus(
         samples=tuple(samples),
-        common_author=common_author if mode == "tweet-style" else None,
+        common_author=COMMON_AUTHOR if mode == "tweet-style" else None,
     )
     return corpus, report
 

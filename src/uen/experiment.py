@@ -20,7 +20,8 @@ from functools import partial
 import numpy as np
 
 from .assembly import UserResolver, assemble, occurrences
-from .coldmap import ColdMapConfig, TrainSideData, build_train_side, make_resolver
+from .coldmap import (HEURISTIC_LEVELS, ColdMapConfig, TrainSideData, build_train_side,
+                      make_resolver)
 from .corpus import Corpus, Sample, Split, corpus_users, overlap_ratio, temporal_split
 from .embedding import EmbeddingTable
 from .evaluation import EvalReport, bucketed_report
@@ -160,16 +161,14 @@ def run_variant(
     )
 
 
-def run_ablation(
-    corpus: Corpus, base: PipelineConfig, variants=VARIANTS
-) -> dict[str, RunResult]:
-    """Run several variants on one corpus, reusing the split, the user
+def run_ablation(corpus: Corpus, base: PipelineConfig) -> dict[str, RunResult]:
+    """Run every variant on one corpus, reusing the split, the user
     embeddings and one text provider, so each text is hashed once."""
     split = temporal_split(corpus)
     texts = make_hash_provider(base.text)
     users = None
     results: dict[str, RunResult] = {}
-    for variant in variants:
+    for variant in VARIANTS:
         logger.info("running variant %s", variant)
         results[variant] = run_variant(corpus, replace(base, variant=variant), split=split,
                                        users=users, texts=texts)
@@ -181,7 +180,7 @@ def run_ablation(
 # mapper fidelity
 
 
-HEURISTIC_SETS = (frozenset({"h1"}), frozenset({"h1", "h2"}), frozenset({"h1", "h2", "h3"}))
+HEURISTIC_SETS = HEURISTIC_LEVELS[1:]  # every level that retrieves
 
 
 @dataclass

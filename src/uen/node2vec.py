@@ -62,15 +62,14 @@ class Node2VecConfig:
 
     def __post_init__(self):
         require_int_fields(self)
-        if self.d1 <= 0 or self.p <= 0 or self.q <= 0:
-            raise ValueError("d1, p, q must be positive")
         if self.walk_length < 2:
             raise ValueError("walk_length must be >= 2")
-        for name in ("walks_per_node", "window", "negatives_per_positive", "epochs"):
+        for name in ("d1", "walks_per_node", "window", "negatives_per_positive", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
-            raise ValueError("learning_rate must be finite and > 0")
+        for name in ("p", "q", "learning_rate"):
+            if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 def _advance(g: InteractionGraph, keys: np.ndarray | None, path: np.ndarray,

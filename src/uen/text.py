@@ -31,7 +31,6 @@ TextProvider = Callable[[str], np.ndarray]
 class TextEmbedConfig:
     d2: int = 256
     hash_seed: int = 0
-    ngram_range: tuple[int, int] = (1, 2)
 
     def __post_init__(self):
         require_int_fields(self)
@@ -40,9 +39,6 @@ class TextEmbedConfig:
         if len(str(self.hash_seed).encode("utf-8")) > 64:
             raise ValueError("hash_seed must be at most 64 characters in decimal: it is "
                              "the blake2b key")
-        lo, hi = self.ngram_range
-        if lo < 1 or hi < lo:
-            raise ValueError(f"ngram_range {self.ngram_range} must have 1 <= lo <= hi")
 
 
 def _tokens(text: str) -> list[str]:
@@ -67,36 +63,30 @@ def hash_embed_many(texts, cfg: TextEmbedConfig = TextEmbedConfig(),
                     words: dict | None = None) -> np.ndarray:
     """`hash_embed` of each text, as the rows of one (len(texts), d2) float32 matrix.
 
-    Each n-gram's 8-byte blake2b digest, keyed by the seed and read as a
+    Each term's 8-byte blake2b digest, keyed by the seed and read as a
     little-endian u64 v, adds +1 (odd v) or -1 to bucket (v >> 1) % d2 of
-    its text's row. The keyed state is made once per call and copied per
-    term hashed; one bincount over row * d2 + bucket fills every row. Each
-    bucket and each squared norm are sums of small integers, so they are
-    exact whatever order or batch they are summed in.
+    its text's row; a text's terms are its unigrams, then its bigrams. The
+    keyed state is made once per call and copied per term; one bincount
+    over row * d2 + bucket fills every row. Each bucket and each squared
+    norm is a sum of small integers, so exact in any order or batch.
 
     `words` maps unigrams to their digests under `cfg` and gains the new
     ones, so a caller that passes one dict to many calls hashes each
     distinct word once. Words recur across texts and bigrams mostly do not,
     so bigrams are not kept.
     """
-    lo, hi = cfg.ngram_range
     keyed = hashlib.blake2b(digest_size=8, key=str(cfg.hash_seed).encode("utf-8"))
     words = {} if words is None else words
     digests, counts = [], []
     for text in texts:
         toks = _tokens(text)
-        start = len(digests)
-        for n in range(lo, hi + 1):
-            if n == 1:
-                for t in toks:
-                    d = words.get(t)
-                    if d is None:
-                        d = words[t] = _digest(keyed, t)
-                    digests.append(d)
-            else:
-                digests += [_digest(keyed, " ".join(toks[i : i + n]))
-                            for i in range(len(toks) - n + 1)]
-        counts.append(len(digests) - start)
+        for t in toks:
+            d = words.get(t)
+            if d is None:
+                d = words[t] = _digest(keyed, t)
+            digests.append(d)
+        digests += [_digest(keyed, f"{a} {b}") for a, b in zip(toks, toks[1:])]
+        counts.append(max(2 * len(toks) - 1, 0))  # n unigrams, n - 1 bigrams
     v = np.frombuffer(b"".join(digests), dtype="<u8")
     cells = np.arange(len(counts) * cfg.d2, step=cfg.d2).repeat(counts)
     cells += ((v >> 1) % cfg.d2).astype(np.intp)

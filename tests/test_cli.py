@@ -157,18 +157,22 @@ def test_no_user_variant(pipeline, tmp_path):
 @pytest.mark.parametrize("variant, flag, value", [
     ("no-user", "--k1", "5"), ("no-user", "--k2", "5"), ("no-user", "--heuristics", "h1"),
     ("no-mapper", "--k1", "5"), ("no-mapper", "--k2", "5"),
-    ("no-mapper", "--heuristics", "h1"),
+    ("no-mapper", "--heuristics", "h1"), ("uen", "--heuristics", ""),
 ])
 def test_no_user_conflicts_with_k_flags(pipeline, tmp_path, capsys, variant, flag, value):
-    """A variant without the cold mapper rejects its flags instead of ignoring them."""
+    """A variant without the cold mapper rejects its flags instead of ignoring
+    them; the mapper's variant rejects an empty heuristic set, which would run
+    no-mapper under its name."""
     users = [] if variant == "no-user" else ["--users", str(pipeline / "users" / "users.emb")]
     for argv in (["eval", "--model", str(pipeline / "model" / "model.mdl")], ["train"]):
         rc = main([*argv, "--splits", str(pipeline / "splits"), *users,
                    "--out", str(tmp_path / argv[0]), "--variant", variant, flag, value])
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "FormatError",
-                       "message": f"--variant {variant} conflicts with {flag}"}
+        want = f"--variant {variant} conflicts with {flag}"
+        if variant == "uen":
+            want += ' "" (use --variant no-mapper)'
+        assert err == {"error": "FormatError", "message": want}
         assert not (tmp_path / argv[0]).exists()
 
 
@@ -246,6 +250,8 @@ def test_eval_no_user_on_user_model_is_structured_error(pipeline, tmp_path, caps
     ("tune", "--batch-size", "0", "batch_size"),
     ("embed-users", "--lr", "-1", "learning_rate"),
     ("embed-users", "--lr", "inf", "learning_rate"),
+    ("embed-users", "--p", "nan", "p"),
+    ("embed-users", "--q", "inf", "q"),
 ])
 def test_bad_config_value_is_structured_error(pipeline, tmp_path, command, flag, value, field):
     inputs = {"embed-users": ["--train", str(pipeline / "splits" / "train.jsonl")]}.get(
@@ -282,6 +288,23 @@ def test_bad_split_or_synth_value_is_structured_error(pipeline, tmp_path, argv, 
     err = json.loads(err)
     assert err["error"] == "ValueError"
     assert err["message"].startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("value", ["h2,h3", "h3", "h1,h3"])
+def test_non_nested_heuristics_are_structured_error(pipeline, tmp_path, command, value):
+    """H2 needs H1 and H3 needs H2, so such a --heuristics fails before any
+    input is read and leaves no `--out` directory behind."""
+    model = ["--model", str(pipeline / "model" / "model.mdl")] if command == "eval" else []
+    rc, err = run_captured([command, *model, "--splits", str(pipeline / "splits"),
+                            "--users", str(pipeline / "users" / "users.emb"),
+                            "--out", str(tmp_path / "out"), "--heuristics", value])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    err = json.loads(err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"heuristics {sorted(value.split(','))} must be one of")
     assert not (tmp_path / "out").exists()
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uen.coldmap import (
+    HEURISTIC_LEVELS,
     INDEX_BLOCK,
     ColdMapConfig,
     SimIndex,
@@ -449,18 +450,12 @@ def test_train_side_of_the_other_representation_is_rejected(texts, use_chains):
         h1_author(texts(cold.text_key), side.post_index, all_users(), 2))
 
 
-def test_h1_disabled_pools_all_train_comments(texts):
-    train = train_samples_fixture()
-    users = all_users()
-    side = build_train_side(train, texts)
-    cold = make_sample("q", author="x", text_key="shared topic words", comments=[
-        make_comment("qc0", "y", "q", text_key="alpha beta")])
-    resolver = make_resolver("cold-mapper", users, side, texts,
-                             ColdMapConfig(k1=1, k2=100, heuristics=frozenset({"h2", "h3"})))
-    out = resolver("y", ("comment", cold, "qc0"))
-    # every train comment participates regardless of post similarity
-    expected = np.mean([users.vector(u) for u in ("b1", "b2", "b3")], axis=0)
-    assert np.allclose(out, expected)
+@pytest.mark.parametrize("heuristics", [{"h2"}, {"h3"}, {"h2", "h3"}, {"h1", "h3"}])
+def test_non_nested_heuristics_are_rejected(heuristics):
+    """H2 searches the comments under H1's posts and H3 is how H2 represents
+    them, so a heuristic without the ones before it is refused."""
+    with pytest.raises(ValueError, match="must be one of .*H2 searches the comments under"):
+        ColdMapConfig(heuristics=frozenset(heuristics))
 
 
 def test_mean_output_within_convex_hull_norm_bound():
@@ -597,13 +592,13 @@ def test_make_resolver_validation(texts):
         make_resolver("bogus", users)
     with pytest.raises(ValueError, match="needs train_side, texts, and cfg"):
         make_resolver("cold-mapper", users)
-    for heuristics in ({"h1"}, {"h2"}, {"h3"}, {"h1", "h2", "h3"}):
-        cfg = ColdMapConfig(heuristics=frozenset(heuristics))
+    for heuristics in HEURISTIC_LEVELS[1:]:
+        cfg = ColdMapConfig(heuristics=heuristics)
         for kwargs in ({}, {"train_side": side}, {"texts": texts}):
             with pytest.raises(ValueError, match="needs train_side, texts, and cfg"):
                 make_resolver("cold-mapper", users, cfg=cfg, **kwargs)
     # with no heuristics nothing is retrieved, so nothing is needed for it
-    bare = make_resolver("cold-mapper", users, cfg=ColdMapConfig(heuristics=frozenset()))
+    bare = make_resolver("cold-mapper", users, cfg=ColdMapConfig(heuristics=HEURISTIC_LEVELS[0]))
     cold = train_samples_fixture()[0]
     assert bare("stranger", ("post", cold)).tobytes() == (
         users.mean_vector().astype(np.float64).tobytes())
@@ -646,6 +641,8 @@ def test_coldmap_config_validation():
     with pytest.raises(ValueError):
         ColdMapConfig(heuristics=frozenset({"h9"}))
     ColdMapConfig(k2=0, heuristics=frozenset({"h1"}))  # fine with h2 off
+    for heuristics in HEURISTIC_LEVELS:
+        assert ColdMapConfig(heuristics=heuristics).heuristics == heuristics
 
 
 
@@ -681,13 +678,12 @@ def reference_resolve(user_id, context, train, texts, users, cfg):
     if context[0] == "post" or not h2:
         return _ref_mean(users, post_hits) if h1 else global_mean
     by_post = {s.post_id: s for s in train}
-    posts = [by_post[key] for key, _ in post_hits] if h1 else train
     pool = []
-    for s in posts:
-        reps = comment_representations(s, texts, h3)
-        pool += [(c.id, reps[c.id], c.author) for c in s.comments]
+    for key, _ in post_hits:
+        reps = comment_representations(by_post[key], texts, h3)
+        pool += [(c.id, reps[c.id], c.author) for c in by_post[key].comments]
     if not pool:
-        return _ref_mean(users, post_hits) if h1 else global_mean
+        return _ref_mean(users, post_hits)
     comment_id = context[2]
     if h3:
         rep = chain_prefix_representation(sample, comment_id, texts)
@@ -696,8 +692,8 @@ def reference_resolve(user_id, context, train, texts, users, cfg):
     return _ref_mean(users, _ref_top(pool, rep, cfg.k2))
 
 
-@pytest.mark.parametrize("heuristics", [{"h1", "h2", "h3"}, {"h2", "h3"}, {"h1", "h2"}],
-                         ids=["default", "h1-off", "h3-off"])
+@pytest.mark.parametrize("heuristics", [{"h1", "h2", "h3"}, {"h1", "h2"}],
+                         ids=["default", "h3-off"])
 def test_resolver_equals_per_occurrence_reference(texts, heuristics):
     from uen.corpus import temporal_split
     from uen.synth import SynthConfig, generate

@@ -521,11 +521,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         Node2VecConfig(d1=0)
     with pytest.raises(ValueError):
-        Node2VecConfig(p=0.0)
-    with pytest.raises(ValueError):
         Node2VecConfig(walk_length=1)
     with pytest.raises(ValueError):
         Node2VecConfig(epochs=0)
-    for lr in (0.0, -0.025, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="learning_rate"):
-            Node2VecConfig(learning_rate=lr)
+    # NaN fails every comparison, so `<= 0` alone would let it reach the walker
+    for name in ("p", "q", "learning_rate"):
+        for value in (0.0, -0.025, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
+                Node2VecConfig(**{name: value})

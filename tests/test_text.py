@@ -29,11 +29,11 @@ def _bucket_sign(term: str, seed: int, d2: int) -> tuple[int, float]:
 
 
 def oracle_hash_embed(text: str, cfg: TextEmbedConfig) -> np.ndarray:
-    """One fresh keyed hash and one scalar add per term, then np.linalg.norm."""
+    """One fresh keyed hash and one scalar add per term (each unigram, then
+    each bigram), then np.linalg.norm."""
     vec = np.zeros(cfg.d2, dtype=np.float64)
     toks = _tokens(text)
-    lo, hi = cfg.ngram_range
-    for n in range(lo, hi + 1):
+    for n in (1, 2):
         for i in range(len(toks) - n + 1):
             term = " ".join(toks[i : i + n])
             bucket, sign = _bucket_sign(term, cfg.hash_seed, cfg.d2)
@@ -51,18 +51,17 @@ _TEXT_ALPHABET = st.sampled_from(list("aAbZ09_ \t.,-'") + [
 
 @settings(max_examples=400, deadline=None)
 # many terms in few buckets: sums far from 0 and 1, and cancellations to +0
-@example(text="a a a a b b", seed=0, d2=3, ngram_range=(1, 2))
-@example(text="x " * 200, seed=0, d2=3, ngram_range=(1, 2))
-@example(text="İstanbul ISTANBUL istanbul a_b a_b 1 2 1", seed=-1, d2=1, ngram_range=(1, 2))
+@example(text="a a a a b b", seed=0, d2=3)
+@example(text="x " * 200, seed=0, d2=3)
+@example(text="İstanbul ISTANBUL istanbul a_b a_b 1 2 1", seed=-1, d2=1)
 @given(
     text=st.one_of(st.text(max_size=80), st.lists(_TEXT_ALPHABET, max_size=60).map("".join)),
     seed=st.one_of(st.integers(-10**62, 10**63), st.sampled_from([0, -1, 10**63, -10**62])),
     d2=st.sampled_from([1, 3, 256, 1000]),
-    ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3)]),
 )
-def test_hash_embed_bytes_equal_per_term_oracle(text, seed, d2, ngram_range):
+def test_hash_embed_bytes_equal_per_term_oracle(text, seed, d2):
     """Arbitrary Unicode (İ, combining marks, `_`, digits, empty), keys up to 64 bytes."""
-    cfg = TextEmbedConfig(d2=d2, hash_seed=seed, ngram_range=ngram_range)
+    cfg = TextEmbedConfig(d2=d2, hash_seed=seed)
     got = hash_embed(text, cfg)
     assert got.dtype == np.float32 and got.shape == (d2,)
     assert got.tobytes() == oracle_hash_embed(text, cfg).tobytes()
@@ -74,21 +73,20 @@ _TEXTS = st.one_of(st.text(max_size=40), st.lists(_TEXT_ALPHABET, max_size=30).m
 
 @settings(max_examples=300, deadline=None)
 # a batch of only empty texts: no digests at all
-@example(texts=["", "", ""], seed=0, d2=3, ngram_range=(1, 2))
-@example(texts=[], seed=0, d2=256, ngram_range=(1, 2))
-@example(texts=["a b", "", "a b", "x " * 50, ""], seed=-1, d2=1, ngram_range=(2, 3))
+@example(texts=["", "", ""], seed=0, d2=3)
+@example(texts=[], seed=0, d2=256)
+@example(texts=["a b", "", "a b", "x " * 50, ""], seed=-1, d2=1)
 @given(
     # a pool of texts, then a batch drawn from it: duplicates are common
     texts=st.lists(_TEXTS, max_size=12).flatmap(
         lambda xs: st.lists(st.sampled_from(xs), max_size=12) if xs else st.just(xs)),
     seed=st.one_of(st.integers(-10**62, 10**63), st.sampled_from([0, -1, 10**63, -10**62])),
     d2=st.sampled_from([1, 3, 256, 1000]),
-    ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3)]),
 )
-def test_hash_embed_many_rows_bytes_equal_per_term_oracle(texts, seed, d2, ngram_range):
+def test_hash_embed_many_rows_bytes_equal_per_term_oracle(texts, seed, d2):
     """Batches of 0-12 texts, with duplicates and empty texts, row by row;
     again with a word memo filled by the first call, as a provider shares it."""
-    cfg = TextEmbedConfig(d2=d2, hash_seed=seed, ngram_range=ngram_range)
+    cfg = TextEmbedConfig(d2=d2, hash_seed=seed)
     words = {}
     first = hash_embed_many(texts, cfg, words)
     for got in (first, hash_embed_many(texts[::-1], cfg, words)[::-1]):
@@ -149,13 +147,9 @@ def test_hash_seed_changes_embedding():
     assert not np.array_equal(a, b)
 
 
-def test_ngram_range_controls_features():
-    uni = TextEmbedConfig(ngram_range=(1, 1))
-    v1 = hash_embed("alpha beta", uni)
-    # unigram-only embedding of a two-token text has mass in <= 2 buckets
-    assert np.count_nonzero(v1) <= 2
-    v2 = hash_embed("alpha beta", TextEmbedConfig(ngram_range=(1, 2)))
-    assert not np.array_equal(v1, v2)
+def test_bigrams_are_hashed():
+    # the same unigrams in the other order: only the bigram tells them apart
+    assert not np.array_equal(hash_embed("alpha beta"), hash_embed("beta alpha"))
 
 
 def test_statelessness_across_call_order():
@@ -168,12 +162,12 @@ def test_statelessness_across_call_order():
 
 
 def test_pairwise_collision_rate_is_small():
-    cfg = TextEmbedConfig(ngram_range=(1, 1))
     words = [f"word{i}" for i in range(10_000)]
-    # a unigram vector is determined by its (bucket, sign) slot
+    # a one-word text has no bigram, so its vector is determined by its
+    # unigram's (bucket, sign) slot
     slots = {}
     for w in words:
-        v = hash_embed(w, cfg)
+        v = hash_embed(w)
         bucket = int(np.flatnonzero(v)[0])
         slots.setdefault((bucket, float(v[bucket])), []).append(w)
     colliding_pairs = sum(len(g) * (len(g) - 1) // 2 for g in slots.values())
@@ -277,11 +271,8 @@ def test_config_rejects_bad_dim():
     ({"hash_seed": 10**64}, "hash_seed"),
     ({"hash_seed": 10**70}, "hash_seed"),
     ({"hash_seed": -10**63}, "hash_seed"),
-    ({"ngram_range": (2, 1)}, "ngram_range"),
-    ({"ngram_range": (0, 1)}, "ngram_range"),
-    ({"ngram_range": (-1, 2)}, "ngram_range"),
 ])
 def test_config_rejects_unusable_key_and_ngram_range(kwargs, match):
-    """A key blake2b refuses, an empty range or a 0-gram is caught at construction."""
+    """A key blake2b refuses is caught at construction."""
     with pytest.raises(ValueError, match=match):
         TextEmbedConfig(**kwargs)
