@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, experiment
 from .assembly import occurrences, text_keys
 from .coldmap import ColdMapConfig
-from .corpus import Corpus, CorpusError, load_corpus, save_corpus, temporal_split
+from .corpus import SPLIT_RATIOS, Corpus, CorpusError, load_corpus, save_corpus, temporal_split
 from .embedding import EmbeddingTable, FormatError, sha256_file
 from .evaluation import SearchSpace, TuneError, save_trials, tune
 from .gnn import ARCHS, DivergenceError, GnnConfig, load_model, save_history, save_model
@@ -84,10 +84,11 @@ def _users(args) -> EmbeddingTable | None:
 def cmd_synth(args):
     cfg = _config(args, SynthConfig, comments_per_sample=(args.min_comments, args.max_comments))
     corpus = generate(cfg)
+    stats = describe(corpus)  # refuses a corpus too small to split before --out is made
     out = _out_dir(args)
     save_corpus(corpus, out / "corpus.jsonl")
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(describe(corpus), fh, indent=2, sort_keys=True)
+        json.dump(stats, fh, indent=2, sort_keys=True)
     _write_provenance(out, args, [], cfg)
     print(json.dumps({"samples": len(corpus), "out": str(out / "corpus.jsonl")}))
 
@@ -156,7 +157,6 @@ def cmd_tune(args):
     train_samples, val_samples = train_corpus.samples, val_corpus.samples
     common = train_corpus.common_author
     texts, users = _text_provider(args), EmbeddingTable.load(args.users)
-    out = _out_dir(args)
     side = experiment.cold_train_side(train_samples, texts, common, ColdMapConfig())
 
     def objective(params):
@@ -169,6 +169,7 @@ def cmd_tune(args):
     space = SearchSpace(k1=(1, max(2, len(train_samples))),
                         k2=(1, max(2, 2 * len(train_samples))))
     best, trials = tune(objective, space, budget=args.budget, seed=args.seed)
+    out = _out_dir(args)
     save_trials(trials, out / "trials.csv")
     with open(out / "best.json", "w", encoding="utf-8") as fh:
         json.dump(best, fh, indent=2, sort_keys=True)
@@ -333,10 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     _subcommand(sub, "ingest", cmd_ingest, "validate a JSONL corpus", "--input")
 
-    p = _subcommand(sub, "split", cmd_split, "temporal 70/10/20 split", "--input")
-    p.add_argument("--train-ratio", type=float, default=0.70)
-    p.add_argument("--val-ratio", type=float, default=0.10)
-    p.add_argument("--test-ratio", type=float, default=0.20)
+    p = _subcommand(sub, "split", cmd_split, "temporal train/val/test split", "--input")
+    for part, ratio in zip(("train", "val", "test"), SPLIT_RATIOS):
+        p.add_argument(f"--{part}-ratio", type=float, default=ratio)
 
     p = _subcommand(sub, "embed-users", cmd_embed_users, "node2vec user embeddings", "--train",
                     configs=[Node2VecConfig])

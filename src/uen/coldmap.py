@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .assembly import text_keys
-from .corpus import Sample, require_int_fields
+from .corpus import Sample, check_fields, reply_order
 from .embedding import EmbeddingTable, FormatError
 from .text import TextProvider, embed_many
 
@@ -47,9 +47,7 @@ class ColdMapConfig:
     heuristics: frozenset = HEURISTIC_LEVELS[-1]
 
     def __post_init__(self):
-        require_int_fields(self)
-        if self.k1 < 1:
-            raise ValueError("k1 must be >= 1")
+        check_fields(self, minimum={"k2": None})  # k2 is bounded only under H2, below
         if self.heuristics not in HEURISTIC_LEVELS:
             raise ValueError(f"heuristics {sorted(self.heuristics)} must be one of "
                              f"{[sorted(h) for h in HEURISTIC_LEVELS]}: H2 searches the "
@@ -216,23 +214,13 @@ def comment_representations(sample: Sample, texts: TextProvider,
                             use_chains: bool) -> dict[str, np.ndarray]:
     """How H2 represents each comment of `sample`, by comment id: its raw text
     vector, or with H3 on (`use_chains`) its reply-chain prefix sum in float64,
-    its text vector plus its parent comment's sum, a reply listed before its
-    parent being summed in a later pass."""
+    its text vector plus its parent comment's sum (in `reply_order`)."""
     if not use_chains:
         return {c.id: texts(c.text_key) for c in sample.comments}
     sums: dict[str, np.ndarray] = {}
-    pending = sample.comments
-    while pending:
-        later = []
-        for c in pending:
-            if c.parent != sample.post_id and c.parent not in sums:
-                later.append(c)
-            else:
-                vec = np.asarray(texts(c.text_key), dtype=np.float64)
-                sums[c.id] = vec + sums[c.parent] if c.parent in sums else vec
-        if len(later) == len(pending):
-            raise ValueError(f"sample {sample.post_id!r}: a reply chain never reaches the post")
-        pending = later
+    for c in reply_order(sample):
+        vec = np.asarray(texts(c.text_key), dtype=np.float64)
+        sums[c.id] = vec + sums[c.parent] if c.parent in sums else vec
     return sums
 
 

@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 
 
 COMMON_AUTHOR = "__common__"  # the author a tweet-style corpus gives authorless posts
+SPLIT_RATIOS = (0.70, 0.10, 0.20)  # train, val, test shares of a temporal split
 
 
 class CorpusError(ValueError):
@@ -115,20 +116,37 @@ def validate_sample(sample: Sample) -> None:
         _require(bool(c.author), f"comment {c.id!r}: empty author string")
         _require(bool(c.text_key), f"comment {c.id!r}: empty text_key")
         seen.add(c.id)
-    ids = {c.id: c for c in sample.comments}
     for c in sample.comments:
-        _require(
-            c.parent == sample.post_id or c.parent in ids,
-            f"comment {c.id!r}: dangling parent reference {c.parent!r}",
-        )
-        # Walk parents to the post; a visited-set bounds the walk so a
-        # malformed cycle is reported rather than looping forever.
-        cur = c
-        visited = {c.id}
-        while cur.parent != sample.post_id:
-            cur = ids[cur.parent]
-            _require(cur.id not in visited, f"comment {c.id!r}: parent cycle")
-            visited.add(cur.id)
+        _require(c.parent in seen, f"comment {c.id!r}: dangling parent reference {c.parent!r}")
+    reply_order(sample)
+
+
+def reply_order(sample: Sample) -> tuple[Comment, ...]:
+    """`sample.comments` with each comment after its parent: in input order
+    when every parent comes first, else a reply listed before its parent
+    moves to a later pass. A comment whose chain of parents never reaches
+    the post (a cycle, or a parent outside the sample) is a CorpusError."""
+    order: list[Comment] = []
+    placed = {sample.post_id}
+    pending = sample.comments
+    while pending:
+        later = []
+        for c in pending:
+            if c.parent in placed:
+                order.append(c)
+                placed.add(c.id)
+            else:
+                later.append(c)
+        if len(later) == len(pending):
+            parent = {c.id: c.parent for c in later}
+            walk = [later[0].id]  # up from a stuck comment to a repeat or a missing id
+            while walk[-1] in parent and walk.count(walk[-1]) == 1:
+                walk.append(parent[walk[-1]])
+            end = "cycle" if walk[-1] in parent else "parent outside the sample"
+            raise CorpusError(f"sample {sample.post_id!r}: a reply chain never reaches the "
+                              f"post ({end}: {' -> '.join(map(repr, walk))})")
+        pending = later
+    return tuple(order)
 
 
 _JSON_NAMES = {int: "integer", str: "string"}
@@ -142,14 +160,27 @@ def _json(value, kind: type, what: str):
     return value
 
 
-def require_int_fields(cfg) -> None:
-    """Reject, by name, a value of dataclass `cfg` in a field annotated `int`
-    that is not an integer; a bool is not one here."""
+def check_fields(cfg, minimum=None, positive=(), unit=()) -> None:
+    """Reject, by name, a bad value of dataclass `cfg`. A field annotated
+    `int` must be an integer of at least `minimum.get(name, 1)` (None: any
+    integer); a field named in `positive` a finite real > 0, one in `unit` a
+    real in [0, 1]. A bool is neither an integer nor a real here."""
+    minimum = minimum or {}
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type in (int, "int") and (isinstance(value, bool)
-                                       or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        name, value = f.name, getattr(cfg, f.name)
+        if f.type in (int, "int"):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            low = minimum.get(name, 1)
+            if low is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        elif name in positive or name in unit:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+            if name in positive and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
+            if name in unit and not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def sample_from_record(rec: dict) -> Sample:
@@ -238,10 +269,9 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(json.dumps(sample_to_record(s), sort_keys=True) + "\n")
 
 
-def temporal_split(
-    corpus: Corpus, ratios: tuple[float, float, float] = (0.70, 0.10, 0.20)
-) -> Split:
-    """Sort by post timestamp (ties by post_id) and cut contiguous 70/10/20."""
+def temporal_split(corpus: Corpus, ratios: tuple[float, float, float] = SPLIT_RATIOS) -> Split:
+    """Sort by post timestamp (ties by post_id) and cut contiguous train,
+    val and test parts of the given shares."""
     for name, ratio in zip(("train", "val", "test"), ratios):
         if not (math.isfinite(ratio) and ratio >= 0):
             raise ValueError(f"{name} split ratio must be finite and >= 0, got {ratio}")

@@ -22,7 +22,8 @@ import numpy as np
 from .assembly import UserResolver, assemble, occurrences
 from .coldmap import (HEURISTIC_LEVELS, ColdMapConfig, TrainSideData, build_train_side,
                       make_resolver)
-from .corpus import Corpus, Sample, Split, corpus_users, overlap_ratio, temporal_split
+from .corpus import (Corpus, Sample, Split, corpus_users, overlap_ratio, reply_order,
+                     temporal_split)
 from .embedding import EmbeddingTable
 from .evaluation import EvalReport, bucketed_report
 from .gnn import GnnConfig, ModelParams, predict, train
@@ -198,16 +199,11 @@ def without_users(samples, hidden: set, common_author=None) -> list[Sample]:
     for s in samples:
         if s.resolved_author(common_author) in hidden:
             continue
-        by_id = {c.id: c for c in s.comments}
-
-        def cut(c) -> bool:
-            while c.author not in hidden:
-                if c.parent == s.post_id:
-                    return False
-                c = by_id[c.parent]
-            return True
-
-        out.append(replace(s, comments=tuple(c for c in s.comments if not cut(c))))
+        cut = set()
+        for c in reply_order(s):
+            if c.author in hidden or c.parent in cut:
+                cut.add(c.id)
+        out.append(replace(s, comments=tuple(c for c in s.comments if c.id not in cut)))
     return out
 
 

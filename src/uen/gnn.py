@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .assembly import SampleGraph
-from .corpus import require_int_fields
+from .corpus import check_fields
 from .embedding import FormatError, read_artifact, write_artifact
 
 MODEL_MAGIC = b"UENMDL1"
@@ -57,14 +57,7 @@ class GnnConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ValueError(f"unknown arch {self.arch!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must be in [0,1]")
-        require_int_fields(self)
-        for name in ("layers", "hidden", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not np.isfinite(self.lr) or self.lr <= 0:
-            raise ValueError("lr must be finite and > 0")
+        check_fields(self, minimum={"seed": 0}, positive=("lr",), unit=("lam",))
 
 
 class DivergenceError(RuntimeError):
@@ -561,9 +554,8 @@ def load_model(path) -> ModelParams:
     try:
         arch, lam, in_dim, hidden, layers = (
             fields[k] for k in ("arch", "lambda", "in_dim", "hidden", "layers"))
-        if type(lam) not in (int, float) or not all(
-                type(v) is int for v in (in_dim, hidden, layers)) or in_dim < 1:
-            raise ValueError("mistyped field or in_dim below 1")
+        if type(in_dim) is not int or in_dim < 1:
+            raise ValueError(f"in_dim must be an integer >= 1, not {in_dim!r}")
         cfg = GnnConfig(arch=arch, layers=layers, hidden=hidden, lam=lam)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad model header ({exc})") from None

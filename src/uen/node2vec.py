@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import require_int_fields
+from .corpus import check_fields
 from .embedding import EmbeddingTable
 from .graph import InteractionGraph
 
@@ -61,15 +61,8 @@ class Node2VecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
-        if self.walk_length < 2:
-            raise ValueError("walk_length must be >= 2")
-        for name in ("d1", "walks_per_node", "window", "negatives_per_positive", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("p", "q", "learning_rate"):
-            if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be finite and > 0")
+        check_fields(self, minimum={"walk_length": 2, "seed": 0},
+                     positive=("p", "q", "learning_rate"))
 
 
 def _advance(g: InteractionGraph, keys: np.ndarray | None, path: np.ndarray,

@@ -21,11 +21,13 @@ cost, and they depend only on the raw stream, which numpy's RNG policy
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sample, Comment, corpus_users, require_int_fields, temporal_split
+from .corpus import (SPLIT_RATIOS, Comment, Corpus, Sample, check_fields, corpus_users,
+                     temporal_split)
 
 
 @dataclass(frozen=True)
@@ -42,24 +44,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
-        for name in ("fake_fraction", "text_signal_strength",
-                     "user_signal_strength", "cold_user_rate_test"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1]")
-        if self.n_users < 1 or self.n_samples < 1 or self.n_communities < 2:
-            raise ValueError("counts must be positive (communities >= 2)")
+        check_fields(self, minimum={"n_communities": 2, "seed": 0},
+                     unit=("fake_fraction", "text_signal_strength", "user_signal_strength",
+                           "cold_user_rate_test"))
         if self.n_users < self.n_communities:
             raise ValueError(f"n_users ({self.n_users}) must be >= n_communities "
                              f"({self.n_communities}): every community needs a user")
-        low, high = self.comments_per_sample
+        counts = self.comments_per_sample
+        if not (isinstance(counts, (tuple, list)) and len(counts) == 2 and all(
+                isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts)):
+            raise ValueError(f"comments_per_sample must be two integers (min, max), "
+                             f"not {counts!r}")
+        low, high = counts
         if low < 1:
             raise ValueError("samples need at least one comment")
         if high < low:
             raise ValueError(f"comments_per_sample max ({high}) must be >= its min ({low})")
-        if self.max_chain_depth < 1:
-            raise ValueError(f"max_chain_depth must be >= 1, got {self.max_chain_depth}")
 
 
 # Lexical signal is planted as topical clusters: each cluster owns a small
@@ -173,8 +173,8 @@ def generate(cfg: SynthConfig) -> Corpus:
     rng.shuffle(labels)
     rng = _Draws(rng)
 
-    n_train = round(cfg.n_samples * 0.7)
-    n_val = round(cfg.n_samples * 0.1)
+    # temporal_split's cut for 10 samples or more; it refuses fewer
+    n_train, n_val = (round(cfg.n_samples * r) for r in SPLIT_RATIOS[:2])
     test_start = n_train + n_val
     if cfg.cold_user_rate_test > 0 and test_start >= cfg.n_samples:
         raise ValueError("cold users requested but the corpus has no test range")

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import require_int_fields
+from .corpus import check_fields
 from .embedding import EmbeddingTable, FormatError
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
@@ -33,9 +33,7 @@ class TextEmbedConfig:
     hash_seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
-        if self.d2 <= 0:
-            raise ValueError("d2 must be positive")
+        check_fields(self, minimum={"hash_seed": None})
         if len(str(self.hash_seed).encode("utf-8")) > 64:
             raise ValueError("hash_seed must be at most 64 characters in decimal: it is "
                              "the blake2b key")

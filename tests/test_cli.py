@@ -252,6 +252,8 @@ def test_eval_no_user_on_user_model_is_structured_error(pipeline, tmp_path, caps
     ("embed-users", "--lr", "inf", "learning_rate"),
     ("embed-users", "--p", "nan", "p"),
     ("embed-users", "--q", "inf", "q"),
+    ("train", "--seed", "-1", "seed"),
+    ("embed-users", "--seed", "-1", "seed"),
 ])
 def test_bad_config_value_is_structured_error(pipeline, tmp_path, command, flag, value, field):
     inputs = {"embed-users": ["--train", str(pipeline / "splits" / "train.jsonl")]}.get(
@@ -288,6 +290,25 @@ def test_bad_split_or_synth_value_is_structured_error(pipeline, tmp_path, argv, 
     err = json.loads(err)
     assert err["error"] == "ValueError"
     assert err["message"].startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["tune", "--budget", "0"], "budget must be >= 1"),
+    (["synth", "--n-samples", "5"], "corpus of 5 samples is too small to split"),
+])
+def test_refused_value_leaves_no_out_dir(pipeline, tmp_path, argv, message):
+    """A value refused after the inputs are read (the search budget, a corpus
+    too small to split) exits 1 with one JSON line and no `--out`, as one
+    refused by a config does."""
+    inputs = {"synth": []}.get(argv[0], ["--splits", str(pipeline / "splits"),
+                                         "--users", str(pipeline / "users" / "users.emb"),
+                                         "--hidden", "8", "--epochs", "1"])
+    rc, err = run_captured([*argv, *inputs, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    assert json.loads(err)["message"].startswith(message)
     assert not (tmp_path / "out").exists()
 
 

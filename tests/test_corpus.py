@@ -12,6 +12,7 @@ from uen.corpus import (
     corpus_users,
     load_corpus,
     overlap_ratio,
+    reply_order,
     sample_to_record,
     save_corpus,
     temporal_split,
@@ -163,6 +164,27 @@ def test_validate_rejects_parent_cycle():
         make_comment("c1", "a", "c2"), make_comment("c2", "b", "c1")])
     with pytest.raises(CorpusError, match="cycle"):
         validate_sample(s)
+
+
+def test_reply_order_puts_each_comment_after_its_parent():
+    in_order = [make_comment("c1", "a", "p1"), make_comment("c2", "b", "c1"),
+                make_comment("c3", "c", "p1")]
+    assert reply_order(make_sample("p1", comments=in_order)) == tuple(in_order)
+    shuffled = make_sample("p1", comments=[in_order[1], in_order[2], in_order[0]])
+    assert [c.id for c in reply_order(shuffled)] == ["c3", "c1", "c2"]
+
+
+@pytest.mark.parametrize("comments, end", [
+    ([("c1", "p1"), ("c2", "c3"), ("c3", "c2")], "cycle: 'c2' -> 'c3' -> 'c2'"),
+    ([("c1", "c1")], "cycle: 'c1' -> 'c1'"),
+    ([("c4", "c2"), ("c2", "c3"), ("c3", "c2")], "cycle: 'c4' -> 'c2' -> 'c3' -> 'c2'"),
+    ([("c1", "p1"), ("c2", "nope")], "parent outside the sample: 'c2' -> 'nope'"),
+])
+def test_reply_order_names_a_chain_that_never_reaches_the_post(comments, end):
+    s = make_sample("p1", comments=[make_comment(cid, "a", parent) for cid, parent in comments])
+    with pytest.raises(CorpusError, match=f"^sample 'p1': a reply chain never reaches the "
+                                          f"post \\({end}\\)$"):
+        reply_order(s)
 
 
 def test_round_trip(tmp_path):

@@ -122,6 +122,31 @@ INT_FIELDS = [
 ]
 
 
+BAD_VALUES = [
+    (SynthConfig, "seed", -1, "seed must be >= 0, got -1"),
+    (Node2VecConfig, "seed", -1, "seed must be >= 0, got -1"),
+    (GnnConfig, "seed", -1, "seed must be >= 0, got -1"),
+    (GnnConfig, "lr", "0.1", "lr must be a real number, not '0.1'"),
+    (Node2VecConfig, "p", None, "p must be a real number, not None"),
+    (GnnConfig, "lam", True, "lam must be a real number, not True"),
+    (SynthConfig, "fake_fraction", False, "fake_fraction must be a real number, not False"),
+    (GnnConfig, "lam", 1.5, "lam must be in [0, 1], got 1.5"),
+    (SynthConfig, "cold_user_rate_test", float("nan"),
+     "cold_user_rate_test must be in [0, 1], got nan"),
+]
+
+
+@pytest.mark.parametrize("cls, name, bad, message", BAD_VALUES,
+                         ids=[f"{cls.__name__}.{name}-{bad!r}" for cls, name, bad, _ in
+                              BAD_VALUES])
+def test_config_rejects_out_of_range_or_non_real_values_by_name(cls, name, bad, message):
+    """Every seed is >= 0; a positive or unit field takes a real number,
+    and a bool, a string or None is not one."""
+    with pytest.raises(ValueError) as exc:
+        cls(**{name: bad})
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("bad", [1.5, True])
 @pytest.mark.parametrize("cls, name", INT_FIELDS,
                          ids=[f"{cls.__name__}.{name}" for cls, name in INT_FIELDS])

@@ -820,12 +820,15 @@ def test_model_file_bytes_are_pinned(arch, tmp_path):
     assert json.loads((tmp_path / "model.mdl.json").read_text()) == {"sha256": digest}
 
 
-@pytest.mark.parametrize("size", ["in_dim", "hidden", "layers"])
-def test_model_load_rejects_zero_sizes(size, tmp_path):
+@pytest.mark.parametrize("size, value", [("in_dim", 0), ("hidden", 0), ("layers", 0),
+                                         ("lam", "0.5"), ("hidden", 8.0)],
+                         ids=["in_dim", "hidden", "layers", "lam-str", "hidden-float"])
+def test_model_load_rejects_zero_sizes(size, value, tmp_path):
+    """Zero sizes and a mistyped header field; GnnConfig types all but in_dim."""
     from uen.embedding import FormatError
 
     params = make_params("gcn")
-    setattr(params, size, 0)
+    setattr(params, size, value)
     path = tmp_path / "model.mdl"
     save_model(params, path)
     with pytest.raises(FormatError, match="bad model header"):

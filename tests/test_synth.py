@@ -127,8 +127,26 @@ def test_config_validation():
         SynthConfig(comments_per_sample=(5, 3))
     with pytest.raises(ValueError, match=r"max_chain_depth must be >= 1, got 0"):
         SynthConfig(max_chain_depth=0)
+    for counts in ((1.5, 3), (2,), (True, 3), (2, 3, 4)):
+        with pytest.raises(ValueError, match=r"^comments_per_sample must be two integers"):
+            SynthConfig(comments_per_sample=counts)
     SynthConfig(n_users=6, comments_per_sample=(3, 3))  # both limits inclusive
     SynthConfig(max_chain_depth=1)  # replies to the post only
+
+
+@pytest.mark.parametrize("n_samples", [10, 15, 25, 101, 2000])
+def test_cold_users_only_in_test_split(n_samples):
+    """synth reserves its cold users for the region temporal_split cuts as
+    test, at sizes whose shares round up, down or to even."""
+    corpus = generate(SynthConfig(n_samples=n_samples, n_users=40, cold_user_rate_test=0.5,
+                                  seed=0))
+    split = temporal_split(corpus)
+
+    def cold(samples):
+        return {u for u in corpus_users(samples) if u.startswith("cold")}
+
+    assert not cold(split.train + split.val)
+    assert cold(split.test)
 
 
 def test_null_signal_config_accepted():
