@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiment
-from .assembly import occurrences, text_keys
+from .assembly import assemble, occurrences, text_keys
 from .coldmap import ColdMapConfig
 from .corpus import SPLIT_RATIOS, Corpus, CorpusError, load_corpus, save_corpus, temporal_split
 from .embedding import EmbeddingTable, FormatError, sha256_file
@@ -212,8 +212,9 @@ def cmd_eval(args):
                                            texts, common, coldmap)
     metadata = {"variant": args.variant,
                 "user_feature_width": 0 if users is None else users.dim}
-    report, *_ = experiment.evaluate(model, train_corpus.samples, test_corpus.samples,
-                                     texts, resolver, common, metadata)
+    graphs = (assemble(s, texts, resolver, common) for s in test_corpus.samples)
+    report, *_ = experiment.evaluate(model, train_corpus.samples, test_corpus.samples, graphs,
+                                     common, resolver is not None, metadata)
     report.save_json(out / "report.json")
     report.save_csv(out / "report.csv")
     _write_provenance(out, args, [args.model, *_split_paths(args, "train", "test")], coldmap,

@@ -54,6 +54,7 @@ class ColdMapConfig:
                              "comments under H1's posts, and H3 is how H2 represents them")
         if "h2" in self.heuristics and self.k2 < 1:
             raise ValueError("k2 must be >= 1 when H2 is enabled")
+        object.__setattr__(self, "heuristics", frozenset(self.heuristics))  # a set is let in
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,29 @@ variant maps the users of the train, val and test graphs alike. Variants:
   no-user   - nodes carry text features only (narrower input layer)
 `mapper_fidelity` measures the cold mapper itself: how close it comes to
 the vectors of warm users hidden from training.
+
+On a host where this process may run on two CPUs or more, `run_variant`
+overlaps its independent stages through `overlap`: the user table is
+trained in a forked child while the parent hashes the train and val texts,
+and the test graphs are assembled in a second child while the parent
+trains the classifier. Every output is the same as the inline run's.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import pickle
+import signal
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
-from .assembly import UserResolver, assemble, occurrences
+from .assembly import SampleGraph, UserResolver, assemble, occurrences, text_keys
 from .coldmap import (HEURISTIC_LEVELS, ColdMapConfig, TrainSideData, build_train_side,
                       make_resolver)
 from .corpus import (Corpus, Sample, Split, corpus_users, overlap_ratio, reply_order,
@@ -29,7 +41,7 @@ from .evaluation import EvalReport, bucketed_report
 from .gnn import GnnConfig, ModelParams, predict, train
 from .graph import build_interaction_graph
 from .node2vec import Node2VecConfig, sample_walks, train_skipgram
-from .text import TextEmbedConfig, TextProvider, make_hash_provider
+from .text import TextEmbedConfig, TextProvider, embed_many, make_hash_provider
 
 logger = logging.getLogger(__name__)
 
@@ -107,28 +119,125 @@ def fit(variant: str, users: EmbeddingTable | None, texts: TextProvider, common_
     return resolver, model, history
 
 
-def evaluate(model: ModelParams, train_samples, test_samples, texts: TextProvider,
-             resolver: UserResolver | None, common_author,
-             metadata: dict) -> tuple[EvalReport, list, list, list]:
-    """Classify each test sample and bucket the results by train-user overlap.
+def evaluate(model: ModelParams, train_samples, test_samples, graphs, common_author,
+             user_features: bool, metadata: dict) -> tuple[EvalReport, list, list, list]:
+    """Classify the test samples' `graphs` (an iterable in `test_samples`
+    order) and bucket the results by train-user overlap.
 
     Returns the report, whose metadata adds the model's `arch`, `feature_dim`
-    and `user_features` (a resolver is given) to `metadata`, and the
-    per-sample predictions, labels and ratios.
+    and `user_features` to `metadata`, and the per-sample predictions,
+    labels and ratios.
     """
     known = corpus_users(train_samples, common_author)
     preds, labels, ratios = [], [], []
-    for s in test_samples:
+    for s, g in zip(test_samples, graphs, strict=True):
         if s.label is None:
             raise ValueError(f"test sample {s.post_id!r} is unlabeled, so it cannot be scored")
-        label, _ = predict(model, assemble(s, texts, resolver, common_author))
+        label, _ = predict(model, g)
         preds.append(label)
         labels.append(s.label)
         ratios.append(overlap_ratio(s, known, common_author))
     metadata = {"arch": model.arch, "feature_dim": model.in_dim,
-                "user_features": resolver is not None, **metadata}
+                "user_features": user_features, **metadata}
     report = bucketed_report(preds, labels, ratios, metadata=metadata)
     return report, preds, labels, ratios
+
+
+def variant_graphs(variant: str, users: EmbeddingTable | None, train_samples, samples,
+                   texts: TextProvider, common_author, coldmap: ColdMapConfig
+                   ) -> list[SampleGraph]:
+    """The graphs of `samples` under the variant's own resolver over
+    `train_samples`, whose train side is built on the first cold occurrence
+    that needs it."""
+    resolver = variant_resolver(variant, users, train_samples, texts, common_author, coldmap)
+    return [assemble(s, texts, resolver, common_author) for s in samples]
+
+
+def _forks() -> bool:
+    """Whether `overlap` runs its stage in a child: on a platform with CPU
+    affinity masks, when this process may run on two CPUs or more."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+@contextmanager
+def overlap(stage: str, fn, *args):
+    """Run `fn(*args)` beside the with-block; yields a call that returns its
+    value or raises its exception.
+
+    Where `_forks`, `fn` runs in a forked child, which pickles (ok, value or
+    exception) into a pipe and ends with `os._exit`; the call unpickles it
+    from the pipe, reads the pipe to its end, then reaps the child. An
+    exception that does not survive pickling arrives as a RuntimeError
+    naming its type and message, and a child that ends without a whole
+    result as a RuntimeError naming `stage`. A child not reaped when the
+    block ends is killed and reaped then, so none outlives the block.
+    Elsewhere the call runs `fn(*args)` itself.
+    """
+    if not _forks():
+        yield partial(fn, *args)
+        return
+    _flush_std()  # so the child has no copy of pending output
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _child(stage, write_fd, fn, args)
+    os.close(write_fd)
+    pipe, running = open(read_fd, "rb"), [pid]
+
+    def result():
+        try:  # unpickled from the stream, so no copy of the whole pickle is held
+            outcome = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):  # the child sent nothing, or part of it
+            outcome = None
+        pipe.read()
+        pipe.close()
+        _, status = os.waitpid(running.pop(), 0)
+        if outcome is None:
+            raise RuntimeError(f"{stage}: the child process ended without a result "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+        ok, value = outcome
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _flush_std() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _child(stage: str, write_fd: int, fn, args) -> None:
+    """The forked side of `overlap`: send `fn(*args)`'s outcome and exit."""
+    code = 1
+    try:
+        try:
+            outcome = (True, fn(*args))
+        except BaseException as exc:  # the parent raises it
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            if not outcome[0]:
+                pickle.loads(data)  # some exceptions pickle but do not unpickle
+        except Exception as exc:
+            cause = exc if outcome[0] else outcome[1]
+            data = pickle.dumps((False, RuntimeError(
+                f"{stage}: {type(cause).__name__}: {cause}")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        _flush_std()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_variant(
@@ -142,7 +251,10 @@ def run_variant(
 
     `split`, `users` and `texts` can be passed in to share work across
     variants of the same seed (none of them depends on the variant); `texts`
-    defaults to a hash provider under `cfg.text`.
+    defaults to a hash provider under `cfg.text`. The user table (when it is
+    trained here) and the test graphs are made beside the parent's work, in
+    children when `overlap` forks; the parent's text cache gains the train
+    and val texts, not the test texts.
     """
     common = corpus.common_author
     if split is None:
@@ -150,12 +262,19 @@ def run_variant(
     if texts is None:
         texts = make_hash_provider(cfg.text)
     if cfg.variant != "no-user" and users is None:
-        users = prepare_user_embeddings(split.train, cfg.node2vec, common)
-    resolver, model, history = fit(cfg.variant, users, texts, common, split.train, split.val,
-                                   cfg.gnn, cfg.coldmap)
+        with overlap("user embeddings", prepare_user_embeddings, split.train, cfg.node2vec,
+                     common) as table:
+            for s in chain(split.train, split.val):  # one batch per sample, as `assemble`
+                embed_many(texts, text_keys(s))
+            users = table()
+    with overlap("test graphs", variant_graphs, cfg.variant, users, split.train, split.test,
+                 texts, common, cfg.coldmap) as graphs:
+        _, model, history = fit(cfg.variant, users, texts, common, split.train, split.val,
+                                cfg.gnn, cfg.coldmap)
+        graphs = graphs()
     metadata = {"variant": cfg.variant, "seed": cfg.gnn.seed}
-    report, preds, labels, ratios = evaluate(model, split.train, split.test, texts, resolver,
-                                             common, metadata)
+    report, preds, labels, ratios = evaluate(model, split.train, split.test, graphs, common,
+                                             cfg.variant != "no-user", metadata)
     return RunResult(
         report=report, model=model, history=history, users=users,
         preds=preds, labels=labels, ratios=ratios,
@@ -164,7 +283,8 @@ def run_variant(
 
 def run_ablation(corpus: Corpus, base: PipelineConfig) -> dict[str, RunResult]:
     """Run every variant on one corpus, reusing the split, the user
-    embeddings and one text provider, so each text is hashed once."""
+    embeddings and one text provider, so each train and val text is hashed
+    once (the test texts once per variant, where its test graphs are made)."""
     split = temporal_split(corpus)
     texts = make_hash_provider(base.text)
     users = None

@@ -132,43 +132,83 @@ class _Split:
     values: dict = field(default_factory=dict)  # (arch, dtype) -> the entries' values
 
 
+def _check_graph(g: SampleGraph, in_dim: int) -> None:
+    """Raise the FormatError of the first rule `g` breaks: at least two
+    nodes, rows `in_dim` wide, each edge joining two distinct nodes of the
+    graph, and no other edge of it the same two."""
+    n = g.features.shape[0]
+    if n < 2:
+        raise FormatError(f"sample {g.sample_id}: no comment nodes, so the readout's "
+                          "comment mean is undefined")
+    if g.features.shape[1] != in_dim:
+        raise FormatError(f"sample {g.sample_id}: feature dim "
+                          f"{g.features.shape[1]} != model dim {in_dim}")
+    for i, j in g.edges:
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise FormatError(f"sample {g.sample_id}: edge ({i}, {j}) does not join two "
+                              f"of its {n} nodes")
+    if len({(i, j) if i < j else (j, i) for i, j in g.edges}) < len(g.edges):
+        raise FormatError(f"sample {g.sample_id}: an edge is repeated")
+
+
 def _split(graphs, in_dim: int, labeled: bool) -> _Split:
-    """Check `graphs` against a model of width `in_dim` and lay them out;
-    `labeled` also requires every graph's label. Each edge must join two
-    distinct nodes of its graph, and no other edge of it the same two."""
-    features, counts, node_start, entry_start, rows, cols = [], [], [], [0], [], []
-    s = 0  # the split-wide id of the graph's first node
-    for g in graphs:
-        n = g.features.shape[0]
-        if n < 2:
-            raise FormatError(f"sample {g.sample_id}: no comment nodes, so the readout's "
-                              "comment mean is undefined")
-        if g.features.shape[1] != in_dim:
-            raise FormatError(f"sample {g.sample_id}: feature dim "
-                              f"{g.features.shape[1]} != model dim {in_dim}")
-        rows += range(s, s + n)
-        cols += range(s, s + n)
-        for i, j in g.edges:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise FormatError(f"sample {g.sample_id}: edge ({i}, {j}) does not join two "
-                                  f"of its {n} nodes")
-            rows += (s + i, s + j)
-            cols += (s + j, s + i)
-        if len({(i, j) if i < j else (j, i) for i, j in g.edges}) < len(g.edges):
-            raise FormatError(f"sample {g.sample_id}: an edge is repeated")
-        features.append(g.features)
-        counts.append(n)
-        node_start.append(s)
-        entry_start.append(len(rows))
-        s += n
+    """Check `graphs` against a model of width `in_dim` (see `_check_graph`)
+    and lay them out; `labeled` also requires every graph's label. Graph k's
+    operator entries are its nodes' diagonal, then each edge both ways."""
+    features = [g.features for g in graphs]
+    counts = [x.shape[0] for x in features]
+    if len(graphs) == 1:  # a few Python steps beat a dozen array calls on one small graph
+        (g,), n = graphs, counts[0]
+        _check_graph(g, in_dim)
+        ends = [*chain.from_iterable(g.edges)]
+        back = ends.copy()  # each edge the other way
+        back[::2], back[1::2] = ends[1::2], ends[::2]
+        entries = np.fromiter(chain(range(n), ends, range(n), back), np.intp,
+                              2 * (n + len(ends))).reshape(2, -1)
+        node_start, entry_start = np.zeros(1, np.intp), np.array([0, entries.shape[1]])
+    else:
+        node_start, entry_start, entries = _layout_entries(graphs, in_dim, features, counts)
     labels = None
     if labeled:
         labels = [g.label for g in graphs]
         if None in labels:
             raise ValueError(f"sample {graphs[labels.index(None)].sample_id} is unlabeled")
         labels = np.array(labels)
-    entries = np.fromiter(chain(rows, cols), np.intp, 2 * len(rows)).reshape(2, -1).T
-    return _Split(features, counts, np.array(node_start), np.array(entry_start), entries, labels)
+    return _Split(features, counts, node_start, entry_start, entries.T, labels)
+
+
+def _layout_entries(graphs, in_dim: int, features, counts):
+    """`_split`'s node starts, entry starts and (2, entries) operator entries
+    of several graphs, from array operations over all their edges at once.
+    Only graphs that break a rule are walked one by one, so that the error
+    names the first graph and edge at fault."""
+    sizes = [len(g.edges) for g in graphs]
+    node_start, edge_start = np.cumsum([0, *counts]), np.cumsum([0, *sizes])
+    n, m = node_start[-1], edge_start[-1]
+    try:
+        ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+                           np.intp).reshape(m, 2)
+    except (OverflowError, TypeError, ValueError):  # an end past intp, not an int, or no pair
+        for g in graphs:
+            _check_graph(g, in_dim)
+        raise
+    owner = np.repeat(np.arange(len(graphs)), sizes)
+    edges = ends + node_start[owner, None]  # split-wide node ids
+    pairs = np.sort(edges, axis=1) @ (n, 1)  # one key per unordered pair
+    pairs.sort()
+    if (min(counts, default=2) < 2 or any(x.shape[1] != in_dim for x in features)
+            or not {len(e) for g in graphs for e in g.edges} <= {2}  # ends paired up
+            or (ends.view(np.uintp) >= np.diff(node_start)[owner, None]).any()
+            or (ends[:, 0] == ends[:, 1]).any() or (pairs[1:] == pairs[:-1]).any()):
+        for g in graphs:
+            _check_graph(g, in_dim)
+    entries = np.empty((2, n + 2 * m), np.intp)
+    diagonal = np.arange(n) + np.repeat(2 * edge_start[:-1], counts)
+    entries[:, diagonal] = np.arange(n)
+    both_ways = np.arange(2 * m) + np.repeat(node_start[1:], 2 * np.array(sizes, np.intp))
+    entries[0, both_ways] = edges.ravel()
+    entries[1, both_ways] = edges[:, ::-1].ravel()
+    return node_start[:-1], node_start + 2 * edge_start, entries
 
 
 def _entry_values(arch: str, split: _Split, dtype) -> np.ndarray | None:

@@ -60,6 +60,7 @@ class SynthConfig:
             raise ValueError("samples need at least one comment")
         if high < low:
             raise ValueError(f"comments_per_sample max ({high}) must be >= its min ({low})")
+        object.__setattr__(self, "comments_per_sample", tuple(counts))  # a list is let in
 
 
 # Lexical signal is planted as topical clusters: each cluster owns a small

@@ -1,10 +1,16 @@
 """Variant runs wired by `experiment`."""
 
+import os
+import pickle
+import time
+
+import numpy as np
 import pytest
 
 from uen.coldmap import ColdMapConfig
 from uen.corpus import corpus_users, temporal_split
-from uen.experiment import (PipelineConfig, mapper_fidelity, prepare_user_embeddings,
+from uen import experiment
+from uen.experiment import (PipelineConfig, mapper_fidelity, overlap, prepare_user_embeddings,
                             run_variant, without_users)
 from uen.gnn import GnnConfig
 from uen.node2vec import Node2VecConfig
@@ -155,3 +161,179 @@ def test_config_rejects_non_integer_fields_by_name(cls, name, bad):
     in the stage that reads it; a bool is not an integer here."""
     with pytest.raises(ValueError, match=f"^{name} must be an integer, not {bad!r}$"):
         cls(**{name: bad})
+
+
+@pytest.mark.parametrize("config, canonical, name, kind", [
+    (ColdMapConfig(heuristics={"h1"}), ColdMapConfig(heuristics=frozenset({"h1"})),
+     "heuristics", frozenset),
+    (SynthConfig(comments_per_sample=[2, 3]), SynthConfig(comments_per_sample=(2, 3)),
+     "comments_per_sample", tuple),
+])
+def test_config_hashes_as_its_canonical_form(config, canonical, name, kind):
+    """A frozen config keeps a set or list it was given in its immutable
+    form, so it hashes, and equals the config made from that form."""
+    assert type(getattr(config, name)) is kind
+    assert config == canonical and hash(config) == hash(canonical)
+
+
+# ---------------------------------------------------------------------------
+# run_variant's stages in forked children
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def set_cpus(monkeypatch, n):
+    """Make `overlap` see `n` usable CPUs; with two it forks on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgError(Exception):
+    """Pickles by its one message argument, so it does not unpickle."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def raise_two_arg_error():
+    raise TwoArgError("left", "right")
+
+
+@needs_fork
+def test_overlap_returns_the_childs_value_or_raises_its_error(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    with overlap("probe", os.getpid) as pid:
+        assert pid() != os.getpid()
+    with overlap("probe", divmod, 7, 2) as result:
+        assert result() == (3, 1)
+    with overlap("probe", divmod, 1, 0) as result:
+        with pytest.raises(ZeroDivisionError):
+            result()
+    with overlap("probe", raise_two_arg_error) as result:
+        with pytest.raises(RuntimeError, match="^probe: TwoArgError: left and right$"):
+            result()
+    assert_no_child_left()
+
+
+@needs_fork
+def test_overlap_names_the_stage_of_a_child_that_exits(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    with overlap("probe", os._exit, 3) as result:
+        with pytest.raises(RuntimeError, match=r"^probe: .* without a result \(exit code 3\)"):
+            result()
+    dumps = pickle.dumps  # a child that sends part of its result
+    monkeypatch.setattr(pickle, "dumps", lambda *args: dumps(*args)[:-3])
+    with overlap("probe", divmod, 7, 2) as result:
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match=r"^probe: .* without a result \(exit code 0\)"):
+            result()
+    assert_no_child_left()
+
+
+@needs_fork
+def test_overlap_kills_a_child_whose_result_is_not_read(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    start = time.perf_counter()
+    with pytest.raises(KeyError):
+        with overlap("probe", time.sleep, 60):
+            raise KeyError("the parent's own work failed")
+    with overlap("probe", time.sleep, 60):
+        pass
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_overlap_runs_inline_on_one_cpu(monkeypatch):
+    set_cpus(monkeypatch, 1)
+    with overlap("probe", os.getpid) as pid:
+        assert pid() == os.getpid()
+
+
+def small_run_config(variant, **node2vec):
+    return PipelineConfig(gnn=GnnConfig(epochs=2, hidden=8, seed=1),
+                          node2vec=Node2VecConfig(d1=16, walk_length=6, walks_per_node=2,
+                                                  epochs=1, seed=1, **node2vec),
+                          coldmap=ColdMapConfig(k1=3, k2=6), variant=variant)
+
+
+def run_counting_forks(monkeypatch, cpus, corpus, cfg):
+    """run_variant at `cpus` usable CPUs; returns its result and its forks."""
+    set_cpus(monkeypatch, cpus)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    try:
+        return run_variant(corpus, cfg), len(forks)
+    finally:
+        monkeypatch.setattr(os, "fork", fork)
+
+
+@needs_fork
+@pytest.mark.parametrize("variant, forks", [("full", 2), ("no-mapper", 2), ("no-user", 1)])
+def test_forked_run_variant_equals_the_inline_run_byte_for_byte(monkeypatch, variant, forks):
+    """The user table and the test graphs made in children give the inline
+    run's predictions, report, model, history and user table, bit for bit;
+    the test split has cold users, so the child builds the train side."""
+    corpus = generate(SynthConfig(n_users=40, n_samples=150, seed=2))
+    cfg = small_run_config(variant)
+    inline, none = run_counting_forks(monkeypatch, 1, corpus, cfg)
+    forked, made = run_counting_forks(monkeypatch, 2, corpus, cfg)
+    assert (none, made) == (0, forks)
+    assert_no_child_left()
+    assert forked.report.buckets["zero"].n > 0
+    assert forked.report.to_dict() == inline.report.to_dict()
+    assert (forked.preds, forked.labels, forked.ratios) == (inline.preds, inline.labels,
+                                                             inline.ratios)
+    assert forked.history == inline.history
+    assert forked.model.tensors.keys() == inline.model.tensors.keys()
+    for name, tensor in forked.model.tensors.items():
+        assert tensor.dtype == inline.model.tensors[name].dtype
+        assert tensor.tobytes() == inline.model.tensors[name].tobytes(), name
+    if variant == "no-user":
+        assert forked.users is inline.users is None
+    else:
+        assert forked.users.ids == inline.users.ids
+        assert forked.users.matrix.tobytes() == inline.users.matrix.tobytes()
+
+
+@needs_fork
+def test_sgns_divergence_is_one_error_forked_or_inline(monkeypatch):
+    corpus = generate(SynthConfig(n_users=40, n_samples=150, seed=2))
+    cfg = small_run_config("full", learning_rate=1e5)
+    messages = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=r"^SGNS diverged in epoch 0 at learning_rate") as err:
+            run_variant(corpus, cfg)
+        messages.append(str(err.value))
+        assert_no_child_left()
+    assert messages[0] == messages[1]
+
+
+@needs_fork
+@pytest.mark.parametrize("stage, name", [("user embeddings", "prepare_user_embeddings"),
+                                         ("test graphs", "variant_graphs")])
+def test_run_variant_names_the_stage_whose_child_exits(monkeypatch, stage, name):
+    corpus = generate(SynthConfig(n_users=40, n_samples=150, seed=2))
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiment, name, lambda *args: os._exit(3))
+    with pytest.raises(RuntimeError, match=f"^{stage}: .*exit code 3"):
+        run_variant(corpus, small_run_config("full"))
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_failed_fit_leaves_no_test_graph_child(monkeypatch):
+    corpus = generate(SynthConfig(n_users=40, n_samples=150, seed=2))
+    set_cpus(monkeypatch, 2)
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("fit failed")
+
+    monkeypatch.setattr(experiment, "fit", fail)
+    with pytest.raises(np.linalg.LinAlgError, match="fit failed"):
+        run_variant(corpus, small_run_config("no-user"))
+    assert_no_child_left()

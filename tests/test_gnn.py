@@ -873,6 +873,60 @@ def test_bad_edges_rejected_by_name(edges):
         predict(params, g)
 
 
+def per_edge_entries(graphs):
+    """The operator entries, node starts and entry starts of `graphs`, one
+    edge at a time: each graph's diagonal, then each edge both ways."""
+    rows, cols, node_start, entry_start, s = [], [], [], [0], 0
+    for g in graphs:
+        n = g.features.shape[0]
+        rows += range(s, s + n)
+        cols += range(s, s + n)
+        for i, j in g.edges:
+            rows += (s + i, s + j)
+            cols += (s + j, s + i)
+        node_start.append(s)
+        entry_start.append(len(rows))
+        s += n
+    return np.array([rows, cols]).T, node_start, entry_start
+
+
+@pytest.mark.parametrize("sizes", [[2], [7], [2, 2], [3, 9, 2, 5], list(range(2, 40))])
+def test_split_entries_equal_per_edge_layout(sizes):
+    from uen.gnn import _split
+
+    rng = np.random.Generator(np.random.PCG64(len(sizes)))
+    graphs = [random_graph(rng, n, 6) for n in sizes]
+    graphs.append(make_graph(np.ones((4, 6)), [(2, 3), (0, 1), (3, 0)], label=1))  # any order
+    for part in (graphs[:1], graphs):
+        split = _split(part, 6, labeled=True)
+        entries, node_start, entry_start = per_edge_entries(part)
+        assert split.entries.dtype == np.intp and (split.entries == entries).all()
+        assert split.node_start.tolist() == node_start
+        assert split.entry_start.tolist() == entry_start
+
+
+@pytest.mark.parametrize("edges", [[(0, 0)], [(0, 3)], [(-1, 1)], [(0, 1), (1, 0)],
+                                   [(0, 1), (0, 2), (0, 1)], [(0, 2**70)], [(0, 1, 2)],
+                                   [(0, 1, 2), (1,)], [(0, None)]])
+def test_bad_edges_in_a_batch_rejected_as_for_one_graph(edges):
+    """A batch names the first graph at fault, with the error that graph
+    gets alone, whatever faults later graphs have."""
+    from uen.embedding import FormatError
+
+    params = make_params("gcn")
+    good = make_graph(np.ones((3, 6)), [(0, 1), (1, 2)], sample_id="good")
+    bad = make_graph(np.ones((3, 6)), edges, sample_id="knotted")
+    later = make_graph(np.ones((1, 6)), [], sample_id="lonely")
+    with pytest.raises((TypeError, ValueError)) as alone:
+        predict(params, bad)
+    for batch in ([good, bad], [good, bad, later], [bad, good, bad]):
+        with pytest.raises((TypeError, ValueError)) as err:
+            loss_and_grads(params, batch)
+        assert (type(err.value), str(err.value)) == (type(alone.value), str(alone.value))
+    with pytest.raises(FormatError, match="sample lonely: no comment nodes"):
+        loss_and_grads(params, [good, later, bad])
+
+
 def test_history_csv(tmp_path):
     history = [{"epoch": 0, "train_loss": 0.5, "val_loss": 0.6, "val_acc": 0.7}]
     path = tmp_path / "history.csv"
