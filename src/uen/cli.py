@@ -139,10 +139,12 @@ def cmd_train(args):
     cfg, coldmap = _config(args, GnnConfig), _config(args, ColdMapConfig)
     train_corpus, val_corpus = _load_split_dir(args, "train", "val")
     texts, users = _text_provider(args), _users(args)
+    common = train_corpus.common_author
     out = _out_dir(args)
-    _, model, history = experiment.fit(VARIANTS[args.variant], users, texts,
-                                       train_corpus.common_author, train_corpus.samples,
-                                       val_corpus.samples, cfg, coldmap)
+    resolver = experiment.variant_resolver(VARIANTS[args.variant], users, train_corpus.samples,
+                                           texts, common, coldmap)
+    model, history = experiment.fit(resolver, texts, common, train_corpus.samples,
+                                    val_corpus.samples, cfg)
     save_model(model, out / "model.mdl")
     save_history(history, out / "history.csv")
     _write_provenance(out, args, _split_paths(args, "train", "val"), cfg, coldmap,
@@ -160,10 +162,11 @@ def cmd_tune(args):
     side = experiment.cold_train_side(train_samples, texts, common, ColdMapConfig())
 
     def objective(params):
-        _, _, history = experiment.fit("full", users, texts, common, train_samples, val_samples,
-                                       replace(cfg, lam=params["lam"]),
-                                       ColdMapConfig(k1=params["k1"], k2=params["k2"]),
-                                       train_side=side)
+        resolver = experiment.variant_resolver(
+            "full", users, train_samples, texts, common,
+            ColdMapConfig(k1=params["k1"], k2=params["k2"]), side)
+        _, history = experiment.fit(resolver, texts, common, train_samples, val_samples,
+                                    replace(cfg, lam=params["lam"]))
         return min(h["val_loss"] for h in history)
 
     space = SearchSpace(k1=(1, max(2, len(train_samples))),

@@ -311,7 +311,7 @@ def overlap_ratio(
 
 def bucket_of(ratio: float) -> Bucket:
     """Zero=0, Low=(0,0.5], High=(0.5,1]."""
-    if ratio < 0.0 or ratio > 1.0:
+    if not 0.0 <= ratio <= 1.0:  # NaN fails it too
         raise ValueError(f"overlap ratio {ratio} outside [0,1]")
     if ratio == 0.0:
         return Bucket.ZERO

@@ -231,7 +231,9 @@ def tune(
     budget: int,
     seed: int = 0,
 ) -> tuple[dict, list[Trial]]:
-    """Seeded random search: uniform lambda, log-uniform integer k1/k2."""
+    """Seeded random search: uniform lambda, log-uniform integer k1/k2. A
+    trial whose objective raises or returns a non-finite loss fails; when
+    every trial fails, TuneError names the last failure."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
@@ -246,6 +248,8 @@ def tune(
         }
         try:
             loss = float(objective(params))
+            if not math.isfinite(loss):
+                raise ValueError(f"non-finite loss {loss}")
         except Exception as exc:  # noqa: BLE001 - a failed trial must not kill the search
             logger.warning("trial %d failed: %s", t, exc)
             trials.append(Trial(t, params, None, failed=True))

@@ -2,8 +2,9 @@
 
 This module is the only place the pipeline is wired: `run_variant` (which
 the demos and the ablation harness call) and the CLI's commands call its
-stages `prepare_user_embeddings`, `fit` and `evaluate`. One resolver per
-variant maps the users of the train, val and test graphs alike. Variants:
+stages `prepare_user_embeddings`, `variant_resolver`, `fit` and
+`evaluate`. One resolver per variant maps the users of the train, val and
+test graphs alike. Variants:
   full      - cold users resolved by the mapper heuristics
   no-mapper - cold users get the global mean user vector
   no-user   - nodes carry text features only (narrower input layer)
@@ -104,19 +105,15 @@ def variant_resolver(variant: str, users: EmbeddingTable | None, train_samples,
                          cfg=coldmap)
 
 
-def fit(variant: str, users: EmbeddingTable | None, texts: TextProvider, common_author,
-        train_samples, val_samples, gnn: GnnConfig, coldmap: ColdMapConfig,
-        train_side: TrainSideData | None = None) -> tuple[UserResolver | None, ModelParams, list]:
-    """Train `variant`'s classifier on graphs whose users its resolver maps; the
-    model is as wide as their node rows. Returns (resolver, model, history)."""
-    resolver = variant_resolver(variant, users, train_samples, texts, common_author,
-                                coldmap, train_side)
+def fit(resolver: UserResolver | None, texts: TextProvider, common_author, train_samples,
+        val_samples, gnn: GnnConfig) -> tuple[ModelParams, list]:
+    """Train a classifier on graphs whose users `resolver` maps; the model is
+    as wide as their node rows. Returns (model, history)."""
     # the graphs die with the call, so evaluation reuses their memory
     train_graphs = [assemble(s, texts, resolver, common_author) for s in train_samples]
     val_graphs = [assemble(s, texts, resolver, common_author) for s in val_samples]
     in_dim = train_graphs[0].features.shape[1] if train_graphs else 0  # train rejects empty
-    model, history = train(train_graphs, val_graphs, gnn, in_dim)
-    return resolver, model, history
+    return train(train_graphs, val_graphs, gnn, in_dim)
 
 
 def evaluate(model: ModelParams, train_samples, test_samples, graphs, common_author,
@@ -143,13 +140,10 @@ def evaluate(model: ModelParams, train_samples, test_samples, graphs, common_aut
     return report, preds, labels, ratios
 
 
-def variant_graphs(variant: str, users: EmbeddingTable | None, train_samples, samples,
-                   texts: TextProvider, common_author, coldmap: ColdMapConfig
-                   ) -> list[SampleGraph]:
-    """The graphs of `samples` under the variant's own resolver over
-    `train_samples`, whose train side is built on the first cold occurrence
-    that needs it."""
-    resolver = variant_resolver(variant, users, train_samples, texts, common_author, coldmap)
+def assemble_graphs(samples, texts: TextProvider, resolver: UserResolver | None,
+                    common_author) -> list[SampleGraph]:
+    """The graphs of `samples` whose users `resolver` maps: `run_variant`'s
+    test-graph stage."""
     return [assemble(s, texts, resolver, common_author) for s in samples]
 
 
@@ -254,7 +248,9 @@ def run_variant(
     defaults to a hash provider under `cfg.text`. The user table (when it is
     trained here) and the test graphs are made beside the parent's work, in
     children when `overlap` forks; the parent's text cache gains the train
-    and val texts, not the test texts.
+    and val texts, not the test texts. The variant's resolver is made once,
+    before the test-graph stage, so a child inherits it before its train
+    side is built, and an inline run builds that side at most once.
     """
     common = corpus.common_author
     if split is None:
@@ -267,10 +263,9 @@ def run_variant(
             for s in chain(split.train, split.val):  # one batch per sample, as `assemble`
                 embed_many(texts, text_keys(s))
             users = table()
-    with overlap("test graphs", variant_graphs, cfg.variant, users, split.train, split.test,
-                 texts, common, cfg.coldmap) as graphs:
-        _, model, history = fit(cfg.variant, users, texts, common, split.train, split.val,
-                                cfg.gnn, cfg.coldmap)
+    resolver = variant_resolver(cfg.variant, users, split.train, texts, common, cfg.coldmap)
+    with overlap("test graphs", assemble_graphs, split.test, texts, resolver, common) as graphs:
+        model, history = fit(resolver, texts, common, split.train, split.val, cfg.gnn)
         graphs = graphs()
     metadata = {"variant": cfg.variant, "seed": cfg.gnn.seed}
     report, preds, labels, ratios = evaluate(model, split.train, split.test, graphs, common,

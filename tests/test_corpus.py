@@ -287,6 +287,8 @@ def test_bucket_of_boundaries():
         bucket_of(1.01)
     with pytest.raises(ValueError):
         bucket_of(-0.1)
+    with pytest.raises(ValueError, match="outside"):
+        bucket_of(float("nan"))
 
 
 def test_bucket_counts_sum_to_test_size():

@@ -377,6 +377,21 @@ def test_tune_all_failures_name_the_last_error():
         tune(broken, SearchSpace(), budget=3, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tune_non_finite_losses_fail_their_trials(tmp_path, bad):
+    with pytest.raises(TuneError, match=f"^all trials failed; the last one with "
+                                        f"ValueError: non-finite loss {bad}$"):
+        tune(lambda p: bad, SearchSpace(), budget=4, seed=0)
+    losses = iter([bad, 0.7, -math.inf, math.nan])  # a mix: the finite trial wins
+    best, trials = tune(lambda p: next(losses), SearchSpace(), budget=4, seed=0)
+    assert best == trials[1].params
+    assert [(t.loss, t.failed) for t in trials] == [(None, True), (0.7, False),
+                                                    (None, True), (None, True)]
+    save_trials(trials, tmp_path / "trials.csv")
+    rows = list(csv.reader((tmp_path / "trials.csv").open()))
+    assert [(r[4], r[5]) for r in rows[1:]] == [("", "1"), ("0.7", "0"), ("", "1"), ("", "1")]
+
+
 def test_tune_rejects_zero_budget():
     with pytest.raises(ValueError):
         tune(lambda p: 0.0, SearchSpace(), budget=0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uen.coldmap import ColdMapConfig
-from uen.corpus import corpus_users, temporal_split
+from uen.corpus import Split, corpus_users, temporal_split
 from uen import experiment
 from uen.experiment import (PipelineConfig, mapper_fidelity, overlap, prepare_user_embeddings,
                             run_variant, without_users)
@@ -315,7 +315,7 @@ def test_sgns_divergence_is_one_error_forked_or_inline(monkeypatch):
 
 @needs_fork
 @pytest.mark.parametrize("stage, name", [("user embeddings", "prepare_user_embeddings"),
-                                         ("test graphs", "variant_graphs")])
+                                         ("test graphs", "assemble_graphs")])
 def test_run_variant_names_the_stage_whose_child_exits(monkeypatch, stage, name):
     corpus = generate(SynthConfig(n_users=40, n_samples=150, seed=2))
     set_cpus(monkeypatch, 2)
@@ -323,6 +323,22 @@ def test_run_variant_names_the_stage_whose_child_exits(monkeypatch, stage, name)
     with pytest.raises(RuntimeError, match=f"^{stage}: .*exit code 3"):
         run_variant(corpus, small_run_config("full"))
     assert_no_child_left()
+
+
+def test_run_variant_builds_the_train_side_once_inline(monkeypatch):
+    """The test graphs share the resolver `fit` used, so an inline run whose
+    validation part has cold users builds the cold mapper's train side once."""
+    corpus = generate(SynthConfig(n_samples=200, n_users=40, seed=1))
+    whole = temporal_split(corpus)
+    split = Split(whole.train, whole.test[:10], whole.test)
+    assert corpus_users(split.val) - corpus_users(split.train)  # 15 cold users
+    built, build = [], experiment.build_train_side
+    monkeypatch.setattr(experiment, "build_train_side",
+                        lambda *args, **kwargs: built.append(1) or build(*args, **kwargs))
+    set_cpus(monkeypatch, 1)
+    result = run_variant(corpus, small_run_config("full"), split=split)
+    assert len(built) == 1
+    assert result.report.overall.n == len(split.test)
 
 
 @needs_fork

@@ -861,16 +861,27 @@ def test_zero_comment_sample_rejected(texts):
 
 
 @pytest.mark.parametrize("edges", [[(0, 0)], [(0, 3)], [(-1, 1)], [(0, 1), (1, 0)],
-                                   [(0, 1), (0, 2), (0, 1)]])
+                                   [(0, 1), (0, 2), (0, 1)], [(0, 1.5)], [("0", "1")],
+                                   [(0, None)]])
 def test_bad_edges_rejected_by_name(edges):
-    """An edge must join two distinct nodes of its graph, once: a self-loop,
-    an end outside the graph or a repeated edge fails naming the sample."""
+    """An edge must join two distinct nodes of its graph, once, by integer
+    ids: a self-loop, an end outside the graph, a repeated edge or an end
+    that is not an integer fails naming the sample."""
     from uen.embedding import FormatError
 
     params = make_params("gcn")
     g = make_graph(np.ones((3, 6)), edges, sample_id="knotted")
     with pytest.raises(FormatError, match="sample knotted: .*edge"):
         predict(params, g)
+
+
+def test_numpy_integer_edge_ends_lay_out_as_ints():
+    from uen.gnn import _split
+
+    plain = _split([make_graph(np.ones((3, 6)), [(0, 2), (1, 2)])], 6, labeled=False)
+    numpy = _split([make_graph(np.ones((3, 6)), [(np.int64(0), np.uint8(2)),
+                                                 (np.intp(1), np.int32(2))])], 6, labeled=False)
+    assert numpy.entries.tolist() == plain.entries.tolist()
 
 
 def per_edge_entries(graphs):
@@ -907,7 +918,8 @@ def test_split_entries_equal_per_edge_layout(sizes):
 
 @pytest.mark.parametrize("edges", [[(0, 0)], [(0, 3)], [(-1, 1)], [(0, 1), (1, 0)],
                                    [(0, 1), (0, 2), (0, 1)], [(0, 2**70)], [(0, 1, 2)],
-                                   [(0, 1, 2), (1,)], [(0, None)]])
+                                   [(0, 1, 2), (1,)], [(0, None)], [(0, 1.5)],
+                                   [("0", "1")]])
 def test_bad_edges_in_a_batch_rejected_as_for_one_graph(edges):
     """A batch names the first graph at fault, with the error that graph
     gets alone, whatever faults later graphs have."""
