@@ -56,7 +56,13 @@ def _split_paths(args, *names) -> list[Path]:
 
 
 def _load_split_dir(args, *names) -> list[Corpus]:
-    return [load_corpus(path, args.mode)[0] for path in _split_paths(args, *names)]
+    """The named parts of `--splits`, each refused when it holds no samples."""
+    parts = []
+    for path in _split_paths(args, *names):
+        parts.append(load_corpus(path, args.mode)[0])
+        if not parts[-1].samples:
+            raise CorpusError(f"{path}: no samples")
+    return parts
 
 
 def _config(args, cls, **override):
@@ -82,7 +88,7 @@ def _users(args) -> EmbeddingTable | None:
 
 
 def cmd_synth(args):
-    cfg = _config(args, SynthConfig, comments_per_sample=(args.min_comments, args.max_comments))
+    cfg = _config(args, SynthConfig)
     corpus = generate(cfg)
     stats = describe(corpus)  # refuses a corpus too small to split before --out is made
     out = _out_dir(args)
@@ -296,7 +302,6 @@ _FLAG_EXTRAS = {
     "k1": {"action": _TrackK},
     "k2": {"action": _TrackK},
     "layers": None,
-    "comments_per_sample": None,
 }
 
 
@@ -330,11 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="user-evidence cascade pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "synth", cmd_synth, "generate a synthetic corpus",
-                    configs=[SynthConfig], mode=False)
-    low, high = SynthConfig.comments_per_sample
-    p.add_argument("--min-comments", type=int, default=low)
-    p.add_argument("--max-comments", type=int, default=high)
+    _subcommand(sub, "synth", cmd_synth, "generate a synthetic corpus", configs=[SynthConfig],
+                mode=False)
 
     _subcommand(sub, "ingest", cmd_ingest, "validate a JSONL corpus", "--input")
 

@@ -19,7 +19,6 @@ what a full (-score, key) sort and a stack of per-author rows would give.
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -177,11 +176,6 @@ def _mean_user(users: EmbeddingTable, index: SimIndex, owner_rows: np.ndarray,
     return np.add.reduce(gathered, axis=0) / len(rows)
 
 
-def _global_mean(mean: np.ndarray, why: str) -> np.ndarray:
-    logger.warning("%s; falling back to global mean user vector", why)
-    return mean
-
-
 def _concat(blocks) -> SimIndex:
     """Stack non-empty indices into one, rows in block order. The rows are
     stacked straight into float64, which scoring needs, so `vectors64` is
@@ -257,35 +251,24 @@ _REPS = {True: "reply-chain sums", False: "raw comment texts"}
 
 class _ColdSample:
     """Retrieval state shared by every cold occurrence of one sample: its
-    text vectors, H1 hits, the author vector they give, the H2 candidate pool
-    with its owners' table rows and the sample's comment representations,
-    each made on first use.
+    text vectors and H1 hits, fetched when it is made, then the author
+    vector they give, the H2 candidate pool with its owners' table rows and
+    the sample's comment representations, each made on first use. It keeps
+    what it needs of its mapper, not the mapper, which holds its last sample.
     """
 
     def __init__(self, mapper: _ColdMapper, sample: Sample):
-        # weak, as the mapper holds its last sample: a cycle would keep the
-        # train side and the text cache alive until the cycle collector ran
-        self.mapper, self.sample, self.side = weakref.proxy(mapper), sample, mapper.side
-
-    @cached_property
-    def vecs(self) -> dict:
-        """The sample's text vectors by key, fetched in one batch."""
-        keys = text_keys(self.sample)
-        return dict(zip(keys, embed_many(self.mapper.texts, keys)))
-
-    @cached_property
-    def post_hits(self) -> np.ndarray:
-        """H1: rows of the k1 training posts nearest this sample's post text."""
-        post_vec = np.asarray(self.vecs[self.sample.text_key], dtype=np.float64)
-        return topk_rows(self.side.post_index, post_vec, self.mapper.cfg.k1)[0]
+        self.sample, self.users, self.cfg = sample, mapper.users, mapper.cfg
+        self.side, self.post_rows = mapper.side, mapper.post_rows
+        keys = text_keys(sample)
+        self.vecs = dict(zip(keys, embed_many(mapper.texts, keys)))
+        post_vec = np.asarray(self.vecs[sample.text_key], dtype=np.float64)
+        self.post_hits = topk_rows(self.side.post_index, post_vec, self.cfg.k1)[0]  # H1
 
     @cached_property
     def author_vector(self) -> np.ndarray:
         """H1 author mapping; read-only, since every caller gets this one array."""
-        if len(self.side.post_index) == 0:
-            return _global_mean(self.mapper.table_mean, "empty post index")
-        vec = _mean_user(self.mapper.users, self.side.post_index, self.mapper.post_rows,
-                         self.post_hits)
+        vec = _mean_user(self.users, self.side.post_index, self.post_rows, self.post_hits)
         vec.setflags(write=False)
         return vec
 
@@ -297,22 +280,17 @@ class _ColdSample:
 
     @cached_property
     def pool_rows(self) -> np.ndarray:
-        return _owner_rows(self.pool, self.mapper.users)
+        return _owner_rows(self.pool, self.users)
 
     @cached_property
     def comment_reps(self) -> dict:
         return comment_representations(self.sample, self.vecs.__getitem__,
-                                       "h3" in self.mapper.cfg.heuristics)
+                                       "h3" in self.cfg.heuristics)
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
         """H2 (with H3 chain sums if enabled): mean author of the k2 nearest pool rows."""
-        if len(self.side.post_index) == 0:
-            return _global_mean(self.mapper.table_mean, "empty post index")
-        if len(self.pool) == 0:  # the H1 posts have no comments
-            return self.author_vector
-        return _mean_user(self.mapper.users, self.pool, self.pool_rows,
-                          topk_rows(self.pool, self.comment_reps[comment_id],
-                                    self.mapper.cfg.k2)[0])
+        return _mean_user(self.users, self.pool, self.pool_rows,
+                          topk_rows(self.pool, self.comment_reps[comment_id], self.cfg.k2)[0])
 
 
 class _ColdMapper:
@@ -333,18 +311,16 @@ class _ColdMapper:
         return self.cold(context)
 
     def cold(self, context: tuple) -> np.ndarray:
-        """The mapped vector of a cold user's occurrence: H2 for a comment when
-        enabled, else H1's author mapping, else the table mean."""
-        if context[0] == "comment" and "h2" in self.cfg.heuristics:
-            return self._sample(context[1]).commenter_vector(context[2])
-        if "h1" in self.cfg.heuristics:
-            return self._sample(context[1]).author_vector
-        return self.table_mean
-
-    def _sample(self, sample: Sample) -> _ColdSample:
-        if self.last is None or self.last.sample is not sample:
-            self.last = _ColdSample(self, sample)
-        return self.last
+        """The mapped vector of a cold user's occurrence: the table mean with
+        no heuristics or no training posts, H2 for a comment when it is on and
+        the H1 posts have comments, else H1's author mapping."""
+        if not self.cfg.heuristics or len(self.side.post_index) == 0:
+            return self.table_mean
+        if self.last is None or self.last.sample is not context[1]:
+            self.last = _ColdSample(self, context[1])
+        if context[0] == "comment" and "h2" in self.cfg.heuristics and len(self.last.pool):
+            return self.last.commenter_vector(context[2])
+        return self.last.author_vector
 
     @cached_property
     def table_mean(self) -> np.ndarray:
@@ -362,6 +338,8 @@ class _ColdMapper:
             raise ValueError(f"the train side represents comments by {_REPS[side.chains]}, "
                              f"but heuristics {sorted(self.cfg.heuristics)} compare "
                              f"{_REPS[chains]}; build it with use_chains={chains}")
+        if len(side.post_index) == 0:
+            logger.warning("empty post index; falling back to global mean user vector")
         return side
 
     @cached_property

@@ -1,12 +1,13 @@
 """Three-layer GCN / GraphSAGE / GAT with hand-written backward passes.
 
 Per-sample graphs are tiny trees. Each call lays its graphs out once, as a
-split: checked, with node counts and labels, each graph's feature array
-referenced rather than copied, and each graph's propagation operator kept
-as its nonzero entries (one per node, two per edge), whose values are
-computed once per split and arch. A batch of a split's graphs is packed by
-index arithmetic into dense (B, n_max, ·) arrays: its operators are one
-scatter of its graphs' entries, its rows one concatenation. Each layer is
+split for its one model: checked, with node counts and labels, each
+graph's feature array referenced rather than copied, and each graph's
+propagation operator kept as its nonzero entries (one per node, two per
+edge), whose values are computed for that model when the split is made. A
+batch of a split's graphs is packed by index arithmetic into dense
+(B, n_max, ·) arrays: its operators are one scatter of its graphs'
+entries, its rows one concatenation. Each layer is
 a weight product over the batch's nodes and one batched matmul for
 propagation or attention. A single graph takes the same path, as a split
 and batch of one. Readout blends the post node with the comment mean
@@ -119,10 +120,10 @@ def init_params(cfg: GnnConfig, in_dim: int, rng: np.random.Generator) -> ModelP
 
 @dataclass
 class _Split:
-    """Graphs checked and laid out once, so that any batch of them packs by
-    index arithmetic. Each graph's feature array is referenced, not copied,
-    and its operator is kept as its nonzero entries, one per node and two
-    per edge. Node ids are split-wide: graph k's are node_start[k] on."""
+    """Graphs checked and laid out once for one model, so that any batch of
+    them packs by index arithmetic. Each graph's feature array is referenced,
+    not copied, and its operator is kept as its nonzero entries, one per node
+    and two per edge. Node ids are split-wide: graph k's are node_start[k] on."""
 
     features: list  # each graph's (n, in_dim) array
     counts: list  # node counts
@@ -130,15 +131,18 @@ class _Split:
     entry_start: np.ndarray  # graph k's operator entries are entries[entry_start[k]:...[k + 1]]
     entries: np.ndarray  # (M, 2) row and column ids: each node's diagonal, each edge both ways
     labels: np.ndarray | None  # kept when the caller needs them
-    values: dict = field(default_factory=dict)  # (arch, dtype) -> the entries' values
+    values: np.ndarray | None  # the entries' values in the model's dtype; None for GAT's mask
 
 
-def _split(graphs, in_dim: int, labeled: bool) -> _Split:
-    """Check `graphs` against a model of width `in_dim` and lay them out;
-    `labeled` also requires every graph's label. Each edge must join two
-    distinct nodes of its graph by integer ids, and no other edge of it the
-    same two. Graph k's operator entries are its nodes' diagonal, then each
-    edge both ways."""
+def _split(graphs, params: ModelParams, labeled: bool) -> _Split:
+    """Check `graphs` against `params` and lay them out for it; `labeled`
+    also requires every graph's label. Each edge must join two distinct
+    nodes of its graph by integer ids, and no other edge of it the same two.
+    Graph k's operator entries are its nodes' diagonal, then each edge both
+    ways. Their values, in the model's dtype, are GCN's normalized Â, SAGE's
+    neighbour mean (an isolated node aggregates itself) or, as None, GAT's
+    mask of neighbours plus self, whose every entry is True."""
+    in_dim = params.in_dim
     features, counts, node_start, entry_start, rows, cols = [], [], [], [0], [], []
     s = 0  # the split-wide id of the graph's first node
     for g in graphs:
@@ -176,37 +180,29 @@ def _split(graphs, in_dim: int, labeled: bool) -> _Split:
             raise ValueError(f"sample {graphs[labels.index(None)].sample_id} is unlabeled")
         labels = np.array(labels)
     entries = np.fromiter(chain(rows, cols), np.intp, 2 * len(rows)).reshape(2, -1).T
-    return _Split(features, counts, np.array(node_start), np.array(entry_start), entries, labels)
-
-
-def _entry_values(arch: str, split: _Split, dtype) -> np.ndarray | None:
-    """The values in `dtype` of the operator entries of `split`, computed on
-    first use: GCN's normalized Â, SAGE's neighbour mean (an isolated node
-    aggregates itself) or, as None, GAT's mask of neighbours plus self,
-    whose every entry is True."""
-    key = (arch, np.dtype(dtype))
-    if arch != "gat" and key not in split.values:
-        rows, cols = split.entries.T
-        a_hat_deg = np.bincount(rows).astype(dtype)  # neighbours + self
-        if arch == "gcn":  # D^-½ Â D^-½, where Â = A + I is 1 at every entry
+    values = None
+    if params.arch != "gat":
+        rows, cols = entries.T
+        a_hat_deg = np.bincount(rows).astype(params.tensors["cls.W"].dtype)  # neighbours + self
+        if params.arch == "gcn":  # D^-½ Â D^-½, where Â = A + I is 1 at every entry
             d_inv_sqrt = 1.0 / np.sqrt(a_hat_deg)
-            split.values[key] = d_inv_sqrt[rows] * d_inv_sqrt[cols]
+            values = d_inv_sqrt[rows] * d_inv_sqrt[cols]
         else:  # an edge's entry is 1 / degree; a diagonal one 1 when the node is isolated
             deg = a_hat_deg - 1.0
-            split.values[key] = np.where(rows == cols, deg[rows] == 0,
-                                         (1.0 / np.maximum(deg, 1.0))[rows])
-    return split.values.get(key)
+            values = np.where(rows == cols, deg[rows] == 0, (1.0 / np.maximum(deg, 1.0))[rows])
+    return _Split(features, counts, np.array(node_start), np.array(entry_start), entries, labels,
+                  values)
 
 
-def _operators(arch: str, split: _Split, idx, real: np.ndarray, dtype) -> np.ndarray:
-    """The (B, n_max, n_max) propagation operators in `dtype` (GAT's mask
-    is bool) of the graphs `idx` of `split`, whose real slots are `real`:
-    one scatter of their entries. A pad slot is an isolated node, so its
-    operator row is self-only in every arch."""
-    values = _entry_values(arch, split, dtype)
+def _operators(split: _Split, idx, real: np.ndarray) -> np.ndarray:
+    """The (B, n_max, n_max) propagation operators in the split's dtype
+    (GAT's mask is bool) of the graphs `idx` of `split`, whose real slots
+    are `real`: one scatter of their entries. A pad slot is an isolated
+    node, so its operator row is self-only in every arch."""
+    values = split.values
     b, n_max = real.shape
     start = split.entry_start
-    op = np.zeros((b, n_max, n_max), dtype=bool if values is None else dtype)
+    op = np.zeros((b, n_max, n_max), dtype=bool if values is None else values.dtype)
     # entry (i, j) of graph k, in batch slot b, lands at b n_max² + (i - s_k) n_max + j - s_k
     if b == 1:  # one graph: one slice of entries, no pad slot
         sel = slice(start[idx[0]], start[idx[0] + 1])
@@ -222,36 +218,27 @@ def _operators(arch: str, split: _Split, idx, real: np.ndarray, dtype) -> np.nda
     return op
 
 
-def _rows(params: ModelParams, split: _Split, idx, out=None) -> np.ndarray:
-    """The real node rows (R, in_dim) of the graphs `idx` of `split`, in
-    batch order and in the model's dtype; written into the head of `out`,
-    which must hold that many rows, when it is given."""
-    rows = [split.features[k] for k in idx]
-    if out is None:
-        return np.concatenate(rows, dtype=params.tensors["cls.W"].dtype)
-    return np.concatenate(rows, out=out[: sum(split.counts[k] for k in idx)])
-
-
-def _layout(params: ModelParams, split: _Split, idx) -> dict:
-    """The padded (B, n_max) layout of the graphs `idx` of `split`: the mask
-    of real slots, operators (B, n_max, n_max) and readout weights (lambda on
-    the post, the rest spread over the real comments). A pad slot is an
-    isolated zero-feature node: its self-only operator row gives it exactly
-    zero output and gradient in every arch, and its readout weight is zero."""
+def _pack(params: ModelParams, split: _Split, idx, out=None) -> tuple[np.ndarray, dict]:
+    """The graphs `idx` (a sequence of ints) of `split`, a split made for
+    `params`, as a padded (B, n_max) batch: its real node rows (R, in_dim)
+    in batch order and in the model's dtype, written into the head of `out`
+    when it is given (it must hold that many rows), and a cache holding the
+    mask of real slots, the operators (B, n_max, n_max) and the readout
+    weights (lambda on the post, the rest spread over the real comments).
+    A pad slot is an isolated zero-feature node: its self-only operator row
+    gives it exactly zero output and gradient in every arch, and its readout
+    weight is zero. One graph is a batch of one, with no pad slots."""
     counts = [split.counts[k] for k in idx]
-    real = np.greater.outer(counts, np.arange(max(counts)))
+    features = [split.features[k] for k in idx]
     dtype = params.tensors["cls.W"].dtype
+    if out is None:
+        x = np.concatenate(features, dtype=dtype)
+    else:
+        x = np.concatenate(features, out=out[: sum(counts)])
+    real = np.greater.outer(counts, np.arange(max(counts)))
     readout = real * np.array([(1.0 - params.lam) / (n - 1) for n in counts], dtype)[:, None]
     readout[:, 0] = params.lam
-    return {"real": real, "op": _operators(params.arch, split, idx, real, dtype),
-            "readout": readout}
-
-
-def _pack(params: ModelParams, split: _Split, idx, rows=None) -> tuple[np.ndarray, dict]:
-    """The graphs `idx` (a sequence of ints) of `split` as a batch: its rows
-    (in `rows` when given, as in `_rows`) and a cache holding its layout.
-    One graph is a batch of one, with no pad slots."""
-    return _rows(params, split, idx, rows), _layout(params, split, idx)
+    return x, {"real": real, "op": _operators(split, idx, real), "readout": readout}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in the DivergenceError below
@@ -381,7 +368,7 @@ def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
 
     Pass a dict as `cache` to capture the intermediates, batch axis dropped.
     """
-    x, store = _pack(params, _split([g], params.in_dim, labeled=False), [0])
+    x, store = _pack(params, _split([g], params, labeled=False), [0])
     h, logits = _forward(params, x, store)
     if cache is not None:
         cache.update({k: v[0] for k, v in store.items()})
@@ -391,7 +378,7 @@ def forward(params: ModelParams, g: SampleGraph, cache: dict | None = None):
 def _loss_and_grads(params: ModelParams, split: _Split, idx, grads: dict, rows=None) -> float:
     """Mean cross-entropy over the graphs `idx` of a labeled split, from one
     padded pass; its gradients go into `grads` (see `_backward`) and its rows
-    into `rows` when given (see `_rows`)."""
+    into `rows` when given (see `_pack`)."""
     x, cache = _pack(params, split, idx, rows)
     _, logits = _forward(params, x, cache)
     losses, dlogits = _nll(logits, split.labels[idx])
@@ -405,7 +392,7 @@ def loss_and_grads(params: ModelParams, batch: list[SampleGraph]):
         raise ValueError("empty batch")
     flat = np.empty(sum(t.size for t in params.tensors.values()), params.tensors["cls.W"].dtype)
     grads = _views(params.tensors, flat)
-    loss = _loss_and_grads(params, _split(batch, params.in_dim, labeled=True),
+    loss = _loss_and_grads(params, _split(batch, params, labeled=True),
                            range(len(batch)), grads)
     return loss, replace(params, tensors=grads)
 
@@ -418,28 +405,21 @@ def predict(params: ModelParams, g: SampleGraph) -> tuple[int, float]:
     return label, float(probs[label])
 
 
-def _eval_batches(params: ModelParams, samples: list[SampleGraph], batch_size: int):
-    """Labeled `samples` as a split and, for each `batch_size` run of it in
-    order, its indices and layout. The rows are left out: an evaluation
-    gathers them each time, so kept batches hold no copy of the features."""
-    if not samples:
+def _evaluate(params: ModelParams, split: _Split, batch_size: int,
+              rows=None) -> tuple[float, float]:
+    """(mean loss, accuracy) over a labeled split, packed `batch_size`
+    graphs at a time in order; their rows go into `rows` when given (see
+    `_pack`)."""
+    losses, correct, n = [], 0, len(split.counts)
+    if not n:
         raise ValueError("no samples to evaluate")
-    split = _split(samples, params.in_dim, labeled=True)
-    runs = (range(start, min(start + batch_size, len(samples)))
-            for start in range(0, len(samples), batch_size))
-    return split, [(idx, _layout(params, split, idx)) for idx in runs]
-
-
-def _evaluate(params: ModelParams, split: _Split, batches, rows=None) -> tuple[float, float]:
-    """(mean loss, accuracy) over the batches of `_eval_batches`; their rows
-    go into `rows` when given (see `_rows`)."""
-    losses, correct = [], 0
-    for idx, layout in batches:
-        _, logits = _forward(params, _rows(params, split, idx, rows), dict(layout))
+    for start in range(0, n, batch_size):
+        idx = range(start, min(start + batch_size, n))
+        _, logits = _forward(params, *_pack(params, split, idx, rows))
         labels = split.labels[idx]
         losses.append(_nll(logits, labels)[0])
         correct += int(np.sum((logits[:, 1] >= logits[:, 0]) == labels))
-    return float(np.mean(np.concatenate(losses))), correct / len(split.counts)
+    return float(np.mean(np.concatenate(losses))), correct / n
 
 
 def train(
@@ -449,8 +429,7 @@ def train(
     in_dim: int,
 ) -> tuple[ModelParams, list[dict]]:
     """Adam training in float32 with per-epoch shuffles; returns the
-    min-val-loss params. Both splits are checked and laid out once, and the
-    validation batches' layouts are built once, not every epoch. A step
+    min-val-loss params. Both splits are checked and laid out once. A step
     packs its rows into one reused buffer and its gradients into one flat
     buffer laid out as the parameters, and Adam updates its moments and the
     parameters in place."""
@@ -459,9 +438,9 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, in_dim, rng)
     flat = _flatten(params, np.float32)
-    split = _split(train_graphs, in_dim, labeled=True)
-    val = _eval_batches(params, val_graphs, cfg.batch_size)
-    most = max(sum(sorted(s.counts)[-cfg.batch_size:]) for s in (split, val[0]))
+    split = _split(train_graphs, params, labeled=True)
+    val = _split(val_graphs, params, labeled=True)
+    most = max(sum(sorted(s.counts)[-cfg.batch_size:]) for s in (split, val))
     rows = np.empty((most, in_dim), flat.dtype)  # the most node rows a batch can hold
     g, m, v, s1, s2 = (np.zeros_like(flat) for _ in range(5))  # s1, s2: Adam's scratch
     grads = _views(params.tensors, g)
@@ -499,7 +478,7 @@ def train(
                 flat -= np.divide(s1, s2, out=s1)  # lr * m_hat / (sqrt(v_hat) + eps)
             if not (_all_finite(v) and _all_finite(flat)):
                 raise DivergenceError(f"Adam update diverged at epoch {epoch}", history)
-        val_loss, val_acc = _evaluate(params, *val, rows)
+        val_loss, val_acc = _evaluate(params, val, cfg.batch_size, rows)
         history.append(
             {
                 "epoch": epoch,

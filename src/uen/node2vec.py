@@ -293,9 +293,14 @@ def train_skipgram(walks: list[list[str]], cfg: Node2VecConfig) -> EmbeddingTabl
                 sgns_step(table, chosen[:, 0], chosen[:, 1], negatives[i], lr[batch], work)
             largest = np.abs(table).max()
             if not largest <= MAX_ENTRY:  # NaN fails this too
+                # a hub in most pairs takes most updates: name the busiest node
+                in_pairs = np.bincount(pairs.ravel(), minlength=v)
+                in_pairs -= np.bincount(pairs[pairs[:, 0] == pairs[:, 1], 0], minlength=v)
+                hub = int(in_pairs.argmax())
                 raise ValueError(f"SGNS diverged in epoch {epoch} at learning_rate "
                                  f"{cfg.learning_rate:g}: the table's largest entry is "
-                                 f"{largest:g}, above {MAX_ENTRY:g}")
+                                 f"{largest:g}, above {MAX_ENTRY:g}; node {vocab[hub]!r} "
+                                 f"is in {in_pairs[hub] / n_pairs:.1%} of the epoch's pairs")
         return _centred_table(vocab, table[:v])
 
 

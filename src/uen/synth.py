@@ -21,7 +21,6 @@ cost, and they depend only on the raw stream, which numpy's RNG policy
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,8 @@ class SynthConfig:
     n_users: int = 300
     n_communities: int = 6
     n_samples: int = 2000
-    comments_per_sample: tuple[int, int] = (4, 10)
+    min_comments: int = 4
+    max_comments: int = 10
     max_chain_depth: int = 3
     fake_fraction: float = 0.5
     text_signal_strength: float = 0.3
@@ -50,17 +50,9 @@ class SynthConfig:
         if self.n_users < self.n_communities:
             raise ValueError(f"n_users ({self.n_users}) must be >= n_communities "
                              f"({self.n_communities}): every community needs a user")
-        counts = self.comments_per_sample
-        if not (isinstance(counts, (tuple, list)) and len(counts) == 2 and all(
-                isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts)):
-            raise ValueError(f"comments_per_sample must be two integers (min, max), "
-                             f"not {counts!r}")
-        low, high = counts
-        if low < 1:
-            raise ValueError("samples need at least one comment")
-        if high < low:
-            raise ValueError(f"comments_per_sample max ({high}) must be >= its min ({low})")
-        object.__setattr__(self, "comments_per_sample", tuple(counts))  # a list is let in
+        if self.max_comments < self.min_comments:
+            raise ValueError(f"max_comments ({self.max_comments}) must be >= min_comments "
+                             f"({self.min_comments})")
 
 
 # Lexical signal is planted as topical clusters: each cluster owns a small
@@ -232,9 +224,7 @@ def generate(cfg: SynthConfig) -> Corpus:
 
         cluster = int(rng.integers(_CLUSTERS_PER_LABEL))
         author = pick_user(label, region, is_cold())
-        n_comments = int(
-            rng.integers(cfg.comments_per_sample[0], cfg.comments_per_sample[1] + 1)
-        )
+        n_comments = int(rng.integers(cfg.min_comments, cfg.max_comments + 1))
         post_id = f"p{i:06d}"
         ts = 1_000_000 + i * 60
         comments = []

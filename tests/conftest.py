@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uen.corpus import Comment, Corpus, Sample
-from uen.gnn import GnnConfig, _eval_batches, _evaluate
+from uen.gnn import GnnConfig, _evaluate, _split
 from uen.text import TextEmbedConfig, make_hash_provider
 
 
@@ -170,7 +170,7 @@ def edge_weight(g, u, v):
 def evaluate_loss(params, samples, batch_size=GnnConfig.batch_size):
     """(mean loss, accuracy) over labeled samples, `batch_size` at a time:
     the validation pass of `gnn.train`, run on any model and graphs."""
-    return _evaluate(params, *_eval_batches(params, samples, batch_size))
+    return _evaluate(params, _split(samples, params, labeled=True), batch_size)
 
 
 def zeros_like(params):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -120,7 +121,8 @@ def test_provenance_records_input_checksums(pipeline, tmp_path, monkeypatch):
                                               "lam": 0.5, "lr": 0.01, "epochs": 2,
                                               "batch_size": 32, "seed": 0}
     config = json.loads((pipeline / "data" / "run_config.json").read_text())
-    assert config["configs"]["SynthConfig"]["comments_per_sample"] == [4, 10]
+    synth = config["configs"]["SynthConfig"]
+    assert (synth["min_comments"], synth["max_comments"]) == (4, 10)
 
     best = {"lam": 0.25, "k1": 2, "k2": 3}
     monkeypatch.setattr(cli, "tune", lambda objective, space, budget, seed: (best, []))
@@ -273,7 +275,7 @@ def test_bad_config_value_is_structured_error(pipeline, tmp_path, command, flag,
     (["split", "--val-ratio", "nan"], "val split ratio must be finite and >= 0, got nan"),
     (["synth", "--n-users", "3"], "n_users (3) must be >= n_communities (6)"),
     (["synth", "--min-comments", "5", "--max-comments", "3"],
-     "comments_per_sample max (3) must be >= its min (5)"),
+     "max_comments (3) must be >= min_comments (5)"),
     (["split", "--train-ratio", "0.9", "--val-ratio", "0", "--test-ratio", "0.1"],
      "val split ratio must be > 0: every part needs a sample"),
     (["synth", "--max-chain-depth", "0"], "max_chain_depth must be >= 1, got 0"),
@@ -480,6 +482,26 @@ def test_eval_unlabeled_test_sample_is_structured_error(pipeline, tmp_path):
     err = json.loads(err)
     assert err["error"] == "ValueError"
     assert repr(post_id) in err["message"] and "unlabeled" in err["message"]
+
+
+@pytest.mark.parametrize("command, part", [("train", "val"), ("eval", "test"), ("tune", "train")])
+def test_empty_split_part_is_refused_before_any_work(pipeline, tmp_path, caplog, command, part):
+    """A part of --splits with no samples is one JSON line naming its path,
+    given before any work (no tune trial runs) and before --out is made."""
+    splits, out = tmp_path / "splits", tmp_path / "out"
+    shutil.copytree(pipeline / "splits", splits)
+    (splits / f"{part}.jsonl").write_text("")
+    extra = {"train": ["--epochs", "1", "--hidden", "8"],
+             "eval": ["--model", str(pipeline / "model" / "model.mdl")],
+             "tune": ["--budget", "3", "--epochs", "1", "--hidden", "8"]}[command]
+    rc, err = run_captured([command, "--splits", str(splits), *extra,
+                            "--users", str(pipeline / "users" / "users.emb"), "--out", str(out)])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    assert json.loads(err) == {"error": "CorpusError",
+                               "message": f"{splits / part}.jsonl: no samples"}
+    assert not out.exists()
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 @pytest.mark.parametrize("content", ['{"a": 1}', "[1]", '{"overall": {"n": 1}}', "not json"])

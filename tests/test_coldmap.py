@@ -571,8 +571,8 @@ def test_resolver_reduces_the_table_once_for_mean_fallbacks(texts, monkeypatch, 
         make_comment("qc0", "y", "q", text_key="alpha beta")])
     occurrences = [("ghost", ("post", cold)), ("y", ("comment", cold, "qc0"))] * 2
     empty_side = build_train_side([], texts)
-    # an empty post index logs each fallback; the sample's author vector is reused
-    for side, heuristics, logged in ((empty_side, {"h1", "h2", "h3"}, 3),
+    # an empty post index is logged once, when the resolver obtains its train side
+    for side, heuristics, logged in ((empty_side, {"h1", "h2", "h3"}, 1),
                                      (build_train_side(train_samples_fixture(), texts),
                                       set(), 0)):
         calls.clear()
@@ -583,6 +583,28 @@ def test_resolver_reduces_the_table_once_for_mean_fallbacks(texts, monkeypatch, 
             assert np.array_equal(resolver(user_id, context), want)
         assert calls == [1]
         assert sum("global mean" in r.getMessage() for r in caplog.records) == logged
+
+
+def test_resolver_and_its_sample_state_form_no_reference_cycle(texts):
+    """The last sample's state keeps what it needs of the mapper, not the
+    mapper, so with the cycle collector off, dropping the resolver frees the
+    train side at once."""
+    import gc
+    import weakref
+
+    side = build_train_side(train_samples_fixture(), texts)
+    resolver = make_resolver("cold-mapper", all_users(), train_side=side, texts=texts,
+                             cfg=ColdMapConfig(k1=2, k2=2))
+    cold = make_sample("q", author="a1", comments=[
+        make_comment("qc0", "ghost", "q", text_key="alpha beta")])
+    gc.disable()
+    try:
+        resolver("ghost", ("comment", cold, "qc0"))
+        side_ref = weakref.ref(side)
+        del resolver, side
+        assert side_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_make_resolver_validation(texts):

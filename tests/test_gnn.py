@@ -221,8 +221,9 @@ def test_packed_operators_equal_per_graph_oracle(arch, case):
     batch, seed, lam = case
     # the batch packed from a split that holds its graphs in another order
     perm = np.random.Generator(np.random.PCG64(seed)).permutation(len(batch))
-    split = _split([batch[i] for i in perm], 6, labeled=False)
-    _, cache = _pack(make_params(arch, lam=lam, seed=seed), split, np.argsort(perm).tolist())
+    params = make_params(arch, lam=lam, seed=seed)
+    _, cache = _pack(params, _split([batch[i] for i in perm], params, labeled=False),
+                     np.argsort(perm).tolist())
     op = cache["op"]
     n_max = op.shape[1]
     for b, g in enumerate(batch):
@@ -252,7 +253,7 @@ def test_pad_slots_change_no_logit(arch):
     rng = np.random.Generator(np.random.PCG64(43))
     graphs = [random_graph(rng, n, 6) for n in (3, 5, 8)]
     params = make_params(arch, hidden=5, layers=3, lam=0.3)
-    x, cache = _pack(params, _split(graphs, 6, labeled=False), range(3))
+    x, cache = _pack(params, _split(graphs, params, labeled=False), range(3))
     _, logits = _forward(params, x, dict(cache))
     # four more pad slots per graph: isolated zero-feature nodes
     wide = {"real": np.zeros((3, 12), dtype=bool), "readout": np.zeros((3, 12)),
@@ -671,27 +672,6 @@ def test_trained_model_bytes_are_pinned(arch, tmp_path):
     assert digests == PINNED_TRAINING_SHA256[arch]
 
 
-def test_training_leaves_validation_layouts_as_built(monkeypatch):
-    """train's in-place work never writes into the validation layouts it
-    built once: after training they equal freshly built ones."""
-    import uen.gnn as gnn
-
-    eval_batches, built = gnn._eval_batches, []
-    monkeypatch.setattr(gnn, "_eval_batches",
-                        lambda *args: built.append(eval_batches(*args)) or built[-1])
-    rng = np.random.Generator(np.random.PCG64(83))
-    graphs = [random_graph(rng, int(rng.integers(2, 9)), 6) for _ in range(40)]
-    for arch in ARCHS:
-        cfg = GnnConfig(arch=arch, hidden=5, epochs=2, batch_size=8)
-        model, _ = train(graphs[:30], graphs[30:], cfg, in_dim=6)
-        (_, kept), (_, fresh) = built[-1], eval_batches(model, graphs[30:], 8)
-        assert len(kept) == len(fresh)
-        for (idx, layout), (fresh_idx, fresh_layout) in zip(kept, fresh):
-            assert list(idx) == list(fresh_idx) and layout.keys() == fresh_layout.keys()
-            for k, v in layout.items():
-                assert np.array_equal(v, fresh_layout[k]) and v.dtype == fresh_layout[k].dtype, k
-
-
 @pytest.mark.parametrize("arch", ARCHS)
 def test_loss_and_grads_leaves_captured_forward_arrays(arch):
     """The arrays forward() captured for a graph do not change when
@@ -878,9 +858,11 @@ def test_bad_edges_rejected_by_name(edges):
 def test_numpy_integer_edge_ends_lay_out_as_ints():
     from uen.gnn import _split
 
-    plain = _split([make_graph(np.ones((3, 6)), [(0, 2), (1, 2)])], 6, labeled=False)
+    params = make_params("gcn")
+    plain = _split([make_graph(np.ones((3, 6)), [(0, 2), (1, 2)])], params, labeled=False)
     numpy = _split([make_graph(np.ones((3, 6)), [(np.int64(0), np.uint8(2)),
-                                                 (np.intp(1), np.int32(2))])], 6, labeled=False)
+                                                 (np.intp(1), np.int32(2))])], params,
+                   labeled=False)
     assert numpy.entries.tolist() == plain.entries.tolist()
 
 
@@ -909,7 +891,7 @@ def test_split_entries_equal_per_edge_layout(sizes):
     graphs = [random_graph(rng, n, 6) for n in sizes]
     graphs.append(make_graph(np.ones((4, 6)), [(2, 3), (0, 1), (3, 0)], label=1))  # any order
     for part in (graphs[:1], graphs):
-        split = _split(part, 6, labeled=True)
+        split = _split(part, make_params("gcn"), labeled=True)
         entries, node_start, entry_start = per_edge_entries(part)
         assert split.entries.dtype == np.intp and (split.entries == entries).all()
         assert split.node_start.tolist() == node_start

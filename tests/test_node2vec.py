@@ -389,6 +389,16 @@ def test_degenerate_sgns_table_is_one_value_error():
                 embed(g, cfg)
 
 
+def test_diverging_sgns_names_the_node_in_most_pairs():
+    """A star's hub is in most of the epoch's pairs and takes most updates:
+    the divergence error names it and its share, not only the rate."""
+    g = build_interaction_graph([star_sample("p", author="hub",
+                                             commenters=tuple(f"u{i}" for i in range(200)))])
+    with pytest.raises(ValueError, match=r"^SGNS diverged in epoch 0 at learning_rate 0\.025: "
+                                         r".*; node 'hub' is in 80\.0% of the epoch's pairs$"):
+        embed(g, Node2VecConfig())
+
+
 def test_batched_negative_draws_equal_one_choice_call():
     # searching the cdf batch by batch equals one rng.choice call over all
     # the batches: the draw train_skipgram's negatives are made with

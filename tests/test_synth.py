@@ -47,7 +47,7 @@ def test_exact_fake_count():
 
 
 def test_comment_counts_within_bounds():
-    cfg = SynthConfig(n_samples=80, n_users=40, comments_per_sample=(3, 7), seed=4)
+    cfg = SynthConfig(n_samples=80, n_users=40, min_comments=3, max_comments=7, seed=4)
     for s in generate(cfg).samples:
         assert 3 <= len(s.comments) <= 7
 
@@ -119,18 +119,15 @@ def test_config_validation():
         SynthConfig(cold_user_rate_test=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(n_communities=1)
-    with pytest.raises(ValueError):
-        SynthConfig(comments_per_sample=(0, 5))
+    with pytest.raises(ValueError, match=r"^min_comments must be >= 1, got 0$"):
+        SynthConfig(min_comments=0)
     with pytest.raises(ValueError, match=r"n_users \(3\) must be >= n_communities \(6\)"):
         SynthConfig(n_users=3)
-    with pytest.raises(ValueError, match=r"comments_per_sample max \(3\) must be >= its min \(5\)"):
-        SynthConfig(comments_per_sample=(5, 3))
+    with pytest.raises(ValueError, match=r"max_comments \(3\) must be >= min_comments \(5\)"):
+        SynthConfig(min_comments=5, max_comments=3)
     with pytest.raises(ValueError, match=r"max_chain_depth must be >= 1, got 0"):
         SynthConfig(max_chain_depth=0)
-    for counts in ((1.5, 3), (2,), (True, 3), (2, 3, 4)):
-        with pytest.raises(ValueError, match=r"^comments_per_sample must be two integers"):
-            SynthConfig(comments_per_sample=counts)
-    SynthConfig(n_users=6, comments_per_sample=(3, 3))  # both limits inclusive
+    SynthConfig(n_users=6, min_comments=3, max_comments=3)  # both limits inclusive
     SynthConfig(max_chain_depth=1)  # replies to the post only
 
 
@@ -175,11 +172,11 @@ def test_cold_rate_scales_cold_population():
     (SynthConfig(seed=0),
      "cd3a1b218b9f3dd4fc6ef3ece2ae3dc084b034637d5732c17a0f313a40096384"),
     (SynthConfig(seed=0, n_samples=200, n_users=40, cold_user_rate_test=0.5,
-                 comments_per_sample=(2, 30), max_chain_depth=5),
+                 min_comments=2, max_comments=30, max_chain_depth=5),
      "f8eb96d94f289f939f630bed2e504806b2555d781da1e15fc9dcc7ea177dd7f3"),
     # a community with no training user: its warm slots draw from all of them
     (SynthConfig(seed=0, n_samples=10, n_users=60, n_communities=12,
-                 comments_per_sample=(1, 2), cold_user_rate_test=0.0),
+                 min_comments=1, max_comments=2, cold_user_rate_test=0.0),
      "41b396c423ba8d6a62e1b9f87bfe4bd7ff6df98f786d096d1f2cfbeaaf3f6f77"),
 ])
 def test_corpus_bytes_are_pinned(tmp_path, cfg, digest):
