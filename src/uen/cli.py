@@ -140,22 +140,30 @@ def cmd_embed_text(args):
     print(json.dumps({"rows": len(table), "dim": table.dim}))
 
 
+def _train_val_graphs(args, coldmap: ColdMapConfig) -> tuple[list, list]:
+    """The graphs of the train and val parts of `--splits`, whose users
+    `--variant`'s resolver maps. The resolver, its train side and the text
+    provider's cache die with this call, so training holds none of them."""
+    train_corpus, val_corpus = _load_split_dir(args, "train", "val")
+    texts, common = _text_provider(args), train_corpus.common_author
+    resolver = experiment.variant_resolver(VARIANTS[args.variant], _users(args),
+                                           train_corpus.samples, texts, common, coldmap)
+    return experiment.train_val_graphs(train_corpus.samples, val_corpus.samples, texts,
+                                       resolver, common)
+
+
 def cmd_train(args):
     _check_variant_conflicts(args)
     cfg, coldmap = _config(args, GnnConfig), _config(args, ColdMapConfig)
-    train_corpus, val_corpus = _load_split_dir(args, "train", "val")
-    texts, users = _text_provider(args), _users(args)
-    common = train_corpus.common_author
+    graphs = _train_val_graphs(args, coldmap)
     out = _out_dir(args)
-    resolver = experiment.variant_resolver(VARIANTS[args.variant], users, train_corpus.samples,
-                                           texts, common, coldmap)
-    model, history = experiment.fit(resolver, texts, common, train_corpus.samples,
-                                    val_corpus.samples, cfg)
+    model, history = experiment.fit(*graphs, cfg)
     save_model(model, out / "model.mdl")
     save_history(history, out / "history.csv")
     _write_provenance(out, args, _split_paths(args, "train", "val"), cfg, coldmap,
                       _config(args, TextEmbedConfig))
-    print(json.dumps({"best_val_loss": min(h["val_loss"] for h in history),
+    best = min(history, key=lambda h: h["val_loss"])  # the first minimum, as train keeps
+    print(json.dumps({"best_val_loss": best["val_loss"], "best_epoch": best["epoch"],
                       "epochs": len(history)}))
 
 
@@ -171,8 +179,8 @@ def cmd_tune(args):
         resolver = experiment.variant_resolver(
             "full", users, train_samples, texts, common,
             ColdMapConfig(k1=params["k1"], k2=params["k2"]), side)
-        _, history = experiment.fit(resolver, texts, common, train_samples, val_samples,
-                                    replace(cfg, lam=params["lam"]))
+        graphs = experiment.train_val_graphs(train_samples, val_samples, texts, resolver, common)
+        _, history = experiment.fit(*graphs, replace(cfg, lam=params["lam"]))
         return min(h["val_loss"] for h in history)
 
     space = SearchSpace(k1=(1, max(2, len(train_samples))),

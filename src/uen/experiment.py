@@ -2,9 +2,9 @@
 
 This module is the only place the pipeline is wired: `run_variant` (which
 the demos and the ablation harness call) and the CLI's commands call its
-stages `prepare_user_embeddings`, `variant_resolver`, `fit` and
-`evaluate`. One resolver per variant maps the users of the train, val and
-test graphs alike. Variants:
+stages `prepare_user_embeddings`, `variant_resolver`, `train_val_graphs`,
+`fit` and `evaluate`. One resolver per variant maps the users of the
+train, val and test graphs alike. Variants:
   full      - cold users resolved by the mapper heuristics
   no-mapper - cold users get the global mean user vector
   no-user   - nodes carry text features only (narrower input layer)
@@ -105,13 +105,18 @@ def variant_resolver(variant: str, users: EmbeddingTable | None, train_samples,
                          cfg=coldmap)
 
 
-def fit(resolver: UserResolver | None, texts: TextProvider, common_author, train_samples,
-        val_samples, gnn: GnnConfig) -> tuple[ModelParams, list]:
-    """Train a classifier on graphs whose users `resolver` maps; the model is
-    as wide as their node rows. Returns (model, history)."""
-    # the graphs die with the call, so evaluation reuses their memory
-    train_graphs = [assemble(s, texts, resolver, common_author) for s in train_samples]
-    val_graphs = [assemble(s, texts, resolver, common_author) for s in val_samples]
+def train_val_graphs(train_samples, val_samples, texts: TextProvider,
+                     resolver: UserResolver | None, common_author) -> tuple[list, list]:
+    """The train and val graphs for `fit`, whose users `resolver` maps; the
+    train graphs are assembled first."""
+    return ([assemble(s, texts, resolver, common_author) for s in train_samples],
+            [assemble(s, texts, resolver, common_author) for s in val_samples])
+
+
+def fit(train_graphs: list[SampleGraph], val_graphs: list[SampleGraph],
+        gnn: GnnConfig) -> tuple[ModelParams, list]:
+    """Train a classifier on `train_graphs`, its epoch chosen on `val_graphs`;
+    the model is as wide as their node rows. Returns (model, history)."""
     in_dim = train_graphs[0].features.shape[1] if train_graphs else 0  # train rejects empty
     return train(train_graphs, val_graphs, gnn, in_dim)
 
@@ -265,7 +270,9 @@ def run_variant(
             users = table()
     resolver = variant_resolver(cfg.variant, users, split.train, texts, common, cfg.coldmap)
     with overlap("test graphs", assemble_graphs, split.test, texts, resolver, common) as graphs:
-        model, history = fit(resolver, texts, common, split.train, split.val, cfg.gnn)
+        # the train and val graphs die with the call, so evaluation reuses their memory
+        model, history = fit(*train_val_graphs(split.train, split.val, texts, resolver, common),
+                             cfg.gnn)
         graphs = graphs()
     metadata = {"variant": cfg.variant, "seed": cfg.gnn.seed}
     report, preds, labels, ratios = evaluate(model, split.train, split.test, graphs, common,

@@ -12,7 +12,11 @@ a weight product over the batch's nodes and one batched matmul for
 propagation or attention. A single graph takes the same path, as a split
 and batch of one. Readout blends the post node with the comment mean
 through lambda, then a dense head produces two logits. Training is Adam on
-mean cross-entropy with min-validation-loss model selection. A training
+mean cross-entropy with min-validation-loss model selection. It stops
+early (Prechelt, "Early Stopping - But When?", 1998): once
+`GnnConfig.patience` epochs in a row (5 by default; 0 runs every epoch)
+bring no strictly lower mean validation loss, `train` returns the best
+checkpoint it holds. A training
 step gathers its rows into one reused buffer, writes every gradient into
 one flat buffer laid out as the parameters, and updates Adam's moments and
 the parameters in place; attention's mask, softmax and gradient also work
@@ -55,11 +59,12 @@ class GnnConfig:
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
+    patience: int = 5  # epochs without a new best val loss before training stops; 0: never
 
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ValueError(f"unknown arch {self.arch!r}")
-        check_fields(self, minimum={"seed": 0}, positive=("lr",), unit=("lam",))
+        check_fields(self, minimum={"seed": 0, "patience": 0}, positive=("lr",), unit=("lam",))
 
 
 class DivergenceError(RuntimeError):
@@ -429,10 +434,13 @@ def train(
     in_dim: int,
 ) -> tuple[ModelParams, list[dict]]:
     """Adam training in float32 with per-epoch shuffles; returns the
-    min-val-loss params. Both splits are checked and laid out once. A step
-    packs its rows into one reused buffer and its gradients into one flat
-    buffer laid out as the parameters, and Adam updates its moments and the
-    parameters in place."""
+    min-val-loss params and one history row per epoch run. It stops once
+    `cfg.patience` epochs (when above 0) have passed without a new minimum,
+    so it returns the params a run of every epoch returns whenever no later
+    epoch would have improved on them. Both splits are checked and laid out
+    once. A step packs its rows into one reused buffer and its gradients
+    into one flat buffer laid out as the parameters, and Adam updates its
+    moments and the parameters in place."""
     if not train_graphs or not val_graphs:
         raise ValueError("train and val splits must be non-empty")
     rng = np.random.default_rng(cfg.seed)
@@ -447,7 +455,7 @@ def train(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     history: list[dict] = []
-    best_val = np.inf
+    best_val, best_epoch = np.inf, 0
     best = _copy_params(params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_graphs)).tolist()
@@ -488,8 +496,10 @@ def train(
             }
         )
         if val_loss < best_val:
-            best_val = val_loss
+            best_val, best_epoch = val_loss, epoch
             best = _copy_params(params)
+        elif cfg.patience and epoch - best_epoch >= cfg.patience:
+            break
     return best, history
 
 

@@ -119,7 +119,7 @@ def test_provenance_records_input_checksums(pipeline, tmp_path, monkeypatch):
     config = json.loads((pipeline / "model" / "run_config.json").read_text())
     assert config["configs"]["GnnConfig"] == {"arch": "gcn", "layers": 3, "hidden": 8,
                                               "lam": 0.5, "lr": 0.01, "epochs": 2,
-                                              "batch_size": 32, "seed": 0}
+                                              "batch_size": 32, "seed": 0, "patience": 5}
     config = json.loads((pipeline / "data" / "run_config.json").read_text())
     synth = config["configs"]["SynthConfig"]
     assert (synth["min_comments"], synth["max_comments"]) == (4, 10)
@@ -543,12 +543,13 @@ CLI_SURFACE = {
     "train": {
         "--splits": REQUIRED, "--users": None, "--out": REQUIRED, "--arch": "gcn",
         "--lam --lambda": 0.5, "--lr": 0.01, "--epochs": 20, "--batch-size": 32,
-        "--hidden": 64, "--seed": 0, "--variant": "uen", **TEXT_FLAGS, **COLD_FLAGS, **MODE,
+        "--hidden": 64, "--seed": 0, "--patience": 5, "--variant": "uen", **TEXT_FLAGS,
+        **COLD_FLAGS, **MODE,
     },
     "tune": {
         "--splits": REQUIRED, "--users": REQUIRED, "--out": REQUIRED, "--arch": "gcn",
         "--budget": 20, "--epochs": 5, "--lr": 0.01, "--batch-size": 32, "--hidden": 64,
-        "--seed": 0, **TEXT_FLAGS, **MODE,
+        "--seed": 0, "--patience": 5, **TEXT_FLAGS, **MODE,
     },
     "map-cold": {"--train": REQUIRED, "--test": REQUIRED, "--users": REQUIRED,
                  "--out": REQUIRED, **TEXT_FLAGS, **COLD_FLAGS, **MODE},
@@ -678,6 +679,64 @@ def test_train_equals_experiment_stages(pipeline, cold_val, tmp_path):
         tmp_path / "library.mdl").read_bytes()
     assert (tmp_path / "cli" / "history.csv").read_bytes() == (
         tmp_path / "library.csv").read_bytes()
+
+
+def test_train_reports_the_epoch_it_keeps(pipeline, tmp_path, capsys):
+    """stdout names the kept epoch, the first with the least val loss, and
+    the epochs run, one row each in history.csv; here the run stops one
+    epoch after its best."""
+    out = tmp_path / "model"
+    run_ok(["train", "--splits", str(pipeline / "splits"),
+            "--users", str(pipeline / "users" / "users.emb"), "--out", str(out),
+            "--epochs", "8", "--hidden", "8", "--lr", "0.05", "--patience", "1"])
+    line = json.loads(capsys.readouterr().out)
+    rows = (out / "history.csv").read_text().splitlines()[1:]
+    val_losses = [float(row.split(",")[2]) for row in rows]
+    assert set(line) == {"best_val_loss", "best_epoch", "epochs"}
+    assert line["epochs"] == len(rows)
+    assert line["best_epoch"] == val_losses.index(min(val_losses))
+    assert line["best_val_loss"] == min(val_losses)
+    assert line["epochs"] == line["best_epoch"] + 2 < 8  # stopped by --patience 1
+
+
+def test_train_holds_no_train_side_or_text_cache_while_training(pipeline, cold_val, tmp_path,
+                                                              monkeypatch):
+    """Once the train and val graphs are made, `uen train` drops the cold
+    mapper's train side (built here, since val has cold users) and the text
+    provider with its cache, so neither is live during `gnn.train`."""
+    import gc
+    import weakref
+
+    from uen.coldmap import TrainSideData
+
+    sides, providers, checked = [], [], []
+    build, provide, train = (experiment.build_train_side, cli.make_hash_provider,
+                             experiment.train)
+
+    def tracked_side(*args, **kwargs):
+        side = build(*args, **kwargs)
+        sides.append(weakref.ref(side))
+        return side
+
+    def tracked_provider(*args):
+        provider = provide(*args)
+        providers.append(weakref.ref(provider))
+        return provider
+
+    def checked_train(*args):
+        assert len(sides) == 1 and len(providers) == 1
+        assert sides[0]() is None and providers[0]() is None  # freed without a collection
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, TrainSideData)]
+        checked.append(1)
+        return train(*args)
+
+    monkeypatch.setattr(experiment, "build_train_side", tracked_side)
+    monkeypatch.setattr(cli, "make_hash_provider", tracked_provider)
+    monkeypatch.setattr(experiment, "train", checked_train)
+    run_ok(["train", "--splits", str(cold_val), "--users", str(pipeline / "users" / "users.emb"),
+            "--out", str(tmp_path / "model"), "--epochs", "1", "--hidden", "8"])
+    assert checked == [1]
 
 
 def test_train_k1_shapes_cold_val(pipeline, cold_val, tmp_path):

@@ -537,6 +537,81 @@ def test_training_deterministic_history():
     assert h1 == h2
 
 
+def overfitting_run(arch, **kwargs):
+    """Random labels and a large step: the val loss of every arch falls,
+    with setbacks, for a few epochs, then climbs."""
+    rng = np.random.Generator(np.random.PCG64(41))
+    graphs = [random_graph(rng, int(rng.integers(2, 6)), 6) for _ in range(64)]
+    cfg = GnnConfig(arch=arch, hidden=16, lr=0.05, epochs=16, batch_size=8, seed=3, **kwargs)
+    return train(graphs[:48], graphs[48:], cfg, in_dim=6)
+
+
+def assert_same_tensors(a, b):
+    assert a.tensors.keys() == b.tensors.keys()
+    for k, t in a.tensors.items():
+        assert t.tobytes() == b.tensors[k].tobytes(), k
+
+
+def first_best(history) -> int:
+    """The epoch train keeps: the first with the least val loss."""
+    return min(history, key=lambda h: h["val_loss"])["epoch"]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_patience_zero_runs_every_epoch(arch):
+    model, history = overfitting_run(arch, patience=0)
+    assert [h["epoch"] for h in history] == list(range(16))
+    never, never_history = overfitting_run(arch, patience=16)
+    assert never_history == history
+    assert_same_tensors(never, model)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_patience_stops_at_best_epoch_plus_patience(arch):
+    """A run with patience P is the every-epoch run cut P epochs after its
+    best so far; it keeps the every-epoch model whenever it stops after that
+    run's best epoch."""
+    full, full_history = overfitting_run(arch, patience=0)
+    stopped_after_best = stopped_before_best = 0
+    for patience in range(1, 16):
+        model, history = overfitting_run(arch, patience=patience)
+        assert history == full_history[: len(history)]
+        cut = next((h["epoch"] + 1 for h in full_history
+                    if h["epoch"] - first_best(full_history[: h["epoch"] + 1]) >= patience), 16)
+        assert len(history) == cut
+        if cut == 16:
+            continue
+        best = first_best(history)
+        assert len(history) == best + patience + 1
+        if first_best(full_history) <= best:
+            assert_same_tensors(model, full)
+            stopped_after_best += 1
+        else:
+            stopped_before_best += 1
+    assert stopped_after_best and stopped_before_best
+
+
+def test_an_equal_val_loss_is_no_improvement(monkeypatch):
+    """The best epoch and the stop both compare by strict `<`: a plateau of
+    equal losses keeps its first epoch and counts toward the patience."""
+    from uen import gnn
+
+    losses = iter([1.0, 0.5, 0.5, 0.5, 0.5, 0.25])
+    seen = []
+
+    def fixed_evaluate(params, *args):
+        seen.append({k: t.copy() for k, t in params.tensors.items()})
+        return next(losses), 0.5
+
+    monkeypatch.setattr(gnn, "_evaluate", fixed_evaluate)
+    rng = np.random.Generator(np.random.PCG64(43))
+    graphs = separable_graphs(rng, 40)
+    model, history = train(graphs[:32], graphs[32:], GnnConfig(epochs=6, patience=3), in_dim=6)
+    assert [h["val_loss"] for h in history] == [1.0, 0.5, 0.5, 0.5, 0.5]
+    for k, t in model.tensors.items():
+        assert t.tobytes() == seen[1][k].tobytes(), k
+
+
 def oracle_train(train_graphs, val_graphs, cfg, in_dim):
     """train() with its Adam step taken tensor by tensor, on the float32 cast
     of the same draws."""
@@ -941,9 +1016,13 @@ def test_config_validation():
     for lr in (0.0, -0.01, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             GnnConfig(lr=lr)
+    with pytest.raises(ValueError, match="^patience must be >= 0, got -1$"):
+        GnnConfig(patience=-1)
+    assert GnnConfig(patience=0).patience == 0
 
 
-@pytest.mark.parametrize("name", ["layers", "hidden", "epochs", "batch_size", "seed"])
+@pytest.mark.parametrize("name", ["layers", "hidden", "epochs", "batch_size", "seed",
+                                  "patience"])
 def test_config_rejects_non_integer_sizes_by_name(name):
     """A size that is not an integer fails when the config is made, before
     any stage runs, not inside train; a bool is not an integer here."""
