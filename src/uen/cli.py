@@ -23,7 +23,8 @@ from .coldmap import ColdMapConfig
 from .corpus import SPLIT_RATIOS, Corpus, CorpusError, load_corpus, save_corpus, temporal_split
 from .embedding import EmbeddingTable, FormatError, sha256_file
 from .evaluation import SearchSpace, TuneError, save_trials, tune
-from .gnn import ARCHS, DivergenceError, GnnConfig, load_model, save_history, save_model
+from .gnn import (ARCHS, DivergenceError, GnnConfig, kept_epoch, load_model, save_history,
+                  save_model)
 from .node2vec import Node2VecConfig
 from .synth import SynthConfig, describe, generate
 from .text import TextEmbedConfig, build_text_table, make_hash_provider, table_provider
@@ -148,8 +149,8 @@ def _train_val_graphs(args, coldmap: ColdMapConfig) -> tuple[list, list]:
     texts, common = _text_provider(args), train_corpus.common_author
     resolver = experiment.variant_resolver(VARIANTS[args.variant], _users(args),
                                            train_corpus.samples, texts, common, coldmap)
-    return experiment.train_val_graphs(train_corpus.samples, val_corpus.samples, texts,
-                                       resolver, common)
+    return (experiment.assemble_graphs(train_corpus.samples, texts, resolver, common),
+            experiment.assemble_graphs(val_corpus.samples, texts, resolver, common))
 
 
 def cmd_train(args):
@@ -162,8 +163,8 @@ def cmd_train(args):
     save_history(history, out / "history.csv")
     _write_provenance(out, args, _split_paths(args, "train", "val"), cfg, coldmap,
                       _config(args, TextEmbedConfig))
-    best = min(history, key=lambda h: h["val_loss"])  # the first minimum, as train keeps
-    print(json.dumps({"best_val_loss": best["val_loss"], "best_epoch": best["epoch"],
+    best = kept_epoch(history)
+    print(json.dumps({"best_val_loss": history[best]["val_loss"], "best_epoch": best,
                       "epochs": len(history)}))
 
 
@@ -179,8 +180,10 @@ def cmd_tune(args):
         resolver = experiment.variant_resolver(
             "full", users, train_samples, texts, common,
             ColdMapConfig(k1=params["k1"], k2=params["k2"]), side)
-        graphs = experiment.train_val_graphs(train_samples, val_samples, texts, resolver, common)
-        _, history = experiment.fit(*graphs, replace(cfg, lam=params["lam"]))
+        _, history = experiment.fit(
+            experiment.assemble_graphs(train_samples, texts, resolver, common),
+            experiment.assemble_graphs(val_samples, texts, resolver, common),
+            replace(cfg, lam=params["lam"]))
         return min(h["val_loss"] for h in history)
 
     space = SearchSpace(k1=(1, max(2, len(train_samples))),

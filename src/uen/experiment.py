@@ -2,7 +2,7 @@
 
 This module is the only place the pipeline is wired: `run_variant` (which
 the demos and the ablation harness call) and the CLI's commands call its
-stages `prepare_user_embeddings`, `variant_resolver`, `train_val_graphs`,
+stages `prepare_user_embeddings`, `variant_resolver`, `assemble_graphs`,
 `fit` and `evaluate`. One resolver per variant maps the users of the
 train, val and test graphs alike. Variants:
   full      - cold users resolved by the mapper heuristics
@@ -105,14 +105,6 @@ def variant_resolver(variant: str, users: EmbeddingTable | None, train_samples,
                          cfg=coldmap)
 
 
-def train_val_graphs(train_samples, val_samples, texts: TextProvider,
-                     resolver: UserResolver | None, common_author) -> tuple[list, list]:
-    """The train and val graphs for `fit`, whose users `resolver` maps; the
-    train graphs are assembled first."""
-    return ([assemble(s, texts, resolver, common_author) for s in train_samples],
-            [assemble(s, texts, resolver, common_author) for s in val_samples])
-
-
 def fit(train_graphs: list[SampleGraph], val_graphs: list[SampleGraph],
         gnn: GnnConfig) -> tuple[ModelParams, list]:
     """Train a classifier on `train_graphs`, its epoch chosen on `val_graphs`;
@@ -148,7 +140,7 @@ def evaluate(model: ModelParams, train_samples, test_samples, graphs, common_aut
 def assemble_graphs(samples, texts: TextProvider, resolver: UserResolver | None,
                     common_author) -> list[SampleGraph]:
     """The graphs of `samples` whose users `resolver` maps: `run_variant`'s
-    test-graph stage."""
+    test-graph stage, and the CLI's train and val graphs for `fit`."""
     return [assemble(s, texts, resolver, common_author) for s in samples]
 
 
@@ -270,9 +262,10 @@ def run_variant(
             users = table()
     resolver = variant_resolver(cfg.variant, users, split.train, texts, common, cfg.coldmap)
     with overlap("test graphs", assemble_graphs, split.test, texts, resolver, common) as graphs:
-        # the train and val graphs die with the call, so evaluation reuses their memory
-        model, history = fit(*train_val_graphs(split.train, split.val, texts, resolver, common),
-                             cfg.gnn)
+        # the train and val graphs die with the call, so evaluation reuses their memory; the
+        # parent assembles them itself, as `assemble_graphs` is the test-graph stage
+        model, history = fit([assemble(s, texts, resolver, common) for s in split.train],
+                             [assemble(s, texts, resolver, common) for s in split.val], cfg.gnn)
         graphs = graphs()
     metadata = {"variant": cfg.variant, "seed": cfg.gnn.seed}
     report, preds, labels, ratios = evaluate(model, split.train, split.test, graphs, common,

@@ -13,14 +13,14 @@ propagation or attention. A single graph takes the same path, as a split
 and batch of one. Readout blends the post node with the comment mean
 through lambda, then a dense head produces two logits. Training is Adam on
 mean cross-entropy with min-validation-loss model selection. It stops
-early (Prechelt, "Early Stopping - But When?", 1998): once
-`GnnConfig.patience` epochs in a row (5 by default; 0 runs every epoch)
-bring no strictly lower mean validation loss, `train` returns the best
-checkpoint it holds. A training
-step gathers its rows into one reused buffer, writes every gradient into
-one flat buffer laid out as the parameters, and updates Adam's moments and
-the parameters in place; attention's mask, softmax and gradient also work
-in place, as the same numpy operations on the same operands.
+early (Prechelt, "Early Stopping - But When?", 1998): once `_PATIENCE`
+(5) epochs in a row bring no strictly lower mean validation loss, `train`
+returns the best checkpoint it holds, whose epoch `kept_epoch` names. A
+training step gathers its rows into one reused buffer, writes every
+gradient into one flat buffer laid out as the parameters, and updates
+Adam's moments and the parameters in place; attention's mask, softmax
+and gradient also work in place, as the same numpy operations on the same
+operands.
 
 Every pass computes in the dtype of the model's tensors. `train` casts the
 float64 draws of `init_params` to float32 once, so training, checkpoints
@@ -48,6 +48,10 @@ MODEL_MAGIC = b"UENMDL1"
 
 ARCHS = ("gcn", "sage", "gat")
 
+# `train` stops this many epochs after its best one; every acceptance-seed
+# model and the CLI's GAT model pick an epoch at most 3 after the last best
+_PATIENCE = 5
+
 
 @dataclass(frozen=True)
 class GnnConfig:
@@ -59,12 +63,11 @@ class GnnConfig:
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    patience: int = 5  # epochs without a new best val loss before training stops; 0: never
 
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ValueError(f"unknown arch {self.arch!r}")
-        check_fields(self, minimum={"seed": 0, "patience": 0}, positive=("lr",), unit=("lam",))
+        check_fields(self, minimum={"seed": 0}, positive=("lr",), unit=("lam",))
 
 
 class DivergenceError(RuntimeError):
@@ -434,13 +437,13 @@ def train(
     in_dim: int,
 ) -> tuple[ModelParams, list[dict]]:
     """Adam training in float32 with per-epoch shuffles; returns the
-    min-val-loss params and one history row per epoch run. It stops once
-    `cfg.patience` epochs (when above 0) have passed without a new minimum,
-    so it returns the params a run of every epoch returns whenever no later
-    epoch would have improved on them. Both splits are checked and laid out
-    once. A step packs its rows into one reused buffer and its gradients
-    into one flat buffer laid out as the parameters, and Adam updates its
-    moments and the parameters in place."""
+    params of the epoch `kept_epoch` names and one history row per epoch
+    run. It stops `_PATIENCE` epochs after that epoch, so it returns the
+    params a run of every epoch returns whenever no later epoch would have
+    improved on them. Both splits are checked and laid out once. A step
+    packs its rows into one reused buffer and its gradients into one flat
+    buffer laid out as the parameters, and Adam updates its moments and the
+    parameters in place."""
     if not train_graphs or not val_graphs:
         raise ValueError("train and val splits must be non-empty")
     rng = np.random.default_rng(cfg.seed)
@@ -455,8 +458,6 @@ def train(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     history: list[dict] = []
-    best_val, best_epoch = np.inf, 0
-    best = _copy_params(params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_graphs)).tolist()
         epoch_losses = []
@@ -495,12 +496,22 @@ def train(
                 "val_acc": val_acc,
             }
         )
-        if val_loss < best_val:
-            best_val, best_epoch = val_loss, epoch
+        kept = kept_epoch(history)
+        if kept == epoch:
             best = _copy_params(params)
-        elif cfg.patience and epoch - best_epoch >= cfg.patience:
+        elif epoch - kept >= _PATIENCE:
             break
     return best, history
+
+
+def kept_epoch(history: list[dict]) -> int:
+    """The epoch whose params `train` returns with `history`: the first
+    whose val loss is below every earlier epoch's (strict `<`)."""
+    best_val, kept = np.inf, 0
+    for h in history:
+        if h["val_loss"] < best_val:
+            best_val, kept = h["val_loss"], h["epoch"]
+    return kept
 
 
 def _views(tensors: dict, flat: np.ndarray) -> dict:

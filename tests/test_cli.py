@@ -119,7 +119,7 @@ def test_provenance_records_input_checksums(pipeline, tmp_path, monkeypatch):
     config = json.loads((pipeline / "model" / "run_config.json").read_text())
     assert config["configs"]["GnnConfig"] == {"arch": "gcn", "layers": 3, "hidden": 8,
                                               "lam": 0.5, "lr": 0.01, "epochs": 2,
-                                              "batch_size": 32, "seed": 0, "patience": 5}
+                                              "batch_size": 32, "seed": 0}
     config = json.loads((pipeline / "data" / "run_config.json").read_text())
     synth = config["configs"]["SynthConfig"]
     assert (synth["min_comments"], synth["max_comments"]) == (4, 10)
@@ -543,13 +543,12 @@ CLI_SURFACE = {
     "train": {
         "--splits": REQUIRED, "--users": None, "--out": REQUIRED, "--arch": "gcn",
         "--lam --lambda": 0.5, "--lr": 0.01, "--epochs": 20, "--batch-size": 32,
-        "--hidden": 64, "--seed": 0, "--patience": 5, "--variant": "uen", **TEXT_FLAGS,
-        **COLD_FLAGS, **MODE,
+        "--hidden": 64, "--seed": 0, "--variant": "uen", **TEXT_FLAGS, **COLD_FLAGS, **MODE,
     },
     "tune": {
         "--splits": REQUIRED, "--users": REQUIRED, "--out": REQUIRED, "--arch": "gcn",
         "--budget": 20, "--epochs": 5, "--lr": 0.01, "--batch-size": 32, "--hidden": 64,
-        "--seed": 0, "--patience": 5, **TEXT_FLAGS, **MODE,
+        "--seed": 0, **TEXT_FLAGS, **MODE,
     },
     "map-cold": {"--train": REQUIRED, "--test": REQUIRED, "--users": REQUIRED,
                  "--out": REQUIRED, **TEXT_FLAGS, **COLD_FLAGS, **MODE},
@@ -681,22 +680,26 @@ def test_train_equals_experiment_stages(pipeline, cold_val, tmp_path):
         tmp_path / "library.csv").read_bytes()
 
 
-def test_train_reports_the_epoch_it_keeps(pipeline, tmp_path, capsys):
-    """stdout names the kept epoch, the first with the least val loss, and
-    the epochs run, one row each in history.csv; here the run stops one
-    epoch after its best."""
-    out = tmp_path / "model"
-    run_ok(["train", "--splits", str(pipeline / "splits"),
-            "--users", str(pipeline / "users" / "users.emb"), "--out", str(out),
-            "--epochs", "8", "--hidden", "8", "--lr", "0.05", "--patience", "1"])
+def test_train_reports_the_epoch_it_keeps(pipeline, tmp_path, capsys, monkeypatch):
+    """stdout names the epoch model.mdl holds, its val loss and the epochs
+    run, one row each in history.csv; here training stops one epoch after
+    its best."""
+    from uen import gnn
+
+    monkeypatch.setattr(gnn, "_PATIENCE", 1)
+    argv = ["train", "--splits", str(pipeline / "splits"),
+            "--users", str(pipeline / "users" / "users.emb"), "--hidden", "8", "--lr", "0.05"]
+    run_ok([*argv, "--out", str(tmp_path / "model"), "--epochs", "8"])
     line = json.loads(capsys.readouterr().out)
-    rows = (out / "history.csv").read_text().splitlines()[1:]
-    val_losses = [float(row.split(",")[2]) for row in rows]
+    rows = (tmp_path / "model" / "history.csv").read_text().splitlines()
     assert set(line) == {"best_val_loss", "best_epoch", "epochs"}
-    assert line["epochs"] == len(rows)
-    assert line["best_epoch"] == val_losses.index(min(val_losses))
-    assert line["best_val_loss"] == min(val_losses)
-    assert line["epochs"] == line["best_epoch"] + 2 < 8  # stopped by --patience 1
+    assert line["epochs"] == len(rows) - 1 == line["best_epoch"] + 2 < 8
+    assert line["best_val_loss"] == float(rows[1 + line["best_epoch"]].split(",")[2])
+    # a run that ends at the named epoch keeps that epoch's params
+    run_ok([*argv, "--out", str(tmp_path / "short"), "--epochs", str(line["best_epoch"] + 1)])
+    assert json.loads(capsys.readouterr().out)["best_epoch"] == line["best_epoch"]
+    assert ((tmp_path / "model" / "model.mdl").read_bytes()
+            == (tmp_path / "short" / "model.mdl").read_bytes())
 
 
 def test_train_holds_no_train_side_or_text_cache_while_training(pipeline, cold_val, tmp_path,

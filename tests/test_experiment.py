@@ -118,8 +118,7 @@ def test_acceptance_corpus_at_too_large_a_learning_rate_is_rejected():
 
 
 INT_FIELDS = [
-    *((GnnConfig, name) for name in ("layers", "hidden", "epochs", "batch_size", "seed",
-                                     "patience")),
+    *((GnnConfig, name) for name in ("layers", "hidden", "epochs", "batch_size", "seed")),
     *((Node2VecConfig, name) for name in ("d1", "walk_length", "walks_per_node", "window",
                                           "negatives_per_positive", "epochs", "seed")),
     (ColdMapConfig, "k1"), (ColdMapConfig, "k2"),
@@ -134,7 +133,6 @@ BAD_VALUES = [
     (SynthConfig, "seed", -1, "seed must be >= 0, got -1"),
     (Node2VecConfig, "seed", -1, "seed must be >= 0, got -1"),
     (GnnConfig, "seed", -1, "seed must be >= 0, got -1"),
-    (GnnConfig, "patience", -1, "patience must be >= 0, got -1"),
     (GnnConfig, "lr", "0.1", "lr must be a real number, not '0.1'"),
     (Node2VecConfig, "p", None, "p must be a real number, not None"),
     (GnnConfig, "lam", True, "lam must be a real number, not True"),

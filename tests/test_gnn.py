@@ -17,6 +17,7 @@ from uen.gnn import (
     ModelParams,
     forward,
     init_params,
+    kept_epoch,
     load_model,
     loss_and_grads,
     predict,
@@ -537,13 +538,21 @@ def test_training_deterministic_history():
     assert h1 == h2
 
 
-def overfitting_run(arch, **kwargs):
-    """Random labels and a large step: the val loss of every arch falls,
-    with setbacks, for a few epochs, then climbs."""
+def overfitting_case(arch):
+    """(train, val, cfg) on random labels with a large step: the val loss of
+    every arch falls, with setbacks, for a few of the 16 epochs, then climbs."""
     rng = np.random.Generator(np.random.PCG64(41))
     graphs = [random_graph(rng, int(rng.integers(2, 6)), 6) for _ in range(64)]
-    cfg = GnnConfig(arch=arch, hidden=16, lr=0.05, epochs=16, batch_size=8, seed=3, **kwargs)
-    return train(graphs[:48], graphs[48:], cfg, in_dim=6)
+    cfg = GnnConfig(arch=arch, hidden=16, lr=0.05, epochs=16, batch_size=8, seed=3)
+    return graphs[:48], graphs[48:], cfg
+
+
+def overfitting_run(arch, monkeypatch, patience):
+    """`train` on `overfitting_case`, stopping `patience` epochs after its best."""
+    from uen import gnn
+
+    monkeypatch.setattr(gnn, "_PATIENCE", patience)
+    return train(*overfitting_case(arch), in_dim=6)
 
 
 def assert_same_tensors(a, b):
@@ -552,38 +561,37 @@ def assert_same_tensors(a, b):
         assert t.tobytes() == b.tensors[k].tobytes(), k
 
 
-def first_best(history) -> int:
-    """The epoch train keeps: the first with the least val loss."""
-    return min(history, key=lambda h: h["val_loss"])["epoch"]
-
-
 @pytest.mark.parametrize("arch", ARCHS)
-def test_patience_zero_runs_every_epoch(arch):
-    model, history = overfitting_run(arch, patience=0)
+def test_patience_of_epochs_runs_every_epoch(arch, monkeypatch):
+    """With a patience of `epochs` no stop can come, and training is the
+    every-epoch run that keeps the first least val loss, as the per-tensor
+    oracle trains."""
+    model, history = overfitting_run(arch, monkeypatch, patience=16)
     assert [h["epoch"] for h in history] == list(range(16))
-    never, never_history = overfitting_run(arch, patience=16)
-    assert never_history == history
-    assert_same_tensors(never, model)
+    want, want_history = oracle_train(*overfitting_case(arch), in_dim=6)
+    assert history == want_history
+    for k, t in want.items():
+        assert model.tensors[k].tobytes() == t.tobytes(), k
 
 
 @pytest.mark.parametrize("arch", ARCHS)
-def test_patience_stops_at_best_epoch_plus_patience(arch):
+def test_patience_stops_at_best_epoch_plus_patience(arch, monkeypatch):
     """A run with patience P is the every-epoch run cut P epochs after its
     best so far; it keeps the every-epoch model whenever it stops after that
     run's best epoch."""
-    full, full_history = overfitting_run(arch, patience=0)
+    full, full_history = overfitting_run(arch, monkeypatch, patience=16)
     stopped_after_best = stopped_before_best = 0
     for patience in range(1, 16):
-        model, history = overfitting_run(arch, patience=patience)
+        model, history = overfitting_run(arch, monkeypatch, patience=patience)
         assert history == full_history[: len(history)]
         cut = next((h["epoch"] + 1 for h in full_history
-                    if h["epoch"] - first_best(full_history[: h["epoch"] + 1]) >= patience), 16)
+                    if h["epoch"] - kept_epoch(full_history[: h["epoch"] + 1]) >= patience), 16)
         assert len(history) == cut
         if cut == 16:
             continue
-        best = first_best(history)
+        best = kept_epoch(history)
         assert len(history) == best + patience + 1
-        if first_best(full_history) <= best:
+        if kept_epoch(full_history) <= best:
             assert_same_tensors(model, full)
             stopped_after_best += 1
         else:
@@ -604,10 +612,12 @@ def test_an_equal_val_loss_is_no_improvement(monkeypatch):
         return next(losses), 0.5
 
     monkeypatch.setattr(gnn, "_evaluate", fixed_evaluate)
+    monkeypatch.setattr(gnn, "_PATIENCE", 3)
     rng = np.random.Generator(np.random.PCG64(43))
     graphs = separable_graphs(rng, 40)
-    model, history = train(graphs[:32], graphs[32:], GnnConfig(epochs=6, patience=3), in_dim=6)
+    model, history = train(graphs[:32], graphs[32:], GnnConfig(epochs=6), in_dim=6)
     assert [h["val_loss"] for h in history] == [1.0, 0.5, 0.5, 0.5, 0.5]
+    assert kept_epoch(history) == 1
     for k, t in model.tensors.items():
         assert t.tobytes() == seen[1][k].tobytes(), k
 
@@ -1016,13 +1026,9 @@ def test_config_validation():
     for lr in (0.0, -0.01, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             GnnConfig(lr=lr)
-    with pytest.raises(ValueError, match="^patience must be >= 0, got -1$"):
-        GnnConfig(patience=-1)
-    assert GnnConfig(patience=0).patience == 0
 
 
-@pytest.mark.parametrize("name", ["layers", "hidden", "epochs", "batch_size", "seed",
-                                  "patience"])
+@pytest.mark.parametrize("name", ["layers", "hidden", "epochs", "batch_size", "seed"])
 def test_config_rejects_non_integer_sizes_by_name(name):
     """A size that is not an integer fails when the config is made, before
     any stage runs, not inside train; a bool is not an integer here."""
