@@ -7,13 +7,18 @@ prefix sums instead of raw text. Each needs the one before it, so the
 mapper runs at one of the four nested `HEURISTIC_LEVELS`. The index is a
 brute-force normalized matrix scan, exact by construction.
 
-Retrieval works on row numbers throughout. `topk_rows` keeps the rows that
-an `np.partition` puts at or above the k-th score and orders them with one
-`np.lexsort` by (-score, rank of the key), the key ranks being cached per
-index. Each index row's owner is resolved to its user-table row once, for
-the post index per resolver and for a sample's H2 pool per sample, so a
-mean over hit authors is one gather of those rows. Neither changes a bit of
-what a full (-score, key) sort and a stack of per-author rows would give.
+Retrieval works on row numbers throughout. H1's `topk_rows` keeps the rows
+that an `np.partition` puts at or above the k-th score and orders them with
+one `np.lexsort` by (-score, rank of the key), the key ranks being cached
+per index. H2 maps a cascade's cold commenters in one pass: each query is
+scored by its own gemv against the cascade's pool, the score columns are
+put in key order (the train side ranks every training comment's key once),
+and one stable sort of the negated scores picks every query's hits. Each
+index row's owner is resolved to its user-table row once, for the post
+index per resolver and for each training post's comments as the resolver
+first needs them, so the means over hit authors are one gather and one
+reduce. None of this changes a bit of what a full (-score, key) sort and a
+mean of per-author rows, one query at a time, would give.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -159,6 +163,11 @@ def _owner_rows(index: SimIndex, users: EmbeddingTable) -> np.ndarray:
                        count=len(index))
 
 
+def _missing(owner: str) -> str:
+    return (f"training user {owner!r} has no row in the user table; "
+            "embed the users of this training split")
+
+
 def _mean_user(users: EmbeddingTable, index: SimIndex, owner_rows: np.ndarray,
                rows: np.ndarray) -> np.ndarray:
     """Mean table vector of the owners of `rows` of `index`, gathered at once.
@@ -168,26 +177,10 @@ def _mean_user(users: EmbeddingTable, index: SimIndex, owner_rows: np.ndarray,
     """
     table_rows = owner_rows.take(rows)
     if table_rows.min(initial=0) < 0:
-        owner = index.owners[rows[(table_rows < 0).argmax()]]
-        raise FormatError(f"training user {owner!r} has no row in the user table; "
-                          "embed the users of this training split")
+        raise FormatError(_missing(index.owners[rows[(table_rows < 0).argmax()]]))
     # what .mean(axis=0) computes, without its wrapper calls
     gathered = users.matrix.take(table_rows, axis=0).astype(np.float64)
     return np.add.reduce(gathered, axis=0) / len(rows)
-
-
-def _concat(blocks) -> SimIndex:
-    """Stack non-empty indices into one, rows in block order. The rows are
-    stacked straight into float64, which scoring needs, so `vectors64` is
-    `vectors` itself and no float32 copy is made."""
-    blocks = [b for b in blocks if len(b)]
-    if not blocks:
-        return SimIndex(keys=(), vectors=np.zeros((0, 0)), owners=())
-    return SimIndex(
-        keys=tuple(chain.from_iterable(b.keys for b in blocks)),
-        vectors=np.concatenate([b.vectors for b in blocks], dtype=np.float64),
-        owners=tuple(chain.from_iterable(b.owners for b in blocks)),
-    )
 
 
 @dataclass
@@ -203,6 +196,17 @@ class TrainSideData:
     post_index: SimIndex
     comments_by_post: dict  # post_id -> SimIndex of that post's comments
     chains: bool  # comments are represented by chain sums (H3), not raw texts
+
+    @cached_property
+    def comment_ranks(self) -> dict:
+        """post_id -> each of its comments' dense rank by key among every
+        training comment (equal keys share a rank): made once, so ordering
+        an H2 pool's rows by it, stably, orders them as a sort of its keys."""
+        keys = sorted({key for index in self.comments_by_post.values() for key in index.keys})
+        rank = {key: r for r, key in enumerate(keys)}
+        return {post: np.fromiter(map(rank.__getitem__, index.keys), dtype=np.intp,
+                                  count=len(index))
+                for post, index in self.comments_by_post.items()}
 
 
 def comment_representations(sample: Sample, texts: TextProvider,
@@ -252,18 +256,21 @@ _REPS = {True: "reply-chain sums", False: "raw comment texts"}
 class _ColdSample:
     """Retrieval state shared by every cold occurrence of one sample: its
     text vectors and H1 hits, fetched when it is made, then the author
-    vector they give, the H2 candidate pool with its owners' table rows and
-    the sample's comment representations, each made on first use. It keeps
-    what it needs of its mapper, not the mapper, which holds its last sample.
+    vector they give, the H2 candidate pool and the sample's comment
+    representations, each made on first use, and the H2 vector of each
+    comment mapped. It keeps what it needs of its mapper, not the mapper,
+    which holds its last sample.
     """
 
     def __init__(self, mapper: _ColdMapper, sample: Sample):
-        self.sample, self.users, self.cfg = sample, mapper.users, mapper.cfg
-        self.side, self.post_rows = mapper.side, mapper.post_rows
+        self.sample, self.users, self.side = sample, mapper.users, mapper.side
+        self.k2, self.chains = mapper.cfg.k2, "h3" in mapper.cfg.heuristics
+        self.post_rows, self.comment_rows = mapper.post_rows, mapper.comment_rows
         keys = text_keys(sample)
         self.vecs = dict(zip(keys, embed_many(mapper.texts, keys)))
         post_vec = np.asarray(self.vecs[sample.text_key], dtype=np.float64)
-        self.post_hits = topk_rows(self.side.post_index, post_vec, self.cfg.k1)[0]  # H1
+        self.post_hits = topk_rows(self.side.post_index, post_vec, mapper.cfg.k1)[0]  # H1
+        self.mapped: dict | None = None  # comment id -> H2 vector, or its error's message
 
     @cached_property
     def author_vector(self) -> np.ndarray:
@@ -273,24 +280,75 @@ class _ColdSample:
         return vec
 
     @cached_property
-    def pool(self) -> SimIndex:
-        """H2 candidates: the comments under the H1 posts in hit order."""
-        by_post, keys = self.side.comments_by_post, self.side.post_index.keys
-        return _concat(by_post[keys[i]] for i in self.post_hits.tolist())
-
-    @cached_property
-    def pool_rows(self) -> np.ndarray:
-        return _owner_rows(self.pool, self.users)
+    def pool(self) -> tuple | None:
+        """H2 candidates, the comments under the H1 posts in hit order, as
+        (float64 rows, the row order by key, each row's owner's table row in
+        that order, the posts); None when those posts have no comments."""
+        keys, by_post = self.side.post_index.keys, self.side.comments_by_post
+        posts = [keys[i] for i in self.post_hits.tolist() if len(by_post[keys[i]])]
+        if not posts:
+            return None
+        ranks = self.side.comment_ranks
+        order = np.argsort(np.concatenate([ranks[p] for p in posts]), kind="stable")
+        owner_rows = []
+        for p in posts:
+            rows = self.comment_rows.get(p)
+            if rows is None:
+                rows = self.comment_rows[p] = _owner_rows(by_post[p], self.users)
+            owner_rows.append(rows)
+        return (np.concatenate([by_post[p].vectors for p in posts], dtype=np.float64),
+                order, np.concatenate(owner_rows).take(order), posts)
 
     @cached_property
     def comment_reps(self) -> dict:
-        return comment_representations(self.sample, self.vecs.__getitem__,
-                                       "h3" in self.cfg.heuristics)
+        return comment_representations(self.sample, self.vecs.__getitem__, self.chains)
+
+    def _h2(self, comment_ids: list) -> dict:
+        """H2 (with H3 chain sums if enabled) for each of `comment_ids`: the
+        mean author of its k2 nearest pool rows, or the message of the error
+        a missing owner among them raises, by comment id.
+
+        Each query has its own gemv (one product over the stacked queries
+        rounds differently). One stable sort of the negated, key-ordered
+        scores ranks every query's rows as `topk_rows` does, and one gather
+        and float64 reduce takes every mean, as `_mean_user` does per query.
+        """
+        vectors, order, owner_rows, posts = self.pool
+        scores = np.empty((len(comment_ids), len(order)))
+        for i, comment_id in enumerate(comment_ids):
+            np.matmul(vectors, _unit_query(self.comment_reps[comment_id], vectors.shape[1]),
+                      out=scores[i])
+        k = min(self.k2, len(order))
+        hits = np.argsort(-scores.take(order, axis=1), axis=1, kind="stable")[:, :k]
+        table_rows = owner_rows.take(hits)
+        missing, failed = table_rows < 0, {}
+        if missing.any():
+            owners = [o for p in posts for o in self.side.comments_by_post[p].owners]
+            for i in np.flatnonzero(missing.any(axis=1)).tolist():
+                failed[comment_ids[i]] = _missing(owners[order[hits[i, missing[i].argmax()]]])
+            keep = [i for i, c in enumerate(comment_ids) if c not in failed]
+            comment_ids, table_rows = [comment_ids[i] for i in keep], table_rows[keep]
+        means = np.add.reduce(self.users.matrix.take(table_rows, axis=0).astype(np.float64),
+                              axis=1) / k
+        means.setflags(write=False)
+        return dict(zip(comment_ids, means)) | failed
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
-        """H2 (with H3 chain sums if enabled): mean author of the k2 nearest pool rows."""
-        return _mean_user(self.users, self.pool, self.pool_rows,
-                          topk_rows(self.pool, self.comment_reps[comment_id], self.cfg.k2)[0])
+        """The H2 vector of a comment, read-only; H1's author vector when the
+        H1 posts have no comments. The first request maps every comment
+        whose author is not in the table; any other comment is mapped on
+        its own when it is asked for."""
+        if self.pool is None:
+            return self.author_vector
+        if self.mapped is None:
+            self.mapped = self._h2([c.id for c in self.sample.comments
+                                    if c.author not in self.users])
+        if comment_id not in self.mapped:
+            self.mapped.update(self._h2([comment_id]))
+        vec = self.mapped[comment_id]
+        if isinstance(vec, str):
+            raise FormatError(vec)
+        return vec
 
 
 class _ColdMapper:
@@ -304,6 +362,7 @@ class _ColdMapper:
     def __init__(self, users, cfg: ColdMapConfig, train_side=None, texts=None):
         self.users, self.cfg, self.texts, self._train_side = users, cfg, texts, train_side
         self.last: _ColdSample | None = None
+        self.comment_rows: dict = {}  # post_id -> its comments' owners' table rows
 
     def __call__(self, user_id: str, context: tuple) -> np.ndarray:
         if user_id in self.users:
@@ -311,16 +370,25 @@ class _ColdMapper:
         return self.cold(context)
 
     def cold(self, context: tuple) -> np.ndarray:
-        """The mapped vector of a cold user's occurrence: the table mean with
-        no heuristics or no training posts, H2 for a comment when it is on and
-        the H1 posts have comments, else H1's author mapping."""
-        if not self.cfg.heuristics or len(self.side.post_index) == 0:
+        """The mapped vector of a cold user's occurrence, by `retrieval`."""
+        retrieval = self.retrieval
+        if retrieval is None:
             return self.table_mean
         if self.last is None or self.last.sample is not context[1]:
             self.last = _ColdSample(self, context[1])
-        if context[0] == "comment" and "h2" in self.cfg.heuristics and len(self.last.pool):
+        if retrieval == "h2" and context[0] == "comment":
             return self.last.commenter_vector(context[2])
         return self.last.author_vector
+
+    @cached_property
+    def retrieval(self) -> str | None:
+        """How a cold occurrence is mapped, chosen once: None for the table
+        mean (no heuristics, or no training posts), "h2" when a comment goes
+        to H2 (H1's author mapping if its H1 posts have no comments), else
+        "h1", H1's author mapping for every occurrence."""
+        if not self.cfg.heuristics or len(self.side.post_index) == 0:
+            return None
+        return "h2" if "h2" in self.cfg.heuristics else "h1"
 
     @cached_property
     def table_mean(self) -> np.ndarray:

@@ -94,30 +94,32 @@ class Bucket(str, Enum):
     HIGH = "high"
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise CorpusError(msg)
-
-
 def validate_sample(sample: Sample) -> None:
-    """Check id uniqueness, referential integrity, and the tree invariant."""
-    _require(bool(sample.post_id), "empty post_id")
-    _require(bool(sample.text_key), f"sample {sample.post_id!r}: empty text_key")
-    _require(
-        sample.author is None or bool(sample.author),
-        f"sample {sample.post_id!r}: empty author string",
-    )
-    _require(sample.label in (None, 0, 1),
-             f"sample {sample.post_id!r}: label {sample.label} is neither 0 nor 1")
-    seen: set[str] = {sample.post_id}
+    """Check id uniqueness, referential integrity, and the tree invariant.
+    A message is formatted only for the check that fails."""
+    pid = sample.post_id
+    if not pid:
+        raise CorpusError("empty post_id")
+    if not sample.text_key:
+        raise CorpusError(f"sample {pid!r}: empty text_key")
+    if sample.author is not None and not sample.author:
+        raise CorpusError(f"sample {pid!r}: empty author string")
+    if sample.label not in (None, 0, 1):
+        raise CorpusError(f"sample {pid!r}: label {sample.label} is neither 0 nor 1")
+    seen: set[str] = {pid}
     for c in sample.comments:
-        _require(bool(c.id), f"sample {sample.post_id!r}: comment with empty id")
-        _require(c.id not in seen, f"duplicate id {c.id!r} in sample {sample.post_id!r}")
-        _require(bool(c.author), f"comment {c.id!r}: empty author string")
-        _require(bool(c.text_key), f"comment {c.id!r}: empty text_key")
+        if not c.id:
+            raise CorpusError(f"sample {pid!r}: comment with empty id")
+        if c.id in seen:
+            raise CorpusError(f"duplicate id {c.id!r} in sample {pid!r}")
+        if not c.author:
+            raise CorpusError(f"comment {c.id!r}: empty author string")
+        if not c.text_key:
+            raise CorpusError(f"comment {c.id!r}: empty text_key")
         seen.add(c.id)
     for c in sample.comments:
-        _require(c.parent in seen, f"comment {c.id!r}: dangling parent reference {c.parent!r}")
+        if c.parent not in seen:
+            raise CorpusError(f"comment {c.id!r}: dangling parent reference {c.parent!r}")
     reply_order(sample)
 
 

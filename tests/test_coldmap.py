@@ -11,7 +11,8 @@ from uen.coldmap import (
     ColdMapConfig,
     SimIndex,
     TrainSideData,
-    _concat,
+    _mean_user,
+    _owner_rows,
     build_index,
     build_train_side,
     comment_representations,
@@ -199,18 +200,29 @@ def blocks_and_query(draw):
 @settings(max_examples=200, deadline=None)
 @given(blocks_and_query())
 def test_topk_over_concatenated_blocks_equals_full_sort(case):
+    """H2 over a pool made of blocks, one per training post, ranks its rows
+    as a full (-score, key) sort of every row of every block does."""
     blocks, query, k = case
-    pool = _concat(blocks)
-    # one product over the stacked blocks scores every row as topk_rows does
+    # tied post vectors: H1 returns every post, in key order, so the pool
+    # holds the blocks in order
+    posts = [f"p{i:02d}" for i in range(len(blocks))]
+    side = TrainSideData(post_index=build_index((p, np.ones(2), "a") for p in posts),
+                         comments_by_post=dict(zip(posts, blocks)), chains=False)
     keys = [key for b in blocks for key in b.keys]
     owners = [owner for b in blocks for owner in b.owners]
+    users = random_user_table(sorted(owners), d1=3)
+    cold = make_sample("q", text_key="post", comments=[
+        make_comment("qc0", "ghost", "q", text_key="comment")])
+    resolver = make_resolver("cold-mapper", users, side, {"post": np.ones(2), "comment": query}.get,
+                             ColdMapConfig(k1=len(posts), k2=k, heuristics=HEURISTIC_LEVELS[2]))
+    # one product over the stacked blocks scores every row as the pool does
     norm = np.linalg.norm(query)
     scores = np.concatenate([b.vectors for b in blocks]).astype(np.float64) @ (
         query / norm if norm > 0 else query)
     want = sorted(zip(keys, owners, scores.tolist()), key=lambda t: (-t[2], t[0]))[:k]
-    rows, got = topk_rows(pool, query, k)
-    assert [(pool.keys[r], pool.owners[r]) for r in rows] == [(k, o) for k, o, _ in want]
-    assert got.tolist() == [s for _, _, s in want]
+    rows = users.matrix[[users.index[o] for _, o, _ in want]].astype(np.float64)
+    assert resolver("ghost", ("comment", cold, "qc0")).tobytes() == (
+        np.add.reduce(rows, axis=0) / len(want)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +353,89 @@ def test_owner_missing_from_table_raises_only_among_hits(texts):
                           users.vector("b1").astype(np.float64))
     with pytest.raises(FormatError, match="training user 'b3' has no row in the user table"):
         resolver("y", ("comment", near_t2, "qc0"))
+    # one cascade's cold commenters are mapped together: a missing owner among
+    # one commenter's hits fails that commenter alone, whichever is asked first
+    both = make_sample("q", author="x", text_key="shared topic words", comments=[
+        make_comment("qc0", "y", "q", text_key="alpha beta"),
+        make_comment("qc1", "z", "q", text_key="epsilon zeta")])
+    for first in ("qc0", "qc1"):
+        resolver = make_resolver("cold-mapper", users, side, texts, cfg)
+        for comment_id in (first, *{"qc0", "qc1"} - {first}, first):
+            if comment_id == "qc1":
+                with pytest.raises(FormatError, match="training user 'b3' has no row"):
+                    resolver("z", ("comment", both, "qc1"))
+            else:
+                assert np.array_equal(resolver("y", ("comment", both, "qc0")),
+                                      users.vector("b1").astype(np.float64))
+
+
+def per_comment_h2(resolver_args, sample, comment_id):
+    """One comment mapped as the per-comment mapper did: H1's `topk_rows`,
+    the hit posts' comment indices stacked into one pool, the comment's own
+    `topk_rows` over it and `_mean_user`; H1's author mapping when the pool
+    is empty."""
+    users, side, texts, cfg = resolver_args
+    post_hits = topk_rows(side.post_index, texts(sample.text_key), cfg.k1)[0]
+    blocks = [side.comments_by_post[side.post_index.keys[i]] for i in post_hits.tolist()]
+    blocks = [b for b in blocks if len(b)]
+    if not blocks:
+        return _mean_user(users, side.post_index, _owner_rows(side.post_index, users), post_hits)
+    pool = SimIndex(keys=tuple(k for b in blocks for k in b.keys),
+                    vectors=np.concatenate([b.vectors for b in blocks], dtype=np.float64),
+                    owners=tuple(o for b in blocks for o in b.owners))
+    rep = comment_representations(sample, texts, "h3" in cfg.heuristics)[comment_id]
+    return _mean_user(users, pool, _owner_rows(pool, users), topk_rows(pool, rep, cfg.k2)[0])
+
+
+@pytest.mark.parametrize("use_chains", [True, False], ids=["h3-on", "h3-off"])
+def test_batched_h2_equals_per_comment_oracle(use_chains):
+    """Every cold commenter of a cascade, mapped in one pass, gets the bytes
+    the per-comment mapper gives, as does a warm comment asked for as cold:
+    pools with tied scores, a comment id under two training posts, k2 below
+    and at or above the pool size, and a user table one column wide."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    checked = {"cold": 0, "warm": 0, "k2 >= pool": 0}
+    for trial in range(150):
+        d = int(rng.integers(1, 4))
+        n_posts = int(rng.integers(1, 5))
+        posts, by_post, n = [], {}, 0
+        for p in range(n_posts):
+            entries = []
+            for _ in range(int(rng.integers(0, 6))):
+                # the first comment of post 1 reuses the id of post 0's first
+                cid = "c0" if p == 1 and not entries else f"c{n}"
+                n += 1
+                entries.append((cid, rng.integers(-1, 2, size=d).astype(float),
+                                f"u{rng.integers(0, 6)}"))
+            by_post[f"p{p}"] = build_index(entries)
+            posts.append((f"p{p}", rng.integers(-1, 2, size=2).astype(float), "u0"))
+        side = TrainSideData(post_index=build_index(posts), comments_by_post=by_post,
+                             chains=use_chains)
+        users = random_user_table([f"u{i}" for i in range(6)], d1=int(rng.choice([1, 3, 8])),
+                                  seed=trial)
+        vecs = {"post": rng.integers(-1, 2, size=2).astype(float)}
+        comments = []
+        for i in range(int(rng.integers(1, 7))):
+            vecs[f"t{i}"] = rng.integers(-1, 2, size=d).astype(float)
+            parent = comments[int(rng.integers(0, i))].id if i and rng.random() < 0.5 else "q"
+            author = "u1" if rng.random() < 0.3 else f"x{i}"
+            comments.append(make_comment(f"q{i}", author, parent, text_key=f"t{i}"))
+        sample = make_sample("q", author="x", text_key="post", comments=comments)
+        cfg = ColdMapConfig(k1=int(rng.integers(1, n_posts + 1)), k2=int(rng.integers(1, 12)),
+                            heuristics=HEURISTIC_LEVELS[3 if use_chains else 2])
+        args = (users, side, vecs.__getitem__, cfg)
+        resolver = make_resolver("cold-mapper", *args)
+        asks = [(c.author, c.id) for c in comments if c.author not in users]
+        asks += [("<cold>", c.id) for c in comments if c.author in users]
+        for i in rng.permutation(len(asks)).tolist():
+            user_id, comment_id = asks[i]
+            got = resolver(user_id, ("comment", sample, comment_id))
+            want = per_comment_h2(args, sample, comment_id)
+            assert got.tobytes() == want.tobytes(), (trial, comment_id)
+            checked["warm" if user_id == "<cold>" else "cold"] += 1
+        hits = topk_rows(side.post_index, vecs["post"], cfg.k1)[0]
+        checked["k2 >= pool"] += cfg.k2 >= sum(len(by_post[f"p{i}"]) for i in hits.tolist())
+    assert min(checked.values()) >= 20, checked
 
 
 def oracle_map_cold_commenter(sample, comment_id, train, texts, users, cfg):
@@ -834,3 +929,58 @@ def test_map_cold_commenter_equals_resolver(texts, heuristics):
         fresh = make_resolver("cold-mapper", users, side, texts, cfg)
         got = fresh(c.author, ("comment", s, c.id))
         assert got.tobytes() == resolver(c.author, ("comment", s, c.id)).tobytes(), c.id
+
+
+# sha256 of the rows the resolver gives every cold occurrence of
+# `pinned_cold_rows`'s test split, in node order, keyed by (H3 on, k2), as the
+# mapper that scored and ranked each cold commenter on its own with
+# `topk_rows` produced them. The H2 pools hold 17 to 28 comments: k2 = 3 is
+# below every one, k2 = 20 between them and k2 = 400 above every one.
+PINNED_COLD_ROWS_SHA256 = {
+    (True, 3): "200bbb5d19dafd96915baf33f63ddf5aeedd3ad5d20d2ea3d6fdf932da15ab77",
+    (True, 20): "3375c9bac1558baef7712f144627fdb756747ea8385cff39c7b7071a26ea565d",
+    (True, 400): "d9c37a72029da4738c33a3ae9dc5a9b03f9ea699ebdfe3d6c8bd1a2113d8770e",
+    (False, 3): "0b9068f3247b640d97d89c7e0642cd1ee34670270c239d0ebfca69ad2652f63e",
+    (False, 20): "2fec20073e65ccbaf853a7d7fc54c2ae26e2f7113a283ca61e48965aeff06677",
+    (False, 400): "d9c37a72029da4738c33a3ae9dc5a9b03f9ea699ebdfe3d6c8bd1a2113d8770e",
+}
+
+
+def pinned_cold_rows(use_chains, k2):
+    """The cold occurrences' rows and the pool sizes their H2 searched."""
+    from uen.assembly import occurrences
+    from uen.corpus import temporal_split
+    from uen.synth import SynthConfig, generate
+    from uen.text import TextEmbedConfig, make_hash_provider
+
+    texts = make_hash_provider(TextEmbedConfig())
+    split = temporal_split(generate(SynthConfig(n_samples=120, n_users=24, seed=7,
+                                                cold_user_rate_test=0.5)))
+    train = list(split.train)
+    users = random_user_table(sorted({u for s in train for u in s.users()}), d1=8, seed=2)
+    heuristics = HEURISTIC_LEVELS[3 if use_chains else 2]
+    cfg = ColdMapConfig(k1=3, k2=k2, heuristics=heuristics)
+    side = build_train_side(train, texts, use_chains=use_chains)
+    resolver = make_resolver("cold-mapper", users, side, texts, cfg)
+    rows, pools = [], set()
+    for s in split.test:
+        for user_id, context in occurrences(s):
+            if user_id not in users:
+                rows.append(resolver(user_id, context))
+                if context[0] == "comment":
+                    hits = topk_rows(side.post_index, texts(s.text_key), cfg.k1)[0]
+                    pools.add(sum(len(side.comments_by_post[side.post_index.keys[r]])
+                                  for r in hits))
+    return np.stack(rows), pools
+
+
+@pytest.mark.parametrize("use_chains", [True, False], ids=["h3-on", "h3-off"])
+@pytest.mark.parametrize("k2", [3, 20, 400])
+def test_cold_rows_are_pinned(use_chains, k2):
+    import hashlib
+
+    rows, pools = pinned_cold_rows(use_chains, k2)
+    assert rows.dtype == np.float64 and len(rows) >= 100
+    assert (min(pools), max(pools)) == (17, 28)
+    digest = hashlib.sha256(rows.tobytes()).hexdigest()
+    assert digest == PINNED_COLD_ROWS_SHA256[use_chains, k2], (use_chains, k2)

@@ -1,6 +1,8 @@
 """Corpus loading, validation, temporal splits, and overlap buckets."""
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -157,6 +159,33 @@ def test_validate_rejects_empty_author():
     s = make_sample("p1", comments=[make_comment("c1", "", "p1")])
     with pytest.raises(CorpusError, match="empty author"):
         validate_sample(s)
+
+
+@pytest.mark.parametrize("sample, message", [
+    (make_sample(""), "empty post_id"),
+    (replace(make_sample("p1"), text_key=""), "sample 'p1': empty text_key"),
+    (make_sample("p1", author=""), "sample 'p1': empty author string"),
+    (make_sample("p1", label=2), "sample 'p1': label 2 is neither 0 nor 1"),
+    (make_sample("p1", comments=[make_comment("", "a", "p1")]),
+     "sample 'p1': comment with empty id"),
+    (make_sample("p1", comments=[make_comment("p1", "a", "p1")]),
+     "duplicate id 'p1' in sample 'p1'"),
+    (make_sample("p1", comments=[make_comment("c1", "", "p1")]),
+     "comment 'c1': empty author string"),
+    (make_sample("p1", comments=[replace(make_comment("c1", "a", "p1"), text_key="")]),
+     "comment 'c1': empty text_key"),
+    (make_sample("p1", comments=[make_comment("c1", "a", "p1"),
+                                 make_comment("c2", "a", "c9")]),
+     "comment 'c2': dangling parent reference 'c9'"),
+    # the first failing check is the one reported: ids before parents
+    (make_sample("p1", comments=[make_comment("c1", "a", "c9"),
+                                 make_comment("c1", "a", "p1")]),
+     "duplicate id 'c1' in sample 'p1'"),
+], ids=["post-id", "text-key", "author", "label", "comment-id", "duplicate",
+        "comment-author", "comment-text-key", "dangling", "duplicate-first"])
+def test_validate_names_the_first_failing_check(sample, message):
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        validate_sample(sample)
 
 
 def test_validate_rejects_parent_cycle():
