@@ -15,6 +15,7 @@ from uen.coldmap import (
     _owner_rows,
     build_index,
     build_train_side,
+    certified_topk_rows,
     comment_representations,
     make_resolver,
     topk_rows,
@@ -184,6 +185,80 @@ def test_topk_equals_full_sort_property(case):
     rows, got = topk_rows(idx, query, k)
     assert rows.tolist() == order
     assert got.tolist() == scores[order].tolist()
+    proven = certified_topk_rows(idx, query, k)
+    assert proven is None or proven.tolist() == order
+
+
+def assert_certified_rows_are_the_scans(idx, queries, ks):
+    """certified_topk_rows gives None or topk_rows' rows; returns how many
+    it proved, of how many it was asked."""
+    proven = asked = 0
+    for query in queries:
+        for k in ks:
+            rows = certified_topk_rows(idx, query, k)
+            asked += 1
+            if rows is not None:
+                proven += 1
+                assert rows.tolist() == topk_rows(idx, query, k)[0].tolist(), k
+    return proven, asked
+
+
+def test_certified_rows_of_hash_text():
+    """d = 256 hash rows over a small vocabulary: ±1 counts that tie often."""
+    from uen.text import hash_embed_many
+
+    rng = np.random.Generator(np.random.PCG64(3))
+    vocab = [f"w{i}" for i in range(12)]
+
+    def phrases(count):
+        return [" ".join(rng.choice(vocab, size=rng.integers(1, 8))) for _ in range(count)]
+
+    rows = hash_embed_many(phrases(300))
+    idx = build_index((f"p{i:03d}", row, "u") for i, row in enumerate(rows))
+    queries = [*hash_embed_many(phrases(40)), rows[5], rows[5] + rows[9]]
+    proven, asked = assert_certified_rows_are_the_scans(idx, queries, (1, 7, 19, len(idx) - 1))
+    assert 0 < proven < asked
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_rows_of_a_hand_built_index(seed):
+    """Rows of norm 0.1 to 3, some parallel, some duplicated and some on an
+    integer grid, against dense and sparse queries."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n, d = 80, 32
+    vectors = rng.normal(size=(n, d))
+    vectors[::7] = rng.integers(-1, 2, size=vectors[::7].shape)
+    vectors[1::9] = vectors[0]
+    vectors *= rng.uniform(0.1, 3.0, size=(n, 1)) / np.maximum(
+        np.linalg.norm(vectors, axis=1, keepdims=True), 1e-9)
+    vectors[2::9] = vectors[0]
+    idx = SimIndex(keys=tuple(f"k{i:02d}" for i in rng.permutation(n)),
+                   vectors=vectors.astype(np.float32), owners=("u",) * n)
+    sparse = np.zeros((10, d))
+    sparse[np.arange(10), rng.integers(0, d, size=10)] = 1.0
+    sparse[:5, 3] = rng.normal(size=5)
+    queries = [*rng.normal(size=(10, d)), *sparse, vectors[1], vectors[7]]
+    proven, asked = assert_certified_rows_are_the_scans(idx, queries, (1, 3, 10, n - 1))
+    assert 0 < proven < asked
+
+
+def test_certified_rows_need_a_proof():
+    rng = np.random.Generator(np.random.PCG64(4))
+    idx = build_index((f"k{i:02d}", rng.normal(size=16), "u") for i in range(50))
+    query = rng.normal(size=16)
+    # well separated Gaussian rows prove their top 5, so the fast path runs
+    for q in rng.normal(size=(10, 16)):
+        assert certified_topk_rows(idx, q, 5).tolist() == topk_rows(idx, q, 5)[0].tolist()
+    # a zero query ties every row; k <= 0 and k >= n are not proven
+    assert certified_topk_rows(idx, np.zeros(16), 5) is None
+    # the first and last rows tie at 0 exactly, their rounded float32 scores do not
+    rows = np.array([[0, 1, 1], [-1, -1, 0], [-1, -1, -1]], dtype=float)
+    tied = build_index(zip(("k00", "k02", "k01"), rows, "uvw"))
+    assert certified_topk_rows(tied, np.array([0.0, 1.0, -1.0]), 2) is None
+    for k in (0, 50, 51):
+        assert certified_topk_rows(idx, query, k) is None
+    with pytest.raises(FormatError, match="dim"):
+        certified_topk_rows(idx, np.ones(15), 5)
 
 
 @st.composite
@@ -700,6 +775,38 @@ def test_resolver_and_its_sample_state_form_no_reference_cycle(texts):
         assert side_ref() is None
     finally:
         gc.enable()
+
+
+def test_resolver_stops_trying_float32_proofs_after_misses_in_a_row(monkeypatch):
+    """H1 asks certified_topk_rows first; after MISS_LIMIT misses in a row
+    it runs only the float64 scan, and one proof resets the count."""
+    import uen.coldmap as coldmap
+
+    rng = np.random.Generator(np.random.PCG64(5))
+    posts = [(f"p{i:02d}", rng.normal(size=8), f"a{i % 6}") for i in range(30)]
+    users = random_user_table(sorted({o for _, _, o in posts}), d1=4)
+    side = TrainSideData(post_index=build_index(posts), comments_by_post={}, chains=True)
+    queries = {f"q{i}": rng.normal(size=8) for i in range(60)}
+    cfg = ColdMapConfig(k1=3, heuristics=HEURISTIC_LEVELS[1])
+
+    def expected(key):
+        rows = topk_rows(side.post_index, queries[key], cfg.k1)[0]
+        return _mean_user(users, side.post_index, _owner_rows(side.post_index, users), rows)
+
+    for proofs, calls_wanted in (((), coldmap.MISS_LIMIT),
+                                 ((coldmap.MISS_LIMIT - 1,), 2 * coldmap.MISS_LIMIT)):
+        calls = []
+
+        def certified(index, query, k):
+            calls.append(k)
+            return topk_rows(index, query, k)[0] if len(calls) - 1 in proofs else None
+
+        monkeypatch.setattr(coldmap, "certified_topk_rows", certified)
+        resolver = make_resolver("cold-mapper", users, side, lambda key: queries[key], cfg)
+        for key in queries:
+            got = resolver("<cold>", ("post", make_sample(key, text_key=key)))
+            assert got.tobytes() == expected(key).tobytes()
+        assert len(calls) == calls_wanted
 
 
 def test_make_resolver_validation(texts):
