@@ -10,32 +10,33 @@ exact: every hit is what a float64 scan of the normalized rows, ranked by
 
 Retrieval works on row numbers throughout. `topk_rows`, the float64 scan,
 keeps the rows that an `np.partition` puts at or above the k-th score and
-orders them with one `np.lexsort` by (-score, rank of the key), the key
-ranks being cached per index. H1 first tries `certified_topk_rows`, which
-scores the query in float32, over the nonzero coordinates alone for a
-sparse query, and returns rows only when the gaps between the k + 1 best
-scores exceed the rounding error of both scans, so they prove the scan's
-rows without running it. Hash text vectors tie often in exact arithmetic
-below the first few ranks, and only the scan orders those ties, so the
-share proven falls with k1: 72-74% of cold-serve posts at k1 = 7, 9-11%
-at k1 = 19, none at k1 = 40. A resolver stops trying after
-`MISS_LIMIT` misses in a row.
+orders them with one `np.lexsort` by (-score, dense rank of the key), the
+ranks (`_key_ranks`) being cached per index. H1 first tries
+`certified_topk_rows`, which scores the query in float32, over the nonzero
+coordinates alone for a sparse query, and returns rows only when the gaps
+between the k + 1 best scores exceed the rounding error of both scans, so
+they prove the scan's rows without running it. Hash text vectors tie often
+in exact arithmetic below the first few ranks, and only the scan orders
+those ties, so the share proven falls with k1: 72-74% of cold-serve posts
+at k1 = 7, 9-11% at k1 = 19, none at k1 = 40. A resolver stops trying
+after `MISS_LIMIT` misses in a row.
 
-H2 maps a cascade's cold commenters in one pass: each query is scored by
-its own gemv against the cascade's pool, the score columns are
-put in key order (the train side ranks every training comment's key once),
-and one stable sort of the negated scores picks every query's hits. Each
-index row's owner is resolved to its user-table row once, for the post
-index per resolver and for each training post's comments as the resolver
-first needs them, so the means over hit authors are one gather and one
-reduce. None of this changes a bit of what a full (-score, key) sort and a
-mean of per-author rows, one query at a time, would give.
+A resolver holds the last cascade's retrieval, and `_ColdMapper.cold`
+alone chooses the table mean, H2 or H1's author vector. H2 maps a
+cascade's cold commenters in one pass: each query is scored by its own
+gemv against the cascade's pool, the score columns are put in key order
+(the train side ranks every training comment's key once), and one stable
+sort of the negated scores picks every query's hits. Each index row's
+owner is resolved to its user-table row once per resolver, as first
+needed, so the means over hit authors are one gather and one reduce. None
+of this changes a bit of what a full (-score, key) sort and a mean of
+per-author rows, one query at a time, would give.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -86,14 +87,17 @@ class SimIndex:
 
     @cached_property
     def vectors64(self) -> np.ndarray:
-        """`vectors` as float64, the precision queries are scored in; made once."""
-        return np.asarray(self.vectors, dtype=np.float64)
+        """`vectors` as a C-contiguous float64 array, the precision queries are
+        scored in, made once: a gemv over column-major rows rounds differently."""
+        return np.ascontiguousarray(self.vectors, dtype=np.float64)
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, float]:
         """`vectors` as a C-contiguous (d, n) float32 array, so a sparse
         query reads only the rows of its nonzero coordinates, and the margin
-        m that `certified_topk_rows` proves rows with; made once.
+        m that `certified_topk_rows` proves rows with; made once. The train
+        side holds the post index's rows column-major, so for it the array is
+        a view of `vectors`, not a copy.
 
         m = 2(d + 1)·2⁻²⁴·max(r, 1), r the largest row norm, exceeds the sum
         of two dot-product error bounds (Higham, Accuracy and Stability of
@@ -113,12 +117,18 @@ class SimIndex:
 
     @cached_property
     def rank(self) -> np.ndarray:
-        """Each row's place in a stable sort of `keys`: ordering rows by rank
-        orders them by key, equal keys in row order."""
-        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        return rank
+        """Each row's `_key_ranks` among this index's keys; made once."""
+        return _key_ranks([self])[0]
+
+
+def _key_ranks(indexes: list[SimIndex]) -> list[np.ndarray]:
+    """Each index's rows' dense rank by key among every key of `indexes`
+    (equal keys share a rank), so a stable sort of rows in row order by rank
+    orders them by key, equal keys in row order."""
+    keys = sorted({key for index in indexes for key in index.keys})
+    rank = {key: r for r, key in enumerate(keys)}
+    return [np.fromiter(map(rank.__getitem__, index.keys), dtype=np.intp, count=len(index))
+            for index in indexes]
 
 
 INDEX_BLOCK = 256  # rows that build_index normalizes with one set of numpy calls
@@ -260,14 +270,9 @@ class TrainSideData:
 
     @cached_property
     def comment_ranks(self) -> dict:
-        """post_id -> each of its comments' dense rank by key among every
-        training comment (equal keys share a rank): made once, so ordering
-        an H2 pool's rows by it, stably, orders them as a sort of its keys."""
-        keys = sorted({key for index in self.comments_by_post.values() for key in index.keys})
-        rank = {key: r for r, key in enumerate(keys)}
-        return {post: np.fromiter(map(rank.__getitem__, index.keys), dtype=np.intp,
-                                  count=len(index))
-                for post, index in self.comments_by_post.items()}
+        """post_id -> its comments' `_key_ranks` among every training
+        comment; made once, so an H2 pool's rows are put in key order by it."""
+        return dict(zip(self.comments_by_post, _key_ranks(list(self.comments_by_post.values()))))
 
 
 def comment_representations(sample: Sample, texts: TextProvider,
@@ -307,6 +312,8 @@ def build_train_side(
     post_index = build_index(
         (s.post_id, vec, s.resolved_author(common_author)) for s, vec in zip(train, post_vecs)
     )
+    # column-major, so that `SimIndex.columns` is a view of these rows
+    post_index = replace(post_index, vectors=np.asfortranarray(post_index.vectors))
     return TrainSideData(post_index=post_index, comments_by_post=comments_by_post,
                          chains=bool(use_chains))
 
@@ -316,55 +323,74 @@ MISS_LIMIT = 16  # unproven H1 queries in a row after which a resolver stops try
 _REPS = {True: "reply-chain sums", False: "raw comment texts"}
 
 
-class _ColdSample:
-    """Retrieval state shared by every cold occurrence of one sample: its
-    text vectors and H1 hits, fetched when it is made, then the author
-    vector they give, the H2 candidate pool and the sample's comment
-    representations, each made on first use, and the H2 vector of each
-    comment mapped. It keeps what it needs of its mapper, not the mapper,
-    which holds its last sample.
+class _ColdMapper:
+    """The user resolver: a user in the table is looked up, a cold one mapped.
+
+    It holds the retrieval of the last sample it mapped: the sample, its
+    text vectors and H1 hits, replaced together when a cold occurrence of
+    another sample arrives, then the author vector, the H2 pool with the
+    sample's comment representations and the H2 vector of each comment
+    mapped, each made on first need. `train_side` may be a function that
+    builds it on the first cold occurrence that needs retrieval; with no
+    heuristics none does.
     """
 
-    def __init__(self, mapper: _ColdMapper, sample: Sample):
-        self.sample, self.users, self.side = sample, mapper.users, mapper.side
-        self.k2, self.chains = mapper.cfg.k2, "h3" in mapper.cfg.heuristics
-        self.post_rows, self.comment_rows = mapper.post_rows, mapper.comment_rows
-        keys = text_keys(sample)
-        self.vecs = dict(zip(keys, embed_many(mapper.texts, keys)))
-        post_vec = np.asarray(self.vecs[sample.text_key], dtype=np.float64)
-        self.post_hits = mapper.h1_rows(post_vec)
-        self.mapped: dict | None = None  # comment id -> H2 vector, or its error's message
+    def __init__(self, users, cfg: ColdMapConfig, train_side=None, texts=None):
+        self.users, self.cfg, self.texts, self._train_side = users, cfg, texts, train_side
+        self.sample = self.vecs = self.post_hits = self.author = self.pool = self.mapped = None
+        self.owner_rows: dict = {}  # post_id, or None for the post index -> `_owner_rows`
+        self.misses = 0  # H1 queries in a row that float32 scores did not prove
 
-    @cached_property
-    def author_vector(self) -> np.ndarray:
-        """H1 author mapping; read-only, since every caller gets this one array."""
-        vec = _mean_user(self.users, self.side.post_index, self.post_rows, self.post_hits)
-        vec.setflags(write=False)
-        return vec
+    def __call__(self, user_id: str, context: tuple) -> np.ndarray:
+        if user_id in self.users:
+            return self.users.vector(user_id).astype(np.float64)
+        return self.cold(context)
 
-    @cached_property
-    def pool(self) -> tuple | None:
+    def cold(self, context: tuple) -> np.ndarray:
+        """The mapped vector of a cold user's occurrence: the table mean when
+        `retrieval` is None, H2 for a comment when it is "h2" and the H1
+        posts have comments, else H1's author vector."""
+        retrieval, sample = self.retrieval, context[1]
+        if retrieval is None:
+            return self.table_mean
+        if sample is not self.sample:
+            keys = text_keys(sample)
+            vecs = dict(zip(keys, embed_many(self.texts, keys)))
+            hits = self.h1_rows(np.asarray(vecs[sample.text_key], dtype=np.float64))
+            self.sample, self.vecs, self.post_hits, self.author, self.pool, self.mapped = (
+                sample, vecs, hits, None, None, None)
+        if retrieval == "h2" and context[0] == "comment" and self.h2_pool():
+            return self.commenter_vector(context[2])
+        if self.author is None:
+            self.author = _mean_user(self.users, self.side.post_index, self.owner_rows_of(None),
+                                     self.post_hits)
+            self.author.setflags(write=False)  # every caller gets this one array
+        return self.author
+
+    def owner_rows_of(self, post: str | None) -> np.ndarray:
+        """`_owner_rows` of the post index (post None) or of one post's
+        comments, made on first need."""
+        if post not in self.owner_rows:
+            index = self.side.post_index if post is None else self.side.comments_by_post[post]
+            self.owner_rows[post] = _owner_rows(index, self.users)
+        return self.owner_rows[post]
+
+    def h2_pool(self) -> tuple:
         """H2 candidates, the comments under the H1 posts in hit order, as
-        (float64 rows, the row order by key, each row's owner's table row in
-        that order, the posts); None when those posts have no comments."""
-        keys, by_post = self.side.post_index.keys, self.side.comments_by_post
-        posts = [keys[i] for i in self.post_hits.tolist() if len(by_post[keys[i]])]
-        if not posts:
-            return None
-        ranks = self.side.comment_ranks
-        order = np.argsort(np.concatenate([ranks[p] for p in posts]), kind="stable")
-        owner_rows = []
-        for p in posts:
-            rows = self.comment_rows.get(p)
-            if rows is None:
-                rows = self.comment_rows[p] = _owner_rows(by_post[p], self.users)
-            owner_rows.append(rows)
-        return (np.concatenate([by_post[p].vectors for p in posts], dtype=np.float64),
-                order, np.concatenate(owner_rows).take(order), posts)
-
-    @cached_property
-    def comment_reps(self) -> dict:
-        return comment_representations(self.sample, self.vecs.__getitem__, self.chains)
+        (float64 rows, the row order by key, each row's owner's table row,
+        the posts, the sample's comment representations), made on first
+        need; () when those posts have no comments."""
+        if self.pool is None:
+            keys, by_post = self.side.post_index.keys, self.side.comments_by_post
+            posts = [keys[i] for i in self.post_hits.tolist() if len(by_post[keys[i]])]
+            ranks = self.side.comment_ranks
+            self.pool = (
+                np.concatenate([by_post[p].vectors for p in posts], dtype=np.float64),
+                np.argsort(np.concatenate([ranks[p] for p in posts]), kind="stable"),
+                np.concatenate([self.owner_rows_of(p) for p in posts]), posts,
+                comment_representations(self.sample, self.vecs.__getitem__, self.side.chains),
+            ) if posts else ()
+        return self.pool
 
     def _h2(self, comment_ids: list) -> dict:
         """H2 (with H3 chain sums if enabled) for each of `comment_ids`: the
@@ -376,19 +402,18 @@ class _ColdSample:
         scores ranks every query's rows as `topk_rows` does, and one gather
         and float64 reduce takes every mean, as `_mean_user` does per query.
         """
-        vectors, order, owner_rows, posts = self.pool
+        vectors, order, owner_rows, posts, reps = self.pool
         scores = np.empty((len(comment_ids), len(order)))
         for i, comment_id in enumerate(comment_ids):
-            np.matmul(vectors, _unit_query(self.comment_reps[comment_id], vectors.shape[1]),
-                      out=scores[i])
-        k = min(self.k2, len(order))
-        hits = np.argsort(-scores.take(order, axis=1), axis=1, kind="stable")[:, :k]
+            np.matmul(vectors, _unit_query(reps[comment_id], vectors.shape[1]), out=scores[i])
+        k = min(self.cfg.k2, len(order))
+        hits = order.take(np.argsort(-scores.take(order, axis=1), axis=1, kind="stable")[:, :k])
         table_rows = owner_rows.take(hits)
         missing, failed = table_rows < 0, {}
         if missing.any():
             owners = [o for p in posts for o in self.side.comments_by_post[p].owners]
             for i in np.flatnonzero(missing.any(axis=1)).tolist():
-                failed[comment_ids[i]] = _missing(owners[order[hits[i, missing[i].argmax()]]])
+                failed[comment_ids[i]] = _missing(owners[hits[i, missing[i].argmax()]])
             keep = [i for i, c in enumerate(comment_ids) if c not in failed]
             comment_ids, table_rows = [comment_ids[i] for i in keep], table_rows[keep]
         means = np.add.reduce(self.users.matrix.take(table_rows, axis=0).astype(np.float64),
@@ -397,12 +422,9 @@ class _ColdSample:
         return dict(zip(comment_ids, means)) | failed
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
-        """The H2 vector of a comment, read-only; H1's author vector when the
-        H1 posts have no comments. The first request maps every comment
-        whose author is not in the table; any other comment is mapped on
-        its own when it is asked for."""
-        if self.pool is None:
-            return self.author_vector
+        """The H2 vector of a comment, read-only. The first request maps
+        every comment whose author is not in the table; any other comment is
+        mapped on its own when it is asked for."""
         if self.mapped is None:
             self.mapped = self._h2([c.id for c in self.sample.comments
                                     if c.author not in self.users])
@@ -412,37 +434,6 @@ class _ColdSample:
         if isinstance(vec, str):
             raise FormatError(vec)
         return vec
-
-
-class _ColdMapper:
-    """The user resolver: a user in the table is looked up, a cold one mapped.
-
-    The cold occurrences of one sample share the `_ColdSample` of the last
-    sample mapped. `train_side` may be a function that builds it on the first
-    cold occurrence that needs retrieval; with no heuristics none does.
-    """
-
-    def __init__(self, users, cfg: ColdMapConfig, train_side=None, texts=None):
-        self.users, self.cfg, self.texts, self._train_side = users, cfg, texts, train_side
-        self.last: _ColdSample | None = None
-        self.comment_rows: dict = {}  # post_id -> its comments' owners' table rows
-        self.misses = 0  # H1 queries in a row that float32 scores did not prove
-
-    def __call__(self, user_id: str, context: tuple) -> np.ndarray:
-        if user_id in self.users:
-            return self.users.vector(user_id).astype(np.float64)
-        return self.cold(context)
-
-    def cold(self, context: tuple) -> np.ndarray:
-        """The mapped vector of a cold user's occurrence, by `retrieval`."""
-        retrieval = self.retrieval
-        if retrieval is None:
-            return self.table_mean
-        if self.last is None or self.last.sample is not context[1]:
-            self.last = _ColdSample(self, context[1])
-        if retrieval == "h2" and context[0] == "comment":
-            return self.last.commenter_vector(context[2])
-        return self.last.author_vector
 
     def h1_rows(self, post_vec: np.ndarray) -> np.ndarray:
         """H1's k1 nearest training posts, as `topk_rows` ranks them. They
@@ -463,8 +454,8 @@ class _ColdMapper:
     def retrieval(self) -> str | None:
         """How a cold occurrence is mapped, chosen once: None for the table
         mean (no heuristics, or no training posts), "h2" when a comment goes
-        to H2 (H1's author mapping if its H1 posts have no comments), else
-        "h1", H1's author mapping for every occurrence."""
+        to H2 if its H1 posts have comments, else "h1", H1's author mapping
+        for every occurrence."""
         if not self.cfg.heuristics or len(self.side.post_index) == 0:
             return None
         return "h2" if "h2" in self.cfg.heuristics else "h1"
@@ -488,10 +479,6 @@ class _ColdMapper:
         if len(side.post_index) == 0:
             logger.warning("empty post index; falling back to global mean user vector")
         return side
-
-    @cached_property
-    def post_rows(self) -> np.ndarray:
-        return _owner_rows(self.side.post_index, self.users)
 
 
 def make_resolver(

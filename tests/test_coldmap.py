@@ -582,6 +582,41 @@ def test_map_cold_commenter_empty_pool_falls_back_to_author(texts):
     assert np.array_equal(resolver("y", ("comment", cold, "qc0")), expected)
 
 
+def test_resolver_replaces_its_sample_state_between_empty_and_full_pools(texts):
+    """One H2 resolver over a train side where one post's comments are gone
+    answers, in turn, a cascade whose H1 post has no comments, one whose H1
+    post has, the first again, a third whose comments share the second's
+    ids, the second's cold author and a warm comment of the second asked
+    for as cold, each as a fresh resolver does."""
+    users = all_users()
+    side = build_train_side(train_samples_fixture(), texts)
+    by_post = {"t1": side.comments_by_post["t1"], "t2": build_index([])}
+    side = TrainSideData(post_index=side.post_index, comments_by_post=by_post, chains=side.chains)
+    cfg = ColdMapConfig(k1=1, k2=1)
+
+    def cascade(post_id, post_text, comment_text):
+        return make_sample(post_id, author="x", text_key=post_text, comments=[
+            make_comment("c0", "y", post_id, text_key=comment_text),
+            make_comment("c1", "b1", "c0", text_key="gamma delta")])
+
+    a = cascade("qa", "different subject entirely", "alpha beta")
+    b = cascade("qb", "shared topic words", "alpha beta")
+    c = cascade("qc", "shared topic words", "gamma delta")
+    resolver = make_resolver("cold-mapper", users, side, texts, cfg)
+    asked = [("y", ("comment", a, "c0")), ("y", ("comment", b, "c0")),
+             ("y", ("comment", a, "c0")), ("y", ("comment", c, "c0")),
+             ("x", ("post", b)), ("<cold>", ("comment", b, "c1"))]
+    got = []
+    for user_id, context in asked:
+        fresh = make_resolver("cold-mapper", users, side, texts, cfg)(user_id, context)
+        got.append(resolver(user_id, context))
+        assert got[-1].tobytes() == fresh.tobytes()
+    # H1's author vector, then H2's nearest comment author, then each again
+    want = ["a2", "b1", "a2", "b2", "a1", "b2"]
+    assert [g.tobytes() for g in got] == [
+        users.vector(u).astype(np.float64).tobytes() for u in want]
+
+
 def test_h3_off_equals_h3_on_for_flat_trees(texts):
     # single-level comment trees: chains of length 1 equal raw text vectors
     train = [star_sample("t1", author="a1", commenters=("b1", "b2"), timestamp=1),
@@ -756,9 +791,9 @@ def test_resolver_reduces_the_table_once_for_mean_fallbacks(texts, monkeypatch, 
 
 
 def test_resolver_and_its_sample_state_form_no_reference_cycle(texts):
-    """The last sample's state keeps what it needs of the mapper, not the
-    mapper, so with the cycle collector off, dropping the resolver frees the
-    train side at once."""
+    """The resolver holds its last sample's retrieval itself and nothing
+    refers back to it, so with the cycle collector off, dropping the
+    resolver frees the train side at once."""
     import gc
     import weakref
 
