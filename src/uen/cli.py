@@ -157,8 +157,8 @@ def cmd_train(args):
     _check_variant_conflicts(args)
     cfg, coldmap = _config(args, GnnConfig), _config(args, ColdMapConfig)
     graphs = _train_val_graphs(args, coldmap)
-    out = _out_dir(args)
     model, history = experiment.fit(*graphs, cfg)
+    out = _out_dir(args)
     save_model(model, out / "model.mdl")
     save_history(history, out / "history.csv")
     _write_provenance(out, args, _split_paths(args, "train", "val"), cfg, coldmap,
@@ -204,7 +204,6 @@ def cmd_map_cold(args):
     test_corpus, _ = load_corpus(args.test, args.mode)
     coldmap = _config(args, ColdMapConfig)
     texts, users = _text_provider(args), EmbeddingTable.load(args.users)
-    out = _out_dir(args)
     resolver = experiment.variant_resolver("full", users, train_corpus.samples, texts,
                                            train_corpus.common_author, coldmap)
     ids, rows = [], []
@@ -216,6 +215,7 @@ def cmd_map_cold(args):
             ids.append(f"{s.post_id}/{node}/{user}")
             rows.append(resolver(user, context))
     table = EmbeddingTable.from_rows(ids, np.reshape(rows, (len(rows), users.dim)))
+    out = _out_dir(args)
     table.save(out / "cold.emb")
     _write_provenance(out, args, [args.train, args.test], coldmap, _config(args, TextEmbedConfig))
     print(json.dumps({"cold_occurrences": len(table)}))
@@ -227,7 +227,6 @@ def cmd_eval(args):
     train_corpus, test_corpus = _load_split_dir(args, "train", "test")
     common = train_corpus.common_author
     texts, users, model = _text_provider(args), _users(args), load_model(args.model)
-    out = _out_dir(args)
     resolver = experiment.variant_resolver(VARIANTS[args.variant], users, train_corpus.samples,
                                            texts, common, coldmap)
     metadata = {"variant": args.variant,
@@ -235,6 +234,7 @@ def cmd_eval(args):
     graphs = (assemble(s, texts, resolver, common) for s in test_corpus.samples)
     report, *_ = experiment.evaluate(model, train_corpus.samples, test_corpus.samples, graphs,
                                      common, resolver is not None, metadata)
+    out = _out_dir(args)
     report.save_json(out / "report.json")
     report.save_csv(out / "report.csv")
     _write_provenance(out, args, [args.model, *_split_paths(args, "train", "test")], coldmap,

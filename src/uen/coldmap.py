@@ -26,9 +26,10 @@ alone chooses the table mean, H2 or H1's author vector. H2 maps a
 cascade's cold commenters in one pass: each query is scored by its own
 gemv against the cascade's pool, the score columns are put in key order
 (the train side ranks every training comment's key once), and one stable
-sort of the negated scores picks every query's hits. Each index row's
-owner is resolved to its user-table row once per resolver, as first
-needed, so the means over hit authors are one gather and one reduce. None
+sort of the negated scores picks every query's hits. Every train-side
+owner's user-table row is looked up once per resolver, so the means over
+hit authors are one gather and one reduce; a table that lacks a training
+owner is refused at the first cold occurrence that needs retrieval. None
 of this changes a bit of what a full (-score, key) sort and a mean of
 per-author rows, one query at a time, would give.
 """
@@ -227,30 +228,11 @@ def certified_topk_rows(index: SimIndex, query: np.ndarray, k: int) -> np.ndarra
     return best[:k] if (ranked[:-1] - ranked[1:] > 2 * margin).all() else None
 
 
-def _owner_rows(index: SimIndex, users: EmbeddingTable) -> np.ndarray:
-    """Each index row's owner's row in `users`, -1 for an owner it lacks."""
-    where = users.index
-    return np.fromiter((where.get(o, -1) for o in index.owners), dtype=np.intp,
-                       count=len(index))
-
-
-def _missing(owner: str) -> str:
-    return (f"training user {owner!r} has no row in the user table; "
-            "embed the users of this training split")
-
-
-def _mean_user(users: EmbeddingTable, index: SimIndex, owner_rows: np.ndarray,
-               rows: np.ndarray) -> np.ndarray:
-    """Mean table vector of the owners of `rows` of `index`, gathered at once.
-
-    `owner_rows` is `_owner_rows(index, users)`; an owner missing from the
-    table is an error only when it is among `rows`.
-    """
-    table_rows = owner_rows.take(rows)
-    if table_rows.min(initial=0) < 0:
-        raise FormatError(_missing(index.owners[rows[(table_rows < 0).argmax()]]))
+def _mean_user(users: EmbeddingTable, owner_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mean table vector of the owners of index rows `rows`, gathered at once;
+    `owner_rows` holds each index row's owner's row in `users`."""
     # what .mean(axis=0) computes, without its wrapper calls
-    gathered = users.matrix.take(table_rows, axis=0).astype(np.float64)
+    gathered = users.matrix.take(owner_rows.take(rows), axis=0).astype(np.float64)
     return np.add.reduce(gathered, axis=0) / len(rows)
 
 
@@ -338,7 +320,6 @@ class _ColdMapper:
     def __init__(self, users, cfg: ColdMapConfig, train_side=None, texts=None):
         self.users, self.cfg, self.texts, self._train_side = users, cfg, texts, train_side
         self.sample = self.vecs = self.post_hits = self.author = self.pool = self.mapped = None
-        self.owner_rows: dict = {}  # post_id, or None for the post index -> `_owner_rows`
         self.misses = 0  # H1 queries in a row that float32 scores did not prove
 
     def __call__(self, user_id: str, context: tuple) -> np.ndarray:
@@ -362,24 +343,15 @@ class _ColdMapper:
         if retrieval == "h2" and context[0] == "comment" and self.h2_pool():
             return self.commenter_vector(context[2])
         if self.author is None:
-            self.author = _mean_user(self.users, self.side.post_index, self.owner_rows_of(None),
-                                     self.post_hits)
+            self.author = _mean_user(self.users, self.owner_rows[None], self.post_hits)
             self.author.setflags(write=False)  # every caller gets this one array
         return self.author
-
-    def owner_rows_of(self, post: str | None) -> np.ndarray:
-        """`_owner_rows` of the post index (post None) or of one post's
-        comments, made on first need."""
-        if post not in self.owner_rows:
-            index = self.side.post_index if post is None else self.side.comments_by_post[post]
-            self.owner_rows[post] = _owner_rows(index, self.users)
-        return self.owner_rows[post]
 
     def h2_pool(self) -> tuple:
         """H2 candidates, the comments under the H1 posts in hit order, as
         (float64 rows, the row order by key, each row's owner's table row,
-        the posts, the sample's comment representations), made on first
-        need; () when those posts have no comments."""
+        the sample's comment representations), made on first need; () when
+        those posts have no comments."""
         if self.pool is None:
             keys, by_post = self.side.post_index.keys, self.side.comments_by_post
             posts = [keys[i] for i in self.post_hits.tolist() if len(by_post[keys[i]])]
@@ -387,39 +359,30 @@ class _ColdMapper:
             self.pool = (
                 np.concatenate([by_post[p].vectors for p in posts], dtype=np.float64),
                 np.argsort(np.concatenate([ranks[p] for p in posts]), kind="stable"),
-                np.concatenate([self.owner_rows_of(p) for p in posts]), posts,
+                np.concatenate([self.owner_rows[p] for p in posts]),
                 comment_representations(self.sample, self.vecs.__getitem__, self.side.chains),
             ) if posts else ()
         return self.pool
 
     def _h2(self, comment_ids: list) -> dict:
         """H2 (with H3 chain sums if enabled) for each of `comment_ids`: the
-        mean author of its k2 nearest pool rows, or the message of the error
-        a missing owner among them raises, by comment id.
+        mean author of its k2 nearest pool rows, by comment id.
 
         Each query has its own gemv (one product over the stacked queries
         rounds differently). One stable sort of the negated, key-ordered
         scores ranks every query's rows as `topk_rows` does, and one gather
         and float64 reduce takes every mean, as `_mean_user` does per query.
         """
-        vectors, order, owner_rows, posts, reps = self.pool
+        vectors, order, owner_rows, reps = self.pool
         scores = np.empty((len(comment_ids), len(order)))
         for i, comment_id in enumerate(comment_ids):
             np.matmul(vectors, _unit_query(reps[comment_id], vectors.shape[1]), out=scores[i])
         k = min(self.cfg.k2, len(order))
         hits = order.take(np.argsort(-scores.take(order, axis=1), axis=1, kind="stable")[:, :k])
-        table_rows = owner_rows.take(hits)
-        missing, failed = table_rows < 0, {}
-        if missing.any():
-            owners = [o for p in posts for o in self.side.comments_by_post[p].owners]
-            for i in np.flatnonzero(missing.any(axis=1)).tolist():
-                failed[comment_ids[i]] = _missing(owners[hits[i, missing[i].argmax()]])
-            keep = [i for i, c in enumerate(comment_ids) if c not in failed]
-            comment_ids, table_rows = [comment_ids[i] for i in keep], table_rows[keep]
-        means = np.add.reduce(self.users.matrix.take(table_rows, axis=0).astype(np.float64),
-                              axis=1) / k
+        means = np.add.reduce(self.users.matrix.take(owner_rows.take(hits), axis=0)
+                              .astype(np.float64), axis=1) / k
         means.setflags(write=False)
-        return dict(zip(comment_ids, means)) | failed
+        return dict(zip(comment_ids, means))
 
     def commenter_vector(self, comment_id: str) -> np.ndarray:
         """The H2 vector of a comment, read-only. The first request maps
@@ -430,10 +393,7 @@ class _ColdMapper:
                                     if c.author not in self.users])
         if comment_id not in self.mapped:
             self.mapped.update(self._h2([comment_id]))
-        vec = self.mapped[comment_id]
-        if isinstance(vec, str):
-            raise FormatError(vec)
-        return vec
+        return self.mapped[comment_id]
 
     def h1_rows(self, post_vec: np.ndarray) -> np.ndarray:
         """H1's k1 nearest training posts, as `topk_rows` ranks them. They
@@ -459,6 +419,21 @@ class _ColdMapper:
         if not self.cfg.heuristics or len(self.side.post_index) == 0:
             return None
         return "h2" if "h2" in self.cfg.heuristics else "h1"
+
+    @cached_property
+    def owner_rows(self) -> dict:
+        """Each train-side index row's owner's row in the table, by post id
+        (None for the post index), looked up once. A table without some
+        training owner is refused, naming the first one: in the post index,
+        then in each post's comments."""
+        side, where = self.side, self.users.index
+        try:
+            return {post: np.fromiter(map(where.__getitem__, index.owners), dtype=np.intp,
+                                      count=len(index))
+                    for post, index in {None: side.post_index, **side.comments_by_post}.items()}
+        except KeyError as exc:
+            raise FormatError(f"training user {exc.args[0]!r} has no row in the user table; "
+                              "embed the users of this training split") from None
 
     @cached_property
     def table_mean(self) -> np.ndarray:

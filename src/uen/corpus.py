@@ -274,6 +274,9 @@ def save_corpus(corpus: Corpus, path) -> None:
 def temporal_split(corpus: Corpus, ratios: tuple[float, float, float] = SPLIT_RATIOS) -> Split:
     """Sort by post timestamp (ties by post_id) and cut contiguous train,
     val and test parts of the given shares."""
+    if len(ratios) != 3:
+        raise ValueError("split ratios must be three shares (train, val, test), "
+                         f"got {len(ratios)}")
     for name, ratio in zip(("train", "val", "test"), ratios):
         if not (math.isfinite(ratio) and ratio >= 0):
             raise ValueError(f"{name} split ratio must be finite and >= 0, got {ratio}")

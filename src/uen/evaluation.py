@@ -1,12 +1,8 @@
-"""Metrics, overlap-bucket reports, Mann-Whitney U, sign test, random search.
+"""Metrics, overlap-bucket reports, the sign test, random search.
 
 Macro-F1 uses the conservative convention that a class absent from both
-predictions and labels scores F1 = 0. The rank-sum test, for two
-independent samples, ranks ties by their midrank. For small groups its
-p-value is exact, ties included: one table counts the subsets of the pooled
-values by rank sum. For larger groups it is the tie-corrected normal
-approximation. Paired outcomes, such as two variants' hits on the same
-test cascades, take the exact sign test instead.
+predictions and labels scores F1 = 0. Paired outcomes, such as two
+variants' hits on the same test cascades, take the exact sign test.
 """
 
 from __future__ import annotations
@@ -142,47 +138,7 @@ def bucketed_report(
 
 
 # ---------------------------------------------------------------------------
-# Mann-Whitney U
-
-
-EXACT_LIMIT = 400
-
-
-def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Two-sided Mann-Whitney test on midranks: (U of `x`, p).
-
-    For n1 * n2 <= EXACT_LIMIT, p is exact, ties included: the share of all
-    equal-size subsets of the pooled values whose U lies at least as far
-    from n1 * n2 / 2 as the observed one, counted with the shift algorithm
-    of Streitberg & Roehmel (1986). Above it, p is the tie-corrected normal
-    approximation with continuity correction.
-    """
-    n1, n2 = len(x), len(y)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("both groups must be non-empty")
-    pooled = np.asarray([*x, *y], dtype=np.float64)
-    if not np.isfinite(pooled).all():
-        raise ValueError("values must be finite")
-    _, group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
-    ranks2 = (2 * np.cumsum(counts) - counts + 1)[group]  # doubled midranks
-    u = float(ranks2[:n1].sum()) / 2.0 - n1 * (n1 + 1) / 2.0
-    n = n1 + n2
-    if n1 * n2 <= EXACT_LIMIT:
-        # ways[j, s]: j-subsets whose doubled midranks (each <= 2n) sum to s.
-        # |U - n1*n2/2| is the same for either group, so counting subsets of
-        # the smaller group's size m keeps the table at m + 1 rows.
-        m = min(n1, n2)
-        ways = np.zeros((m + 1, 2 * m * n + 1), dtype=np.int64)
-        ways[0, 0] = 1
-        for r in ranks2.tolist():
-            ways[1:, r:] += ways[:-1, :-r]
-        dev2 = np.abs(np.arange(ways.shape[1]) - m * (m + 1) - n1 * n2)
-        hits = ways[m, dev2 >= abs(2.0 * u - n1 * n2)].sum()
-        return u, float(hits / ways[m].sum())
-    ties = sum(t**3 - t for t in counts.tolist())
-    sd = math.sqrt(n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1))))
-    z = max(abs(u - n1 * n2 / 2.0) - 0.5, 0.0) / sd if sd else 0.0  # sd 0: all equal
-    return u, math.erfc(z / math.sqrt(2.0))
+# sign test
 
 
 def sign_test(wins: int, losses: int) -> float:

@@ -1,10 +1,10 @@
 """Text vectors via the hashing trick, plus a loader for precomputed tables.
 
-The hashing embedder is the fully offline default provider: tokenize on
-word boundaries, hash unigrams and bigrams into d2 signed buckets,
-L2-normalize. External encoder outputs can be substituted as an
-EmbeddingTable (EmbeddingTable.load) without touching the rest of the
-pipeline.
+The hashing embedder, `hash_embed_many`, is the fully offline default
+provider: tokenize on word boundaries, hash unigrams and bigrams into d2
+signed buckets, L2-normalize, a batch of texts per call. External encoder
+outputs can be substituted as an EmbeddingTable (EmbeddingTable.load)
+without touching the rest of the pipeline.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ def _tokens(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def hash_embed(text: str, cfg: TextEmbedConfig = TextEmbedConfig()) -> np.ndarray:
-    """Deterministic signed-bucket embedding; zero vector for empty text.
-
-    The one-text case of `hash_embed_many`.
-    """
-    return hash_embed_many([text], cfg)[0]
-
-
 def _digest(keyed, term: str) -> bytes:
     h = keyed.copy()
     h.update(term.encode("utf-8"))
@@ -59,7 +51,8 @@ def _digest(keyed, term: str) -> bytes:
 
 def hash_embed_many(texts, cfg: TextEmbedConfig = TextEmbedConfig(),
                     words: dict | None = None) -> np.ndarray:
-    """`hash_embed` of each text, as the rows of one (len(texts), d2) float32 matrix.
+    """The hash vector of each text, as the rows of one (len(texts), d2)
+    float32 matrix; an empty text's row is zero.
 
     Each term's 8-byte blake2b digest, keyed by the seed and read as a
     little-endian u64 v, adds +1 (odd v) or -1 to bucket (v >> 1) % d2 of
@@ -100,7 +93,7 @@ def hash_embed_many(texts, cfg: TextEmbedConfig = TextEmbedConfig(),
 
 
 def make_hash_provider(cfg: TextEmbedConfig = TextEmbedConfig()) -> TextProvider:
-    """A caching `hash_embed` provider with a batch call, `provider.many(texts)`."""
+    """A caching `hash_embed_many` provider with a batch call, `provider.many(texts)`."""
     cache: dict[str, np.ndarray] = {}
     words: dict[str, bytes] = {}  # unigram digests, as long as the cache lives
 

@@ -14,7 +14,7 @@ from uen.cli import main as cli_main
 from uen.coldmap import ColdMapConfig, build_index, build_train_side, make_resolver, topk_rows
 from uen.corpus import temporal_split
 from uen.embedding import EmbeddingTable
-from uen.evaluation import bucketed_report, mann_whitney_u
+from uen.evaluation import bucketed_report, sign_test
 from uen.experiment import PipelineConfig, prepare_user_embeddings, run_ablation, run_variant
 from uen.gnn import GnnConfig, SampleGraph, forward, init_params, load_model, loss_and_grads, save_model
 from uen.graph import build_interaction_graph
@@ -334,12 +334,12 @@ def test_criterion_07_zero_bucket_gain(ablation):
              f"mean={mean_gain:+.4f} (need >=+0.02)")
 
 
-# criterion 8 -- rank-sum exactness and bucket population shape
+# criterion 8 -- exact paired significance and bucket population shape
 
 
 def test_criterion_08_significance_and_buckets():
-    u, p_sep = mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    _, p_same = mann_whitney_u([2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
+    p_sep = sign_test(5, 0)  # five disagreements, all one way: 2 / 2**5
+    p_same = sign_test(0, 0)  # no disagreements
     counts = {"high": 31_327, "low": 63_915, "zero": 21_397}
     ratios = np.concatenate([
         np.zeros(counts["zero"]),
@@ -349,10 +349,9 @@ def test_criterion_08_significance_and_buckets():
     n = ratios.shape[0]
     report = bucketed_report([i % 2 for i in range(n)], [0] * n, ratios.tolist())
     got = {k: b.n for k, b in report.buckets.items()}
-    ok = (u == 0.0 and abs(p_sep - 0.1) < 1e-12 and p_same == 1.0
-          and got == counts)
-    _verdict("criterion-08 mwu-and-buckets", ok,
-             f"separated p={p_sep} (expect 0.1), identical p={p_same} "
+    ok = p_sep == 0.0625 and p_same == 1.0 and got == counts
+    _verdict("criterion-08 sign-test-and-buckets", ok,
+             f"one-way p={p_sep} (expect 0.0625), no-disagreement p={p_same} "
              f"(expect 1.0), bucket counts={got}")
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -374,7 +375,7 @@ def test_float32_overflow_checkpoint_is_structured_error(pipeline, tmp_path):
     assert_ok_or_one_json_line(rc, err)
     assert json.loads(err) == {"error": "DivergenceError",
                                "message": "Adam update diverged at epoch 0"}
-    assert not (out / "model.mdl").exists() and not (out / "model.mdl.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["split-input-dir", "synth-out-under-file",
@@ -419,6 +420,44 @@ def test_missing_input_leaves_no_out_dir(pipeline, tmp_path, command):
     rc, err = run_captured([*argv, "--out", str(out)])
     assert rc == 1
     assert_ok_or_one_json_line(rc, err)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_table(tmp_path_factory):
+    """A user table embedded from a 10-user corpus: it lacks most of the
+    pipeline's training owners."""
+    root = tmp_path_factory.mktemp("small-table")
+    run_ok(["synth", "--out", str(root / "data"), "--n-samples", "60", "--n-users", "10",
+            "--seed", "0"])
+    run_ok(["split", "--input", str(root / "data" / "corpus.jsonl"),
+            "--out", str(root / "splits")])
+    run_ok(["embed-users", "--train", str(root / "splits" / "train.jsonl"),
+            "--out", str(root / "users"), "--d1", "8", "--walk-length", "5",
+            "--walks-per-node", "2", "--epochs", "1", "--seed", "0"])
+    return str(root / "users" / "users.emb")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "map-cold"])
+def test_table_without_training_owners_leaves_no_out_dir(pipeline, small_table, tmp_path,
+                                                         command):
+    """The cold mapper refuses a table that lacks a training owner, and the
+    command fails after reading every input: one JSON line, and --out is not
+    created, since it is made only once the model, report or cold rows exist."""
+    out, splits = tmp_path / "out", str(pipeline / "splits")
+    argv = {
+        "train": ["train", "--splits", splits, "--epochs", "1", "--hidden", "8"],
+        "eval": ["eval", "--splits", splits, "--model", str(pipeline / "model" / "model.mdl")],
+        "map-cold": ["map-cold", "--train", str(pipeline / "splits" / "train.jsonl"),
+                     "--test", str(pipeline / "splits" / "test.jsonl")],
+    }[command]
+    rc, err = run_captured([*argv, "--users", small_table, "--out", str(out)])
+    assert rc == 1
+    assert_ok_or_one_json_line(rc, err)
+    error = json.loads(err)
+    assert error["error"] == "FormatError"
+    assert re.fullmatch(r"training user '.+' has no row in the user table; embed the users "
+                        r"of this training split", error["message"])
     assert not out.exists()
 
 

@@ -12,7 +12,6 @@ from uen.coldmap import (
     SimIndex,
     TrainSideData,
     _mean_user,
-    _owner_rows,
     build_index,
     build_train_side,
     certified_topk_rows,
@@ -30,6 +29,11 @@ from conftest import (
     star_sample,
     table_mean_resolver,
 )
+
+
+def owner_rows(users, index):
+    """Each row's owner's row in `users`, as `_mean_user` takes them."""
+    return np.array([users.index[o] for o in index.owners], dtype=np.intp)
 
 
 def brute_topk(index, query, k):
@@ -285,7 +289,7 @@ def test_topk_over_concatenated_blocks_equals_full_sort(case):
                          comments_by_post=dict(zip(posts, blocks)), chains=False)
     keys = [key for b in blocks for key in b.keys]
     owners = [owner for b in blocks for owner in b.owners]
-    users = random_user_table(sorted(owners), d1=3)
+    users = random_user_table(sorted({"a", *owners}), d1=3)
     cold = make_sample("q", text_key="post", comments=[
         make_comment("qc0", "ghost", "q", text_key="comment")])
     resolver = make_resolver("cold-mapper", users, side, {"post": np.ones(2), "comment": query}.get,
@@ -403,45 +407,46 @@ def test_map_cold_commenter_k2_truncation(texts):
     assert np.allclose(out, expected)
 
 
-def test_owner_missing_from_table_raises_only_among_hits(texts):
-    """The owner-row arrays hold every owner up front, but a training user
-    without a table row is an error only for an occurrence whose hits use it."""
+def test_owner_missing_from_table_is_refused_at_first_cold_occurrence(texts):
+    """Every training owner's table row is looked up at the first cold
+    occurrence that needs retrieval, so a table without one is refused
+    there, naming the first owner it lacks (in the post index, then in each
+    post's comments), even when the hits' owners are all in it. A user in
+    the table is looked up before that as always."""
     side = build_train_side(train_samples_fixture(), texts)
-    cfg = ColdMapConfig(k1=2, k2=1)
-    users = random_user_table(["a1", "b1", "b2"], d1=8)  # no a2, no b3
+    cold = make_sample("q", author="x", text_key="shared topic words", comments=[
+        make_comment("qc0", "y", "q", text_key="alpha beta")])  # its hits: t1, a1, b1
+    for present, missing in ((["a1", "b1", "b2"], "a2"), (["a1", "a2", "b1", "b2"], "b3")):
+        users = random_user_table(present, d1=8)
+        for cfg in (ColdMapConfig(k1=1, k2=1, heuristics=HEURISTIC_LEVELS[1]),
+                    ColdMapConfig(k1=1, k2=1)):
+            for user, context in (("x", ("post", cold)), ("y", ("comment", cold, "qc0"))):
+                resolver = make_resolver("cold-mapper", users, side, texts, cfg)
+                assert np.array_equal(resolver("a1", context),
+                                      users.vector("a1").astype(np.float64))
+                for _ in range(2):
+                    with pytest.raises(FormatError, match=f"training user '{missing}' has no "
+                                       "row in the user table"):
+                        resolver(user, context)
 
-    def query(post_text, comment_text):
-        return make_sample("q", author="x", text_key=post_text, comments=[
-            make_comment("qc0", "y", "q", text_key=comment_text)])
 
-    near_t1, near_t2 = query("shared topic words", "alpha beta"), query(
-        "different subject entirely", "epsilon zeta")
-    one_post = ColdMapConfig(k1=1, k2=1)
-    assert np.array_equal(
-        make_resolver("cold-mapper", users, side, texts, one_post)("x", ("post", near_t1)),
-        users.vector("a1").astype(np.float64))
-    with pytest.raises(FormatError, match="training user 'a2' has no row in the user table"):
-        make_resolver("cold-mapper", users, side, texts, one_post)("x", ("post", near_t2))
-    # both posts' comments (b1, b2, b3) are in the H2 pool; only the hit matters
-    resolver = make_resolver("cold-mapper", users, side, texts, cfg)
-    assert np.array_equal(resolver("y", ("comment", near_t1, "qc0")),
+def test_no_heuristics_resolver_gives_table_mean_without_train_side(texts):
+    """No-mapper needs no owner: over a table without some training owners,
+    every cold user gets the table mean and the train side is never built."""
+    users = random_user_table(["a1", "b1", "b2"], d1=8)
+
+    def train_side():
+        raise AssertionError("the train side was built")
+
+    resolver = make_resolver("cold-mapper", users, train_side, texts,
+                             ColdMapConfig(heuristics=HEURISTIC_LEVELS[0]))
+    cold = make_sample("q", author="x", text_key="shared topic words", comments=[
+        make_comment("qc0", "y", "q", text_key="alpha beta")])
+    mean = users.mean_vector().astype(np.float64).tobytes()
+    assert resolver("x", ("post", cold)).tobytes() == mean
+    assert resolver("y", ("comment", cold, "qc0")).tobytes() == mean
+    assert np.array_equal(resolver("b1", ("comment", cold, "qc0")),
                           users.vector("b1").astype(np.float64))
-    with pytest.raises(FormatError, match="training user 'b3' has no row in the user table"):
-        resolver("y", ("comment", near_t2, "qc0"))
-    # one cascade's cold commenters are mapped together: a missing owner among
-    # one commenter's hits fails that commenter alone, whichever is asked first
-    both = make_sample("q", author="x", text_key="shared topic words", comments=[
-        make_comment("qc0", "y", "q", text_key="alpha beta"),
-        make_comment("qc1", "z", "q", text_key="epsilon zeta")])
-    for first in ("qc0", "qc1"):
-        resolver = make_resolver("cold-mapper", users, side, texts, cfg)
-        for comment_id in (first, *{"qc0", "qc1"} - {first}, first):
-            if comment_id == "qc1":
-                with pytest.raises(FormatError, match="training user 'b3' has no row"):
-                    resolver("z", ("comment", both, "qc1"))
-            else:
-                assert np.array_equal(resolver("y", ("comment", both, "qc0")),
-                                      users.vector("b1").astype(np.float64))
 
 
 def per_comment_h2(resolver_args, sample, comment_id):
@@ -454,12 +459,12 @@ def per_comment_h2(resolver_args, sample, comment_id):
     blocks = [side.comments_by_post[side.post_index.keys[i]] for i in post_hits.tolist()]
     blocks = [b for b in blocks if len(b)]
     if not blocks:
-        return _mean_user(users, side.post_index, _owner_rows(side.post_index, users), post_hits)
+        return _mean_user(users, owner_rows(users, side.post_index), post_hits)
     pool = SimIndex(keys=tuple(k for b in blocks for k in b.keys),
                     vectors=np.concatenate([b.vectors for b in blocks], dtype=np.float64),
                     owners=tuple(o for b in blocks for o in b.owners))
     rep = comment_representations(sample, texts, "h3" in cfg.heuristics)[comment_id]
-    return _mean_user(users, pool, _owner_rows(pool, users), topk_rows(pool, rep, cfg.k2)[0])
+    return _mean_user(users, owner_rows(users, pool), topk_rows(pool, rep, cfg.k2)[0])
 
 
 @pytest.mark.parametrize("use_chains", [True, False], ids=["h3-on", "h3-off"])
@@ -826,7 +831,7 @@ def test_resolver_stops_trying_float32_proofs_after_misses_in_a_row(monkeypatch)
 
     def expected(key):
         rows = topk_rows(side.post_index, queries[key], cfg.k1)[0]
-        return _mean_user(users, side.post_index, _owner_rows(side.post_index, users), rows)
+        return _mean_user(users, owner_rows(users, side.post_index), rows)
 
     for proofs, calls_wanted in (((), coldmap.MISS_LIMIT),
                                  ((coldmap.MISS_LIMIT - 1,), 2 * coldmap.MISS_LIMIT)):

@@ -289,6 +289,16 @@ def test_temporal_split_rejects_zero_ratios(ratios, name):
         temporal_split(corpus, ratios)
 
 
+@pytest.mark.parametrize("ratios", [(0.9, 0.1), (0.5, 0.2, 0.2, 0.1), (1.0,), ()])
+def test_temporal_split_rejects_ratios_not_three(ratios):
+    """Two shares used to give parts of 90/9/1 on 100 samples, and a fourth
+    share was ignored."""
+    corpus = Corpus(samples=tuple(star_sample(f"p{i}", timestamp=i) for i in range(100)))
+    with pytest.raises(ValueError, match="^split ratios must be three shares \\(train, val, "
+                                         f"test\\), got {len(ratios)}$"):
+        temporal_split(corpus, ratios)
+
+
 def test_temporal_split_rejects_small_and_unlabeled():
     with pytest.raises(CorpusError, match="too small"):
         temporal_split(Corpus(samples=tuple([star_sample("p1")])))

@@ -1,4 +1,4 @@
-"""Metrics, bucket reports, the rank-sum test, and random search."""
+"""Metrics, bucket reports, the sign test, and random search."""
 
 import csv
 import json
@@ -9,14 +9,12 @@ import pytest
 
 from uen.corpus import bucket_of
 from uen.evaluation import (
-    EXACT_LIMIT,
     SearchSpace,
     Trial,
     TuneError,
     accuracy,
     bucketed_report,
     macro_f1,
-    mann_whitney_u,
     save_trials,
     sign_test,
     tune,
@@ -139,91 +137,7 @@ def test_metrics_reject_values_outside_0_1(metric, preds, labels):
 
 
 # ---------------------------------------------------------------------------
-# Mann-Whitney U
-
-
-def test_mwu_fully_separated_small_groups():
-    u, p = mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    assert u == 0.0
-    assert p == pytest.approx(0.1)
-
-
-def test_mwu_identical_groups():
-    _, p = mann_whitney_u([2.0, 2.0, 2.0], [2.0, 2.0])
-    assert p == 1.0
-
-
-def test_mwu_u_statistics_are_complementary():
-    rng = np.random.Generator(np.random.PCG64(2))
-    x = rng.normal(size=9).tolist()
-    y = rng.normal(size=11).tolist()
-    u1, p_xy = mann_whitney_u(x, y)
-    u2, p_yx = mann_whitney_u(y, x)
-    assert u1 + u2 == pytest.approx(len(x) * len(y))
-    assert p_xy == pytest.approx(p_yx)
-
-
-def test_mwu_separated_large_groups():
-    x = list(np.linspace(0.0, 1.0, 25))
-    y = list(np.linspace(10.0, 11.0, 25))
-    assert 25 * 25 > EXACT_LIMIT  # forces the normal path
-    _, p = mann_whitney_u(x, y)
-    assert p < 1e-6
-
-
-def test_mwu_exact_matches_scipy():
-    scipy_stats = pytest.importorskip("scipy.stats")
-    rng = np.random.Generator(np.random.PCG64(3))
-    for n1, n2 in [(3, 3), (5, 8), (8, 12), (10, 20)]:
-        x = rng.normal(size=n1).tolist()
-        y = rng.normal(loc=0.5, size=n2).tolist()
-        u, p = mann_whitney_u(x, y)
-        ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided",
-                                       method="exact")
-        assert u == pytest.approx(ref.statistic)
-        assert p == pytest.approx(ref.pvalue, abs=1e-10)
-
-
-def test_mwu_normal_path_matches_scipy():
-    scipy_stats = pytest.importorskip("scipy.stats")
-    rng = np.random.Generator(np.random.PCG64(4))
-    x = rng.integers(0, 6, size=40).astype(float).tolist()
-    y = rng.integers(1, 7, size=40).astype(float).tolist()
-    u, p = mann_whitney_u(x, y)
-    ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided",
-                                   method="asymptotic")
-    assert u == pytest.approx(ref.statistic)
-    assert p == pytest.approx(ref.pvalue, rel=1e-6)
-
-
-def test_mwu_tied_exact_permutation_matches_scipy():
-    scipy_stats = pytest.importorskip("scipy.stats")
-    x = [1.0, 2.0, 2.0, 3.0]
-    y = [2.0, 4.0, 5.0]
-    u, p = mann_whitney_u(x, y)
-    ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="exact")
-    assert u == pytest.approx(ref.statistic)
-    # scipy's exact method ignores ties; agreement is approximate here
-    assert p == pytest.approx(ref.pvalue, abs=0.05)
-    assert 0.0 < p <= 1.0
-
-
-def test_mwu_exact_vs_normal_agreement():
-    # for moderate untied groups the two paths should nearly coincide
-    rng = np.random.Generator(np.random.PCG64(5))
-    for n1 in (8, 14, 20):
-        x = rng.normal(size=n1).tolist()
-        y = rng.normal(loc=0.3, size=n1).tolist()
-        _, p_exact = mann_whitney_u(x, y)
-        n = 2 * n1
-        pooled = sorted(x + y)
-        ranks = {v: i + 1 for i, v in enumerate(pooled)}
-        r1 = sum(ranks[v] for v in x)
-        u1 = r1 - n1 * (n1 + 1) / 2.0
-        sd = math.sqrt(n1 * n1 * (n + 1) / 12.0)
-        z = (abs(u1 - n1 * n1 / 2.0) - 0.5) / sd
-        p_norm = 2.0 * 0.5 * math.erfc(z / math.sqrt(2.0))
-        assert abs(p_exact - min(p_norm, 1.0)) < 0.02
+# sign test
 
 
 def test_sign_test_matches_scipy_binomtest():
@@ -244,70 +158,6 @@ def test_sign_test_edge_cases():
             sign_test(wins, losses)
     with pytest.raises(TypeError):
         sign_test(2.5, 1)
-
-
-def test_mwu_empty_group_rejected():
-    with pytest.raises(ValueError):
-        mann_whitney_u([], [1.0])
-
-
-def _enumerated_mwu(x, y):
-    """(U, p) by brute force: every n1-subset of the pooled values is a
-    possible group x, and p is the share at least as far from n1*n2/2."""
-    pooled = np.array([*x, *y], dtype=np.float64)
-    n1, n = len(x), len(pooled)
-    ranks = np.array([(pooled < v).sum() + ((pooled == v).sum() + 1) / 2 for v in pooled])
-    masks = np.arange(1 << n)
-    masks = masks[sum((masks >> i) & 1 for i in range(n)) == n1]
-    offset, mean = n1 * (n1 + 1) / 2, n1 * (n - n1) / 2
-    u = ranks[:n1].sum() - offset
-    us = sum(((masks >> i) & 1) * ranks[i] for i in range(n)) - offset
-    return float(u), np.count_nonzero(np.abs(us - mean) >= abs(u - mean)) / len(masks)
-
-
-def test_mwu_equals_subset_enumeration():
-    rng = np.random.Generator(np.random.PCG64(6))
-    for case in range(60):
-        n1 = int(rng.integers(1, 16))
-        n2 = int(rng.integers(1, 17 - n1))
-        if case % 2:  # tied: a few levels
-            levels = int(rng.integers(1, 5))
-            x = rng.integers(0, levels, size=n1).astype(float).tolist()
-            y = rng.integers(0, levels, size=n2).astype(float).tolist()
-        else:
-            x = rng.normal(size=n1).tolist()
-            y = rng.normal(loc=0.5, size=n2).tolist()
-        u, p = mann_whitney_u(x, y)
-        assert (type(u), type(p)) == (float, float)
-        assert (u, p) == _enumerated_mwu(x, y), (x, y)
-
-
-def test_mwu_tied_ten_by_ten_is_exact():
-    # comb(20, 10) = 184 756 subsets: exact, where a cap on enumeration would
-    # have fallen back to the normal approximation (p = 0.184 here, 0.218 exact)
-    x = [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
-    y = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
-    assert mann_whitney_u(x, y) == _enumerated_mwu(x, y)
-
-
-@pytest.mark.parametrize("swap", [False, True])
-def test_mwu_one_against_four_hundred(swap):
-    tied = [0.0] * 200 + [1.0] * 100 + [2.0] * 100
-    cases = [([398.5], list(range(400)), 399.0, 4 / 401),
-             ([2.0], tied, 350.0, 101 / 401)]
-    for x, y, u, p in cases:
-        if swap:
-            assert mann_whitney_u(y, x) == (400 - u, p)
-        else:
-            assert mann_whitney_u(x, y) == (u, p)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_mwu_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        mann_whitney_u([1.0, bad], [2.0, 3.0])
-    with pytest.raises(ValueError, match="finite"):
-        mann_whitney_u([1.0], [bad])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from uen.text import (
     TextEmbedConfig,
     _tokens,
     build_text_table,
-    hash_embed,
     hash_embed_many,
     make_hash_provider,
     table_provider,
@@ -62,7 +61,7 @@ _TEXT_ALPHABET = st.sampled_from(list("aAbZ09_ \t.,-'") + [
 def test_hash_embed_bytes_equal_per_term_oracle(text, seed, d2):
     """Arbitrary Unicode (İ, combining marks, `_`, digits, empty), keys up to 64 bytes."""
     cfg = TextEmbedConfig(d2=d2, hash_seed=seed)
-    got = hash_embed(text, cfg)
+    got = hash_embed_many([text], cfg)[0]
     assert got.dtype == np.float32 and got.shape == (d2,)
     assert got.tobytes() == oracle_hash_embed(text, cfg).tobytes()
 
@@ -107,7 +106,7 @@ def test_provider_many_equals_single_calls_in_either_order(batch_first):
         batch = provider.many(keys)
         single += [provider(k) for k in keys[3:]]
     for key, a, b in zip(keys, batch, single):
-        assert a.tobytes() == b.tobytes() == hash_embed(key).tobytes()
+        assert a.tobytes() == b.tobytes() == hash_embed_many([key])[0].tobytes()
 
 
 def cosine(a, b):
@@ -115,41 +114,44 @@ def cosine(a, b):
 
 
 def test_empty_string_is_zero_vector():
-    v = hash_embed("")
+    v = hash_embed_many([""])[0]
     assert v.shape == (256,)
     assert np.all(v == 0.0)
 
 
 def test_determinism():
-    assert np.array_equal(hash_embed("breaking news"), hash_embed("breaking news"))
+    assert np.array_equal(hash_embed_many(["breaking news"])[0],
+                          hash_embed_many(["breaking news"])[0])
 
 
 def test_cosine_ordering_on_shared_tokens():
-    a = hash_embed("breaking news")
-    b = hash_embed("breaking news today")
-    c = hash_embed("weather forecast sunny")
+    a = hash_embed_many(["breaking news"])[0]
+    b = hash_embed_many(["breaking news today"])[0]
+    c = hash_embed_many(["weather forecast sunny"])[0]
     assert cosine(a, b) > cosine(a, c)
 
 
 def test_norm_is_zero_or_one():
     for text in ("", "one", "one two three", "a a a a", "x y z w " * 10):
-        norm = np.linalg.norm(hash_embed(text))
+        norm = np.linalg.norm(hash_embed_many([text])[0])
         assert norm == 0.0 or norm == pytest.approx(1.0, abs=1e-6)
 
 
 def test_tokenization_is_case_insensitive():
-    assert np.array_equal(hash_embed("Breaking News"), hash_embed("breaking news"))
+    assert np.array_equal(hash_embed_many(["Breaking News"])[0],
+                          hash_embed_many(["breaking news"])[0])
 
 
 def test_hash_seed_changes_embedding():
-    a = hash_embed("breaking news", TextEmbedConfig(hash_seed=0))
-    b = hash_embed("breaking news", TextEmbedConfig(hash_seed=1))
+    a = hash_embed_many(["breaking news"], TextEmbedConfig(hash_seed=0))[0]
+    b = hash_embed_many(["breaking news"], TextEmbedConfig(hash_seed=1))[0]
     assert not np.array_equal(a, b)
 
 
 def test_bigrams_are_hashed():
     # the same unigrams in the other order: only the bigram tells them apart
-    assert not np.array_equal(hash_embed("alpha beta"), hash_embed("beta alpha"))
+    assert not np.array_equal(hash_embed_many(["alpha beta"])[0],
+                              hash_embed_many(["beta alpha"])[0])
 
 
 def test_statelessness_across_call_order():
@@ -158,7 +160,7 @@ def test_statelessness_across_call_order():
     provider("gamma delta")
     provider("alpha beta gamma")
     assert np.array_equal(provider("alpha beta"), first)
-    assert np.array_equal(first, hash_embed("alpha beta"))
+    assert np.array_equal(first, hash_embed_many(["alpha beta"])[0])
 
 
 def test_pairwise_collision_rate_is_small():
@@ -167,7 +169,7 @@ def test_pairwise_collision_rate_is_small():
     # unigram's (bucket, sign) slot
     slots = {}
     for w in words:
-        v = hash_embed(w)
+        v = hash_embed_many([w])[0]
         bucket = int(np.flatnonzero(v)[0])
         slots.setdefault((bucket, float(v[bucket])), []).append(w)
     colliding_pairs = sum(len(g) * (len(g) - 1) // 2 for g in slots.values())
@@ -182,7 +184,7 @@ def test_build_text_table_rows_are_hash_embed_of_sorted_keys(texts):
     assert list(table.ids) == sorted(texts)
     assert table.matrix.dtype == np.float32 and table.matrix.shape == (len(texts), 64)
     for key in texts:
-        assert table.vector(key).tobytes() == hash_embed(texts[key], cfg).tobytes()
+        assert table.vector(key).tobytes() == hash_embed_many([texts[key]], cfg)[0].tobytes()
 
 
 def test_table_save_load_round_trip(tmp_path):
